@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--random", type=int,
                    help="number of seeded random instances (one ratio each)")
     v.add_argument("--size", default="4:10",
-                   help="size or LO:HI range for --random instances")
+                   help="size or LO:HI[:STEP] inclusive range for --random instances")
     v.add_argument("--k", type=int, default=3, help="walk length for T1.10")
 
     s = sub.add_parser("scan", help="positivity fraction of a family by set size")
@@ -306,12 +306,10 @@ def _verify_instances(args, parser):
         if args.p is None:
             parser.error("--random requires --p")
         prime = make_prime(args.p)
-        parts = args.size.split(":")
-        sizes = (
-            range(int(parts[0]), int(parts[1]) + 1)
-            if len(parts) == 2
-            else [int(parts[0])]
-        )
+        try:
+            sizes = _parse_sizes(args.size)
+        except ValueError as exc:
+            parser.error(str(exc))
         values = [rat.r for rat in ratios_for_policy(policy, prime)]
         for E, ratio in random_instances(
             prime, args.d, args.random, sizes, args.seed, r_values=values

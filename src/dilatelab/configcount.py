@@ -142,37 +142,115 @@ def count_step_cycles(E: PointSet, steps: Iterable[int]) -> int:
     return total
 
 
+def _lane_bytes(bound: int) -> int:
+    """Whole bytes a packed lane needs to hold every count in 0..bound."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _distance_classes(E: PointSet) -> tuple[tuple[int, ...], tuple]:
+    """The distinct squared distances of E and, per point, its class members.
+
+    Classes list the nonzero distances in increasing order and then 0, so the
+    nonzero classes are a prefix.  members[j][c] holds the indices i with
+    dist(i, j) = classes[c].  Unlike PointSet.neighbor_buckets it keeps i = j
+    (in class 0) and indexes classes by position, which fixes the lane order
+    of the packed sweeps.  Cached per point set.
+    """
+    key = ("distance_classes",)
+    hit = E._cache.get(key)
+    if hit is None:
+        D = E.dist_table
+        classes = sorted({t for row in D for t in row}, key=lambda t: (t == 0, t))
+        slot = {t: c for c, t in enumerate(classes)}
+        members = []
+        for row in D:
+            by_class = [[] for _ in classes]
+            for i, t in enumerate(row):
+                by_class[slot[t]].append(i)
+            members.append(tuple(map(tuple, by_class)))
+        hit = E._cache[key] = (tuple(classes), tuple(members))
+    return hit
+
+
+def _class_sums(members_j, sources) -> list[int]:
+    """Per class c, the sum of sources[c][i] over the members i of class c.
+
+    Classes past the last source are skipped.  This is the one primitive of
+    the packed sweeps.  Each source entry is a row of counts packed into a
+    Python int with fixed-width byte lanes, so one big-int addition adds a
+    whole row.  Lanes never carry into each other because every caller sizes
+    them for the largest sum they can hold.
+    """
+    return [sum(map(src.__getitem__, mem)) for src, mem in zip(sources, members_j)]
+
+
+def _transpose(matrix: bytes, rows: int, lanes: int, width: int) -> list[int]:
+    """The lanes x rows transpose of a row-major matrix of width-byte lanes.
+
+    Returns one packed int per input lane, holding that lane of every row.
+    """
+    src_stride = lanes * width
+    dst_stride = rows * width
+    out = bytearray(len(matrix))
+    for i in range(rows):
+        base = i * src_stride
+        for b in range(width):
+            out[i * width + b :: dst_stride] = matrix[base + b : base + src_stride : width]
+    view = memoryview(out)
+    return [
+        int.from_bytes(view[j * dst_stride : (j + 1) * dst_stride], "little")
+        for j in range(lanes)
+    ]
+
+
+def _lane_total(values: list[int], lanes: int, width: int) -> int:
+    """The sum of every lane of every packed int in values."""
+    raw = b"".join(v.to_bytes(lanes * width, "little") for v in values)
+    # a lane is sum_b raw[lane * width + b] * 256^b, so add up byte positions
+    return sum(sum(raw[b::width]) << (8 * b) for b in range(width))
+
+
 def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
     """Map from step profiles (t_1, .., t_k) to their step-walk count.
 
     With nonzero_only the profiles range over nonzero steps, which is what
-    the identity-based pair counts sum over.  Cached per point set.
+    the identity-based pair counts sum over.  Only profiles with a nonzero
+    count appear.  Cached per point set.
+
+    Packed distance-class sweep: per endpoint j, one int whose lanes count
+    the walks ending at j, one lane per profile of the level so far.  A step
+    sums the endpoint rows by the distance class of (i, j) and concatenates
+    the class sums, so the new lanes are the old profiles extended by each
+    class.  A lane holds at most n^k walks per endpoint and n^(k+1) after the
+    final sum over endpoints; lanes are that wide, rounded up to whole bytes.
     """
     key = ("profiles", k, nonzero_only)
     if key in E._cache:
         return E._cache[key]
     n = len(E)
-    D = E.dist_table
-    level: dict[tuple, list[int]] = {(): [1] * n}
+    classes, members = _distance_classes(E)
+    steps = classes[:-1] if nonzero_only else classes  # 0 is the last class
+    width = _lane_bytes(n ** (k + 1))
+    profiles: list[tuple] = [()]
+    rows = [1] * n
     for _ in range(k):
-        nxt: dict[tuple, list[int]] = {}
-        for prof, vec in level.items():
-            for i in range(n):
-                c = vec[i]
-                if not c:
-                    continue
-                row = D[i]
-                for j in range(n):
-                    t = row[j]
-                    if nonzero_only and t == 0:
-                        continue
-                    arr = nxt.get(prof + (t,))
-                    if arr is None:
-                        arr = [0] * n
-                        nxt[prof + (t,)] = arr
-                    arr[j] += c
-        level = nxt
-    result = {prof: sum(vec) for prof, vec in level.items()}
+        row_bytes = len(profiles) * width
+        sources = [rows] * len(steps)
+        rows = [
+            int.from_bytes(
+                b"".join(s.to_bytes(row_bytes, "little")
+                         for s in _class_sums(members_j, sources)),
+                "little",
+            )
+            for members_j in members
+        ]
+        profiles = [prof + (t,) for t in steps for prof in profiles]
+    totals = sum(rows).to_bytes(len(profiles) * width, "little")
+    result = {}
+    for lane, prof in enumerate(profiles):
+        count = int.from_bytes(totals[lane * width : (lane + 1) * width], "little")
+        if count:
+            result[prof] = count
     E._cache[key] = result
     return result
 
@@ -230,42 +308,60 @@ def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
     return total
 
 
-def _walk_dp_scaled_pairs(E: PointSet, r: int, k: int) -> int:
+def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int:
+    """Pairs of k-step walks (x_i), (y_i) with ||y_i - y_{i+1}|| = r ||x_i - x_{i+1}||.
+
+    This is 1^T T^k 1 for the paired-state operator T = sum_s A'_s (x) A_{rs},
+    with A_s the indicator matrix of squared distance s.  With distinct_first
+    the first walk never stays put (A'_0 = A_0 - I, the walk_dp count);
+    otherwise only the step that keeps both points is dropped (the similarity
+    graph, whose vertices are the pairs).
+
+    Packed distance-class sweep: the state V[x][y] is held as packed ints with
+    one fixed-width byte lane per point.  One step is four stages:
+      1. transpose the rows of V (lanes over y) to columns (lanes over x);
+      2. per y', sum the columns by the class of (y, y'), which gives
+         (V A_s)[., y'] for every class s at once;
+      3. transpose every class to rows over x with lanes over y';
+      4. per x', add up (V A_{r s})[x] over x by the class s of (x', x), then
+         subtract the stationary term.
+    An entry never exceeds n^(2k): it counts pairs of walks with at most k
+    free steps each.  Lanes are that wide, rounded up to whole bytes.  The
+    subtracted term is the x = x' summand itself, or for the graph the part
+    of it with y = y', which class 0 holds; so no lane goes negative.
+    """
     n = len(E)
     p = E.prime.p
-    D = E.dist_table
-    idx = range(n)
-    vec = [[1] * n for _ in idx]  # vec[x][y], both walks at step i
+    classes, members = _distance_classes(E)
+    m = len(classes)
+    width = _lane_bytes(n ** (2 * k))
+    row_bytes = n * width
+    slot = {t: c for c, t in enumerate(classes)}
+    scaled = [slot.get(r * t % p) for t in classes]
+    zero = [0] * n
+    rows = [int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")] * n
     for _ in range(k):
-        # colsum[x][y'] maps a squared step s to sum(vec[x][y] over y at distance s from y')
-        colsum = [[{} for _ in idx] for _ in idx]
-        for x in idx:
-            vx = vec[x]
-            cs = colsum[x]
-            for y in idx:
-                c = vx[y]
-                if not c:
-                    continue
-                row = D[y]
-                for yp in idx:
-                    bucket = cs[yp]
-                    s = row[yp]
-                    bucket[s] = bucket.get(s, 0) + c
-        nxt = [[0] * n for _ in idx]
-        for xp in idx:
-            row = D[xp]
-            out = nxt[xp]
-            for x in idx:
-                if x == xp:
-                    continue
-                s = r * row[x] % p
-                cs = colsum[x]
-                for yp in idx:
-                    v = cs[yp].get(s)
-                    if v:
-                        out[yp] += v
-        vec = nxt
-    return sum(map(sum, vec))
+        cols = _transpose(b"".join(v.to_bytes(row_bytes, "little") for v in rows),
+                          n, n, width)
+        sources = [cols] * m
+        sums = b"".join(
+            s.to_bytes(row_bytes, "little")
+            for members_j in members
+            for s in _class_sums(members_j, sources)
+        )
+        flat = _transpose(sums, n, m * n, width)
+        by_class = [flat[c * n : (c + 1) * n] for c in range(m)]
+        sources = [zero if c is None else by_class[c] for c in scaled]
+        stay = by_class[-1] if distinct_first else rows  # class 0 is last
+        rows = [
+            sum(_class_sums(members_j, sources)) - stay[xp]
+            for xp, members_j in enumerate(members)
+        ]
+    return _lane_total(rows, n, width)
+
+
+def _walk_dp_scaled_pairs(E: PointSet, r: int, k: int) -> int:
+    return _paired_walk_sweep(E, r, k, distinct_first=True)
 
 
 def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = METHOD_WALK_DP) -> CountReport:
@@ -275,6 +371,9 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
     unconstrained apart from the k scaled-length equations.  Methods: "brute"
     (guarded tuple enumeration), "nu_identity" (step-profile identity, valid
     for d = 2 and p = 3 mod 4), "walk_dp" (paired-state sweep, always valid).
+    walk_dp is the packed distance-class sweep of _paired_walk_sweep: rows of
+    the state are Python ints with one fixed-width byte lane per point, sized
+    for n^(2k), the largest entry the state reaches, so the count is exact.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configcount import Ratio, _nu_identity_scaled_walk_pairs
+from .configcount import Ratio, _nu_identity_scaled_walk_pairs, _paired_walk_sweep
 from .errors import TooLargeError
 from .families import iter_scaled_walk_pairs
 from .geometry import PointSet
@@ -27,7 +27,11 @@ class SimilarityGraph:
 
     Vertices are index pairs (i, j) into E.  The dense adjacency matrix is
     never materialized; edge counts come from the norm-pair profile and walk
-    counts from a per-step sweep grouped by squared distance.
+    counts from the packed distance-class sweep of
+    :func:`dilatelab.configcount._paired_walk_sweep`, the walk_dp kernel with
+    its stationary-step rule swapped: a walk may keep x' = x but never the
+    whole vertex, so the packed row V[x'] is subtracted.  Its lanes are sized
+    for n^(2k), the most walks any vertex pair can end.
     """
 
     def __init__(self, E: PointSet, ratio: Ratio):
@@ -67,44 +71,7 @@ class SimilarityGraph:
         """Sequences of k+1 vertices with consecutive vertices adjacent."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        E = self.E
-        n = len(E)
-        p = E.prime.p
-        r = self.ratio.r
-        D = E.dist_table
-        idx = range(n)
-        vec = [[1] * n for _ in idx]
-        for _ in range(k):
-            # colsum[x][yp] maps squared distance s to sum(vec[x][y], dist(y, yp) = s)
-            colsum = [[{} for _ in idx] for _ in idx]
-            for x in idx:
-                vx = vec[x]
-                cs = colsum[x]
-                for y in idx:
-                    c = vx[y]
-                    if not c:
-                        continue
-                    row = D[y]
-                    for yp in idx:
-                        bucket = cs[yp]
-                        s = row[yp]
-                        bucket[s] = bucket.get(s, 0) + c
-            nxt = [[0] * n for _ in idx]
-            for xp in idx:
-                row = D[xp]
-                out = nxt[xp]
-                for x in idx:
-                    s = r * row[x] % p
-                    cs = colsum[x]
-                    for yp in idx:
-                        v = cs[yp].get(s)
-                        if v:
-                            out[yp] += v
-                # remove the stationary step (the rule excludes equal vertices)
-                for yp in idx:
-                    out[yp] -= vec[xp][yp]
-            vec = nxt
-        return sum(map(sum, vec))
+        return _paired_walk_sweep(self.E, self.ratio.r, k, distinct_first=False)
 
     def edges_direct(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """All edges by scanning vertex pairs; for small cross-checks only."""

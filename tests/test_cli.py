@@ -168,6 +168,26 @@ def test_verify_random_rows(capsys):
     assert all(",HOLDS," in ln for ln in rows)
 
 
+def test_verify_size_step(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--claim", "lemma2.3", "--random", "4", "--p", "7",
+         "--size", "4:10:2", "--seed", "3", "--r", "1"],
+        capsys,
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines() if ln.startswith("lemma2.3")]
+    assert [int(row[3]) for row in rows] == [4, 6, 8, 10]
+
+
+def test_verify_size_reversed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--claim", "lemma2.3", "--random", "2", "--p", "7",
+              "--size", "10:4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad size range" in err and "Traceback" not in err
+
+
 def test_verify_determinism(capsys):
     args = ["verify", "--claim", "lemma2.2", "--random", "6", "--p", "11",
             "--seed", "9"]

@@ -6,6 +6,7 @@ import pytest
 
 from dilatelab.configcount import (
     CountReport,
+    _lane_bytes,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
@@ -22,6 +23,7 @@ from dilatelab.errors import TooLargeError, WrongResidueClassError
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
 from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
+from dilatelab.simgraph import build_similarity_graph
 
 SEVEN = make_prime(7)
 TWO_POINT = PointSet(SEVEN, 2, [(0, 0), (1, 0)])
@@ -97,10 +99,17 @@ def test_step_walks_match_oracle(seed):
 
 
 def test_step_profile_counts_match_single_profile():
-    E = random_point_set(SEVEN, 2, 6, seed=9)
-    table = step_profile_counts(E, 2, nonzero_only=False)
-    for prof in itertools.product(range(7), repeat=2):
-        assert table.get(prof, 0) == count_step_walks(E, prof)
+    # the p = 13, d = 2 and p = 3, d = 3 sets include null segments
+    for p, d, size, seed in [(7, 2, 6, 9), (13, 2, 9, 2), (3, 3, 7, 1)]:
+        E = random_point_set(make_prime(p), d, size, seed)
+        table = step_profile_counts(E, 2, nonzero_only=False)
+        for prof in itertools.product(range(p), repeat=2):
+            assert table.get(prof, 0) == count_step_walks(E, prof)
+        nonzero = step_profile_counts(E, 2, nonzero_only=True)
+        assert nonzero == {prof: c for prof, c in table.items() if 0 not in prof}
+        null = any(t == 0 for i, row in enumerate(E.dist_table)
+                   for j, t in enumerate(row) if i != j)
+        assert null == (p == 13 or d == 3)
 
 
 def test_step_cycles_examples():
@@ -174,19 +183,47 @@ from hypothesis import given, settings, strategies as st
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.sampled_from([3, 5, 7, 13]),
-    codes=st.sets(st.integers(min_value=0, max_value=168), min_size=2, max_size=5),
+    d=st.integers(min_value=1, max_value=3),
+    codes=st.sets(st.integers(min_value=0, max_value=13**3 - 1), min_size=2, max_size=5),
     r=st.integers(min_value=1, max_value=12),
     k=st.integers(min_value=1, max_value=2),
 )
-def test_walk_dp_equals_raw_oracle_fuzz(p, codes, r, k):
-    # both residue classes of p: the sweep must match raw tuple enumeration
+def test_walk_dp_equals_raw_oracle_fuzz(p, d, codes, r, k):
+    # both residue classes of p and every d: the sweep must match raw tuple
+    # enumeration, null segments included
     prime = make_prime(p)
-    pts = sorted({(c % p, (c // p) % p) for c in codes})
-    E = PointSet(prime, 2, pts)
+    pts = sorted({tuple(c // p**i % p for i in range(d)) for c in codes})
+    E = PointSet(prime, d, pts)
     ratio = make_ratio(1 + r % (p - 1), prime)
     expected = raw_scaled_walk_pairs(E, ratio.r, k)
     assert count_scaled_walk_pairs(E, ratio, k, "walk_dp").value == expected
     assert count_scaled_walk_pairs(E, ratio, k, "brute").value == expected
+
+
+def test_packed_lanes_at_their_worst_case():
+    # on the isotropic line {(t, 5t)} of F_13 every squared distance is 0, so
+    # every walk matches every profile and each lane reaches its bound
+    thirteen = make_prime(13)
+    E = PointSet(thirteen, 2, [(t, 5 * t % 13) for t in range(13)])
+    n = len(E)
+    ratio = make_ratio(3, thirteen)
+    for k in range(1, 5):
+        expected = n * (n - 1) ** k * n ** (k + 1)
+        assert count_scaled_walk_pairs(E, ratio, k, "walk_dp").value == expected
+        assert step_profile_counts(E, k, nonzero_only=False) == {(0,) * k: n ** (k + 1)}
+        assert step_profile_counts(E, k, nonzero_only=True) == {}
+        # the pair graph is complete on n^2 vertices
+        assert build_similarity_graph(E, ratio).count_walks(k) == n * n * (n * n - 1) ** k
+    assert count_scaled_walk_pairs(E, ratio, 1, "brute").value == n * (n - 1) * n**2
+
+
+def test_lane_width_covers_the_bound_at_large_n():
+    n, k = 10**4, 3
+    for bound in (n ** (2 * k), n ** (k + 1)):
+        width = _lane_bytes(bound)
+        assert 256 ** (width - 1) <= bound < 256**width
+    assert _lane_bytes(n ** (2 * k)) == 10
+    assert _lane_bytes(0) == _lane_bytes(1) == 1
 
 
 def test_brute_guard():
