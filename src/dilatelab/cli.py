@@ -22,6 +22,7 @@ from .configcount import (
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
     cycle_pair_reports,
+    dilation_safe,
     displacement_histogram,
     walk_pair_reports,
 )
@@ -43,7 +44,7 @@ from .families import (
     count_simplex_pairs,
     count_triangle_pairs,
     four_cycle_families,
-    shared_displacement_counts,
+    histogram_moments,
     simplex_bound_group_sum,
     triangle_bound_group_sum,
     two_path_parts_closed_form,
@@ -219,8 +220,7 @@ def _count_rows(E: PointSet, args, parser) -> list:
             else:
                 method = args.method
                 if method == "auto":
-                    method = ("mu_identity"
-                              if E.d == 2 and E.prime.p_mod_4 == 3 else "brute")
+                    method = "mu_identity" if dilation_safe(E) else "brute"
                 reports.append(count_scaled_cycle_pairs(E, ratio, method))
         elif what == "V":
             reports.append(count_ratio_quadruples(E, ratio))
@@ -251,8 +251,8 @@ def _count_rows(E: PointSet, args, parser) -> list:
             group = enumerate_orthogonal(E.d, E.prime)
             lam_total = n_total = slice_total = 0
             for theta in group:
-                total, distinct = shared_displacement_counts(E, ratio, theta)
                 hist = displacement_histogram(E, ratio, theta)
+                total, distinct = histogram_moments(hist, E.d + 1)
                 lam_total += total
                 n_total += distinct
                 slice_total += sum(c ** E.d for c in hist.values())

@@ -20,7 +20,8 @@ any iteration schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from itertools import product, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     MethodMismatchError,
@@ -103,8 +104,12 @@ def _report(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> 
     )
 
 
-def _dilation_safe(E: PointSet) -> bool:
-    # Distinct points force a nonzero squared distance exactly here.
+def dilation_safe(E: PointSet) -> bool:
+    """Whether distinct points of E always have a nonzero squared distance.
+
+    That holds exactly for d = 2 and p = 3 (mod 4).  The profile identities
+    and the residue-class hypotheses of the claim catalog need it.
+    """
     return E.d == 2 and E.prime.p_mod_4 == 3
 
 
@@ -255,45 +260,120 @@ def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
     return result
 
 
-def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
+def _y_candidates(E: PointSet, prev: int, s: int):
+    """Indices at squared distance s from prev, including prev itself for s = 0."""
+    cands = E.neighbor_buckets[prev].get(s, ())
+    if s == 0:
+        return cands + (prev,)
+    return cands
+
+
+def _by_profile(x_tuples, profile, complete) -> Iterator[tuple[tuple, tuple]]:
+    """(xs, ys) for each xs of x_tuples and each ys of complete(profile(xs)).
+
+    The y side depends on xs only through its profile, so the completions of
+    a profile are kept once they have been enumerated in full and replayed
+    for every later xs with that profile.  The store is local to this
+    generator: a consumer that stops early (a witness search) keeps nothing,
+    and at most it holds every y tuple once, since a y tuple has one profile.
+    """
+    done: dict[tuple, list] = {}
+    for xs in x_tuples:
+        prof = profile(xs)
+        found = done.get(prof)
+        if found is None:
+            found = []
+            for ys in complete(prof):
+                found.append(ys)
+                yield xs, ys
+            done[prof] = found
+        else:
+            yield from zip(repeat(xs), found)
+
+
+def _scaled_pairs(E: PointSet, r: int, k: int, x_tuples,
+                  distinct: bool) -> Iterator[tuple[tuple, tuple]]:
+    """Pairs (xs, ys) with xs from x_tuples and ys a k-step walk scaled from it by r.
+
+    The squared steps of ys are r times those of xs.  ys is found by a
+    depth-first walk through the distance buckets; with distinct its entries
+    are pairwise distinct.
+    """
+    p = E.prime.p
+    D = E.dist_table
+
+    def profile(xs):
+        return tuple(r * D[a][b] % p for a, b in zip(xs, xs[1:]))
+
+    def extend(prof, ys):
+        depth = len(ys)
+        if depth == k + 1:
+            yield tuple(ys)
+            return
+        for j in _y_candidates(E, ys[-1], prof[depth - 1]):
+            if not (distinct and j in ys):
+                ys.append(j)
+                yield from extend(prof, ys)
+                ys.pop()
+
+    def complete(prof):
+        for y0 in range(len(E)):
+            yield from extend(prof, [y0])
+
+    return _by_profile(x_tuples, profile, complete)
+
+
+def iter_scaled_walk_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
+    """All index-tuple pairs (xs, ys) of the scaled k-step walk-pair set."""
     n = len(E)
     if n ** (2 * k + 2) > BRUTE_GUARD:
-        raise TooLargeError(f"brute force over {n}^{2 * k + 2} tuples refused")
+        raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
+    xs = (x for x in product(range(n), repeat=k + 1)
+          if all(a != b for a, b in zip(x, x[1:])))
+    yield from _scaled_pairs(E, r, k, xs, distinct=False)
+
+
+def iter_scaled_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
+    """All index-tuple pairs (xs, ys) of the scaled closed 4-walk pair set.
+
+    The y side is searched afresh for each xs: a per-profile store would hold
+    up to n^4 tuples and save little, as yielding the pairs dominates.
+    """
+    n = len(E)
+    if n**8 > BRUTE_GUARD:
+        raise TooLargeError(f"enumeration over {n}^8 tuples refused")
     p = E.prime.p
     D = E.dist_table
     idx = range(n)
+    for x1 in idx:
+        for x2 in idx:
+            if x2 == x1:
+                continue
+            t1 = r * D[x1][x2] % p
+            for x3 in idx:
+                if x3 == x2:
+                    continue
+                t2 = r * D[x2][x3] % p
+                for x4 in idx:
+                    if x4 == x3 or x4 == x1:
+                        continue
+                    t3 = r * D[x3][x4] % p
+                    t4 = r * D[x4][x1] % p
+                    xs = (x1, x2, x3, x4)
+                    for y1 in idx:
+                        for y2 in _y_candidates(E, y1, t1):
+                            for y3 in _y_candidates(E, y2, t2):
+                                for y4 in _y_candidates(E, y3, t3):
+                                    if D[y4][y1] == t4:
+                                        yield xs, (y1, y2, y3, y4)
 
-    def count_matching_walks(scaled, i, depth):
-        # walks through E whose remaining steps follow `scaled`
-        if depth == k:
-            return 1
-        want = scaled[depth]
-        row = D[i]
-        depth += 1
-        return sum(count_matching_walks(scaled, j, depth) for j in idx if row[j] == want)
 
-    total = 0
-    profile = [0] * k
-
-    def extend(i, depth):
-        nonlocal total
-        if depth == k:
-            scaled = [r * t % p for t in profile]
-            total += sum(count_matching_walks(scaled, y, 0) for y in idx)
-            return
-        row = D[i]
-        for j in idx:
-            if j != i:
-                profile[depth] = row[j]
-                extend(j, depth + 1)
-
-    for x in idx:
-        extend(x, 0)
-    return total
+def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
+    return sum(1 for _ in iter_scaled_walk_pairs(E, r, k))
 
 
 def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
-    if not _dilation_safe(E):
+    if not dilation_safe(E):
         raise WrongResidueClassError(
             "the step-profile identity needs d = 2 and p = 3 (mod 4)"
         )
@@ -389,50 +469,13 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
 
 
 def _brute_scaled_cycle_pairs(E: PointSet, r: int) -> int:
-    n = len(E)
-    if n**8 > BRUTE_GUARD:
-        raise TooLargeError(f"brute force over {n}^8 tuples refused")
-    p = E.prime.p
-    D = E.dist_table
-    idx = range(n)
-    total = 0
-    for x1 in idx:
-        row1 = D[x1]
-        for x2 in idx:
-            if x2 == x1:
-                continue
-            t1 = r * row1[x2] % p
-            row2 = D[x2]
-            for x3 in idx:
-                if x3 == x2:
-                    continue
-                t2 = r * row2[x3] % p
-                row3 = D[x3]
-                for x4 in idx:
-                    if x4 == x3 or x4 == x1:
-                        continue
-                    t3 = r * row3[x4] % p
-                    t4 = r * D[x4][x1] % p
-                    for y1 in idx:
-                        ry1 = D[y1]
-                        for y2 in idx:
-                            if ry1[y2] != t1:
-                                continue
-                            ry2 = D[y2]
-                            for y3 in idx:
-                                if ry2[y3] != t2:
-                                    continue
-                                ry3 = D[y3]
-                                for y4 in idx:
-                                    if ry3[y4] == t3 and D[y4][y1] == t4:
-                                        total += 1
-    return total
+    return sum(1 for _ in iter_scaled_cycle_pairs(E, r))
 
 
 def _mu_identity_scaled_cycle_pairs(E: PointSet, r: int) -> int:
     # Splitting each closed 4-walk at its two opposite corners turns the
     # profile sum into a join over per-corner-pair 2-step histograms.
-    if not _dilation_safe(E):
+    if not dilation_safe(E):
         raise WrongResidueClassError(
             "the closed-walk profile identity needs d = 2 and p = 3 (mod 4)"
         )
@@ -543,7 +586,7 @@ def walk_pair_reports(E: PointSet, ratio: Ratio, k: int, methods=("all",)) -> li
         methods = [METHOD_WALK_DP]
         if len(E) ** (2 * k + 2) <= BRUTE_GUARD:
             methods.append(METHOD_BRUTE)
-        if _dilation_safe(E):
+        if dilation_safe(E):
             methods.append(METHOD_NU_IDENTITY)
     reports = [count_scaled_walk_pairs(E, ratio, k, m) for m in methods]
     _check_agreement(reports, E)
@@ -554,7 +597,7 @@ def cycle_pair_reports(E: PointSet, ratio: Ratio, methods=("all",)) -> list[Coun
     """Run the requested (or every applicable) method and cross-check them."""
     if "all" in methods:
         methods = []
-        if _dilation_safe(E):
+        if dilation_safe(E):
             methods.append(METHOD_MU_IDENTITY)
         if len(E) ** 8 <= BRUTE_GUARD:
             methods.append(METHOD_BRUTE)

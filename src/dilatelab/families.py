@@ -8,14 +8,20 @@ pairs of :mod:`dilatelab.configcount` also contain degenerate pairs (repeated
 vertices); this module enumerates those remainder families and checks the
 exact bookkeeping identities between them.
 
-Counting here is enumeration-first: families are counted by classifying the
-concrete tuples of the ambient scaled-pair set, so every identity and bound
-can be tested against an independent closed form.
+Counting here is enumeration-first.  Each family has one lazy enumerator of
+its index-tuple pairs: iter_path_pairs and iter_clique_pairs here, and the
+ambient iter_scaled_walk_pairs and iter_scaled_cycle_pairs of
+:mod:`dilatelab.configcount`.  A brute count is the enumerator's length
+(times m! for m-cliques, whose v side runs over combinations), a witness is
+its first item, and the coincidence families are counted by classifying its
+tuples, so every identity and bound can be tested against an independent
+closed form.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
@@ -23,9 +29,15 @@ from typing import TYPE_CHECKING, Iterator
 from .configcount import (
     BRUTE_GUARD,
     Ratio,
+    dilation_safe,
     displacement_histogram,
+    iter_scaled_cycle_pairs,
+    iter_scaled_walk_pairs,
     step_profile_counts,
+    _by_profile,
+    _scaled_pairs,
     _walk_dp_scaled_pairs,
+    _y_candidates,
 )
 from .errors import (
     DimensionMismatchError,
@@ -86,87 +98,14 @@ def _family(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> 
     )
 
 
-def _y_candidates(E: PointSet, prev: int, s: int):
-    """Indices at squared distance s from prev, including prev itself for s = 0."""
-    cands = E.neighbor_buckets[prev].get(s, ())
-    if s == 0:
-        return cands + (prev,)
-    return cands
-
-
-# ----------------------------------------------------------------------------
-# enumeration of the ambient scaled-pair sets
-
-
-def iter_scaled_walk_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
-    """All index-tuple pairs (xs, ys) of the scaled k-step walk-pair set."""
-    n = len(E)
-    if n ** (2 * k + 2) > BRUTE_GUARD:
-        raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
-    p = E.prime.p
-    D = E.dist_table
-    idx = range(n)
-
-    def extend_y(xs, prof, ys):
-        depth = len(ys)
-        if depth == k + 1:
-            yield xs, tuple(ys)
-            return
-        for j in _y_candidates(E, ys[-1], prof[depth - 1]):
-            ys.append(j)
-            yield from extend_y(xs, prof, ys)
-            ys.pop()
-
-    def extend_x(xs):
-        depth = len(xs)
-        if depth == k + 1:
-            prof = tuple(r * D[xs[i]][xs[i + 1]] % p for i in range(k))
-            tup = tuple(xs)
-            for y0 in idx:
-                yield from extend_y(tup, prof, [y0])
-            return
-        for j in idx:
-            if depth == 0 or j != xs[-1]:
-                xs.append(j)
-                yield from extend_x(xs)
-                xs.pop()
-
-    yield from extend_x([])
-
-
-def iter_scaled_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
-    """All index-tuple pairs (xs, ys) of the scaled closed 4-walk pair set."""
-    n = len(E)
-    if n**8 > BRUTE_GUARD:
-        raise TooLargeError(f"enumeration over {n}^8 tuples refused")
-    p = E.prime.p
-    D = E.dist_table
-    idx = range(n)
-    for x1 in idx:
-        for x2 in idx:
-            if x2 == x1:
-                continue
-            t1 = r * D[x1][x2] % p
-            for x3 in idx:
-                if x3 == x2:
-                    continue
-                t2 = r * D[x2][x3] % p
-                for x4 in idx:
-                    if x4 == x3 or x4 == x1:
-                        continue
-                    t3 = r * D[x3][x4] % p
-                    t4 = r * D[x4][x1] % p
-                    xs = (x1, x2, x3, x4)
-                    for y1 in idx:
-                        for y2 in _y_candidates(E, y1, t1):
-                            for y3 in _y_candidates(E, y2, t2):
-                                for y4 in _y_candidates(E, y3, t3):
-                                    if D[y4][y1] == t4:
-                                        yield xs, (y1, y2, y3, y4)
-
-
 # ----------------------------------------------------------------------------
 # pairs of k-paths (all vertices distinct on each side)
+
+
+def iter_path_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
+    """Index-tuple pairs (xs, ys) of k-paths with dilation ratio r, in search order."""
+    xs = itertools.permutations(range(len(E)), k + 1)
+    return _scaled_pairs(E, r, k, xs, distinct=True)
 
 
 def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
@@ -176,39 +115,7 @@ def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
     n = len(E)
     if n ** (2 * k + 2) > BRUTE_GUARD:
         raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
-    p = E.prime.p
-    D = E.dist_table
-    idx = range(n)
-    r_val = ratio.r
-
-    def count_y(prof, ys):
-        depth = len(ys)
-        if depth == k + 1:
-            return 1
-        total = 0
-        for j in _y_candidates(E, ys[-1], prof[depth - 1]):
-            if j not in ys:
-                ys.append(j)
-                total += count_y(prof, ys)
-                ys.pop()
-        return total
-
-    total = 0
-
-    def extend_x(xs):
-        nonlocal total
-        depth = len(xs)
-        if depth == k + 1:
-            prof = tuple(r_val * D[xs[i]][xs[i + 1]] % p for i in range(k))
-            total += sum(count_y(prof, [y0]) for y0 in idx)
-            return
-        for j in idx:
-            if j not in xs:
-                xs.append(j)
-                extend_x(xs)
-                xs.pop()
-
-    extend_x([])
+    total = sum(1 for _ in iter_path_pairs(E, ratio.r, k))
     return _family(E, FAMILY_PATH_PAIRS if k == 2 else f"path_pairs_k{k}", total,
                    method="brute", r=ratio.r, k=k)
 
@@ -233,50 +140,14 @@ def validate_path_pair(E: PointSet, r: int, xs, ys) -> bool:
 def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
     """First pair of k-paths with dilation ratio r, or None if none exists.
 
-    The x side ranges over every tuple of distinct points and the y side over
-    every bucket-matched completion, so a None answer means the family is
-    empty.
+    This is the first item of iter_path_pairs, whose x side ranges over every
+    tuple of distinct points and whose y side over every bucket-matched
+    completion, so a None answer means the family is empty.
     """
-    n = len(E)
-    p = E.prime.p
-    D = E.dist_table
-    idx = range(n)
-    pts = E.points
-
-    def find_y(prof, ys):
-        depth = len(ys)
-        if depth == k + 1:
-            return tuple(ys)
-        for j in _y_candidates(E, ys[-1], prof[depth - 1]):
-            if j not in ys:
-                ys.append(j)
-                found = find_y(prof, ys)
-                if found:
-                    return found
-                ys.pop()
-        return None
-
-    def find_x(xs):
-        depth = len(xs)
-        if depth == k + 1:
-            prof = tuple(ratio.r * D[xs[i]][xs[i + 1]] % p for i in range(k))
-            for y0 in idx:
-                found = find_y(prof, [y0])
-                if found:
-                    return tuple(xs), found
-            return None
-        for j in idx:
-            if j not in xs:
-                xs.append(j)
-                found = find_x(xs)
-                if found:
-                    return found
-                xs.pop()
-        return None
-
-    found = find_x([])
+    found = next(iter_path_pairs(E, ratio.r, k), None)
     if found is None:
         return None
+    pts = E.points
     xs = tuple(pts[i] for i in found[0])
     ys = tuple(pts[i] for i in found[1])
     if not validate_path_pair(E, ratio.r, xs, ys):
@@ -324,7 +195,7 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     Valid where distinct points force a nonzero squared distance, i.e. d = 2
     with p = 3 (mod 4).
     """
-    if E.d != 2 or E.prime.p_mod_4 != 3:
+    if not dilation_safe(E):
         raise WrongResidueClassError("the closed forms need d = 2 and p = 3 (mod 4)")
     p = E.prime.p
     r = ratio.r
@@ -484,32 +355,15 @@ def four_cycle_fiber_check(E: PointSet, ratio: Ratio) -> FiberCheck:
     """Map each x1 = x3 cycle pair onto a scaled 2-walk pair and inspect fibers.
 
     The collapse (x1,x2,x4,y1,y2,y3,y4) -> (x4,x1,x2,y4,y1,y2) must cover the
-    whole 2-walk pair set with fibers of size at most p + 1.
+    whole 2-walk pair set with fibers of size at most p + 1.  The cycle
+    enumeration refuses sets beyond its guard.
     """
-    n = len(E)
-    if n**8 > BRUTE_GUARD:
-        raise TooLargeError("fiber check refused beyond the enumeration guard")
-    p = E.prime.p
-    D = E.dist_table
     r = ratio.r
-    idx = range(n)
     fibers: dict[tuple, int] = {}
-    for x1 in idx:
-        for x2 in idx:
-            if x2 == x1:
-                continue
-            ta = r * D[x1][x2] % p
-            for x4 in idx:
-                if x4 == x1:
-                    continue
-                tb = r * D[x1][x4] % p
-                for y1 in idx:
-                    for y2 in _y_candidates(E, y1, ta):
-                        for y3 in _y_candidates(E, y2, ta):
-                            for y4 in _y_candidates(E, y3, tb):
-                                if D[y1][y4] == tb:
-                                    key = (x4, x1, x2, y4, y1, y2)
-                                    fibers[key] = fibers.get(key, 0) + 1
+    for (x1, x2, x3, x4), (y1, y2, _, y4) in iter_scaled_cycle_pairs(E, r):
+        if x1 == x3:
+            key = (x4, x1, x2, y4, y1, y2)
+            fibers[key] = fibers.get(key, 0) + 1
     target = set()
     for xs, ys in iter_scaled_walk_pairs(E, r, 2):
         target.add(xs + ys)
@@ -546,10 +400,13 @@ def shared_displacement_counts(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
     displacement histogram.
     """
     m = E.d + 1 if arity is None else arity
-    hist = displacement_histogram(E, ratio, theta)
-    total = sum(c**m for c in hist.values())
-    distinct = sum(_falling(c, m) for c in hist.values())
-    return total, distinct
+    return histogram_moments(displacement_histogram(E, ratio, theta), m)
+
+
+def histogram_moments(hist: dict, m: int) -> tuple[int, int]:
+    """(sum of c^m, sum of c (c-1) .. (c-m+1)) over the counts c of hist."""
+    counts = hist.values()
+    return sum(c**m for c in counts), sum(_falling(c, m) for c in counts)
 
 
 def shared_displacement_counts_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
@@ -648,50 +505,51 @@ def all_equal_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
 # triangle and simplex pairs
 
 
-def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
-    """Pairs of m-tuples, distinct entries each, all pairwise norms in ratio r."""
-    n = len(E)
-    if n ** (2 * m) > BRUTE_GUARD:
-        raise TooLargeError(f"enumeration over {n}^{2 * m} tuples refused")
+def iter_clique_pairs(E: PointSet, r: int, m: int) -> Iterator[tuple[tuple, tuple]]:
+    """Index-tuple pairs (vs, us), distinct entries each, all pairwise norms scaled by r.
+
+    The v side ranges over index combinations only.  The conditions ignore
+    vertex order, so applying one permutation to both sides is a bijection
+    and every pair of m-tuples is one yielded pair reordered in one of m!
+    ways.
+    """
     p = E.prime.p
     D = E.dist_table
-    idx = range(n)
+    idx = range(len(E))
 
-    def count_u(vstack, ustack):
+    def profile(vs):
+        # profile[d][a]: the squared distance u_a and u_d must have
+        return tuple(tuple(r * D[vs[a]][vs[d]] % p for a in range(d)) for d in range(m))
+
+    def extend(prof, ustack):
         depth = len(ustack)
         if depth == m:
-            return 1
-        vd = vstack[depth]
-        total = 0
+            yield tuple(ustack)
+            return
+        want = prof[depth]
         for j in idx:
             if j in ustack:
                 continue
             ok = True
             for a in range(depth):
-                if D[ustack[a]][j] != r * D[vstack[a]][vd] % p:
+                if D[ustack[a]][j] != want[a]:
                     ok = False
                     break
             if ok:
                 ustack.append(j)
-                total += count_u(vstack, ustack)
+                yield from extend(prof, ustack)
                 ustack.pop()
-        return total
 
-    total = 0
+    return _by_profile(itertools.combinations(idx, m), profile,
+                       lambda prof: extend(prof, []))
 
-    def extend_v(vstack):
-        nonlocal total
-        if len(vstack) == m:
-            total += count_u(vstack, [])
-            return
-        for j in idx:
-            if j not in vstack:
-                vstack.append(j)
-                extend_v(vstack)
-                vstack.pop()
 
-    extend_v([])
-    return total
+def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
+    """Pairs of m-tuples, distinct entries each, all pairwise norms in ratio r."""
+    n = len(E)
+    if n ** (2 * m) > BRUTE_GUARD:
+        raise TooLargeError(f"enumeration over {n}^{2 * m} tuples refused")
+    return math.factorial(m) * sum(1 for _ in iter_clique_pairs(E, r, m))
 
 
 def count_triangle_pairs(E: PointSet, ratio: Ratio) -> FamilyCount:
@@ -729,48 +587,20 @@ def validate_clique_pair(E: PointSet, r: int, us, vs) -> bool:
 def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
     """First (u-tuple, v-tuple) pair with all pairwise norms in ratio r, or None.
 
-    The v side ranges over index combinations only; any witness can be
+    This is the first item of iter_clique_pairs; any witness can be
     simultaneously reordered so its v side is increasing, so the search is
     still complete.
     """
     m = E.d + 1 if m is None else m
-    n = len(E)
-    p = E.prime.p
-    D = E.dist_table
-    pts = E.points
-    r = ratio.r
-    idx = range(n)
-
-    def find_u(vstack, ustack):
-        depth = len(ustack)
-        if depth == m:
-            return tuple(ustack)
-        vd = vstack[depth]
-        for j in idx:
-            if j in ustack:
-                continue
-            ok = True
-            for a in range(depth):
-                if D[ustack[a]][j] != r * D[vstack[a]][vd] % p:
-                    ok = False
-                    break
-            if ok:
-                ustack.append(j)
-                found = find_u(vstack, ustack)
-                if found:
-                    return found
-                ustack.pop()
+    found = next(iter_clique_pairs(E, ratio.r, m), None)
+    if found is None:
         return None
-
-    for combo in itertools.combinations(range(n), m):
-        found = find_u(list(combo), [])
-        if found:
-            us = tuple(pts[i] for i in found)
-            vs = tuple(pts[i] for i in combo)
-            if not validate_clique_pair(E, r, us, vs):
-                raise AssertionError("internal error: witness failed revalidation")
-            return us, vs
-    return None
+    pts = E.points
+    vs = tuple(pts[i] for i in found[0])
+    us = tuple(pts[i] for i in found[1])
+    if not validate_clique_pair(E, ratio.r, us, vs):
+        raise AssertionError("internal error: witness failed revalidation")
+    return us, vs
 
 
 def _group_for(E: PointSet, group: str) -> GroupTable:
@@ -786,19 +616,20 @@ def _group_for(E: PointSet, group: str) -> GroupTable:
 def triangle_bound_group_sum(E: PointSet, ratio: Ratio, group: str = "full") -> Fraction:
     """Certified lower bound for the triangle-pair count from rotation sums.
 
-    Averages, over the chosen matrix group, the cube-minus-square moment of
-    the displacement histogram.  The result can be negative for tiny sets, in
-    which case it certifies nothing.
+    The paper's form averages, over the chosen matrix group, the
+    cube-minus-square moment sum(c^3 - 3 c^2) of the displacement histogram.
+    Since c^3 - 3 c^2 = c (c-1) (c-2) - 2 c and the counts c add up to |E|^2,
+    that is the average distinct-source triple count minus 2 |E|^2.  The
+    result can be negative for tiny sets, in which case it certifies nothing.
     """
     if E.d != 2:
         raise DimensionMismatchError("the triangle bound is planar")
     table = _group_for(E, group)
-    cubes = squares = 0
+    total = 0
     for theta in table:
-        hist = displacement_histogram(E, ratio, theta)
-        cubes += sum(c**3 for c in hist.values())
-        squares += sum(c**2 for c in hist.values())
-    return Fraction(cubes - 3 * squares, len(table))
+        _, distinct = shared_displacement_counts(E, ratio, theta, arity=3)
+        total += distinct
+    return Fraction(total, len(table)) - 2 * len(E) ** 2
 
 
 def simplex_bound_group_sum(E: PointSet, ratio: Ratio, group: str = "full") -> Fraction:

@@ -13,9 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configcount import Ratio, _nu_identity_scaled_walk_pairs, _paired_walk_sweep
+from .configcount import (
+    Ratio,
+    dilation_safe,
+    iter_scaled_walk_pairs,
+    _nu_identity_scaled_walk_pairs,
+    _paired_walk_sweep,
+)
 from .errors import TooLargeError
-from .families import iter_scaled_walk_pairs
 from .geometry import PointSet
 
 # Vertex sets (|E|^2) beyond this are refused.
@@ -40,7 +45,7 @@ class SimilarityGraph:
         self.E = E
         self.ratio = ratio
         self.vertex_count = len(E) ** 2
-        if E.prime.p_mod_4 == 3 and E.d == 2:
+        if dilation_safe(E):
             # distinct points force nonzero norms here, so the edge count must
             # match half the 1-step scaled pair count
             s1 = _nu_identity_scaled_walk_pairs(E, ratio.r, 1)
@@ -157,7 +162,6 @@ def check_incidence_double_counts(E: PointSet, ratio: Ratio) -> IncidenceChecks:
         degree[(x2, y2)] = degree.get((x2, y2), 0) + 1
     pair_side_square_sum = sum(v * v for v in degree.values())
 
-    s2_size = sum(1 for _ in iter_scaled_walk_pairs(E, r, 2))
     pair_floor = Fraction((2 * s1_size) ** 2, n**2)
 
     # degrees of outer-corner 4-tuples under 2-step pairs
@@ -165,6 +169,7 @@ def check_incidence_double_counts(E: PointSet, ratio: Ratio) -> IncidenceChecks:
     for (x1, x2, x3), (y1, y2, y3) in iter_scaled_walk_pairs(E, r, 2):
         key = (x1, x3, y1, y3)
         corner[key] = corner.get(key, 0) + 1
+    s2_size = sum(corner.values())
     corner_square_sum = sum(v * v for v in corner.values())
     corner_floor = Fraction(s2_size**2, n**4)
 

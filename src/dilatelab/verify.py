@@ -19,6 +19,7 @@ from fractions import Fraction
 from .configcount import (
     Ratio,
     cycle_pair_reports,
+    dilation_safe,
     make_ratio,
     step_profile_counts,
     _nu_identity_scaled_walk_pairs,
@@ -120,7 +121,7 @@ def _base_params(E: PointSet, ratio: Ratio | None = None, **extra) -> dict:
 def _pair_count_checked(E: PointSet, r: int, k: int) -> int:
     """Scaled walk-pair count by the sweep, cross-checked by the identity."""
     value = _walk_dp_scaled_pairs(E, r, k)
-    if E.d == 2 and E.prime.p_mod_4 == 3:
+    if dilation_safe(E):
         alt = _nu_identity_scaled_walk_pairs(E, r, k)
         if alt != value:
             raise MethodMismatchError(
@@ -186,8 +187,8 @@ def check_lemma22(E: PointSet, ratio: Ratio) -> Verdict:
     """One-step pair count against its quartic floor (d = 2, p = 3 mod 4)."""
     p = E.prime.p
     n = len(E)
-    hyp = E.d == 2 and E.prime.p_mod_4 == 3
-    s1 = _pair_count_checked(E, ratio.r, 1) if hyp else _walk_dp_scaled_pairs(E, ratio.r, 1)
+    hyp = dilation_safe(E)
+    s1 = _pair_count_checked(E, ratio.r, 1)
     rhs = (
         (Fraction(1, p) + Fraction(1, p**2) - Fraction(1, p**3)) * n**4
         - Fraction(2 * n**3, p)
@@ -263,7 +264,7 @@ def check_lemma26(E: PointSet) -> Verdict:
 def check_lemma42(E: PointSet, ratio: Ratio) -> Verdict:
     """Each coincidence family sits between |S_2| and (p+1)|S_2|."""
     p = E.prime.p
-    hyp = E.d == 2 and E.prime.p_mod_4 == 3
+    hyp = dilation_safe(E)
     fams = four_cycle_families(E, ratio)
     s2 = _pair_count_checked(E, ratio.r, 2)
     values = (fams.x13, fams.x24, fams.y13, fams.y24)
@@ -303,18 +304,17 @@ def check_theorem(name: str, E: PointSet, ratio: Ratio, k: int = 3) -> Verdict:
     """
     p = E.prime.p
     n = len(E)
-    plane = E.d == 2
-    residue = E.prime.p_mod_4 == 3
+    safe = dilation_safe(E)
     if name == "T1.5":
-        hyp = plane and residue and exceeds_sqrt3_plus_one(n, p)
+        hyp = safe and exceeds_sqrt3_plus_one(n, p)
         witness = find_path_pair_witness(E, ratio, 2)
         return _positivity_verdict(name, E, ratio, hyp, witness)
     if name == "T1.6":
-        hyp = plane and residue and exceeds_4_sqrt3_p32(n, p)
+        hyp = safe and exceeds_4_sqrt3_p32(n, p)
         witness = find_cycle_pair_witness(E, ratio)
         return _positivity_verdict(name, E, ratio, hyp, witness)
     if name == "T1.7":
-        hyp = plane and ratio.is_square and meets_triangle_size(n, p)
+        hyp = E.d == 2 and ratio.is_square and meets_triangle_size(n, p)
         witness = find_clique_pair_witness(E, ratio, 3)
         return _positivity_verdict(name, E, ratio, hyp, witness)
     if name == "T1.8":
@@ -322,7 +322,7 @@ def check_theorem(name: str, E: PointSet, ratio: Ratio, k: int = 3) -> Verdict:
         witness = find_clique_pair_witness(E, ratio, E.d + 1)
         return _positivity_verdict(name, E, ratio, hyp, witness)
     if name == "T1.10":
-        hyp = plane and residue and exceeds_twice_p(n, p)
+        hyp = safe and exceeds_twice_p(n, p)
         sk = _pair_count_checked(E, ratio.r, k)
         lhs = Fraction(sk)
         rhs = Fraction(n ** (2 * k + 2), (3 * p) ** k)

@@ -365,3 +365,55 @@ def test_output_file_and_stdout_agree(tmp_path, capsys):
     code2, _, _ = run_cli(args + ["--out", str(out_path)], capsys)
     assert code2 == 0
     assert out_path.read_text() == stdout_text
+
+
+# (argv, seed, rows of (E_size, d, p, r, witness)), recorded before the
+# counting and witness searches were folded into one enumerator per family
+PINNED_WITNESSES = [
+    (["--claim", "T1.5", "--p", "7", "--random", "3", "--size", "5:7"], "11", [
+        ("5", "2", "7", "1", "(((5, 0), (6, 0), (3, 3)), ((5, 0), (6, 0), (3, 3)))"),
+        ("6", "2", "7", "2", "(((1, 0), (2, 0), (4, 0)), ((1, 0), (4, 0), (6, 5)))"),
+        ("7", "2", "7", "3", "(((3, 1), (6, 1), (0, 4)), ((3, 1), (5, 5), (5, 2)))"),
+    ]),
+    (["--claim", "T1.7", "--p", "7", "--r", "squares", "--random", "3",
+      "--size", "6:8"], "12", [
+        ("6", "2", "7", "1", "(((2, 0), (3, 3), (0, 4)), ((2, 0), (3, 3), (0, 4)))"),
+        ("7", "2", "7", "2", "(((4, 0), (1, 4), (1, 2)), ((0, 0), (3, 0), (4, 1)))"),
+        ("8", "2", "7", "4", "(((6, 6), (3, 2), (5, 4)), ((3, 2), (1, 4), (2, 5)))"),
+    ]),
+    (["--claim", "T1.8", "--d", "3", "--p", "5", "--r", "squares", "--random", "3",
+      "--size", "6:8"], "13", [
+        ("6", "3", "5", "1", "(((2, 3, 0), (3, 1, 1), (3, 4, 1), (0, 3, 2)), "
+                             "((2, 3, 0), (3, 1, 1), (3, 4, 1), (0, 3, 2)))"),
+        ("7", "3", "5", "4", "(((4, 0, 3), (1, 4, 2), (3, 0, 4), (3, 0, 0)), "
+                             "((0, 0, 0), (3, 0, 0), (1, 1, 1), (3, 0, 4)))"),
+        ("8", "3", "5", "1", "(((3, 1, 0), (4, 3, 0), (4, 4, 0), (3, 0, 3)), "
+                             "((3, 1, 0), (4, 3, 0), (4, 4, 0), (3, 0, 3)))"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv,seed,rows", PINNED_WITNESSES)
+def test_verify_witnesses_are_pinned(argv, seed, rows, capsys):
+    # witnesses are the first pair in a fixed search order, so the exact
+    # JSON text is part of the output contract, not just its validity
+    code, out, _ = run_cli(["verify", *argv, "--seed", seed, "--format", "json"], capsys)
+    assert code == 0
+    expected = {
+        "schema": "dilatelab-json v1",
+        "kind": "verify",
+        "seed": seed,
+        "rows": [
+            {
+                "claim": argv[1],
+                "hypothesis_met": False,
+                "conclusion_holds": True,
+                "status": "VACUOUS",
+                "lhs": "1",
+                "rhs": "0",
+                "params": {"p": p, "d": d, "E_size": size, "r": r, "witness": witness},
+            }
+            for size, d, p, r, witness in rows
+        ],
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -240,16 +240,24 @@ def test_scaled_cycle_pairs_two_point():
     assert count_scaled_cycle_pairs(single, one, "brute").value == 0
 
 
-@pytest.mark.parametrize("p,size", [(3, 4), (7, 5)])
+@pytest.mark.parametrize("p,size", [(3, 4), (7, 5), (5, 4), (13, 4)])
 def test_cycle_pair_methods_match_oracle(p, size):
     prime = make_prime(p)
+    nulls = 0
     for seed in range(3):
         E = random_point_set(prime, 2, size, seed)
+        nulls += E.norm_pair_counts.get(0, 0) > len(E)
         for r in (1, p - 1):
             ratio = make_ratio(r, prime)
             expected = raw_scaled_cycle_pairs(E, ratio.r)
             assert count_scaled_cycle_pairs(E, ratio, "brute").value == expected
-            assert count_scaled_cycle_pairs(E, ratio, "mu_identity").value == expected
+            reports = cycle_pair_reports(E, ratio)
+            # mu_identity applies only where distinct points have nonzero distance
+            methods = ["mu_identity", "brute"] if p % 4 == 3 else ["brute"]
+            assert [rep.method for rep in reports] == methods
+            assert all(rep.value == expected for rep in reports)
+    # for p = 1 (mod 4) the cases must include null segments
+    assert p % 4 == 3 or nulls
 
 
 def test_ratio_quadruples_examples():

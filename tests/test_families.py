@@ -31,12 +31,17 @@ from dilatelab.families import (
 )
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
-from dilatelab.orthogonal import enumerate_orthogonal
+from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
 
 SEVEN = make_prime(7)
 THREE = make_prime(3)
 TWO_POINT = PointSet(SEVEN, 2, [(0, 0), (1, 0)])
 ISOCELES = PointSet(SEVEN, 2, [(0, 0), (1, 0), (0, 1)])  # squared sides 1, 1, 2
+
+
+def has_null_segment(E):
+    # a pair of distinct points at squared distance 0
+    return E.norm_pair_counts.get(0, 0) > len(E)
 
 
 def raw_two_path_parts(E, r):
@@ -167,13 +172,17 @@ def test_path_pair_counts_small():
     assert count_path_pairs(single, one, 2).value == 0
 
 
-@pytest.mark.parametrize("p,size,k", [(3, 4, 2), (7, 5, 2), (7, 4, 3)])
+@pytest.mark.parametrize("p,size,k", [(3, 4, 2), (7, 5, 2), (7, 4, 3), (5, 5, 2), (13, 5, 2)])
 def test_path_pairs_match_raw(p, size, k):
     prime = make_prime(p)
+    nulls = 0
     for seed in range(2):
         E = random_point_set(prime, 2, size, seed)
+        nulls += has_null_segment(E)
         for r in (1, p - 1):
             assert count_path_pairs(E, make_ratio(r, prime), k).value == raw_path_pairs(E, r, k)
+    # for p = 1 (mod 4) the cases must reach the `j not in ys` filter
+    assert p % 4 == 3 or nulls
 
 
 def test_path_pairs_meet_open_pairs_when_nondegenerate():
@@ -449,13 +458,25 @@ def test_triangle_pairs_tiny():
     assert expected == 12  # 6 orderings, each matched by its 2 profile automorphisms
 
 
-@pytest.mark.parametrize("p,size", [(3, 5), (7, 5), (11, 5)])
+@pytest.mark.parametrize("p,size", [(3, 5), (7, 5), (11, 5), (5, 5), (13, 5)])
 def test_triangle_pairs_match_raw(p, size):
     prime = make_prime(p)
+    nulls = 0
     for seed in range(2):
         E = random_point_set(prime, 2, size, seed)
+        nulls += has_null_segment(E)
         for r in (1, 2):
             assert count_triangle_pairs(E, make_ratio(r, prime)).value == raw_clique_pairs(E, r, 3)
+    assert p % 4 == 3 or nulls
+
+
+def paper_triangle_bound(E, ratio, table):
+    # the paper's form: the group average of sum(c^3 - 3 c^2) over the histogram
+    total = 0
+    for theta in table:
+        hist = displacement_histogram(E, ratio, theta)
+        total += sum(c**3 - 3 * c**2 for c in hist.values())
+    return Fraction(total, len(table))
 
 
 def test_triangle_group_bound_is_lower_bound():
@@ -466,8 +487,10 @@ def test_triangle_group_bound_is_lower_bound():
             bound = triangle_bound_group_sum(E, ratio)
             exact = count_triangle_pairs(E, ratio).value
             assert Fraction(exact) >= bound
+            assert bound == paper_triangle_bound(E, ratio, enumerate_orthogonal(2, SEVEN))
             so2_bound = triangle_bound_group_sum(E, ratio, group="SO2")
             assert Fraction(exact) >= so2_bound
+            assert so2_bound == paper_triangle_bound(E, ratio, so2_elements(SEVEN))
 
 
 def test_distinct_source_tuples_are_triangle_pairs():
