@@ -22,7 +22,6 @@ from .configcount import (
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
     cycle_pair_reports,
-    dilation_safe,
     displacement_histogram,
     walk_pair_reports,
 )
@@ -218,9 +217,7 @@ def _count_rows(E: PointSet, args, parser) -> list:
             if args.method == "all":
                 reports.extend(cycle_pair_reports(E, ratio))
             else:
-                method = args.method
-                if method == "auto":
-                    method = "mu_identity" if dilation_safe(E) else "brute"
+                method = "mu_identity" if args.method == "auto" else args.method
                 reports.append(count_scaled_cycle_pairs(E, ratio, method))
         elif what == "V":
             reports.append(count_ratio_quadruples(E, ratio))
@@ -262,29 +259,34 @@ def _count_rows(E: PointSet, args, parser) -> list:
         elif what == FAMILY_FOUR_CYCLE:
             fams = four_cycle_families(E, ratio)
             reports.append(_family_row(E, FAMILY_FOUR_CYCLE, fams.fully_distinct,
-                                       "brute", ratio.r))
+                                       "mu_identity", ratio.r))
             if args.method == "all":
-                reports.append(_family_row(E, "A13", fams.x13, "brute", ratio.r))
-                reports.append(_family_row(E, "A24", fams.x24, "brute", ratio.r))
-                reports.append(_family_row(E, "B13", fams.y13, "brute", ratio.r))
-                reports.append(_family_row(E, "B24", fams.y24, "brute", ratio.r))
+                for name, value in (("A13", fams.x13), ("A24", fams.x24),
+                                    ("B13", fams.y13), ("B24", fams.y24)):
+                    reports.append(_family_row(E, name, value, "mu_identity", ratio.r))
         elif what in (FAMILY_TRIANGLE, FAMILY_SIMPLEX):
             planar = what == FAMILY_TRIANGLE
             counter = count_triangle_pairs if planar else count_simplex_pairs
             bound = triangle_bound_group_sum if planar else simplex_bound_group_sum
             reports.append(counter(E, ratio))
             if args.method == "all":
-                if ratio.is_square:
-                    value = max(0, int(bound(E, ratio)))
-                    reports.append(FamilyCount(
-                        family=what, value=value, method="group_sum",
-                        p=E.prime.p, d=E.d, set_size=len(E), r=ratio.r,
-                    ))
-                else:
+                if not ratio.is_square:
                     print(
                         f"note: group_sum skipped for r={ratio.r} (not a square)",
                         file=sys.stderr,
                     )
+                    continue
+                try:
+                    value = max(0, int(bound(E, ratio)))
+                except TooLargeError as exc:
+                    # the bound is optional: keep the exact rows already counted
+                    print(f"note: group_sum skipped for r={ratio.r} (guard: {exc})",
+                          file=sys.stderr)
+                    continue
+                reports.append(FamilyCount(
+                    family=what, value=value, method="group_sum",
+                    p=E.prime.p, d=E.d, set_size=len(E), r=ratio.r,
+                ))
         else:
             parser.error(f"cannot count {what!r}")
     return reports

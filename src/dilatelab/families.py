@@ -12,10 +12,10 @@ Counting here is enumeration-first.  Each family has one lazy enumerator of
 its index-tuple pairs: iter_path_pairs and iter_clique_pairs here, and the
 ambient iter_scaled_walk_pairs and iter_scaled_cycle_pairs of
 :mod:`dilatelab.configcount`.  A brute count is the enumerator's length
-(times m! for m-cliques, whose v side runs over combinations), a witness is
-its first item, and the coincidence families are counted by classifying its
-tuples, so every identity and bound can be tested against an independent
-closed form.
+(times m! for m-cliques, whose v side runs over combinations) and a witness
+is its first item.  The four-cycle coincidence families are joins of the
+cycle census of :mod:`dilatelab.configcount` instead, tested against a
+classification of the enumerated cycle pairs.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from typing import TYPE_CHECKING, Iterator
 from .configcount import (
     BRUTE_GUARD,
     Ratio,
+    cycle_census,
     dilation_safe,
     displacement_histogram,
     iter_scaled_cycle_pairs,
     iter_scaled_walk_pairs,
+    join,
     step_profile_counts,
     _by_profile,
     _scaled_pairs,
@@ -257,29 +259,47 @@ class FourCycleFamilies:
 
 
 def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
-    f = a13 = a24 = b13 = b24 = union = total = 0
-    exact = True
-    for xs, ys in iter_scaled_cycle_pairs(E, ratio.r):
-        total += 1
-        c_a13 = xs[0] == xs[2]
-        c_a24 = xs[1] == xs[3]
-        c_b13 = ys[0] == ys[2]
-        c_b24 = ys[1] == ys[3]
-        degenerate = c_a13 or c_a24 or c_b13 or c_b24
-        distinct = len(set(xs)) == 4 and len(set(ys)) == 4
-        a13 += c_a13
-        a24 += c_a24
-        b13 += c_b13
-        b24 += c_b24
-        union += degenerate
-        f += distinct
-        if not distinct and not degenerate:
-            # an adjacent y-coincidence slipped past the four named families;
-            # possible only when nonzero null segments exist
-            exact = False
+    """The coincidence families of the scaled closed-4-walk pairs, by joins.
+
+    Each field is a join J(F, G) = sum_t F(t) G(r t) of two tables of the
+    cycle census: total = J(x, y), x13 = J(x13, y), x24 = J(x24, y),
+    y13 = J(x, y13) and y24 = J(x, y24).  With AD = x - x13 - x24 + xb the
+    walks whose four points are distinct and ND = y - y13 - y24 + yb the
+    walks with a != c and b != e, fully_distinct = J(AD, AD) and the union
+    of the four families is total - J(AD, ND).  A pair outside both has an
+    adjacent y coincidence, which only nonzero null segments allow.  The
+    census is not an enumeration, but the size guard of the enumeration it
+    replaced is kept.
+    """
+    n = len(E)
+    if n**8 > BRUTE_GUARD:
+        raise TooLargeError(f"enumeration over {n}^8 tuples refused")
+    cen = cycle_census(E)
+    scale = cen.scaled(ratio.r)
+    x, y = cen.x, cen.y
+    x13, x24, xb = cen.x13, cen.x24, cen.xb
+    y13, y24, yb = cen.y13, cen.y24, cen.yb
+
+    def x_open(t):  # AD
+        return x.get(t, 0) - x13.get(t, 0) - x24.get(t, 0) + xb.get(t, 0)
+
+    def y_open(t):  # ND
+        return y.get(t, 0) - y13.get(t, 0) - y24.get(t, 0) + yb.get(t, 0)
+
+    f = open_pairs = 0
+    for t in x:
+        rt = scale(t)
+        ad = x_open(t)
+        if ad and rt in y:
+            f += ad * x_open(rt)
+            open_pairs += ad * y_open(rt)
+    total = join(x, y, scale)
+    union = total - open_pairs
     return FourCycleFamilies(
-        fully_distinct=f, x13=a13, x24=a24, y13=b13, y24=b24,
-        degenerate_union=union, total=total, decomposition_exact=exact,
+        fully_distinct=f, x13=join(x13, y, scale), x24=join(x24, y, scale),
+        y13=join(x, y13, scale), y24=join(x, y24, scale),
+        degenerate_union=union, total=total,
+        decomposition_exact=total == f + union,
     )
 
 
@@ -547,8 +567,9 @@ def iter_clique_pairs(E: PointSet, r: int, m: int) -> Iterator[tuple[tuple, tupl
 def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
     """Pairs of m-tuples, distinct entries each, all pairwise norms in ratio r."""
     n = len(E)
-    if n ** (2 * m) > BRUTE_GUARD:
-        raise TooLargeError(f"enumeration over {n}^{2 * m} tuples refused")
+    # the v side runs over combinations and each u step over n indices
+    if math.comb(n, m) * n**m > BRUTE_GUARD:
+        raise TooLargeError(f"enumeration over C({n}, {m}) * {n}^{m} tuples refused")
     return math.factorial(m) * sum(1 for _ in iter_clique_pairs(E, r, m))
 
 

@@ -282,8 +282,42 @@ def test_count_four_cycle_subfamilies(capsys):
         capsys,
     )
     assert code == 0
-    families = {ln.split(",")[0] for ln in out.splitlines()[2:]}
-    assert families == {"F4cycle", "A13", "A24", "B13", "B24"}
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["F4cycle", "A13", "A24", "B13", "B24"]
+    assert {row[6] for row in rows} == {"mu_identity"}
+
+
+def test_count_cycles_at_p_1_mod_4_use_the_census(capsys):
+    # 14^8 > 10^9 rules out brute, and p = 5 has null segments
+    code, out, _ = run_cli(
+        ["count", "--what", "C", "--p", "5", "--random", "14", "--r", "2"], capsys,
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["C", "mu_identity"]]
+
+
+def test_count_simplex_group_guard_keeps_exact_rows(capsys):
+    # the full orthogonal group of F_13^3 is refused; the brute count stays
+    code, out, err = run_cli(
+        ["count", "--what", "P", "--d", "3", "--p", "13", "--random", "7",
+         "--method", "all", "--r", "4"],
+        capsys,
+    )
+    assert code == 0
+    assert "note: group_sum skipped for r=4 (guard:" in err
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert [(row[0], row[6]) for row in rows] == [("P_simplex", "brute")]
+
+
+def test_count_triangles_at_the_t17_threshold(capsys):
+    # n = 3p: the v side runs over C(33, 3) combinations, well inside the guard
+    code, out, _ = run_cli(
+        ["count", "--what", "T", "--p", "11", "--random", "33", "--r", "3"], capsys,
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert [(row[0], row[6]) for row in rows] == [("T_triangle", "brute")]
 
 
 def test_count_displacement_rows(capsys):

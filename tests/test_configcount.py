@@ -12,6 +12,7 @@ from dilatelab.configcount import (
     count_scaled_walk_pairs,
     count_step_cycles,
     count_step_walks,
+    cycle_census,
     cycle_pair_reports,
     displacement_count,
     displacement_histogram,
@@ -129,6 +130,56 @@ def test_step_cycle_total_is_fourth_power(seed):
     assert total == len(E) ** 4
 
 
+@pytest.mark.parametrize("p,d,size", [(7, 2, 6), (5, 2, 7), (13, 2, 6), (3, 3, 7)])
+def test_cycle_census_tables_match_raw_walks(p, d, size):
+    E = random_point_set(make_prime(p), d, size, seed=p + d)
+    census = cycle_census(E)
+    D = E.dist_table
+    raw = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
+    for a, b, c, e in itertools.product(range(size), repeat=4):
+        t1, t2, t3, t4 = D[a][b], D[b][c], D[c][e], D[e][a]
+        code = ((t1 * p + t2) * p + t4) * p + t3
+        # x: distinct consecutive points, y: any closed walk
+        sides = ["y"] + (["x"] if a != b != c != e != a else [])
+        for side in sides:
+            names = [side]
+            if a == c:
+                names.append(side + "13")
+            if b == e:
+                names.append(side + "24")
+            if a == c and b == e:
+                names.append(side + "b")
+            for name in names:
+                raw[name][code] = raw[name].get(code, 0) + 1
+    for name, table in raw.items():
+        assert getattr(census, name) == table, name
+    assert census.y == {
+        code: count_step_cycles(E, (code // p**3, code // p**2 % p, code % p, code // p % p))
+        for code in census.y
+    }
+    # the cases must include null segments outside d = 2 with p = 3 (mod 4)
+    assert (d == 2 and p % 4 == 3) or E.norm_pair_counts.get(0, 0) > size
+
+
+def test_cycle_census_guard_refuses_before_building(monkeypatch):
+    import dilatelab.configcount as configcount
+
+    def never(*args):
+        raise AssertionError("the guard must refuse before building a table")
+
+    monkeypatch.setattr(configcount, "_add", never)
+    big = make_prime(101)
+    # 42^4 > 3 * 10^6 >= 41^4; these sets have more distances than points
+    E = random_point_set(big, 2, 42, seed=0)
+    with pytest.raises(TooLargeError):
+        count_scaled_cycle_pairs(E, make_ratio(2, big), "mu_identity")
+    for prime, size in ((big, 41), (SEVEN, 45)):
+        # at p = 7 a profile has at most 7^4 values, whatever the size
+        E = random_point_set(prime, 2, size, seed=0)
+        with pytest.raises(AssertionError, match="before building"):
+            count_scaled_cycle_pairs(E, make_ratio(2, prime), "mu_identity")
+
+
 def test_scaled_walk_pairs_two_point():
     one = make_ratio(1, SEVEN)
     for method in ("brute", "nu_identity", "walk_dp"):
@@ -240,24 +291,24 @@ def test_scaled_cycle_pairs_two_point():
     assert count_scaled_cycle_pairs(single, one, "brute").value == 0
 
 
-@pytest.mark.parametrize("p,size", [(3, 4), (7, 5), (5, 4), (13, 4)])
-def test_cycle_pair_methods_match_oracle(p, size):
+@pytest.mark.parametrize("p,size,d", [(3, 4, 2), (7, 5, 2), (5, 4, 2), (13, 4, 2), (3, 4, 3)],
+                         ids=["3-4", "7-5", "5-4", "13-4", "3-4-d3"])
+def test_cycle_pair_methods_match_oracle(p, size, d):
     prime = make_prime(p)
     nulls = 0
     for seed in range(3):
-        E = random_point_set(prime, 2, size, seed)
+        E = random_point_set(prime, d, size, seed)
         nulls += E.norm_pair_counts.get(0, 0) > len(E)
         for r in (1, p - 1):
             ratio = make_ratio(r, prime)
             expected = raw_scaled_cycle_pairs(E, ratio.r)
             assert count_scaled_cycle_pairs(E, ratio, "brute").value == expected
             reports = cycle_pair_reports(E, ratio)
-            # mu_identity applies only where distinct points have nonzero distance
-            methods = ["mu_identity", "brute"] if p % 4 == 3 else ["brute"]
-            assert [rep.method for rep in reports] == methods
+            # the census identity holds for every (p, d), null segments included
+            assert [rep.method for rep in reports] == ["mu_identity", "brute"]
             assert all(rep.value == expected for rep in reports)
-    # for p = 1 (mod 4) the cases must include null segments
-    assert p % 4 == 3 or nulls
+    # outside d = 2 with p = 3 (mod 4) the cases must include null segments
+    assert (d == 2 and p % 4 == 3) or nulls
 
 
 def test_ratio_quadruples_examples():

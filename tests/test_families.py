@@ -5,9 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from dilatelab.configcount import displacement_histogram, make_ratio
+from dilatelab.configcount import (
+    displacement_histogram,
+    iter_scaled_cycle_pairs,
+    make_ratio,
+)
 from dilatelab.errors import TooLargeError
 from dilatelab.families import (
+    FourCycleFamilies,
     all_equal_slice_direct,
     check_two_path_decomposition,
     classify_two_path_pairs,
@@ -246,6 +251,45 @@ def test_four_cycle_families_match_raw(p, size):
         assert fam.fully_distinct == raw_f
         assert fam.decomposition_exact
         assert fam.total == fam.fully_distinct + fam.degenerate_union
+
+
+def classify_cycle_pairs(E, r):
+    """The coincidence families by classifying every enumerated cycle pair."""
+    f = a13 = a24 = b13 = b24 = union = total = 0
+    exact = True
+    for xs, ys in iter_scaled_cycle_pairs(E, r):
+        total += 1
+        c_a13, c_a24 = xs[0] == xs[2], xs[1] == xs[3]
+        c_b13, c_b24 = ys[0] == ys[2], ys[1] == ys[3]
+        degenerate = c_a13 or c_a24 or c_b13 or c_b24
+        distinct = len(set(xs)) == 4 and len(set(ys)) == 4
+        a13 += c_a13
+        a24 += c_a24
+        b13 += c_b13
+        b24 += c_b24
+        union += degenerate
+        f += distinct
+        exact = exact and (distinct or degenerate)
+    return FourCycleFamilies(
+        fully_distinct=f, x13=a13, x24=a24, y13=b13, y24=b24,
+        degenerate_union=union, total=total, decomposition_exact=exact,
+    )
+
+
+def test_four_cycle_census_matches_enumeration():
+    inexact = 0
+    for p in (3, 5, 7, 13):
+        prime = make_prime(p)
+        for d in (1, 2, 3):
+            for size, seed in ((5, 0), (6, 1)):
+                E = random_point_set(prime, d, min(size, p**d), seed)
+                for r in range(1, p):
+                    ratio = make_ratio(r, prime)
+                    expected = classify_cycle_pairs(E, ratio.r)
+                    assert four_cycle_families(E, ratio) == expected, (p, d, seed, r)
+                    inexact += not expected.decomposition_exact
+    # null segments must produce pairs outside both the union and the open part
+    assert inexact
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -569,3 +613,19 @@ def test_guards_raise():
         count_path_pairs(big, make_ratio(1, make_prime(11)), 3)
     with pytest.raises(TooLargeError):
         four_cycle_families(big, make_ratio(1, make_prime(11)))
+
+
+def test_clique_guard_refuses_before_enumerating(monkeypatch):
+    import dilatelab.families as families
+
+    def never(*args):
+        raise AssertionError("the guard must refuse before enumerating")
+
+    monkeypatch.setattr(families, "iter_clique_pairs", never)
+    # C(44, 3) * 44^3 > 10^9 >= C(43, 3) * 43^3
+    E = random_point_set(make_prime(11), 2, 44, seed=0)
+    with pytest.raises(TooLargeError):
+        families._count_clique_pairs(E, 1, 3)
+    E = random_point_set(make_prime(11), 2, 43, seed=0)
+    with pytest.raises(AssertionError, match="before enumerating"):
+        families._count_clique_pairs(E, 1, 3)
