@@ -149,6 +149,11 @@ def _ratio_policy(text: str) -> str:
     return f"r={int(text)}"
 
 
+def _require_positive(value: int, flag: str, parser) -> None:
+    if value < 1:
+        parser.error(f"{flag} must be at least 1")
+
+
 def _resolve_set(args, parser) -> PointSet:
     if getattr(args, "set_path", None):
         E = load_point_set(args.set_path)
@@ -158,7 +163,8 @@ def _resolve_set(args, parser) -> PointSet:
     if args.p is None:
         parser.error("--p is required without --set")
     prime = make_prime(args.p)
-    if getattr(args, "random", None):
+    if args.random is not None:
+        _require_positive(args.random, "--random", parser)
         return random_point_set(prime, args.d, args.random, args.seed)
     return full_space(prime, args.d)
 
@@ -181,6 +187,7 @@ def _emit(kind: str, header: str, rows: list[str], json_rows: list[dict], args) 
 def cmd_gen(args, parser) -> int:
     if args.p is None:
         parser.error("gen requires --p")
+    _require_positive(args.size, "--size", parser)
     prime = make_prime(args.p)
     E = random_point_set(prime, args.d, args.size, args.seed)
     comment = f"generated size={args.size} seed={args.seed}"
@@ -304,7 +311,8 @@ def cmd_count(args, parser) -> int:
 def _verify_instances(args, parser):
     """Yield (E, ratio_or_None) instances resolved from the flags."""
     policy = _ratio_policy(args.r)
-    if args.random:
+    if args.random is not None:
+        _require_positive(args.random, "--random", parser)
         if args.p is None:
             parser.error("--random requires --p")
         prime = make_prime(args.p)
@@ -324,6 +332,7 @@ def _verify_instances(args, parser):
 
 
 def cmd_verify(args, parser) -> int:
+    _require_positive(args.k, "--k", parser)
     claims = list(CLAIM_NAMES) if args.claim == "all" else [args.claim]
     verdicts: list[Verdict] = []
     ratio_free = {"lemma2.6", "quotient"}
@@ -354,8 +363,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_scan(args, parser) -> int:
     if args.p is None:
         parser.error("scan requires --p")
-    if args.samples < 1:
-        parser.error("--samples must be at least 1")
+    _require_positive(args.samples, "--samples", parser)
     prime = make_prime(args.p)
     try:
         sizes = _parse_sizes(args.sizes)

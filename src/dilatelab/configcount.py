@@ -300,27 +300,47 @@ def _by_profile(x_tuples, profile, complete) -> Iterator[tuple[tuple, tuple]]:
             yield from zip(repeat(xs), found)
 
 
-def _scaled_pairs(E: PointSet, r: int, k: int, x_tuples,
-                  distinct: bool) -> Iterator[tuple[tuple, tuple]]:
-    """Pairs (xs, ys) with xs from x_tuples and ys a k-step walk scaled from it by r.
+def path_edges(k: int) -> tuple[tuple[int, int], ...]:
+    """The edge list of the k-step path 0 - 1 - .. - k."""
+    return tuple((i, i + 1) for i in range(k))
 
-    The squared steps of ys are r times those of xs.  ys is found by a
-    depth-first walk through the distance buckets; with distinct its entries
-    are pairwise distinct.
+
+def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
+                  distinct: bool) -> Iterator[tuple[tuple, tuple]]:
+    """Pairs (xs, ys) with xs from x_tuples and ys a copy of the pattern scaled by r.
+
+    The pattern is a graph H on the vertices 0..v-1 given by its edge list,
+    pairs (a, b) with a < b, and every vertex b > 0 has an earlier
+    neighbour.  ys is a tuple of v indices with D[ys[a]][ys[b]] equal to
+    r D[xs[a]][xs[b]] on every edge; with distinct its entries are pairwise
+    distinct.  ys is found by a depth-first search: ys[b] is drawn from the
+    distance bucket of the other end of b's first listed edge, and b's other
+    edges into earlier vertices are then checked.
     """
     p = E.prime.p
     D = E.dist_table
+    size = max(b for _, b in edges) + 1
+    # per vertex b: the (edge index, earlier end) of every edge into b
+    into = [[] for _ in range(size)]
+    for i, (a, b) in enumerate(edges):
+        into[b].append((i, a))
 
     def profile(xs):
-        return tuple(r * D[a][b] % p for a, b in zip(xs, xs[1:]))
+        return tuple(r * D[xs[a]][xs[b]] % p for a, b in edges)
 
     def extend(prof, ys):
         depth = len(ys)
-        if depth == k + 1:
+        if depth == size:
             yield tuple(ys)
             return
-        for j in _y_candidates(E, ys[-1], prof[depth - 1]):
-            if not (distinct and j in ys):
+        (i, a), *checks = into[depth]
+        for j in _y_candidates(E, ys[a], prof[i]):
+            if distinct and j in ys:
+                continue
+            for e, c in checks:
+                if D[j][ys[c]] != prof[e]:
+                    break
+            else:
                 ys.append(j)
                 yield from extend(prof, ys)
                 ys.pop()
@@ -339,7 +359,7 @@ def iter_scaled_walk_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple,
         raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
     xs = (x for x in product(range(n), repeat=k + 1)
           if all(a != b for a, b in zip(x, x[1:])))
-    yield from _scaled_pairs(E, r, k, xs, distinct=False)
+    yield from _scaled_pairs(E, r, path_edges(k), xs, distinct=False)
 
 
 def iter_scaled_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:

@@ -9,13 +9,18 @@ vertices); this module enumerates those remainder families and checks the
 exact bookkeeping identities between them.
 
 Counting here is enumeration-first.  Each family has one lazy enumerator of
-its index-tuple pairs: iter_path_pairs and iter_clique_pairs here, and the
-ambient iter_scaled_walk_pairs and iter_scaled_cycle_pairs of
-:mod:`dilatelab.configcount`.  A brute count is the enumerator's length
-(times m! for m-cliques, whose v side runs over combinations) and a witness
-is its first item.  The four-cycle coincidence families are joins of the
-cycle census of :mod:`dilatelab.configcount` instead, tested against a
-classification of the enumerated cycle pairs.
+its index-tuple pairs: iter_path_pairs, iter_cycle_pairs and
+iter_clique_pairs here, and the ambient iter_scaled_walk_pairs and
+iter_scaled_cycle_pairs of :mod:`dilatelab.configcount`.  All but the last
+are the one bucket search of configcount._scaled_pairs over the edge list of
+their pattern (path_edges, CYCLE_EDGES, clique_edges), and one validator,
+validate_pattern_pair, checks every witness.  A brute count is the
+enumerator's length (times m! for m-cliques, whose v side runs over
+combinations) and a witness is its first item.  The four-cycle coincidence
+families are joins of the cycle census of :mod:`dilatelab.configcount`
+instead, tested against a classification of the enumerated cycle pairs;
+iter_cycle_pairs, one x tuple per rotation/reflection orbit, yields an
+eighth of the fully distinct family.
 """
 
 from __future__ import annotations
@@ -35,11 +40,10 @@ from .configcount import (
     iter_scaled_cycle_pairs,
     iter_scaled_walk_pairs,
     join,
+    path_edges,
     step_profile_counts,
-    _by_profile,
     _scaled_pairs,
     _walk_dp_scaled_pairs,
-    _y_candidates,
 )
 from .errors import (
     DimensionMismatchError,
@@ -100,6 +104,36 @@ def _family(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> 
     )
 
 
+def validate_pattern_pair(E: PointSet, r: int, edges, xs, ys) -> bool:
+    """Check a claimed pair of copies of the pattern directly against the definition.
+
+    xs and ys are point tuples, one point per vertex of the pattern, each with
+    distinct entries, and every edge (a, b) of the pattern has
+    dist(ys[a], ys[b]) = r dist(xs[a], xs[b]).
+    """
+    p = E.prime.p
+    size = max((b for _, b in edges), default=0) + 1
+    if len(xs) != size or len(ys) != size:
+        return False
+    if any(pt not in E for pt in (*xs, *ys)):
+        return False
+    if len(set(xs)) != size or len(set(ys)) != size:
+        return False
+    return all(dist(ys[a], ys[b], p) == r * dist(xs[a], xs[b], p) % p for a, b in edges)
+
+
+def _first_pair(E: PointSet, r: int, edges, pairs):
+    """The first index pair of pairs as point tuples, revalidated, or None."""
+    found = next(pairs, None)
+    if found is None:
+        return None
+    pts = E.points
+    xs, ys = (tuple(pts[i] for i in side) for side in found)
+    if not validate_pattern_pair(E, r, edges, xs, ys):
+        raise AssertionError("internal error: witness failed revalidation")
+    return xs, ys
+
+
 # ----------------------------------------------------------------------------
 # pairs of k-paths (all vertices distinct on each side)
 
@@ -107,7 +141,7 @@ def _family(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> 
 def iter_path_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
     """Index-tuple pairs (xs, ys) of k-paths with dilation ratio r, in search order."""
     xs = itertools.permutations(range(len(E)), k + 1)
-    return _scaled_pairs(E, r, k, xs, distinct=True)
+    return _scaled_pairs(E, r, path_edges(k), xs, distinct=True)
 
 
 def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
@@ -124,19 +158,7 @@ def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
 
 def validate_path_pair(E: PointSet, r: int, xs, ys) -> bool:
     """Check a claimed witness directly against the definition."""
-    p = E.prime.p
-    k = len(xs) - 1
-    if len(ys) != k + 1:
-        return False
-    pts = list(xs) + list(ys)
-    if any(pt not in E for pt in pts):
-        return False
-    if len(set(xs)) != k + 1 or len(set(ys)) != k + 1:
-        return False
-    return all(
-        dist(ys[i], ys[i + 1], p) == r * dist(xs[i], xs[i + 1], p) % p
-        for i in range(k)
-    )
+    return validate_pattern_pair(E, r, path_edges(len(xs) - 1), xs, ys)
 
 
 def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
@@ -146,15 +168,7 @@ def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
     tuple of distinct points and whose y side over every bucket-matched
     completion, so a None answer means the family is empty.
     """
-    found = next(iter_path_pairs(E, ratio.r, k), None)
-    if found is None:
-        return None
-    pts = E.points
-    xs = tuple(pts[i] for i in found[0])
-    ys = tuple(pts[i] for i in found[1])
-    if not validate_path_pair(E, ratio.r, xs, ys):
-        raise AssertionError("internal error: witness failed revalidation")
-    return xs, ys
+    return _first_pair(E, ratio.r, path_edges(k), iter_path_pairs(E, ratio.r, k))
 
 
 # ----------------------------------------------------------------------------
@@ -268,12 +282,8 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     walks with a != c and b != e, fully_distinct = J(AD, AD) and the union
     of the four families is total - J(AD, ND).  A pair outside both has an
     adjacent y coincidence, which only nonzero null segments allow.  The
-    census is not an enumeration, but the size guard of the enumeration it
-    replaced is kept.
+    only size guard is the census's own, on the profiles its tables can hold.
     """
-    n = len(E)
-    if n**8 > BRUTE_GUARD:
-        raise TooLargeError(f"enumeration over {n}^8 tuples refused")
     cen = cycle_census(E)
     scale = cen.scaled(ratio.r)
     x, y = cen.x, cen.y
@@ -303,61 +313,36 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     )
 
 
+# the 4-cycle x1 - x2 - x3 - x4 - x1
+CYCLE_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3))
+
+
+def iter_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
+    """Index-tuple pairs (xs, ys) of 4-cycles, distinct entries each, with ratio r.
+
+    The x side has one tuple per orbit of the dihedral group acting on the
+    vertex positions: least index first, then x2 < x4.  Applying one group
+    element to both sides is a bijection and the group acts freely on
+    tuples of distinct points, so every fully distinct pair of the scaled
+    closed 4-walks is one yielded pair moved in one of 8 ways.
+    """
+    idx = range(len(E))
+    xs = ((x1, x2, x3, x4) for x1 in idx for x2 in idx[x1 + 1:]
+          for x3 in idx[x1 + 1:] if x3 != x2 for x4 in idx[x2 + 1:] if x4 != x3)
+    return _scaled_pairs(E, r, CYCLE_EDGES, xs, distinct=True)
+
+
 def validate_cycle_pair(E: PointSet, r: int, xs, ys) -> bool:
-    p = E.prime.p
-    if len(xs) != 4 or len(ys) != 4:
-        return False
-    if any(pt not in E for pt in list(xs) + list(ys)):
-        return False
-    if len(set(xs)) != 4 or len(set(ys)) != 4:
-        return False
-    return all(
-        dist(ys[i], ys[(i + 1) % 4], p) == r * dist(xs[i], xs[(i + 1) % 4], p) % p
-        for i in range(4)
-    )
+    return validate_pattern_pair(E, r, CYCLE_EDGES, xs, ys)
 
 
 def find_cycle_pair_witness(E: PointSet, ratio: Ratio):
     """First pair of 4-cycles (all vertices distinct) with ratio r, or None.
 
-    The x side is canonicalized under simultaneous rotation/reflection (least
-    index first, orientation fixed), which preserves completeness.
+    This is the first item of iter_cycle_pairs, whose x side meets every
+    orbit, so a None answer means the family is empty.
     """
-    n = len(E)
-    p = E.prime.p
-    D = E.dist_table
-    pts = E.points
-    r = ratio.r
-    for x1 in range(n):
-        for x2 in range(x1 + 1, n):
-            t1 = r * D[x1][x2] % p
-            for x3 in range(x1 + 1, n):
-                if x3 == x2:
-                    continue
-                t2 = r * D[x2][x3] % p
-                for x4 in range(x2 + 1, n):
-                    if x4 == x3:
-                        continue
-                    t3 = r * D[x3][x4] % p
-                    t4 = r * D[x4][x1] % p
-                    for y1 in range(n):
-                        for y2 in _y_candidates(E, y1, t1):
-                            if y2 == y1:
-                                continue
-                            for y3 in _y_candidates(E, y2, t2):
-                                if y3 == y1 or y3 == y2:
-                                    continue
-                                for y4 in _y_candidates(E, y3, t3):
-                                    if y4 in (y1, y2, y3) or D[y4][y1] != t4:
-                                        continue
-                                    xs = (pts[x1], pts[x2], pts[x3], pts[x4])
-                                    ys = (pts[y1], pts[y2], pts[y3], pts[y4])
-                                    if not validate_cycle_pair(E, r, xs, ys):
-                                        raise AssertionError(
-                                            "internal error: witness failed revalidation"
-                                        )
-                                    return xs, ys
-    return None
+    return _first_pair(E, ratio.r, CYCLE_EDGES, iter_cycle_pairs(E, ratio.r))
 
 
 @dataclass(frozen=True)
@@ -525,6 +510,11 @@ def all_equal_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
 # triangle and simplex pairs
 
 
+def clique_edges(m: int) -> tuple[tuple[int, int], ...]:
+    """The edge list of the complete graph on m vertices."""
+    return tuple((a, b) for b in range(m) for a in range(b))
+
+
 def iter_clique_pairs(E: PointSet, r: int, m: int) -> Iterator[tuple[tuple, tuple]]:
     """Index-tuple pairs (vs, us), distinct entries each, all pairwise norms scaled by r.
 
@@ -533,35 +523,8 @@ def iter_clique_pairs(E: PointSet, r: int, m: int) -> Iterator[tuple[tuple, tupl
     and every pair of m-tuples is one yielded pair reordered in one of m!
     ways.
     """
-    p = E.prime.p
-    D = E.dist_table
-    idx = range(len(E))
-
-    def profile(vs):
-        # profile[d][a]: the squared distance u_a and u_d must have
-        return tuple(tuple(r * D[vs[a]][vs[d]] % p for a in range(d)) for d in range(m))
-
-    def extend(prof, ustack):
-        depth = len(ustack)
-        if depth == m:
-            yield tuple(ustack)
-            return
-        want = prof[depth]
-        for j in idx:
-            if j in ustack:
-                continue
-            ok = True
-            for a in range(depth):
-                if D[ustack[a]][j] != want[a]:
-                    ok = False
-                    break
-            if ok:
-                ustack.append(j)
-                yield from extend(prof, ustack)
-                ustack.pop()
-
-    return _by_profile(itertools.combinations(idx, m), profile,
-                       lambda prof: extend(prof, []))
+    vs = itertools.combinations(range(len(E)), m)
+    return _scaled_pairs(E, r, clique_edges(m), vs, distinct=True)
 
 
 def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
@@ -590,19 +553,7 @@ def count_simplex_pairs(E: PointSet, ratio: Ratio) -> FamilyCount:
 
 
 def validate_clique_pair(E: PointSet, r: int, us, vs) -> bool:
-    p = E.prime.p
-    m = len(vs)
-    if len(us) != m:
-        return False
-    if any(pt not in E for pt in list(us) + list(vs)):
-        return False
-    if len(set(us)) != m or len(set(vs)) != m:
-        return False
-    return all(
-        dist(us[a], us[b], p) == r * dist(vs[a], vs[b], p) % p
-        for a in range(m)
-        for b in range(a + 1, m)
-    )
+    return validate_pattern_pair(E, r, clique_edges(len(vs)), vs, us)
 
 
 def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
@@ -613,15 +564,8 @@ def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
     still complete.
     """
     m = E.d + 1 if m is None else m
-    found = next(iter_clique_pairs(E, ratio.r, m), None)
-    if found is None:
-        return None
-    pts = E.points
-    vs = tuple(pts[i] for i in found[0])
-    us = tuple(pts[i] for i in found[1])
-    if not validate_clique_pair(E, ratio.r, us, vs):
-        raise AssertionError("internal error: witness failed revalidation")
-    return us, vs
+    found = _first_pair(E, ratio.r, clique_edges(m), iter_clique_pairs(E, ratio.r, m))
+    return None if found is None else found[::-1]
 
 
 def _group_for(E: PointSet, group: str) -> GroupTable:

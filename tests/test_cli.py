@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dilatelab.cli import main
+from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, main
+from dilatelab.verify import CLAIM_NAMES
 
 
 def run_cli(argv, capsys):
@@ -133,23 +135,25 @@ def test_verify_claim_sweep_two_point(tmp_path, capsys):
 
 
 def test_verify_sweep_skips_guarded_claims(capsys):
-    # a 16-point set is beyond the 8-tuple enumeration guard (16^8 > 10^9),
-    # so the cycle-family claims are skipped while the rest still run
+    # at p = 101 a 42-point set is beyond the cycle census guard
+    # (42^4 > 3 * 10^6 possible profiles), so the claims that count cycle
+    # pairs are skipped while the rest still run
     code, out, err = run_cli(
-        ["verify", "--claim", "all", "--p", "11", "--random", "2", "--size", "16",
+        ["verify", "--claim", "all", "--p", "101", "--random", "2", "--size", "42",
          "--seed", "2", "--r", "1"],
         capsys,
     )
     assert code == 0
-    assert "lemma4.2 skipped" in err
+    assert "lemma2.4 skipped" in err and "lemma4.2 skipped" in err
     claims = {ln.split(",")[0] for ln in out.strip().splitlines()[2:]}
-    assert "lemma2.3" in claims and "lemma4.2" not in claims
+    assert "lemma2.3" in claims and "T1.6" in claims
+    assert "lemma2.4" not in claims and "lemma4.2" not in claims
 
 
 def test_verify_single_guarded_claim_still_exits_3(capsys):
     code, _, err = run_cli(
-        ["verify", "--claim", "lemma4.2", "--p", "11", "--random", "2",
-         "--size", "16", "--seed", "2", "--r", "1"],
+        ["verify", "--claim", "lemma4.2", "--p", "101", "--random", "2",
+         "--size", "42", "--seed", "2", "--r", "1"],
         capsys,
     )
     assert code == 3
@@ -186,6 +190,27 @@ def test_verify_size_reversed_is_usage_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "bad size range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--claim", "T1.10", "--p", "7", "--random", "1", "--size", "20",
+      "--k", "0", "--r", "3"], "--k"),
+    (["verify", "--claim", "T1.10", "--p", "7", "--random", "1", "--size", "20",
+      "--k", "-1", "--r", "3"], "--k"),
+    (["count", "--what", "S_k", "--p", "7", "--random", "0", "--r", "1"], "--random"),
+    (["count", "--what", "S_k", "--p", "7", "--random", "-1", "--r", "1"], "--random"),
+    (["verify", "--claim", "lemma2.3", "--p", "7", "--random", "0"], "--random"),
+    (["verify", "--claim", "lemma2.3", "--p", "7", "--random", "-1"], "--random"),
+    (["gen", "--p", "7", "--size", "0"], "--size"),
+])
+def test_nonpositive_counts_are_usage_errors(argv, flag, capsys):
+    # a zero-size set or walk must not fall back to the full space, reach a
+    # verdict, or be reported as a refused guard
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be at least 1" in err and "Traceback" not in err
 
 
 def test_verify_determinism(capsys):
@@ -424,6 +449,32 @@ PINNED_WITNESSES = [
         ("8", "3", "5", "1", "(((3, 1, 0), (4, 3, 0), (4, 4, 0), (3, 0, 3)), "
                              "((3, 1, 0), (4, 3, 0), (4, 4, 0), (3, 0, 3)))"),
     ]),
+    # T1.6 rows recorded while the cycle witness still had its own nested
+    # search; p = 13 and p = 5 are 1 (mod 4), where null segments exist
+    (["--claim", "T1.6", "--p", "7", "--random", "3", "--size", "6:8"], "14", [
+        ("6", "2", "7", "1", "(((5, 1), (1, 2), (2, 2), (5, 4)), "
+                             "((5, 1), (1, 2), (2, 2), (5, 4)))"),
+        ("7", "2", "7", "2", "(((2, 0), (4, 2), (2, 6), (1, 3)), "
+                             "((2, 0), (2, 3), (4, 2), (6, 5)))"),
+        ("8", "2", "7", "3", "(((1, 0), (3, 0), (4, 0), (2, 1)), "
+                             "((1, 0), (6, 1), (3, 0), (5, 2)))"),
+    ]),
+    (["--claim", "T1.6", "--p", "13", "--random", "3", "--size", "7:9"], "14", [
+        ("7", "2", "13", "1", "(((9, 0), (4, 1), (11, 2), (9, 4)), "
+                              "((9, 0), (4, 1), (11, 2), (9, 4)))"),
+        ("8", "2", "13", "2", "(((1, 1), (11, 1), (6, 2), (4, 7)), "
+                              "((7, 3), (9, 2), (1, 1), (4, 7)))"),
+        ("9", "2", "13", "3", "(((5, 2), (0, 4), (5, 6), (7, 9)), "
+                              "((10, 4), (0, 4), (7, 9), (5, 6)))"),
+    ]),
+    (["--claim", "T1.6", "--p", "5", "--random", "3", "--size", "6:8"], "14", [
+        ("6", "2", "5", "1", "(((0, 1), (2, 1), (3, 1), (4, 1)), "
+                             "((0, 1), (2, 1), (3, 1), (4, 1)))"),
+        ("7", "2", "5", "2", "(((1, 0), (0, 1), (3, 1), (2, 3)), "
+                             "((3, 1), (0, 1), (2, 3), (1, 0)))"),
+        ("8", "2", "5", "3", "(((0, 0), (3, 0), (2, 1), (0, 2)), "
+                             "((3, 0), (2, 4), (3, 4), (2, 1)))"),
+    ]),
 ]
 
 
@@ -451,3 +502,40 @@ def test_verify_witnesses_are_pinned(argv, seed, rows, capsys):
         ],
     }
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+SMALL = st.integers(min_value=-1, max_value=8)
+
+
+@st.composite
+def cli_argv(draw):
+    common = ["--p", str(draw(st.sampled_from((3, 5, 7)))),
+              "--d", str(draw(st.integers(1, 3))),
+              "--seed", str(draw(st.integers(0, 3))), "--threads", "1"]
+    command = draw(st.sampled_from(("gen", "count", "verify")))
+    if command == "gen":
+        return ["gen", *common, "--size", str(draw(SMALL))]
+    tail = ["--k", str(draw(SMALL)), "--r", draw(st.sampled_from(("1", "2", "squares")))]
+    if command == "count":
+        what = draw(st.sampled_from(COUNT_KINDS + tuple(WHAT_ALIASES)))
+        method = draw(st.sampled_from(("auto", "all")))
+        return ["count", *common, "--what", what, "--random", str(draw(SMALL)),
+                "--method", method, *tail]
+    claim = draw(st.sampled_from(CLAIM_NAMES + ("all",)))
+    # --random is the number of instances here, --size their size
+    return ["verify", *common, "--claim", claim, "--random", str(draw(st.integers(-1, 2))),
+            "--size", str(draw(SMALL)), *tail]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv, capsys):
+    # 0 success, 2 usage error, 3 refused guard; 4 would mean a catalog
+    # claim failed, and an exception escaping main is a crash
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3), argv

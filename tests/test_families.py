@@ -25,6 +25,7 @@ from dilatelab.families import (
     find_path_pair_witness,
     four_cycle_families,
     four_cycle_fiber_check,
+    iter_cycle_pairs,
     shared_displacement_counts,
     shared_displacement_counts_direct,
     simplex_bound_group_sum,
@@ -290,6 +291,27 @@ def test_four_cycle_census_matches_enumeration():
                     inexact += not expected.decomposition_exact
     # null segments must produce pairs outside both the union and the open part
     assert inexact
+
+
+def test_cycle_pair_orbits_count_the_fully_distinct_family():
+    # the dihedral group of order 8 acts freely on the x side, and the
+    # witness is the first orbit representative or None
+    empty = nonempty = 0
+    for p in (3, 5, 7, 13):
+        prime = make_prime(p)
+        for d in (1, 2, 3):
+            for size, seed in ((5, 0), (7, 1)):
+                E = random_point_set(prime, d, min(size, p**d), seed)
+                for r in range(1, p):
+                    ratio = make_ratio(r, prime)
+                    orbits = sum(1 for _ in iter_cycle_pairs(E, r))
+                    fam = four_cycle_families(E, ratio)
+                    assert 8 * orbits == fam.fully_distinct, (p, d, seed, r)
+                    witness = find_cycle_pair_witness(E, ratio)
+                    assert (witness is None) == (orbits == 0), (p, d, seed, r)
+                    empty += orbits == 0
+                    nonempty += orbits > 0
+    assert empty and nonempty
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -611,8 +633,10 @@ def test_guards_raise():
     big = random_point_set(make_prime(11), 2, 25, seed=0)
     with pytest.raises(TooLargeError):
         count_path_pairs(big, make_ratio(1, make_prime(11)), 3)
+    # the four-cycle families are census joins: only the census guard refuses
+    wide = random_point_set(make_prime(101), 2, 42, seed=0)
     with pytest.raises(TooLargeError):
-        four_cycle_families(big, make_ratio(1, make_prime(11)))
+        four_cycle_families(wide, make_ratio(1, make_prime(101)))
 
 
 def test_clique_guard_refuses_before_enumerating(monkeypatch):
