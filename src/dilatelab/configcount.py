@@ -10,6 +10,9 @@ The central objects are, for a point set E and a nonzero ratio r:
 * the cycle census: per-profile tables of E's closed 4-walks, built once
   per set for every ratio, whose joins against their r-scaled profiles give
   the cycle pair count C and the four-cycle coincidence families;
+* the brute oracle, brute_join: any pair count as the join of the profile
+  histograms of its x and y tuples, behind the one brute guard; the pair
+  enumerators, all the one bucket search _scaled_pairs, serve witnesses;
 * ratio quadruples: 4-tuples (x, y, z, w) whose two segment norms are in
   ratio r with a nonzero denominator;
 * displacement histograms: for a rotation theta, how many pairs (u, v) of E
@@ -41,8 +44,12 @@ from .orthogonal import scaled_apply
 if TYPE_CHECKING:  # pragma: no cover
     from .orthogonal import OrthMatrix
 
-# Brute-force enumerations beyond this many tuples are refused.
-BRUTE_GUARD = 10**9
+# Brute oracles that would visit more x and y tuples than this are refused.
+BRUTE_GUARD = 10**6
+# Pair enumerators that could yield more pairs than this are refused.
+PAIR_GUARD = 10**9
+# Step-profile sweeps whose packed rows would take more bytes are refused.
+LANE_GUARD = 1 << 24
 # Cycle censuses whose tables could hold more profiles than this are refused:
 # a table entry takes about 70 bytes, and at p = 101 the census of 40
 # points (2.2M and 2.3M profiles) already holds 300 MiB.
@@ -237,6 +244,8 @@ def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
     the class sums, so the new lanes are the old profiles extended by each
     class.  A lane holds at most n^k walks per endpoint and n^(k+1) after the
     final sum over endpoints; lanes are that wide, rounded up to whole bytes.
+    Refused, before any row is built, when the n rows of the last step would
+    take more than LANE_GUARD bytes.
     """
     key = ("profiles", k, nonzero_only)
     if key in E._cache:
@@ -245,6 +254,9 @@ def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
     classes, members = _distance_classes(E)
     steps = classes[:-1] if nonzero_only else classes  # 0 is the last class
     width = _lane_bytes(n ** (k + 1))
+    lanes = len(steps) ** k
+    if n * lanes * width > LANE_GUARD:
+        raise TooLargeError(f"{n} rows of {lanes} lanes of {width} bytes exceed {LANE_GUARD} bytes")
     profiles: list[tuple] = [()]
     rows = [1] * n
     for _ in range(k):
@@ -269,40 +281,51 @@ def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
     return result
 
 
-def _y_candidates(E: PointSet, prev: int, s: int):
-    """Indices at squared distance s from prev, including prev itself for s = 0."""
-    cands = E.neighbor_buckets[prev].get(s, ())
-    if s == 0:
-        return cands + (prev,)
-    return cands
-
-
-def _by_profile(x_tuples, profile, complete) -> Iterator[tuple[tuple, tuple]]:
-    """(xs, ys) for each xs of x_tuples and each ys of complete(profile(xs)).
-
-    The y side depends on xs only through its profile, so the completions of
-    a profile are kept once they have been enumerated in full and replayed
-    for every later xs with that profile.  The store is local to this
-    generator: a consumer that stops early (a witness search) keeps nothing,
-    and at most it holds every y tuple once, since a y tuple has one profile.
-    """
-    done: dict[tuple, list] = {}
-    for xs in x_tuples:
-        prof = profile(xs)
-        found = done.get(prof)
-        if found is None:
-            found = []
-            for ys in complete(prof):
-                found.append(ys)
-                yield xs, ys
-            done[prof] = found
-        else:
-            yield from zip(repeat(xs), found)
-
-
 def path_edges(k: int) -> tuple[tuple[int, int], ...]:
     """The edge list of the k-step path 0 - 1 - .. - k."""
     return tuple((i, i + 1) for i in range(k))
+
+
+# the 4-cycle x1 - x2 - x3 - x4 - x1
+CYCLE_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3))
+
+
+def _edge_distinct(n: int, edges) -> Iterator[tuple]:
+    """Index tuples, in lexicographic order, whose two ends differ on every edge."""
+    def ok(t):
+        for a, b in edges:
+            if t[a] == t[b]:
+                return False
+        return True
+
+    return filter(ok, product(range(n), repeat=max(b for _, b in edges) + 1))
+
+
+def brute_join(E: PointSet, r: int, edges, x_tuples, y_tuples, visits: int) -> int:
+    """Pairs (xs, ys) of x_tuples and y_tuples with ys a copy of the pattern of xs scaled by r.
+
+    With X(t) and Y(t) the numbers of x and y tuples whose squared distances
+    along the edges are t, this is the join sum_t X(t) Y(r t).  Refused before
+    any tuple is visited when visits, the number of x and y tuples, exceeds
+    BRUTE_GUARD.
+    """
+    if visits > BRUTE_GUARD:
+        raise TooLargeError(f"a brute count over {visits} tuples refused, over {BRUTE_GUARD}")
+    D = E.dist_table
+
+    def profile(t):
+        return tuple([D[t[a]][t[b]] for a, b in edges])
+
+    X, Y = Counter(map(profile, x_tuples)), Counter(map(profile, y_tuples))
+    visited = sum(X.values()) + sum(Y.values())
+    if visited != visits:
+        raise AssertionError(f"internal error: {visited} tuples visited, {visits} guarded")
+    return join(X, Y, _scaling(r, E.prime.p))
+
+
+def _scaling(r: int, p: int):
+    """The map from a profile tuple t to r t, the scale of join."""
+    return lambda t: tuple([r * s % p for s in t])
 
 
 def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
@@ -316,6 +339,11 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
     distinct.  ys is found by a depth-first search: ys[b] is drawn from the
     distance bucket of the other end of b's first listed edge, and b's other
     edges into earlier vertices are then checked.
+
+    ys depends on xs only through its scaled profile, so the completions of a
+    profile are kept once they have been enumerated in full and replayed for
+    every later xs with that profile.  A consumer that stops early (a witness
+    search) keeps nothing, and the store holds each y tuple at most once.
     """
     p = E.prime.p
     D = E.dist_table
@@ -325,16 +353,16 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
     for i, (a, b) in enumerate(edges):
         into[b].append((i, a))
 
-    def profile(xs):
-        return tuple(r * D[xs[a]][xs[b]] % p for a, b in edges)
-
     def extend(prof, ys):
         depth = len(ys)
         if depth == size:
             yield tuple(ys)
             return
         (i, a), *checks = into[depth]
-        for j in _y_candidates(E, ys[a], prof[i]):
+        # the bucket at squared distance s from ys[a], which for s = 0 holds ys[a]
+        s = prof[i]
+        cands = E.neighbor_buckets[ys[a]].get(s, ())
+        for j in (cands + (ys[a],) if s == 0 else cands):
             if distinct and j in ys:
                 continue
             for e, c in checks:
@@ -345,64 +373,44 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
                 yield from extend(prof, ys)
                 ys.pop()
 
-    def complete(prof):
-        for y0 in range(len(E)):
-            yield from extend(prof, [y0])
-
-    return _by_profile(x_tuples, profile, complete)
+    done: dict[tuple, list] = {}
+    for xs in x_tuples:
+        prof = tuple(r * D[xs[a]][xs[b]] % p for a, b in edges)
+        found = done.get(prof)
+        if found is None:
+            found = []
+            for y0 in range(len(E)):
+                for ys in extend(prof, [y0]):
+                    found.append(ys)
+                    yield xs, ys
+            done[prof] = found
+        else:
+            yield from zip(repeat(xs), found)
 
 
 def iter_scaled_walk_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
     """All index-tuple pairs (xs, ys) of the scaled k-step walk-pair set."""
     n = len(E)
-    if n ** (2 * k + 2) > BRUTE_GUARD:
+    if n ** (2 * k + 2) > PAIR_GUARD:
         raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
-    xs = (x for x in product(range(n), repeat=k + 1)
-          if all(a != b for a, b in zip(x, x[1:])))
-    yield from _scaled_pairs(E, r, path_edges(k), xs, distinct=False)
+    edges = path_edges(k)
+    yield from _scaled_pairs(E, r, edges, _edge_distinct(n, edges), distinct=False)
 
 
 def iter_scaled_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
-    """All index-tuple pairs (xs, ys) of the scaled closed 4-walk pair set.
-
-    The y side is searched afresh for each xs: a per-profile store would hold
-    up to n^4 tuples and save little, as yielding the pairs dominates.  The
-    bucket lookups are tabled once per call, cand[y][s] being the indices at
-    squared distance s from y.
-    """
+    """All index-tuple pairs (xs, ys) of the scaled closed 4-walk pair set."""
     n = len(E)
-    if n**8 > BRUTE_GUARD:
+    if n**8 > PAIR_GUARD:
         raise TooLargeError(f"enumeration over {n}^8 tuples refused")
-    p = E.prime.p
-    D = E.dist_table
-    idx = range(n)
-    cand = [[_y_candidates(E, y, s) for s in range(p)] for y in idx]
-    for x1 in idx:
-        for x2 in idx:
-            if x2 == x1:
-                continue
-            t1 = r * D[x1][x2] % p
-            for x3 in idx:
-                if x3 == x2:
-                    continue
-                t2 = r * D[x2][x3] % p
-                for x4 in idx:
-                    if x4 == x3 or x4 == x1:
-                        continue
-                    t3 = r * D[x3][x4] % p
-                    t4 = r * D[x4][x1] % p
-                    xs = (x1, x2, x3, x4)
-                    for y1 in idx:
-                        row1 = D[y1]
-                        for y2 in cand[y1][t1]:
-                            for y3 in cand[y2][t2]:
-                                for y4 in cand[y3][t3]:
-                                    if row1[y4] == t4:
-                                        yield xs, (y1, y2, y3, y4)
+    yield from _scaled_pairs(E, r, CYCLE_EDGES, _edge_distinct(n, CYCLE_EDGES),
+                             distinct=False)
 
 
 def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
-    return sum(1 for _ in iter_scaled_walk_pairs(E, r, k))
+    n = len(E)
+    edges = path_edges(k)
+    return brute_join(E, r, edges, _edge_distinct(n, edges), product(range(n), repeat=k + 1),
+                      visits=n * (n - 1) ** k + n ** (k + 1))
 
 
 def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
@@ -410,15 +418,8 @@ def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
         raise WrongResidueClassError(
             "the step-profile identity needs d = 2 and p = 3 (mod 4)"
         )
-    p = E.prime.p
     profiles = step_profile_counts(E, k, nonzero_only=True)
-    total = 0
-    for prof, count in profiles.items():
-        scaled = tuple(r * t % p for t in prof)
-        other = profiles.get(scaled)
-        if other:
-            total += count * other
-    return total
+    return join(profiles, profiles, _scaling(r, E.prime.p))
 
 
 def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int:
@@ -482,11 +483,9 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
 
     The first walk must have distinct consecutive points; the second walk is
     unconstrained apart from the k scaled-length equations.  Methods: "brute"
-    (guarded tuple enumeration), "nu_identity" (step-profile identity, valid
-    for d = 2 and p = 3 mod 4), "walk_dp" (paired-state sweep, always valid).
-    walk_dp is the packed distance-class sweep of _paired_walk_sweep: rows of
-    the state are Python ints with one fixed-width byte lane per point, sized
-    for n^(2k), the largest entry the state reaches, so the count is exact.
+    (the profile join of brute_join), "nu_identity" (step-profile identity,
+    valid for d = 2 and p = 3 mod 4), "walk_dp" (the packed paired-state
+    sweep of _paired_walk_sweep, always valid).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -502,7 +501,10 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
 
 
 def _brute_scaled_cycle_pairs(E: PointSet, r: int) -> int:
-    return sum(1 for _ in iter_scaled_cycle_pairs(E, r))
+    n = len(E)
+    # the x side is the closed 4-walks of K_n: tr (J - I)^4 = (n-1)^4 + n-1
+    return brute_join(E, r, CYCLE_EDGES, _edge_distinct(n, CYCLE_EDGES),
+                      product(range(n), repeat=4), visits=(n - 1) ** 4 + n - 1 + n**4)
 
 
 @dataclass(frozen=True)
@@ -704,35 +706,31 @@ def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point)
     return count
 
 
-def walk_pair_reports(E: PointSet, ratio: Ratio, k: int, methods=("all",)) -> list[CountReport]:
-    """Run the requested (or every applicable) method and cross-check them."""
-    if "all" in methods:
-        methods = [METHOD_WALK_DP]
-        if len(E) ** (2 * k + 2) <= BRUTE_GUARD:
-            methods.append(METHOD_BRUTE)
-        if dilation_safe(E):
-            methods.append(METHOD_NU_IDENTITY)
-    reports = [count_scaled_walk_pairs(E, ratio, k, m) for m in methods]
-    _check_agreement(reports, E)
-    return reports
+def walk_pair_reports(E: PointSet, ratio: Ratio, k: int) -> list[CountReport]:
+    """walk_dp, cross-checked by brute and nu_identity where they are valid and admitted."""
+    optional = [METHOD_BRUTE, METHOD_NU_IDENTITY] if dilation_safe(E) else [METHOD_BRUTE]
+    return _cross_checked(E, lambda m: count_scaled_walk_pairs(E, ratio, k, m),
+                          METHOD_WALK_DP, optional)
 
 
-def cycle_pair_reports(E: PointSet, ratio: Ratio, methods=("all",)) -> list[CountReport]:
-    """Run the requested (or every applicable) method and cross-check them."""
-    if "all" in methods:
-        methods = [METHOD_MU_IDENTITY]
-        if len(E) ** 8 <= BRUTE_GUARD:
-            methods.append(METHOD_BRUTE)
-    reports = [count_scaled_cycle_pairs(E, ratio, m) for m in methods]
-    _check_agreement(reports, E)
-    return reports
+def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:
+    """mu_identity, cross-checked by brute where its guard admits it."""
+    return _cross_checked(E, lambda m: count_scaled_cycle_pairs(E, ratio, m),
+                          METHOD_MU_IDENTITY, [METHOD_BRUTE])
 
 
-def _check_agreement(reports: list[CountReport], E: PointSet) -> None:
-    values = {rep.value for rep in reports}
-    if len(values) > 1:
+def _cross_checked(E: PointSet, count, first: str, optional) -> list[CountReport]:
+    """count's reports for first and each optional method its guard admits; they must agree."""
+    reports = [count(first)]
+    for m in optional:
+        try:
+            reports.append(count(m))
+        except TooLargeError:
+            pass
+    if len({rep.value for rep in reports}) > 1:
         detail = ", ".join(f"{rep.method}={rep.value}" for rep in reports)
         raise MethodMismatchError(
             f"methods disagree on {reports[0].name} (p={E.prime.p}, d={E.d}, "
             f"n={len(E)}, r={reports[0].r}): {detail}; points={list(E.points)}"
         )
+    return reports

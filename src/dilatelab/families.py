@@ -8,19 +8,19 @@ pairs of :mod:`dilatelab.configcount` also contain degenerate pairs (repeated
 vertices); this module enumerates those remainder families and checks the
 exact bookkeeping identities between them.
 
-Counting here is enumeration-first.  Each family has one lazy enumerator of
-its index-tuple pairs: iter_path_pairs, iter_cycle_pairs and
-iter_clique_pairs here, and the ambient iter_scaled_walk_pairs and
-iter_scaled_cycle_pairs of :mod:`dilatelab.configcount`.  All but the last
-are the one bucket search of configcount._scaled_pairs over the edge list of
-their pattern (path_edges, CYCLE_EDGES, clique_edges), and one validator,
-validate_pattern_pair, checks every witness.  A brute count is the
-enumerator's length (times m! for m-cliques, whose v side runs over
-combinations) and a witness is its first item.  The four-cycle coincidence
-families are joins of the cycle census of :mod:`dilatelab.configcount`
-instead, tested against a classification of the enumerated cycle pairs;
-iter_cycle_pairs, one x tuple per rotation/reflection orbit, yields an
-eighth of the fully distinct family.
+Each family has one lazy enumerator of its index-tuple pairs:
+iter_path_pairs, iter_cycle_pairs and iter_clique_pairs here, and the
+ambient iter_scaled_walk_pairs and iter_scaled_cycle_pairs of
+:mod:`dilatelab.configcount`.  All five are the one bucket search of
+configcount._scaled_pairs over the edge list of their pattern (path_edges,
+CYCLE_EDGES, clique_edges); they give the witnesses, each the first item,
+checked by the one validator validate_pattern_pair, and the classifications.
+A brute count is configcount.brute_join over the family's x and y tuples
+(times m! for m-cliques, whose v side runs over combinations), not an
+enumerator's length.  The four-cycle coincidence families are joins of
+the cycle census of :mod:`dilatelab.configcount`, tested against a
+classification of the enumerated cycle pairs; iter_cycle_pairs, one x tuple
+per rotation/reflection orbit, yields an eighth of the fully distinct family.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 from .configcount import (
-    BRUTE_GUARD,
+    CYCLE_EDGES,
     Ratio,
+    brute_join,
     cycle_census,
     dilation_safe,
     displacement_histogram,
@@ -48,7 +49,6 @@ from .configcount import (
 from .errors import (
     DimensionMismatchError,
     NotASquareRatioError,
-    TooLargeError,
     WrongResidueClassError,
 )
 from .geometry import PointSet, dist
@@ -149,9 +149,8 @@ def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(E)
-    if n ** (2 * k + 2) > BRUTE_GUARD:
-        raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
-    total = sum(1 for _ in iter_path_pairs(E, ratio.r, k))
+    total = brute_join(E, ratio.r, path_edges(k), itertools.permutations(range(n), k + 1),
+                       itertools.permutations(range(n), k + 1), visits=2 * math.perm(n, k + 1))
     return _family(E, FAMILY_PATH_PAIRS if k == 2 else f"path_pairs_k{k}", total,
                    method="brute", r=ratio.r, k=k)
 
@@ -311,10 +310,6 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
         degenerate_union=union, total=total,
         decomposition_exact=total == f + union,
     )
-
-
-# the 4-cycle x1 - x2 - x3 - x4 - x1
-CYCLE_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3))
 
 
 def iter_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
@@ -530,10 +525,11 @@ def iter_clique_pairs(E: PointSet, r: int, m: int) -> Iterator[tuple[tuple, tupl
 def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
     """Pairs of m-tuples, distinct entries each, all pairwise norms in ratio r."""
     n = len(E)
-    # the v side runs over combinations and each u step over n indices
-    if math.comb(n, m) * n**m > BRUTE_GUARD:
-        raise TooLargeError(f"enumeration over C({n}, {m}) * {n}^{m} tuples refused")
-    return math.factorial(m) * sum(1 for _ in iter_clique_pairs(E, r, m))
+    # as in iter_clique_pairs the v side runs over combinations, m! orders each
+    pairs = brute_join(E, r, clique_edges(m), itertools.combinations(range(n), m),
+                       itertools.permutations(range(n), m),
+                       visits=math.comb(n, m) + math.perm(n, m))
+    return math.factorial(m) * pairs
 
 
 def count_triangle_pairs(E: PointSet, ratio: Ratio) -> FamilyCount:

@@ -213,6 +213,19 @@ def test_nonpositive_counts_are_usage_errors(argv, flag, capsys):
     assert f"{flag} must be at least 1" in err and "Traceback" not in err
 
 
+def test_walk_pairs_past_the_lane_guard_keep_walk_dp(capsys):
+    # nu_identity would need 8 rows of 8^8 four-byte lanes (512 MiB) and brute
+    # 8 * 7^8 + 8^9 tuples: both are optional and left out, not run or refused
+    code, out, err = run_cli(["count", "--what", "S_k", "--p", "11", "--random", "8",
+                              "--k", "8", "--method", "all", "--r", "1"], capsys)
+    assert code == 0 and err == ""
+    assert [row.split(",")[1] for row in out.splitlines()[2:]] == ["walk_dp"]
+    # T1.10 skips only its cross-check against the identity
+    code, out, _ = run_cli(["verify", "--claim", "T1.10", "--p", "11", "--random", "1",
+                            "--size", "8", "--k", "8", "--r", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_verify_determinism(capsys):
     args = ["verify", "--claim", "lemma2.2", "--random", "6", "--p", "11",
             "--seed", "9"]
@@ -509,7 +522,7 @@ SMALL = st.integers(min_value=-1, max_value=8)
 
 @st.composite
 def cli_argv(draw):
-    common = ["--p", str(draw(st.sampled_from((3, 5, 7)))),
+    common = ["--p", str(draw(st.sampled_from((3, 5, 7, 11, 13)))),
               "--d", str(draw(st.integers(1, 3))),
               "--seed", str(draw(st.integers(0, 3))), "--threads", "1"]
     command = draw(st.sampled_from(("gen", "count", "verify")))

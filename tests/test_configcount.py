@@ -277,10 +277,53 @@ def test_lane_width_covers_the_bound_at_large_n():
     assert _lane_bytes(0) == _lane_bytes(1) == 1
 
 
-def test_brute_guard():
-    E = random_point_set(make_prime(11), 2, 20, seed=0)
+def test_brute_guard(monkeypatch):
+    import dilatelab.configcount as configcount
+
+    # the walk oracle visits n (n-1)^k + n^(k+1) tuples and the cycle oracle
+    # (n-1)^4 + n-1 + n^4: over 10^6 at n = 80 for k = 2 and at n = 28 for
+    # cycles, not at n = 79 and n = 27
+    thirteen = make_prime(13)
+    ratio = make_ratio(1, thirteen)
+    sets = {size: random_point_set(thirteen, 2, size, seed=0) for size in (27, 28, 79, 80)}
+    # the selectors leave a refused brute out
+    assert [rep.method for rep in walk_pair_reports(sets[80], ratio, 2)] == ["walk_dp"]
+    assert [rep.method for rep in cycle_pair_reports(sets[28], ratio)] == ["mu_identity"]
+
+    def never(*args):
+        raise AssertionError("the guard must refuse before visiting")
+
+    monkeypatch.setattr(configcount, "Counter", never)
     with pytest.raises(TooLargeError):
-        count_scaled_walk_pairs(E, make_ratio(1, make_prime(11)), 4, "brute")
+        count_scaled_walk_pairs(sets[80], ratio, 2, "brute")
+    with pytest.raises(TooLargeError):
+        count_scaled_cycle_pairs(sets[28], ratio, "brute")
+    with pytest.raises(AssertionError, match="before visiting"):
+        count_scaled_walk_pairs(sets[79], ratio, 2, "brute")
+    with pytest.raises(AssertionError, match="before visiting"):
+        count_scaled_cycle_pairs(sets[27], ratio, "brute")
+
+
+def test_step_profile_guard_refuses_before_building_rows(monkeypatch):
+    import dilatelab.configcount as configcount
+
+    def never(*args):
+        raise AssertionError("the guard must refuse before building a row")
+
+    monkeypatch.setattr(configcount, "_class_sums", never)
+    eleven = make_prime(11)
+    # 8 distinct nonzero distances: 8 rows of 8^7 lanes of 4 bytes are over
+    # 2^24 bytes, 8 rows of 8^6 lanes of 3 bytes are not
+    E = random_point_set(eleven, 2, 8, seed=0)
+    assert len(configcount._distance_classes(E)[0]) == 9
+    with pytest.raises(TooLargeError):
+        step_profile_counts(E, 7)
+    with pytest.raises(AssertionError, match="before building"):
+        step_profile_counts(E, 6)
+    monkeypatch.undo()
+    # walk_dp stands alone when both cross-checks are refused
+    reports = walk_pair_reports(E, make_ratio(1, eleven), 7)
+    assert [rep.method for rep in reports] == ["walk_dp"]
 
 
 def test_scaled_cycle_pairs_two_point():

@@ -1,13 +1,18 @@
 """Configuration families: classification passes against raw tuple oracles."""
 
+import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from dilatelab.configcount import (
+    count_scaled_cycle_pairs,
+    count_scaled_walk_pairs,
     displacement_histogram,
     iter_scaled_cycle_pairs,
+    iter_scaled_walk_pairs,
     make_ratio,
 )
 from dilatelab.errors import TooLargeError
@@ -25,7 +30,9 @@ from dilatelab.families import (
     find_path_pair_witness,
     four_cycle_families,
     four_cycle_fiber_check,
+    iter_clique_pairs,
     iter_cycle_pairs,
+    iter_path_pairs,
     shared_displacement_counts,
     shared_displacement_counts_direct,
     simplex_bound_group_sum,
@@ -191,6 +198,36 @@ def test_path_pairs_match_raw(p, size, k):
     assert p % 4 == 3 or nulls
 
 
+def test_enumerators_match_the_brute_oracle():
+    # the enumerators no longer give the counts but still give every witness,
+    # so each must list exactly the pairs the profile-join oracle counts
+    from dilatelab.families import _count_clique_pairs
+
+    def length(pairs):
+        return sum(1 for _ in pairs)
+
+    nonzero = 0
+    for p in (3, 5, 7, 13):
+        prime = make_prime(p)
+        for d in (1, 2, 3):
+            E = random_point_set(prime, d, min(6, p**d), seed=d)
+            for r in range(1, p):
+                ratio = make_ratio(r, prime)
+                for k in (1, 2, 3):
+                    walks = count_scaled_walk_pairs(E, ratio, k, "brute").value
+                    assert length(iter_scaled_walk_pairs(E, r, k)) == walks, (p, d, r, k)
+                    paths = count_path_pairs(E, ratio, k).value
+                    assert length(iter_path_pairs(E, r, k)) == paths, (p, d, r, k)
+                cycles = count_scaled_cycle_pairs(E, ratio, "brute").value
+                assert length(iter_scaled_cycle_pairs(E, r)) == cycles, (p, d, r)
+                # triangles in every dimension, simplices of F_p^3
+                for m in (3, 4) if d == 3 else (3,):
+                    cliques = _count_clique_pairs(E, r, m)
+                    assert math.factorial(m) * length(iter_clique_pairs(E, r, m)) == cliques
+                    nonzero += cliques > 0
+    assert nonzero
+
+
 def test_path_pairs_meet_open_pairs_when_nondegenerate():
     # for p = 3 (mod 4) the open classification equals the all-distinct count
     for seed in range(3):
@@ -275,6 +312,27 @@ def classify_cycle_pairs(E, r):
         fully_distinct=f, x13=a13, x24=a24, y13=b13, y24=b24,
         degenerate_union=union, total=total, decomposition_exact=exact,
     )
+
+
+# (p, d, size, seed, r, pairs, digest) of iter_scaled_cycle_pairs, recorded
+# from the nested-loop search that the bucket search over CYCLE_EDGES replaced
+CYCLE_PAIR_ORDER = [
+    (3, 2, 6, 0, 1, 29972, "715012cf916ed509"),
+    (5, 2, 7, 1, 2, 13484, "a1840d0afb200951"),
+    (7, 2, 8, 0, 3, 12936, "f6ffa1f2e5fe3fd6"),
+    (13, 2, 6, 1, 5, 2060, "308860ddf2272d3f"),
+    (3, 3, 7, 0, 2, 34000, "860d46a5fd72c8c4"),
+    (7, 1, 6, 1, 2, 7692, "e37fb5d40217ed66"),
+    (5, 3, 6, 1, 3, 3292, "cad8d0e9ecfb6339"),
+]
+
+
+@pytest.mark.parametrize("p,d,size,seed,r,pairs,digest", CYCLE_PAIR_ORDER)
+def test_scaled_cycle_pairs_keep_their_order(p, d, size, seed, r, pairs, digest):
+    E = random_point_set(make_prime(p), d, size, seed)
+    found = list(iter_scaled_cycle_pairs(E, r))
+    assert len(found) == pairs
+    assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == digest
 
 
 def test_four_cycle_census_matches_enumeration():
@@ -629,27 +687,42 @@ def test_monotone_in_points():
     assert f_big.total >= f_small.total
 
 
-def test_guards_raise():
-    big = random_point_set(make_prime(11), 2, 25, seed=0)
-    with pytest.raises(TooLargeError):
-        count_path_pairs(big, make_ratio(1, make_prime(11)), 3)
+def test_guards_raise(monkeypatch):
+    import dilatelab.configcount as configcount
+
     # the four-cycle families are census joins: only the census guard refuses
     wide = random_point_set(make_prime(101), 2, 42, seed=0)
     with pytest.raises(TooLargeError):
         four_cycle_families(wide, make_ratio(1, make_prime(101)))
 
+    def never(*args):
+        raise AssertionError("the guard must refuse before visiting")
+
+    monkeypatch.setattr(configcount, "Counter", never)
+    eleven = make_prime(11)
+    # k-path pairs visit 2 P(n, k + 1) tuples: 2 P(29, 4) > 10^6 >= 2 P(28, 4)
+    with pytest.raises(TooLargeError):
+        count_path_pairs(random_point_set(eleven, 2, 29, seed=0), make_ratio(1, eleven), 3)
+    with pytest.raises(AssertionError, match="before visiting"):
+        count_path_pairs(random_point_set(eleven, 2, 28, seed=0), make_ratio(1, eleven), 3)
+
 
 def test_clique_guard_refuses_before_enumerating(monkeypatch):
+    import dilatelab.configcount as configcount
     import dilatelab.families as families
 
     def never(*args):
         raise AssertionError("the guard must refuse before enumerating")
 
-    monkeypatch.setattr(families, "iter_clique_pairs", never)
-    # C(44, 3) * 44^3 > 10^9 >= C(43, 3) * 43^3
-    E = random_point_set(make_prime(11), 2, 44, seed=0)
+    monkeypatch.setattr(configcount, "Counter", never)
+    eleven = make_prime(11)
+    # the oracle visits C(n, m) + P(n, m) tuples: C(96, 3) + P(96, 3) > 10^6
+    E = random_point_set(eleven, 2, 96, seed=0)
     with pytest.raises(TooLargeError):
         families._count_clique_pairs(E, 1, 3)
-    E = random_point_set(make_prime(11), 2, 43, seed=0)
-    with pytest.raises(AssertionError, match="before enumerating"):
-        families._count_clique_pairs(E, 1, 3)
+    # 10^6 >= C(95, 3) + P(95, 3); and m = 8 at n = 9, 362889 tuples, is the
+    # largest count that the earlier bound C(n, m) n^m <= 10^9 admitted
+    for size, m in ((95, 3), (9, 8)):
+        E = random_point_set(eleven, 2, size, seed=0)
+        with pytest.raises(AssertionError, match="before enumerating"):
+            families._count_clique_pairs(E, 1, m)
