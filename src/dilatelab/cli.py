@@ -24,6 +24,7 @@ from .configcount import (
     cycle_pair_reports,
     displacement_histogram,
     walk_pair_reports,
+    _report,
 )
 from .errors import (
     DilateLabError,
@@ -37,7 +38,6 @@ from .families import (
     FAMILY_PATH_PAIRS,
     FAMILY_SIMPLEX,
     FAMILY_TRIANGLE,
-    FamilyCount,
     classify_two_path_pairs,
     count_path_pairs,
     count_simplex_pairs,
@@ -47,6 +47,7 @@ from .families import (
     simplex_bound_group_sum,
     triangle_bound_group_sum,
     two_path_parts_closed_form,
+    _family,
 )
 from .orthogonal import enumerate_orthogonal
 from .field import make_prime
@@ -200,17 +201,11 @@ def cmd_gen(args, parser) -> int:
     return 0
 
 
-def _family_row(E: PointSet, name: str, value: int, method: str, r: int) -> FamilyCount:
-    return FamilyCount(family=name, value=value, method=method,
-                       p=E.prime.p, d=E.d, set_size=len(E), r=r)
-
-
 def _count_rows(E: PointSet, args, parser) -> list:
     what = WHAT_ALIASES.get(args.what, args.what)
     if what in ("quotient", "distance"):
         value = len(quotient_set(E)) if what == "quotient" else len(distance_set(E))
-        return [CountReport(name=what, value=value, method="brute",
-                            p=E.prime.p, d=E.d, set_size=len(E))]
+        return [_report(E, what, value, "brute")]
     ratios = ratios_for_policy(_ratio_policy(args.r), E.prime)
     reports = []
     for ratio in ratios:
@@ -232,21 +227,18 @@ def _count_rows(E: PointSet, args, parser) -> list:
             reports.append(count_path_pairs(E, ratio, args.k))
         elif what == "2path_parts":
             parts = classify_two_path_pairs(E, ratio)
-            reports.append(_family_row(E, "A", parts.x_coincide, "brute", ratio.r))
-            reports.append(_family_row(E, "B", parts.y_coincide, "brute", ratio.r))
-            reports.append(_family_row(E, "A∩B", parts.both_coincide, "brute", ratio.r))
-            reports.append(_family_row(E, FAMILY_PATH_PAIRS, parts.open_pairs,
-                                       "brute", ratio.r))
+            names = ("A", "B", "A∩B", FAMILY_PATH_PAIRS)
+            values = (parts.x_coincide, parts.y_coincide, parts.both_coincide, parts.open_pairs)
+            reports.extend(_family(E, nm, v, "brute", ratio.r) for nm, v in zip(names, values))
             if args.method == "all":
-                a, b, ab = two_path_parts_closed_form(E, ratio)
-                if (a, b, ab) != (parts.x_coincide, parts.y_coincide, parts.both_coincide):
+                closed = two_path_parts_closed_form(E, ratio)
+                if closed != values[:3]:
                     raise MethodMismatchError(
-                        f"closed forms {(a, b, ab)} disagree with enumeration on "
+                        f"closed forms {closed} disagree with enumeration on "
                         f"p={E.prime.p} r={ratio.r} points={list(E.points)}"
                     )
-                reports.append(_family_row(E, "A", a, "nu_identity", ratio.r))
-                reports.append(_family_row(E, "B", b, "nu_identity", ratio.r))
-                reports.append(_family_row(E, "A∩B", ab, "nu_identity", ratio.r))
+                reports.extend(_family(E, nm, v, "nu_identity", ratio.r)
+                               for nm, v in zip(names, closed))
         elif what == "displacement":
             if not ratio.is_square:
                 print(f"note: displacement rows skipped for r={ratio.r} "
@@ -260,17 +252,17 @@ def _count_rows(E: PointSet, args, parser) -> list:
                 lam_total += total
                 n_total += distinct
                 slice_total += sum(c ** E.d for c in hist.values())
-            reports.append(_family_row(E, "Lambda_theta", lam_total, "group_sum", ratio.r))
-            reports.append(_family_row(E, "N_theta", n_total, "group_sum", ratio.r))
-            reports.append(_family_row(E, "A_kl", slice_total, "group_sum", ratio.r))
+            reports.append(_family(E, "Lambda_theta", lam_total, "group_sum", ratio.r))
+            reports.append(_family(E, "N_theta", n_total, "group_sum", ratio.r))
+            reports.append(_family(E, "A_kl", slice_total, "group_sum", ratio.r))
         elif what == FAMILY_FOUR_CYCLE:
             fams = four_cycle_families(E, ratio)
-            reports.append(_family_row(E, FAMILY_FOUR_CYCLE, fams.fully_distinct,
-                                       "mu_identity", ratio.r))
+            reports.append(_family(E, FAMILY_FOUR_CYCLE, fams.fully_distinct,
+                                   "mu_identity", ratio.r))
             if args.method == "all":
                 for name, value in (("A13", fams.x13), ("A24", fams.x24),
                                     ("B13", fams.y13), ("B24", fams.y24)):
-                    reports.append(_family_row(E, name, value, "mu_identity", ratio.r))
+                    reports.append(_family(E, name, value, "mu_identity", ratio.r))
         elif what in (FAMILY_TRIANGLE, FAMILY_SIMPLEX):
             planar = what == FAMILY_TRIANGLE
             counter = count_triangle_pairs if planar else count_simplex_pairs
@@ -290,10 +282,7 @@ def _count_rows(E: PointSet, args, parser) -> list:
                     print(f"note: group_sum skipped for r={ratio.r} (guard: {exc})",
                           file=sys.stderr)
                     continue
-                reports.append(FamilyCount(
-                    family=what, value=value, method="group_sum",
-                    p=E.prime.p, d=E.d, set_size=len(E), r=ratio.r,
-                ))
+                reports.append(_family(E, what, value, "group_sum", ratio.r))
         else:
             parser.error(f"cannot count {what!r}")
     return reports

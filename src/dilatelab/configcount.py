@@ -50,6 +50,8 @@ BRUTE_GUARD = 10**6
 PAIR_GUARD = 10**9
 # Step-profile sweeps whose packed rows would take more bytes are refused.
 LANE_GUARD = 1 << 24
+# Packed sweeps whose steps could form more bytes of lanes in all are refused.
+SWEEP_GUARD = 1 << 30
 # Cycle censuses whose tables could hold more profiles than this are refused:
 # a table entry takes about 70 bytes, and at p = 101 the census of 40
 # points (2.2M and 2.3M profiles) already holds 300 MiB.
@@ -168,28 +170,39 @@ def _lane_bytes(bound: int) -> int:
     return max(1, (bound.bit_length() + 7) // 8)
 
 
-def _distance_classes(E: PointSet) -> tuple[tuple[int, ...], tuple]:
-    """The distinct squared distances of E and, per point, its class members.
+def _exceeds(n: int, e: int, bound: int) -> bool:
+    """Whether n^e > bound, forming n^e only when 2^(e (b - 1)) <= bound, b = n.bit_length()."""
+    return e * (n.bit_length() - 1) >= bound.bit_length() or n**e > bound
 
-    Classes list the nonzero distances in increasing order and then 0, so the
-    nonzero classes are a prefix.  members[j][c] holds the indices i with
-    dist(i, j) = classes[c].  Unlike PointSet.neighbor_buckets it keeps i = j
-    (in class 0) and indexes classes by position, which fixes the lane order
-    of the packed sweeps.  Cached per point set.
+
+def _lane_width(n: int, e: int, k: int, lanes: int) -> int:
+    """Whole bytes of a lane holding counts up to n^e, in k steps of at most `lanes` lanes.
+
+    Refused, before n^e is formed, when the steps could form more than
+    SWEEP_GUARD bytes of lanes of e n.bit_length() bits: e bits even for one
+    point, so a huge k is refused on every set, not looped over.
+    """
+    bits = e * n.bit_length()
+    if k * max(lanes, 1) * ((bits + 7) // 8) > SWEEP_GUARD:
+        raise TooLargeError(f"{k} steps of {lanes} lanes of {bits} bits exceed {SWEEP_GUARD} bytes")
+    return _lane_bytes(n**e)
+
+
+def _distance_classes(E: PointSet) -> tuple[tuple[int, ...], tuple]:
+    """The distinct squared distances of E and, per point, its buckets by position.
+
+    A cached view of PointSet.neighbor_buckets that fixes the lane order of
+    the packed sweeps: classes lists the nonzero distances in increasing
+    order and then 0, so the nonzero classes are a prefix, and members[j][c]
+    is the bucket of point j at classes[c] (empty if it has none).
     """
     key = ("distance_classes",)
     hit = E._cache.get(key)
     if hit is None:
-        D = E.dist_table
-        classes = sorted({t for row in D for t in row}, key=lambda t: (t == 0, t))
-        slot = {t: c for c, t in enumerate(classes)}
-        members = []
-        for row in D:
-            by_class = [[] for _ in classes]
-            for i, t in enumerate(row):
-                by_class[slot[t]].append(i)
-            members.append(tuple(map(tuple, by_class)))
-        hit = E._cache[key] = (tuple(classes), tuple(members))
+        buckets = E.neighbor_buckets
+        classes = tuple(sorted(set().union(*buckets), key=lambda t: (t == 0, t)))
+        members = tuple(tuple([b.get(t, ()) for t in classes]) for b in buckets)
+        hit = E._cache[key] = (classes, members)
     return hit
 
 
@@ -245,7 +258,7 @@ def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
     class.  A lane holds at most n^k walks per endpoint and n^(k+1) after the
     final sum over endpoints; lanes are that wide, rounded up to whole bytes.
     Refused, before any row is built, when the n rows of the last step would
-    take more than LANE_GUARD bytes.
+    take more than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
     key = ("profiles", k, nonzero_only)
     if key in E._cache:
@@ -253,8 +266,10 @@ def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
     n = len(E)
     classes, members = _distance_classes(E)
     steps = classes[:-1] if nonzero_only else classes  # 0 is the last class
-    width = _lane_bytes(n ** (k + 1))
+    if _exceeds(len(steps), k, LANE_GUARD):
+        raise TooLargeError(f"{len(steps)}^{k} lanes exceed {LANE_GUARD} bytes")
     lanes = len(steps) ** k
+    width = _lane_width(n, k + 1, k, n * lanes)
     if n * lanes * width > LANE_GUARD:
         raise TooLargeError(f"{n} rows of {lanes} lanes of {width} bytes exceed {LANE_GUARD} bytes")
     profiles: list[tuple] = [()]
@@ -336,9 +351,9 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
     pairs (a, b) with a < b, and every vertex b > 0 has an earlier
     neighbour.  ys is a tuple of v indices with D[ys[a]][ys[b]] equal to
     r D[xs[a]][xs[b]] on every edge; with distinct its entries are pairwise
-    distinct.  ys is found by a depth-first search: ys[b] is drawn from the
-    distance bucket of the other end of b's first listed edge, and b's other
-    edges into earlier vertices are then checked.
+    distinct.  ys is found by a depth-first search: ys[b] is drawn, in bucket
+    order, from PointSet.neighbor_buckets of the other end of b's first
+    listed edge, and b's other edges into earlier vertices are then checked.
 
     ys depends on xs only through its scaled profile, so the completions of a
     profile are kept once they have been enumerated in full and replayed for
@@ -359,10 +374,7 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
             yield tuple(ys)
             return
         (i, a), *checks = into[depth]
-        # the bucket at squared distance s from ys[a], which for s = 0 holds ys[a]
-        s = prof[i]
-        cands = E.neighbor_buckets[ys[a]].get(s, ())
-        for j in (cands + (ys[a],) if s == 0 else cands):
+        for j in E.neighbor_buckets[ys[a]].get(prof[i], ()):
             if distinct and j in ys:
                 continue
             for e, c in checks:
@@ -391,7 +403,7 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
 def iter_scaled_walk_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
     """All index-tuple pairs (xs, ys) of the scaled k-step walk-pair set."""
     n = len(E)
-    if n ** (2 * k + 2) > PAIR_GUARD:
+    if _exceeds(n, 2 * k + 2, PAIR_GUARD):
         raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
     edges = path_edges(k)
     yield from _scaled_pairs(E, r, edges, _edge_distinct(n, edges), distinct=False)
@@ -408,6 +420,12 @@ def iter_scaled_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]
 
 def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
     n = len(E)
+    # n^(k+1) y tuples, refused before any edge list is formed; one point counts
+    # as two, as in _lane_width, so a long walk on one point is refused too
+    if _exceeds(max(n, 2), k + 1, BRUTE_GUARD):
+        raise TooLargeError(
+            f"a brute count of {k}-step walks on {n} points refused, over {BRUTE_GUARD} tuples"
+        )
     edges = path_edges(k)
     return brute_join(E, r, edges, _edge_distinct(n, edges), product(range(n), repeat=k + 1),
                       visits=n * (n - 1) ** k + n ** (k + 1))
@@ -440,7 +458,8 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
       4. per x', add up (V A_{r s})[x] over x by the class s of (x', x), then
          subtract the stationary term.
     An entry never exceeds n^(2k): it counts pairs of walks with at most k
-    free steps each.  Lanes are that wide, rounded up to whole bytes.  The
+    free steps each.  Lanes are that wide, rounded up to whole bytes, and
+    _lane_width refuses k steps of m n^2 lanes, m classes, past SWEEP_GUARD.  The
     subtracted term is the x = x' summand itself, or for the graph the part
     of it with y = y', which class 0 holds; so no lane goes negative.
     """
@@ -448,7 +467,7 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     p = E.prime.p
     classes, members = _distance_classes(E)
     m = len(classes)
-    width = _lane_bytes(n ** (2 * k))
+    width = _lane_width(n, 2 * k, k, m * n * n)
     row_bytes = n * width
     slot = {t: c for c, t in enumerate(classes)}
     scaled = [slot.get(r * t % p) for t in classes]
@@ -589,10 +608,9 @@ def cycle_census(E: PointSet) -> CycleCensus:
         )
     D = E.dist_table
     tables = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
-    for row in D:
-        deg = Counter(row)
-        deg_x = deg.copy()
-        deg_x[0] -= 1          # the point itself
+    for bucket in E.neighbor_buckets:
+        deg = {s: len(js) for s, js in bucket.items()}
+        deg_x = {**deg, 0: deg[0] - 1}          # the point itself
         for side, degrees in (("y", deg), ("x", deg_x)):
             t13, t24, tb = tables[side + "13"], tables[side + "24"], tables[side + "b"]
             items = [(s, c) for s, c in degrees.items() if c]
@@ -671,9 +689,7 @@ def count_ratio_quadruples(E: PointSet, ratio: Ratio) -> CountReport:
     """
     p = E.prime.p
     counts = E.norm_pair_counts
-    value = sum(
-        counts.get(ratio.r * t % p, 0) * c for t, c in counts.items() if t != 0
-    )
+    value = join({t: c for t, c in counts.items() if t != 0}, counts, lambda t: ratio.r * t % p)
     return _report(E, "V", value, method=METHOD_NU_IDENTITY, r=ratio.r)
 
 

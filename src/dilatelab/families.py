@@ -44,6 +44,7 @@ from .configcount import (
     path_edges,
     step_profile_counts,
     _scaled_pairs,
+    _scaling,
     _walk_dp_scaled_pairs,
 )
 from .errors import (
@@ -149,8 +150,11 @@ def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(E)
-    total = brute_join(E, ratio.r, path_edges(k), itertools.permutations(range(n), k + 1),
-                       itertools.permutations(range(n), k + 1), visits=2 * math.perm(n, k + 1))
+    total = 0  # with k >= n no path has k + 1 distinct points
+    if k < n:
+        total = brute_join(E, ratio.r, path_edges(k), itertools.permutations(range(n), k + 1),
+                           itertools.permutations(range(n), k + 1),
+                           visits=2 * math.perm(n, k + 1))
     return _family(E, FAMILY_PATH_PAIRS if k == 2 else f"path_pairs_k{k}", total,
                    method="brute", r=ratio.r, k=k)
 
@@ -212,17 +216,12 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     """
     if not dilation_safe(E):
         raise WrongResidueClassError("the closed forms need d = 2 and p = 3 (mod 4)")
-    p = E.prime.p
-    r = ratio.r
     nu1 = step_profile_counts(E, 1, nonzero_only=True)
     nu2 = step_profile_counts(E, 2, nonzero_only=True)
-    a = sum(
-        cnt * nu2.get((r * t % p, r * t % p), 0) for (t,), cnt in nu1.items()
-    )
-    b = sum(
-        nu1.get((r * t % p,), 0) * nu2.get((t, t), 0) for t in range(1, p)
-    )
-    ab = sum(cnt * nu1.get((r * t % p,), 0) for (t,), cnt in nu1.items())
+    scale = _scaling(ratio.r, E.prime.p)
+    a = join(nu1, nu2, lambda t: scale(t) * 2)
+    b = join({t[:1]: c for t, c in nu2.items() if t[0] == t[1]}, nu1, scale)
+    ab = join(nu1, nu1, scale)
     return a, b, ab
 
 
@@ -288,22 +287,11 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     x, y = cen.x, cen.y
     x13, x24, xb = cen.x13, cen.x24, cen.xb
     y13, y24, yb = cen.y13, cen.y24, cen.yb
-
-    def x_open(t):  # AD
-        return x.get(t, 0) - x13.get(t, 0) - x24.get(t, 0) + xb.get(t, 0)
-
-    def y_open(t):  # ND
-        return y.get(t, 0) - y13.get(t, 0) - y24.get(t, 0) + yb.get(t, 0)
-
-    f = open_pairs = 0
-    for t in x:
-        rt = scale(t)
-        ad = x_open(t)
-        if ad and rt in y:
-            f += ad * x_open(rt)
-            open_pairs += ad * y_open(rt)
+    ad = {t: v - x13.get(t, 0) - x24.get(t, 0) + xb.get(t, 0) for t, v in x.items()}
+    nd = {t: v - y13.get(t, 0) - y24.get(t, 0) + yb.get(t, 0) for t, v in y.items()}
+    f = join(ad, ad, scale)
     total = join(x, y, scale)
-    union = total - open_pairs
+    union = total - join(ad, nd, scale)
     return FourCycleFamilies(
         fully_distinct=f, x13=join(x13, y, scale), x24=join(x24, y, scale),
         y13=join(x, y13, scale), y24=join(x, y24, scale),

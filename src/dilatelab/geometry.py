@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
+from operator import add
 
 from .errors import (
     DimensionMismatchError,
@@ -44,9 +45,10 @@ class PointSet:
     """A duplicate-free collection of points of (Z/pZ)^d in a fixed order.
 
     The order is whatever the constructor received; it fixes iteration and
-    serialization, so identical inputs give byte-identical outputs.  Distance
-    tables and distance buckets are cached lazily since every counting routine
-    needs them.
+    serialization, so identical inputs give byte-identical outputs.  The
+    distance classes every count rests on are laid out once, here, and cached
+    lazily: dist_table, and per point the neighbor_buckets that every bucket
+    search and packed sweep reads.
     """
 
     def __init__(self, prime: Prime, d: int, points):
@@ -90,10 +92,23 @@ class PointSet:
 
     @cached_property
     def dist_table(self) -> tuple[tuple[int, ...], ...]:
-        """dist_table[i][j] is the norm of points[i] - points[j]."""
+        """dist_table[i][j] is the norm of points[i] - points[j].
+
+        Built a coordinate at a time: row i adds sq[c_i - c_j] across the
+        column of each coordinate.  A negative index reads sq[p + c_i - c_j],
+        the same square mod p, so the row is reduced mod p once, at the end.
+        """
         p = self.prime.p
-        pts = self.points
-        return tuple(tuple(dist(a, b, p) for b in pts) for a in pts)
+        sq = [c * c for c in range(p)]
+        cols = tuple(zip(*self.points))
+        rows = []
+        for pt in self.points:
+            acc = None
+            for c, col in zip(pt, cols):
+                part = [sq[c - x] for x in col]
+                acc = part if acc is None else list(map(add, acc, part))
+            rows.append(tuple([t % p for t in acc]))
+        return tuple(rows)
 
     @cached_property
     def norm_pair_counts(self) -> dict[int, int]:
@@ -106,15 +121,18 @@ class PointSet:
 
     @cached_property
     def neighbor_buckets(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """Per point i, a map t -> indices j != i with dist(i, j) = t."""
-        n = len(self)
+        """Per point i, a map t -> the indices j with dist(i, j) = t, in index order.
+
+        Only i itself is out of order: it ends its class of 0, so a bucket
+        search that may stay put tries every move first.
+        """
         out = []
-        for i in range(n):
-            row = self.dist_table[i]
+        for i, row in enumerate(self.dist_table):
             bucket: dict[int, list[int]] = {}
-            for j in range(n):
-                if j != i:
-                    bucket.setdefault(row[j], []).append(j)
+            for j, t in enumerate(row):
+                bucket.setdefault(t, []).append(j)
+            bucket[0].remove(i)
+            bucket[0].append(i)
             out.append({t: tuple(js) for t, js in bucket.items()})
         return tuple(out)
 

@@ -17,6 +17,7 @@ from .configcount import (
     Ratio,
     dilation_safe,
     iter_scaled_walk_pairs,
+    join,
     _nu_identity_scaled_walk_pairs,
     _paired_walk_sweep,
 )
@@ -63,11 +64,9 @@ class SimilarityGraph:
         return D[a[1]][b[1]] == self.ratio.r * D[a[0]][b[0]] % p
 
     def degree_sum(self) -> int:
-        counts = self.E.norm_pair_counts
-        p = self.E.prime.p
-        r = self.ratio.r
-        ordered = sum(counts.get(r * t % p, 0) * c for t, c in counts.items())
-        return ordered - self.vertex_count  # self-pairs always satisfy the rule
+        counts, p = self.E.norm_pair_counts, self.E.prime.p
+        # self-pairs always satisfy the rule
+        return join(counts, counts, lambda t: self.ratio.r * t % p) - self.vertex_count
 
     def edge_count(self) -> int:
         return self.degree_sum() // 2

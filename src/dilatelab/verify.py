@@ -166,20 +166,20 @@ def meets_quotient_size(n: int, p: int, d: int) -> bool:
     return n * n >= c * c * p**d
 
 
+def meets_family_size(family: str, n: int, p: int, d: int) -> bool:
+    """Whether n meets the size hypothesis of the family's existence theorem."""
+    return {
+        FAMILY_PATH_PAIRS: exceeds_sqrt3_plus_one(n, p),
+        FAMILY_FOUR_CYCLE: exceeds_4_sqrt3_p32(n, p),
+        FAMILY_TRIANGLE: meets_triangle_size(n, p),
+        FAMILY_SIMPLEX: meets_simplex_size(n, p, d),
+    }[family]
+
+
 def smallest_size_meeting(family: str, prime: Prime, d: int) -> int | None:
     """Least set size satisfying the family's theorem hypothesis, if any fits."""
-    space = prime.p**d
-    tests = {
-        FAMILY_PATH_PAIRS: lambda n: exceeds_sqrt3_plus_one(n, prime.p),
-        FAMILY_FOUR_CYCLE: lambda n: exceeds_4_sqrt3_p32(n, prime.p),
-        FAMILY_TRIANGLE: lambda n: meets_triangle_size(n, prime.p),
-        FAMILY_SIMPLEX: lambda n: meets_simplex_size(n, prime.p, d),
-    }
-    test = tests[family]
-    for n in range(1, space + 1):
-        if test(n):
-            return n
-    return None
+    sizes = range(1, prime.p**d + 1)
+    return next((n for n in sizes if meets_family_size(family, n, prime.p, d)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +282,17 @@ def check_lemma42(E: PointSet, ratio: Ratio) -> Verdict:
     )
 
 
-def _positivity_verdict(claim: str, E: PointSet, ratio: Ratio, hyp: bool, witness) -> Verdict:
-    found = witness is not None
-    params = _base_params(E, ratio)
-    if found:
-        params["witness"] = witness
-    return Verdict(
-        claim=claim,
-        hypothesis_met=hyp,
-        conclusion_holds=found,
-        lhs=1 if found else 0,
-        rhs=0,
-        params=params,
-    )
+def family_witness(E: PointSet, ratio: Ratio, family: str):
+    """The family's first witness on E at ratio r, or None; finders are looked up per call."""
+    if family == FAMILY_PATH_PAIRS:
+        return find_path_pair_witness(E, ratio, 2)
+    if family == FAMILY_FOUR_CYCLE:
+        return find_cycle_pair_witness(E, ratio)
+    if family == FAMILY_TRIANGLE:
+        return find_clique_pair_witness(E, ratio, 3)
+    if family == FAMILY_SIMPLEX:
+        return find_clique_pair_witness(E, ratio, E.d + 1)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def check_theorem(name: str, E: PointSet, ratio: Ratio, k: int = 3) -> Verdict:
@@ -308,22 +306,24 @@ def check_theorem(name: str, E: PointSet, ratio: Ratio, k: int = 3) -> Verdict:
     p = E.prime.p
     n = len(E)
     safe = dilation_safe(E)
-    if name == "T1.5":
-        hyp = safe and exceeds_sqrt3_plus_one(n, p)
-        witness = find_path_pair_witness(E, ratio, 2)
-        return _positivity_verdict(name, E, ratio, hyp, witness)
-    if name == "T1.6":
-        hyp = safe and exceeds_4_sqrt3_p32(n, p)
-        witness = find_cycle_pair_witness(E, ratio)
-        return _positivity_verdict(name, E, ratio, hyp, witness)
-    if name == "T1.7":
-        hyp = E.d == 2 and ratio.is_square and meets_triangle_size(n, p)
-        witness = find_clique_pair_witness(E, ratio, 3)
-        return _positivity_verdict(name, E, ratio, hyp, witness)
-    if name == "T1.8":
-        hyp = E.d >= 2 and ratio.is_square and meets_simplex_size(n, p, E.d)
-        witness = find_clique_pair_witness(E, ratio, E.d + 1)
-        return _positivity_verdict(name, E, ratio, hyp, witness)
+    existence = {  # the family whose witness concludes, and the hypotheses besides size
+        "T1.5": (FAMILY_PATH_PAIRS, safe),
+        "T1.6": (FAMILY_FOUR_CYCLE, safe),
+        "T1.7": (FAMILY_TRIANGLE, E.d == 2 and ratio.is_square),
+        "T1.8": (FAMILY_SIMPLEX, E.d >= 2 and ratio.is_square),
+    }
+    if name in existence:
+        family, hyp = existence[name]
+        witness = family_witness(E, ratio, family)
+        found = witness is not None
+        return Verdict(
+            claim=name,
+            hypothesis_met=hyp and meets_family_size(family, n, p, E.d),
+            conclusion_holds=found,
+            lhs=int(found),
+            rhs=0,
+            params=_base_params(E, ratio, **({"witness": witness} if found else {})),
+        )
     if name == "T1.10":
         hyp = safe and exceeds_twice_p(n, p)
         sk = _pair_count_checked(E, ratio.r, k)
@@ -450,25 +450,13 @@ def ratios_for_policy(policy: str, prime: Prime) -> list[Ratio]:
     return [make_ratio(v, prime) for v in values]
 
 
-def family_has_witness(E: PointSet, ratio: Ratio, family: str) -> bool:
-    if family == FAMILY_PATH_PAIRS:
-        return find_path_pair_witness(E, ratio, 2) is not None
-    if family == FAMILY_FOUR_CYCLE:
-        return find_cycle_pair_witness(E, ratio) is not None
-    if family == FAMILY_TRIANGLE:
-        return find_clique_pair_witness(E, ratio, 3) is not None
-    if family == FAMILY_SIMPLEX:
-        return find_clique_pair_witness(E, ratio, E.d + 1) is not None
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _scan_cell(args) -> tuple[int, int, bool]:
     p, d, family, policy, size, sample_index, seed = args
     prime = make_prime(p)
     cell_seed = f"scan:{seed}:{size}:{sample_index}"
     E = random_point_set(prime, d, size, cell_seed)
     positive = all(
-        family_has_witness(E, ratio, family) for ratio in ratios_for_policy(policy, prime)
+        family_witness(E, ratio, family) is not None for ratio in ratios_for_policy(policy, prime)
     )
     return size, sample_index, positive
 

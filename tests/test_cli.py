@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -517,7 +518,8 @@ def test_verify_witnesses_are_pinned(argv, seed, rows, capsys):
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
-SMALL = st.integers(min_value=-1, max_value=8)
+# 10^9 as a walk length must be refused at once, never allocated or looped over
+SMALL = st.integers(min_value=-1, max_value=8) | st.just(10**9)
 
 
 @st.composite
@@ -552,3 +554,26 @@ def test_cli_fuzz_exits_with_a_documented_code(argv, capsys):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 2, 3), argv
+
+
+HUGE_K = ["--k", str(10**9), "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    *[(["count", "--what", "S_k", "--p", "11", "--random", str(n), "--method", method], 3)
+      for method in ("auto", "all", "walk_dp", "nu_identity", "brute") for n in (1, 2, 8)],
+    # no path has k + 1 distinct points
+    (["count", "--what", "C2path", "--p", "11", "--random", "8"], 0),
+    (["verify", "--claim", "T1.10", "--p", "11", "--random", "1", "--size", "8"], 3),
+    # every other claim still runs; T1.10 is skipped with a note
+    (["verify", "--claim", "all", "--p", "11", "--random", "1", "--size", "8"], 0),
+])
+def test_huge_k_is_refused_before_any_power_is_formed(argv, expected, capsys):
+    start = time.process_time()
+    code, out, err = run_cli(argv + HUGE_K, capsys)
+    assert code == expected, err
+    assert time.process_time() - start < 1.0
+    if argv[2] == "C2path":
+        assert out.splitlines()[-1].endswith(",0,brute")
+    if argv[2] == "all":
+        assert "T1.10 skipped" in err

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from dilatelab.configcount import _distance_classes
 from dilatelab.errors import (
     DimensionMismatchError,
     NoNonzeroDistanceError,
@@ -203,3 +204,34 @@ def test_dist_table_and_buckets_agree():
         if i != j:
             assert j in E.neighbor_buckets[i][D[i][j]]
     assert sum(E.norm_pair_counts.values()) == n * n
+    # every bucket against a direct per-row construction, and the sweeps'
+    # class members are the buckets, nonzero distances first
+    for p in (5, 7, 13):
+        for d in (1, 2, 3):
+            E = random_point_set(make_prime(p), d, min(12, p**d), seed=d)
+            D = E.dist_table
+            classes, members = _distance_classes(E)
+            distances = {t for row in D for t in row}
+            assert classes == tuple(sorted(distances, key=lambda t: (t == 0, t)))
+            for i, row in enumerate(D):
+                buckets = E.neighbor_buckets[i]
+                assert buckets[0][-1] == i  # the point itself ends its class of 0
+                direct = {t: tuple(j for j, s in enumerate(row) if s == t and j != i)
+                          for t in set(row)}
+                direct[0] += (i,)
+                assert buckets == direct, (p, d, i)
+                assert members[i] == tuple(direct.get(t, ()) for t in classes), (p, d, i)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dist_table_matches_dist(p, d):
+    # the table is built column by column with negative indexes into the
+    # squares; the corners of {0, p - 1}^d reach the extremes c_i - c_j = ±(p - 1)
+    prime = make_prime(p)
+    corners = list(itertools.product((0, p - 1), repeat=d))
+    extra = [pt for pt in random_point_set(prime, d, min(10, p**d), seed=p).points
+             if pt not in corners]
+    E = PointSet(prime, d, corners + extra)
+    for a, row in zip(E.points, E.dist_table):
+        assert row == tuple(dist(a, b, p) for b in E.points)
