@@ -4,6 +4,10 @@ The central objects are, for a point set E and a nonzero ratio r:
 
 * step-walk counts: how many walks through E have a prescribed sequence of
   squared step lengths (and the closed 4-walk variant);
+* step-profile tables, one per walk length k: X_k counts the walks with
+  distinct consecutive points by profile, and Y_k every walk, a subset sum
+  of the X levels; nu_identity joins X_k against the r-scaled Y_k, for
+  every (p, d);
 * scaled walk/cycle pairs: pairs of walks (or closed 4-walks) where the
   second walk's squared step lengths are the first's multiplied by r, the
   first walk having distinct consecutive points;
@@ -27,15 +31,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product, repeat
-from operator import add
+from itertools import combinations, product, repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     MethodMismatchError,
     NotASquareRatioError,
     TooLargeError,
-    WrongResidueClassError,
 )
 from .field import Prime, legendre, sqrt_mod
 from .geometry import Point, PointSet
@@ -120,15 +123,6 @@ def _report(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> 
         name=name, value=value, method=method,
         p=E.prime.p, d=E.d, set_size=len(E), r=r, k=k,
     )
-
-
-def dilation_safe(E: PointSet) -> bool:
-    """Whether distinct points of E always have a nonzero squared distance.
-
-    That holds exactly for d = 2 and p = 3 (mod 4).  The profile identities
-    and the residue-class hypotheses of the claim catalog need it.
-    """
-    return E.d == 2 and E.prime.p_mod_4 == 3
 
 
 def count_step_walks(E: PointSet, steps: Iterable[int]) -> int:
@@ -237,62 +231,87 @@ def _transpose(matrix: bytes, rows: int, lanes: int, width: int) -> list[int]:
     ]
 
 
-def _lane_total(values: list[int], lanes: int, width: int) -> int:
-    """The sum of every lane of every packed int in values."""
-    raw = b"".join(v.to_bytes(lanes * width, "little") for v in values)
-    # a lane is sum_b raw[lane * width + b] * 256^b, so add up byte positions
-    return sum(sum(raw[b::width]) << (8 * b) for b in range(width))
+def _lanes(value: int, lanes: int, width: int) -> list[int]:
+    """The lanes of a packed int, lowest first."""
+    raw = value.to_bytes(lanes * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def step_profile_counts(E: PointSet, k: int, nonzero_only: bool = True) -> dict:
-    """Map from step profiles (t_1, .., t_k) to their step-walk count.
+def step_profile_counts(E: PointSet, k: int) -> dict:
+    """Map from step profiles (t_1, .., t_k) to X_k, their walks with distinct consecutive points.
 
-    With nonzero_only the profiles range over nonzero steps, which is what
-    the identity-based pair counts sum over.  Only profiles with a nonzero
-    count appear.  Cached per point set.
+    The steps range over the nonzero distances of E, and over 0 where some
+    point has another point at squared distance 0 (a null segment).  Only
+    profiles with a nonzero count appear.  One sweep fills the cache of every
+    level 1..k, k >= 1.
 
     Packed distance-class sweep: per endpoint j, one int whose lanes count
     the walks ending at j, one lane per profile of the level so far.  A step
     sums the endpoint rows by the distance class of (i, j) and concatenates
     the class sums, so the new lanes are the old profiles extended by each
-    class.  A lane holds at most n^k walks per endpoint and n^(k+1) after the
-    final sum over endpoints; lanes are that wide, rounded up to whole bytes.
-    Refused, before any row is built, when the n rows of the last step would
-    take more than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
+    class.  A level's totals are summed by degrees, not from its rows:
+    distance is symmetric, so the walks of class c out of the rows add up to
+    sum_i deg_c(i) row[i], and rows are built up to level k - 1.  A lane holds at most n^(k+1) walks; lanes are
+    that wide, rounded up to whole bytes.  Refused, before any row is built,
+    when n rows of the last level would take more than LANE_GUARD bytes, or
+    the k steps more than SWEEP_GUARD.
     """
-    key = ("profiles", k, nonzero_only)
+    key = ("profiles", k)
     if key in E._cache:
         return E._cache[key]
     n = len(E)
     classes, members = _distance_classes(E)
-    steps = classes[:-1] if nonzero_only else classes  # 0 is the last class
+    # the other points at distance 0: the point itself is last in its class of 0
+    members = [(*mem[:-1], mem[-1][:-1]) for mem in members]
+    steps = classes if any(mem[-1] for mem in members) else classes[:-1]
     if _exceeds(len(steps), k, LANE_GUARD):
         raise TooLargeError(f"{len(steps)}^{k} lanes exceed {LANE_GUARD} bytes")
     lanes = len(steps) ** k
     width = _lane_width(n, k + 1, k, n * lanes)
     if n * lanes * width > LANE_GUARD:
         raise TooLargeError(f"{n} rows of {lanes} lanes of {width} bytes exceed {LANE_GUARD} bytes")
+    degrees = [[len(mem[c]) for mem in members] for c in range(len(steps))]
     profiles: list[tuple] = [()]
     rows = [1] * n
-    for _ in range(k):
+    for level in range(1, k + 1):
         row_bytes = len(profiles) * width
-        sources = [rows] * len(steps)
-        rows = [
-            int.from_bytes(
-                b"".join(s.to_bytes(row_bytes, "little")
-                         for s in _class_sums(members_j, sources)),
-                "little",
-            )
-            for members_j in members
-        ]
+        total = sum(sum(map(mul, deg, rows)) << (8 * c * row_bytes)
+                    for c, deg in enumerate(degrees))
         profiles = [prof + (t,) for t in steps for prof in profiles]
-    totals = sum(rows).to_bytes(len(profiles) * width, "little")
-    result = {}
-    for lane, prof in enumerate(profiles):
-        count = int.from_bytes(totals[lane * width : (lane + 1) * width], "little")
-        if count:
-            result[prof] = count
-    E._cache[key] = result
+        counts = _lanes(total, len(profiles), width)
+        E._cache[("profiles", level)] = {
+            prof: count for prof, count in zip(profiles, counts) if count
+        }
+        if level < k:
+            sources = [rows] * len(steps)
+            rows = [
+                int.from_bytes(
+                    b"".join(s.to_bytes(row_bytes, "little")
+                             for s in _class_sums(members_j, sources)),
+                    "little",
+                )
+                for members_j in members
+            ]
+    return E._cache[key]
+
+
+def walk_profile_counts(E: PointSet, k: int) -> dict:
+    """Map from step profiles (t_1, .., t_k) to Y_k, their walks, which may stay put.
+
+    Deleting the stays from a walk leaves a walk with distinct consecutive
+    points, so Y_k(u) = sum over the sets S of zero steps of u of
+    X_{k-|S|}(u without S), with X_0 = n: each profile of level j is spread
+    over the C(k, j) ways to place its steps among k.
+    """
+    result: Counter = Counter()
+    for j in range(k, -1, -1):  # level k first: its sweep caches the others
+        level = step_profile_counts(E, j) if j else {(): len(E)}
+        for kept in combinations(range(k), j):
+            # step i of u is step slot[i] of the profile, or the 0 appended to it
+            slot = [kept.index(i) if i in kept else j for i in range(k)]
+            result.update(level if j == k else {
+                tuple(map((prof + (0,)).__getitem__, slot)): count for prof, count in level.items()
+            })
     return result
 
 
@@ -432,12 +451,7 @@ def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
 
 
 def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
-    if not dilation_safe(E):
-        raise WrongResidueClassError(
-            "the step-profile identity needs d = 2 and p = 3 (mod 4)"
-        )
-    profiles = step_profile_counts(E, k, nonzero_only=True)
-    return join(profiles, profiles, _scaling(r, E.prime.p))
+    return join(step_profile_counts(E, k), walk_profile_counts(E, k), _scaling(r, E.prime.p))
 
 
 def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int:
@@ -457,11 +471,15 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
       3. transpose every class to rows over x with lanes over y';
       4. per x', add up (V A_{r s})[x] over x by the class s of (x', x), then
          subtract the stationary term.
+    The subtracted term is the x = x' summand itself, or for the graph the
+    part of it with y = y', which class 0 holds; so no lane goes negative.
+    The last step is summed by degrees instead: distance is symmetric, so it
+    adds sum_s sum_y deg_{rs}(y) (sum_x deg_s(x) V[x])[y], with deg_s(x) the
+    number of points in row x of A_s, less the stationary term summed the
+    same way: sum_y deg_0(y) (sum V)[y], or sum V for the graph.
     An entry never exceeds n^(2k): it counts pairs of walks with at most k
     free steps each.  Lanes are that wide, rounded up to whole bytes, and
-    _lane_width refuses k steps of m n^2 lanes, m classes, past SWEEP_GUARD.  The
-    subtracted term is the x = x' summand itself, or for the graph the part
-    of it with y = y', which class 0 holds; so no lane goes negative.
+    _lane_width refuses k steps of m n^2 lanes, m classes, past SWEEP_GUARD.
     """
     n = len(E)
     p = E.prime.p
@@ -473,7 +491,7 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     scaled = [slot.get(r * t % p) for t in classes]
     zero = [0] * n
     rows = [int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")] * n
-    for _ in range(k):
+    for _ in range(k - 1):
         cols = _transpose(b"".join(v.to_bytes(row_bytes, "little") for v in rows),
                           n, n, width)
         sources = [cols] * m
@@ -490,7 +508,11 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
             sum(_class_sums(members_j, sources)) - stay[xp]
             for xp, members_j in enumerate(members)
         ]
-    return _lane_total(rows, n, width)
+    degrees = [[len(mem[c]) for mem in members] for c in range(m)]
+    total = sum(sum(map(mul, degrees[c], _lanes(sum(map(mul, deg, rows)), n, width)))
+                for deg, c in zip(degrees, scaled) if c is not None)
+    stay = degrees[-1] if distinct_first else [1] * n
+    return total - sum(map(mul, stay, _lanes(sum(rows), n, width)))
 
 
 def _walk_dp_scaled_pairs(E: PointSet, r: int, k: int) -> int:
@@ -502,9 +524,9 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
 
     The first walk must have distinct consecutive points; the second walk is
     unconstrained apart from the k scaled-length equations.  Methods: "brute"
-    (the profile join of brute_join), "nu_identity" (step-profile identity,
-    valid for d = 2 and p = 3 mod 4), "walk_dp" (the packed paired-state
-    sweep of _paired_walk_sweep, always valid).
+    (the profile join of brute_join), "nu_identity" (the join of the
+    step-profile tables X_k and Y_k), "walk_dp" (the packed paired-state
+    sweep of _paired_walk_sweep); all are valid for every (p, d).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -723,10 +745,9 @@ def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point)
 
 
 def walk_pair_reports(E: PointSet, ratio: Ratio, k: int) -> list[CountReport]:
-    """walk_dp, cross-checked by brute and nu_identity where they are valid and admitted."""
-    optional = [METHOD_BRUTE, METHOD_NU_IDENTITY] if dilation_safe(E) else [METHOD_BRUTE]
+    """walk_dp, cross-checked by brute and nu_identity where their guards admit them."""
     return _cross_checked(E, lambda m: count_scaled_walk_pairs(E, ratio, k, m),
-                          METHOD_WALK_DP, optional)
+                          METHOD_WALK_DP, [METHOD_BRUTE, METHOD_NU_IDENTITY])
 
 
 def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:

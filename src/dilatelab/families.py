@@ -17,10 +17,12 @@ CYCLE_EDGES, clique_edges); they give the witnesses, each the first item,
 checked by the one validator validate_pattern_pair, and the classifications.
 A brute count is configcount.brute_join over the family's x and y tuples
 (times m! for m-cliques, whose v side runs over combinations), not an
-enumerator's length.  The four-cycle coincidence families are joins of
-the cycle census of :mod:`dilatelab.configcount`, tested against a
-classification of the enumerated cycle pairs; iter_cycle_pairs, one x tuple
-per rotation/reflection orbit, yields an eighth of the fully distinct family.
+enumerator's length.  The degenerate parts of the 2-path pairs are joins
+of the step-profile tables, and the four-cycle coincidence families joins
+of the cycle census, of :mod:`dilatelab.configcount`, for every (p, d);
+each is tested against a classification of the enumerated pairs.
+iter_cycle_pairs, one x tuple per rotation/reflection orbit, yields an
+eighth of the fully distinct family.
 """
 
 from __future__ import annotations
@@ -36,22 +38,18 @@ from .configcount import (
     Ratio,
     brute_join,
     cycle_census,
-    dilation_safe,
     displacement_histogram,
     iter_scaled_cycle_pairs,
     iter_scaled_walk_pairs,
     join,
     path_edges,
     step_profile_counts,
+    walk_profile_counts,
     _scaled_pairs,
     _scaling,
     _walk_dp_scaled_pairs,
 )
-from .errors import (
-    DimensionMismatchError,
-    NotASquareRatioError,
-    WrongResidueClassError,
-)
+from .errors import DimensionMismatchError, NotASquareRatioError
 from .geometry import PointSet, dist
 from .orthogonal import GroupTable, enumerate_orthogonal, scaled_apply, so2_elements
 
@@ -209,19 +207,18 @@ def classify_two_path_pairs(E: PointSet, ratio: Ratio) -> TwoPathParts:
 
 
 def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int]:
-    """The step-profile forms of the three degenerate parts.
+    """The step-profile forms of the three degenerate parts, valid for every (p, d).
 
-    Valid where distinct points force a nonzero squared distance, i.e. d = 2
-    with p = 3 (mod 4).
+    With X the walks with distinct consecutive points and Y all walks, by
+    step profile: x_1 = x_3 gives a = sum_s X_1(s) Y_2(rs, rs), y_1 = y_3
+    gives b = sum_s X_2(s, s) Y_1(rs), and both give sum_s X_1(s) Y_1(rs).
     """
-    if not dilation_safe(E):
-        raise WrongResidueClassError("the closed forms need d = 2 and p = 3 (mod 4)")
-    nu1 = step_profile_counts(E, 1, nonzero_only=True)
-    nu2 = step_profile_counts(E, 2, nonzero_only=True)
+    x2, y2 = step_profile_counts(E, 2), walk_profile_counts(E, 2)
+    x1, y1 = step_profile_counts(E, 1), walk_profile_counts(E, 1)
     scale = _scaling(ratio.r, E.prime.p)
-    a = join(nu1, nu2, lambda t: scale(t) * 2)
-    b = join({t[:1]: c for t, c in nu2.items() if t[0] == t[1]}, nu1, scale)
-    ab = join(nu1, nu1, scale)
+    a = join(x1, y2, lambda t: scale(t) * 2)
+    b = join({t[:1]: c for t, c in x2.items() if t[0] == t[1]}, y1, scale)
+    ab = join(x1, y1, scale)
     return a, b, ab
 
 

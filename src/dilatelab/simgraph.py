@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .configcount import (
     Ratio,
-    dilation_safe,
     iter_scaled_walk_pairs,
     join,
     _nu_identity_scaled_walk_pairs,
@@ -37,7 +36,9 @@ class SimilarityGraph:
     :func:`dilatelab.configcount._paired_walk_sweep`, the walk_dp kernel with
     its stationary-step rule swapped: a walk may keep x' = x but never the
     whole vertex, so the packed row V[x'] is subtracted.  Its lanes are sized
-    for n^(2k), the most walks any vertex pair can end.
+    for n^(2k), the most walks any vertex pair can end.  On construction the
+    edge count is checked against nu_identity's 1-step pair count, on every
+    point set.
     """
 
     def __init__(self, E: PointSet, ratio: Ratio):
@@ -46,14 +47,13 @@ class SimilarityGraph:
         self.E = E
         self.ratio = ratio
         self.vertex_count = len(E) ** 2
-        if dilation_safe(E):
-            # distinct points force nonzero norms here, so the edge count must
-            # match half the 1-step scaled pair count
-            s1 = _nu_identity_scaled_walk_pairs(E, ratio.r, 1)
-            if 2 * self.edge_count() != s1:
-                raise AssertionError(
-                    "internal error: edge count disagrees with the pair count"
-                )
+        # an ordered edge moves x, a 1-step scaled pair, or keeps x and moves y
+        # along a null segment: 2e = S_1 + n (N_0 - n)
+        s1 = _nu_identity_scaled_walk_pairs(E, ratio.r, 1)
+        if 2 * self.edge_count() != s1 + len(E) * E.norm_pair_counts[0] - self.vertex_count:
+            raise AssertionError(
+                "internal error: edge count disagrees with the pair count"
+            )
 
     def adjacent(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
         """The edge rule, evaluated on vertex index pairs."""

@@ -19,9 +19,8 @@ from fractions import Fraction
 from .configcount import (
     Ratio,
     cycle_pair_reports,
-    dilation_safe,
     make_ratio,
-    step_profile_counts,
+    walk_profile_counts,
     _nu_identity_scaled_walk_pairs,
     _walk_dp_scaled_pairs,
 )
@@ -118,18 +117,26 @@ def _base_params(E: PointSet, ratio: Ratio | None = None, **extra) -> dict:
     return params
 
 
+def dilation_safe(E: PointSet) -> bool:
+    """Whether distinct points of E always have a nonzero squared distance.
+
+    That holds exactly for d = 2 and p = 3 (mod 4), the residue-class
+    hypothesis of lemma 2.2, lemma 4.2, T1.5, T1.6 and T1.10.
+    """
+    return E.d == 2 and E.prime.p_mod_4 == 3
+
+
 def _pair_count_checked(E: PointSet, r: int, k: int) -> int:
-    """Scaled walk-pair count by the sweep, cross-checked by the identity where admitted."""
+    """Scaled walk-pair count by the sweep, cross-checked by the identity where its guard admits it."""
     value = _walk_dp_scaled_pairs(E, r, k)
-    if dilation_safe(E):
-        try:
-            alt = _nu_identity_scaled_walk_pairs(E, r, k)
-        except TooLargeError:
-            return value
-        if alt != value:
-            raise MethodMismatchError(
-                f"pair-count methods disagree: walk_dp={value} identity={alt}"
-            )
+    try:
+        alt = _nu_identity_scaled_walk_pairs(E, r, k)
+    except TooLargeError:
+        return value
+    if alt != value:
+        raise MethodMismatchError(
+            f"pair-count methods disagree: walk_dp={value} identity={alt}"
+        )
     return value
 
 
@@ -245,8 +252,8 @@ def check_lemma26(E: PointSet) -> Verdict:
     """Two-step walk counts never exceed |E| times the one-step count."""
     p = E.prime.p
     n = len(E)
-    nu1 = step_profile_counts(E, 1, nonzero_only=False)
-    nu2 = step_profile_counts(E, 2, nonzero_only=False)
+    nu1 = walk_profile_counts(E, 1)
+    nu2 = walk_profile_counts(E, 2)
     worst = None
     for t1 in range(p):
         one = nu1.get((t1,), 0)

@@ -292,6 +292,40 @@ def test_count_two_path_parts(capsys):
     assert len({ln.split(",")[5] for ln in both}) == 1
 
 
+def test_count_two_path_parts_with_null_segments(capsys):
+    # at p = 5 distinct points can sit at squared distance 0; the closed forms
+    # still hold and give one nu_identity row per enumerated part
+    code, out, err = run_cli(
+        ["count", "--what", "2path_parts", "--method", "all", "--p", "5", "--random", "8",
+         "--r", "2"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    # family,p,d,E_size,r,value,method
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    values = {(row[0], row[-1]): row[-2] for row in rows}
+    for name in ("A", "B", "A∩B"):
+        assert values[(name, "nu_identity")] == values[(name, "brute")]
+    assert [row[-1] for row in rows].count("nu_identity") == 3
+
+
+def test_count_nu_identity_with_null_segments(capsys):
+    code, out, err = run_cli(
+        ["count", "--what", "S_k", "--method", "nu_identity", "--p", "13", "--random", "12",
+         "--k", "2", "--r", "2"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    _, walk_dp, _ = run_cli(
+        ["count", "--what", "S_k", "--method", "walk_dp", "--p", "13", "--random", "12",
+         "--k", "2", "--r", "2"],
+        capsys,
+    )
+    row, = out.splitlines()[2:]
+    assert row.split(",")[1] == "nu_identity"
+    assert row.split(",")[-1] == walk_dp.splitlines()[-1].split(",")[-1]
+
+
 def test_count_two_path_parts_to_file(tmp_path, capsys):
     # the A∩B token is non-ASCII; file output must still round-trip
     out = tmp_path / "parts.csv"
@@ -533,7 +567,7 @@ def cli_argv(draw):
     tail = ["--k", str(draw(SMALL)), "--r", draw(st.sampled_from(("1", "2", "squares")))]
     if command == "count":
         what = draw(st.sampled_from(COUNT_KINDS + tuple(WHAT_ALIASES)))
-        method = draw(st.sampled_from(("auto", "all")))
+        method = draw(st.sampled_from(("auto", "all", "walk_dp", "nu_identity", "brute")))
         return ["count", *common, "--what", what, "--random", str(draw(SMALL)),
                 "--method", method, *tail]
     claim = draw(st.sampled_from(CLAIM_NAMES + ("all",)))

@@ -19,8 +19,9 @@ from dilatelab.configcount import (
     make_ratio,
     step_profile_counts,
     walk_pair_reports,
+    walk_profile_counts,
 )
-from dilatelab.errors import TooLargeError, WrongResidueClassError
+from dilatelab.errors import TooLargeError
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
 from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
@@ -37,6 +38,22 @@ def raw_step_walks(E, steps):
         if all(dist(tup[i], tup[i + 1], p) == steps[i] % p for i in range(len(steps))):
             total += 1
     return total
+
+
+def raw_distinct_step_walks(E, k):
+    # walks with distinct consecutive points, by step profile
+    p = E.prime.p
+    table = {}
+    for tup in itertools.product(E.points, repeat=k + 1):
+        if all(tup[i] != tup[i + 1] for i in range(k)):
+            prof = tuple(dist(tup[i], tup[i + 1], p) for i in range(k))
+            table[prof] = table.get(prof, 0) + 1
+    return table
+
+
+def has_null_segment(E):
+    # distinct points at squared distance 0
+    return E.norm_pair_counts[0] > len(E)
 
 
 def raw_scaled_walk_pairs(E, r, k):
@@ -88,8 +105,9 @@ def test_step_walks_two_point_examples():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_step_walk_total_is_power(seed, k):
     E = random_point_set(SEVEN, 2, 5, seed)
-    table = step_profile_counts(E, k, nonzero_only=False)
-    assert sum(table.values()) == len(E) ** (k + 1)
+    n = len(E)
+    assert sum(walk_profile_counts(E, k).values()) == n ** (k + 1)
+    assert sum(step_profile_counts(E, k).values()) == n * (n - 1) ** k
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -103,11 +121,10 @@ def test_step_profile_counts_match_single_profile():
     # the p = 13, d = 2 and p = 3, d = 3 sets include null segments
     for p, d, size, seed in [(7, 2, 6, 9), (13, 2, 9, 2), (3, 3, 7, 1)]:
         E = random_point_set(make_prime(p), d, size, seed)
-        table = step_profile_counts(E, 2, nonzero_only=False)
+        table = walk_profile_counts(E, 2)
         for prof in itertools.product(range(p), repeat=2):
             assert table.get(prof, 0) == count_step_walks(E, prof)
-        nonzero = step_profile_counts(E, 2, nonzero_only=True)
-        assert nonzero == {prof: c for prof, c in table.items() if 0 not in prof}
+        assert step_profile_counts(E, 2) == raw_distinct_step_walks(E, 2)
         null = any(t == 0 for i, row in enumerate(E.dist_table)
                    for j, t in enumerate(row) if i != j)
         assert null == (p == 13 or d == 3)
@@ -193,12 +210,16 @@ def test_scaled_walk_pairs_empty_ratio_class():
     assert count_scaled_walk_pairs(TWO_POINT, three, 1, "brute").value == 0
 
 
-@pytest.mark.parametrize("p,size", [(3, 4), (7, 4), (11, 5)])
+@pytest.mark.parametrize("p,size,d", [(3, 4, 2), (7, 4, 2), (11, 5, 2), (5, 4, 2), (13, 4, 2),
+                                      (3, 4, 3)],
+                         ids=["3-4", "7-4", "11-5", "5-4", "13-4", "3-4-d3"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_walk_pair_methods_match_oracle(p, size, k):
+def test_walk_pair_methods_match_oracle(p, size, d, k):
     prime = make_prime(p)
-    for seed in range(3):
-        E = random_point_set(prime, 2, size, seed)
+    sets = [random_point_set(prime, d, size, seed) for seed in range(3)]
+    # outside d = 2 with p = 3 (mod 4) the cases include null segments
+    assert any(map(has_null_segment, sets)) == (d != 2 or p % 4 == 1)
+    for E in sets:
         for r in (1, 2, p - 1):
             ratio = make_ratio(r, prime)
             expected = raw_scaled_walk_pairs(E, ratio.r, k)
@@ -216,16 +237,15 @@ def test_walk_pair_k3_matches_oracle():
 
 def test_walk_dp_handles_null_segments():
     # p = 1 (mod 4): (5, 1) has norm 26 = 0 mod 13, so distinct points at
-    # squared distance zero exist and only definition-faithful methods apply.
+    # squared distance zero exist; every method must still count them.
     thirteen = make_prime(13)
     E = PointSet(thirteen, 2, [(0, 0), (5, 1), (2, 3), (1, 1)])
+    assert has_null_segment(E)
     ratio = make_ratio(2, thirteen)
     for k in (1, 2):
         expected = raw_scaled_walk_pairs(E, 2, k)
-        assert count_scaled_walk_pairs(E, ratio, k, "walk_dp").value == expected
-        assert count_scaled_walk_pairs(E, ratio, k, "brute").value == expected
-    with pytest.raises(WrongResidueClassError):
-        count_scaled_walk_pairs(E, ratio, 1, "nu_identity")
+        for method in ("walk_dp", "brute", "nu_identity"):
+            assert count_scaled_walk_pairs(E, ratio, k, method).value == expected
 
 
 from hypothesis import given, settings, strategies as st
@@ -247,8 +267,8 @@ def test_walk_dp_equals_raw_oracle_fuzz(p, d, codes, r, k):
     E = PointSet(prime, d, pts)
     ratio = make_ratio(1 + r % (p - 1), prime)
     expected = raw_scaled_walk_pairs(E, ratio.r, k)
-    assert count_scaled_walk_pairs(E, ratio, k, "walk_dp").value == expected
-    assert count_scaled_walk_pairs(E, ratio, k, "brute").value == expected
+    for method in ("walk_dp", "brute", "nu_identity"):
+        assert count_scaled_walk_pairs(E, ratio, k, method).value == expected
 
 
 def test_packed_lanes_at_their_worst_case():
@@ -260,9 +280,10 @@ def test_packed_lanes_at_their_worst_case():
     ratio = make_ratio(3, thirteen)
     for k in range(1, 5):
         expected = n * (n - 1) ** k * n ** (k + 1)
-        assert count_scaled_walk_pairs(E, ratio, k, "walk_dp").value == expected
-        assert step_profile_counts(E, k, nonzero_only=False) == {(0,) * k: n ** (k + 1)}
-        assert step_profile_counts(E, k, nonzero_only=True) == {}
+        for method in ("walk_dp", "nu_identity"):
+            assert count_scaled_walk_pairs(E, ratio, k, method).value == expected
+        assert walk_profile_counts(E, k) == {(0,) * k: n ** (k + 1)}
+        assert step_profile_counts(E, k) == {(0,) * k: n * (n - 1) ** k}
         # the pair graph is complete on n^2 vertices
         assert build_similarity_graph(E, ratio).count_walks(k) == n * n * (n * n - 1) ** k
     assert count_scaled_walk_pairs(E, ratio, 1, "brute").value == n * (n - 1) * n**2
@@ -286,8 +307,10 @@ def test_brute_guard(monkeypatch):
     thirteen = make_prime(13)
     ratio = make_ratio(1, thirteen)
     sets = {size: random_point_set(thirteen, 2, size, seed=0) for size in (27, 28, 79, 80)}
-    # the selectors leave a refused brute out
-    assert [rep.method for rep in walk_pair_reports(sets[80], ratio, 2)] == ["walk_dp"]
+    # the selectors leave a refused brute out; nu_identity stays, null segments or not
+    assert has_null_segment(sets[80])
+    assert [rep.method for rep in walk_pair_reports(sets[80], ratio, 2)] == [
+        "walk_dp", "nu_identity"]
     assert [rep.method for rep in cycle_pair_reports(sets[28], ratio)] == ["mu_identity"]
 
     def never(*args):

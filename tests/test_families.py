@@ -140,11 +140,14 @@ def test_classification_handles_null_segments():
             parts.open_pairs, parts.total) == raw
 
 
-@pytest.mark.parametrize("p", [7, 11])
-def test_closed_forms_match_classification(p):
+@pytest.mark.parametrize("p,d", [(7, 2), (11, 2), (5, 2), (13, 2), (3, 3)],
+                         ids=["7", "11", "5", "13", "3-d3"])
+def test_closed_forms_match_classification(p, d):
+    # valid for every (p, d): the p = 5, p = 13 and d = 3 sets have null segments
     prime = make_prime(p)
-    for seed in range(3):
-        E = random_point_set(prime, 2, 6, seed)
+    sets = [random_point_set(prime, d, 6, seed) for seed in range(3)]
+    assert any(E.norm_pair_counts[0] > 6 for E in sets) == (d != 2 or p % 4 == 1)
+    for E in sets:
         for r in (1, 2, p - 1):
             ratio = make_ratio(r, prime)
             parts = classify_two_path_pairs(E, ratio)

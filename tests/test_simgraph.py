@@ -60,6 +60,22 @@ def test_edge_count_is_half_pair_count(p):
             assert len(g.edges_direct()) == g.edge_count()
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_edge_count_with_null_segments(seed):
+    # at p = 13 distinct points can sit at squared distance 0, so an edge may
+    # keep x and move y: 2e = S_1 + n (N_0 - n), checked on construction
+    thirteen = make_prime(13)
+    E = random_point_set(thirteen, 2, 6, seed)
+    n = len(E)
+    assert E.norm_pair_counts[0] > n
+    for r in (1, 2, 12):
+        ratio = make_ratio(r, thirteen)
+        g = build_similarity_graph(E, ratio)
+        assert 2 * g.edge_count() == g.count_walks(1) == 2 * len(g.edges_direct())
+        s1 = count_scaled_walk_pairs(E, ratio, 1, "nu_identity").value
+        assert 2 * g.edge_count() == s1 + n * (E.norm_pair_counts[0] - n)
+
+
 def test_two_point_walks():
     g = build_similarity_graph(TWO_POINT, make_ratio(1, SEVEN))
     assert g.count_walks(1) == 2 * g.edge_count()
