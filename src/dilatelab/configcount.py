@@ -5,9 +5,9 @@ The central objects are, for a point set E and a nonzero ratio r:
 * step-walk counts: how many walks through E have a prescribed sequence of
   squared step lengths (and the closed 4-walk variant);
 * step-profile tables, one per walk length k: X_k counts the walks with
-  distinct consecutive points by profile, and Y_k every walk, a subset sum
-  of the X levels; nu_identity joins X_k against the r-scaled Y_k, for
-  every (p, d);
+  distinct consecutive points by profile, and Y_k every walk; both come
+  from one packed sweep, and nu_identity joins X_k against the r-scaled
+  Y_k, for every (p, d);
 * scaled walk/cycle pairs: pairs of walks (or closed 4-walks) where the
   second walk's squared step lengths are the first's multiplied by r, the
   first walk having distinct consecutive points;
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import product, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -243,7 +243,35 @@ def step_profile_counts(E: PointSet, k: int) -> dict:
     The steps range over the nonzero distances of E, and over 0 where some
     point has another point at squared distance 0 (a null segment).  Only
     profiles with a nonzero count appear.  One sweep fills the cache of every
-    level 1..k, k >= 1.
+    level 1..k, k >= 1.  See _profile_sweep.
+    """
+    return _profile_sweep(E, k, stays=False)
+
+
+def walk_profile_counts(E: PointSet, k: int) -> dict:
+    """Map from step profiles (t_1, .., t_k) to Y_k, their walks, which may stay put.
+
+    The sweep of step_profile_counts with each point in its own class of 0,
+    so its steps are every distance of E, 0 included.  Where E has a null
+    segment that is the step set of X_k too, so both tables take the same
+    lanes and pass or fail the guards together.
+    """
+    return _profile_sweep(E, k, stays=True)
+
+
+def _scaled_walk_table(E: PointSet, k: int) -> dict:
+    """Y_k as the joins read it, at r-scaled profiles of the X tables.
+
+    Without a null segment those profiles have no zero step, and at a
+    profile without one no walk stays put, so Y_k = X_k there.
+    """
+    if E.norm_pair_counts[0] > len(E):
+        return walk_profile_counts(E, k)
+    return step_profile_counts(E, k)
+
+
+def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
+    """X_k, or with stays Y_k, as a map from profiles to nonzero counts; cached per level.
 
     Packed distance-class sweep: per endpoint j, one int whose lanes count
     the walks ending at j, one lane per profile of the level so far.  A step
@@ -251,18 +279,20 @@ def step_profile_counts(E: PointSet, k: int) -> dict:
     the class sums, so the new lanes are the old profiles extended by each
     class.  A level's totals are summed by degrees, not from its rows:
     distance is symmetric, so the walks of class c out of the rows add up to
-    sum_i deg_c(i) row[i], and rows are built up to level k - 1.  A lane holds at most n^(k+1) walks; lanes are
-    that wide, rounded up to whole bytes.  Refused, before any row is built,
-    when n rows of the last level would take more than LANE_GUARD bytes, or
-    the k steps more than SWEEP_GUARD.
+    sum_i deg_c(i) row[i], and rows are built up to level k - 1.  A lane
+    holds at most n^(k+1) walks; lanes are that wide, rounded up to whole
+    bytes.  Refused, before any row is built, when n rows of the last level
+    would take more than LANE_GUARD bytes, or the k steps more than
+    SWEEP_GUARD.
     """
-    key = ("profiles", k)
-    if key in E._cache:
-        return E._cache[key]
+    name = "walks" if stays else "profiles"
+    if (name, k) in E._cache:
+        return E._cache[(name, k)]
     n = len(E)
     classes, members = _distance_classes(E)
-    # the other points at distance 0: the point itself is last in its class of 0
-    members = [(*mem[:-1], mem[-1][:-1]) for mem in members]
+    if not stays:
+        # the other points at distance 0: the point itself is last in its class of 0
+        members = [(*mem[:-1], mem[-1][:-1]) for mem in members]
     steps = classes if any(mem[-1] for mem in members) else classes[:-1]
     if _exceeds(len(steps), k, LANE_GUARD):
         raise TooLargeError(f"{len(steps)}^{k} lanes exceed {LANE_GUARD} bytes")
@@ -279,7 +309,7 @@ def step_profile_counts(E: PointSet, k: int) -> dict:
                     for c, deg in enumerate(degrees))
         profiles = [prof + (t,) for t in steps for prof in profiles]
         counts = _lanes(total, len(profiles), width)
-        E._cache[("profiles", level)] = {
+        E._cache[(name, level)] = {
             prof: count for prof, count in zip(profiles, counts) if count
         }
         if level < k:
@@ -292,27 +322,7 @@ def step_profile_counts(E: PointSet, k: int) -> dict:
                 )
                 for members_j in members
             ]
-    return E._cache[key]
-
-
-def walk_profile_counts(E: PointSet, k: int) -> dict:
-    """Map from step profiles (t_1, .., t_k) to Y_k, their walks, which may stay put.
-
-    Deleting the stays from a walk leaves a walk with distinct consecutive
-    points, so Y_k(u) = sum over the sets S of zero steps of u of
-    X_{k-|S|}(u without S), with X_0 = n: each profile of level j is spread
-    over the C(k, j) ways to place its steps among k.
-    """
-    result: Counter = Counter()
-    for j in range(k, -1, -1):  # level k first: its sweep caches the others
-        level = step_profile_counts(E, j) if j else {(): len(E)}
-        for kept in combinations(range(k), j):
-            # step i of u is step slot[i] of the profile, or the 0 appended to it
-            slot = [kept.index(i) if i in kept else j for i in range(k)]
-            result.update(level if j == k else {
-                tuple(map((prof + (0,)).__getitem__, slot)): count for prof, count in level.items()
-            })
-    return result
+    return E._cache[(name, k)]
 
 
 def path_edges(k: int) -> tuple[tuple[int, int], ...]:
@@ -451,7 +461,7 @@ def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
 
 
 def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
-    return join(step_profile_counts(E, k), walk_profile_counts(E, k), _scaling(r, E.prime.p))
+    return join(step_profile_counts(E, k), _scaled_walk_table(E, k), _scaling(r, E.prime.p))
 
 
 def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int:

@@ -44,8 +44,8 @@ from .configcount import (
     join,
     path_edges,
     step_profile_counts,
-    walk_profile_counts,
     _scaled_pairs,
+    _scaled_walk_table,
     _scaling,
     _walk_dp_scaled_pairs,
 )
@@ -213,8 +213,8 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     step profile: x_1 = x_3 gives a = sum_s X_1(s) Y_2(rs, rs), y_1 = y_3
     gives b = sum_s X_2(s, s) Y_1(rs), and both give sum_s X_1(s) Y_1(rs).
     """
-    x2, y2 = step_profile_counts(E, 2), walk_profile_counts(E, 2)
-    x1, y1 = step_profile_counts(E, 1), walk_profile_counts(E, 1)
+    x2, y2 = step_profile_counts(E, 2), _scaled_walk_table(E, 2)
+    x1, y1 = step_profile_counts(E, 1), _scaled_walk_table(E, 1)
     scale = _scaling(ratio.r, E.prime.p)
     a = join(x1, y2, lambda t: scale(t) * 2)
     b = join({t[:1]: c for t, c in x2.items() if t[0] == t[1]}, y1, scale)

@@ -38,7 +38,7 @@ class SimilarityGraph:
     whole vertex, so the packed row V[x'] is subtracted.  Its lanes are sized
     for n^(2k), the most walks any vertex pair can end.  On construction the
     edge count is checked against nu_identity's 1-step pair count, on every
-    point set.
+    point set whose profile table the lane guard admits.
     """
 
     def __init__(self, E: PointSet, ratio: Ratio):
@@ -49,11 +49,12 @@ class SimilarityGraph:
         self.vertex_count = len(E) ** 2
         # an ordered edge moves x, a 1-step scaled pair, or keeps x and moves y
         # along a null segment: 2e = S_1 + n (N_0 - n)
-        s1 = _nu_identity_scaled_walk_pairs(E, ratio.r, 1)
+        try:
+            s1 = _nu_identity_scaled_walk_pairs(E, ratio.r, 1)
+        except TooLargeError:
+            return  # a refused profile table only skips the check
         if 2 * self.edge_count() != s1 + len(E) * E.norm_pair_counts[0] - self.vertex_count:
-            raise AssertionError(
-                "internal error: edge count disagrees with the pair count"
-            )
+            raise AssertionError("internal error: edge count disagrees with the pair count")
 
     def adjacent(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
         """The edge rule, evaluated on vertex index pairs."""

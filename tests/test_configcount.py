@@ -1,6 +1,7 @@
 """Counting engines against raw tuple-product oracles on small instances."""
 
 import itertools
+import time
 
 import pytest
 
@@ -287,6 +288,29 @@ def test_packed_lanes_at_their_worst_case():
         # the pair graph is complete on n^2 vertices
         assert build_similarity_graph(E, ratio).count_walks(k) == n * n * (n * n - 1) ** k
     assert count_scaled_walk_pairs(E, ratio, 1, "brute").value == n * (n - 1) * n**2
+
+
+@pytest.mark.parametrize("case", ["two-points", "null-pair", "isotropic-line"])
+def test_identity_tables_stay_small_at_k_40(case):
+    # one profile per level: every method answers at once, with its closed form
+    k = 40
+    prime = make_prime(11 if case == "two-points" else 13)
+    pts = {"two-points": [(0, 0), (1, 0)], "null-pair": [(0, 0), (1, 5)],
+           "isotropic-line": [(t, 5 * t % 13) for t in range(13)]}[case]
+    E = PointSet(prime, 2, pts)
+    n = len(E)
+    for r in (1, 2):
+        if case == "two-points":
+            # (x walk, y walk) alternate between the two points, r s = s only at r = 1
+            expected = 4 if r == 1 else 0
+        else:
+            # every squared distance is 0: the y walk is any of n^(k+1)
+            expected = n * (n - 1) ** k * n ** (k + 1)
+        ratio = make_ratio(r, prime)
+        start = time.perf_counter()
+        for method in ("walk_dp", "nu_identity"):
+            assert count_scaled_walk_pairs(E, ratio, k, method).value == expected
+        assert time.perf_counter() - start < 1.0
 
 
 def test_lane_width_covers_the_bound_at_large_n():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dilatelab import configcount
 from dilatelab.configcount import count_scaled_walk_pairs, make_ratio
 from dilatelab.errors import TooLargeError
 from dilatelab.families import iter_scaled_walk_pairs
@@ -74,6 +75,19 @@ def test_edge_count_with_null_segments(seed):
         assert 2 * g.edge_count() == g.count_walks(1) == 2 * len(g.edges_direct())
         s1 = count_scaled_walk_pairs(E, ratio, 1, "nu_identity").value
         assert 2 * g.edge_count() == s1 + n * (E.norm_pair_counts[0] - n)
+
+
+def test_refused_profile_table_skips_the_construction_check(monkeypatch):
+    # a set whose 1-step profile table the lane guard refuses still builds its
+    # graph; only the nu_identity cross-check of the edge count is skipped
+    thirteen = make_prime(13)
+    E = random_point_set(thirteen, 2, 6, seed=1)
+    ratio = make_ratio(2, thirteen)
+    monkeypatch.setattr(configcount, "LANE_GUARD", 1)
+    with pytest.raises(TooLargeError):
+        count_scaled_walk_pairs(E, ratio, 1, "nu_identity")
+    g = SimilarityGraph(E, ratio)
+    assert 2 * g.edge_count() == 2 * len(g.edges_direct()) == g.count_walks(1)
 
 
 def test_two_point_walks():
