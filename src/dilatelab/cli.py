@@ -17,6 +17,7 @@ import os
 import sys
 
 from .configcount import (
+    METHODS,
     CountReport,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
@@ -62,6 +63,7 @@ from .geometry import (
 )
 from .verify import (
     CLAIM_NAMES,
+    RATIO_FREE_CLAIMS,
     ScanResult,
     Verdict,
     random_instances,
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", default="all", help="ratio: integer, 'squares', or 'all'")
     c.add_argument("--set", dest="set_path", help="point-set file")
     c.add_argument("--random", type=int, help="use a seeded random set of this size")
-    c.add_argument("--method", default="auto",
+    c.add_argument("--method", default="auto", choices=("auto", "all") + METHODS,
                    help="auto, all, or a specific method name")
 
     v = sub.add_parser("verify", help="check catalog claims on instances")
@@ -298,7 +300,7 @@ def cmd_count(args, parser) -> int:
 
 
 def _verify_instances(args, parser):
-    """Yield (E, ratio_or_None) instances resolved from the flags."""
+    """Yield (E, ratios) per set: --set with every ratio, each --random instance with one."""
     policy = _ratio_policy(args.r)
     if args.random is not None:
         _require_positive(args.random, "--random", parser)
@@ -309,40 +311,30 @@ def _verify_instances(args, parser):
             sizes = _parse_sizes(args.size)
         except ValueError as exc:
             parser.error(str(exc))
-        values = [rat.r for rat in ratios_for_policy(policy, prime)]
-        for E, ratio in random_instances(
-            prime, args.d, args.random, sizes, args.seed, r_values=values
-        ):
-            yield E, ratio
+        ratios = ratios_for_policy(policy, prime)
+        for E, ratio in random_instances(prime, args.d, args.random, sizes, args.seed, ratios):
+            yield E, [ratio]
     else:
         E = _resolve_set(args, parser)
-        for ratio in ratios_for_policy(policy, E.prime):
-            yield E, ratio
+        yield E, ratios_for_policy(policy, E.prime)
 
 
 def cmd_verify(args, parser) -> int:
     _require_positive(args.k, "--k", parser)
     claims = list(CLAIM_NAMES) if args.claim == "all" else [args.claim]
+    # a ratio-free claim is checked once per set, with its first ratio
+    later = [claim for claim in claims if claim not in RATIO_FREE_CLAIMS]
     verdicts: list[Verdict] = []
-    ratio_free = {"lemma2.6", "quotient"}
-    # a ratio-free claim is checked once per set, not once per ratio
-    seen_sets: set[tuple[str, int]] = set()
-    for E, ratio in _verify_instances(args, parser):
-        for claim in claims:
-            try:
-                if claim in ratio_free:
-                    key = (claim, id(E))
-                    if key in seen_sets:
-                        continue
-                    seen_sets.add(key)
-                    verdicts.append(run_claim(claim, E))
-                else:
+    for E, ratios in _verify_instances(args, parser):
+        for i, ratio in enumerate(ratios):
+            for claim in later if i else claims:
+                try:
                     verdicts.append(run_claim(claim, E, ratio, k=args.k))
-            except TooLargeError as exc:
-                if len(claims) == 1:
-                    raise
-                print(f"note: {claim} skipped on |E|={len(E)} (guard: {exc})",
-                      file=sys.stderr)
+                except TooLargeError as exc:
+                    if len(claims) == 1:
+                        raise
+                    print(f"note: {claim} skipped on |E|={len(E)} (guard: {exc})",
+                          file=sys.stderr)
     failed = any(v.contradicts_catalog for v in verdicts)
     _emit("verify", Verdict.CSV_HEADER, [v.csv_row() for v in verdicts],
           [v.json_dict() for v in verdicts], args)

@@ -65,6 +65,7 @@ METHOD_NU_IDENTITY = "nu_identity"
 METHOD_MU_IDENTITY = "mu_identity"
 METHOD_WALK_DP = "walk_dp"
 METHOD_GROUP_SUM = "group_sum"
+METHODS = (METHOD_BRUTE, METHOD_NU_IDENTITY, METHOD_MU_IDENTITY, METHOD_WALK_DP, METHOD_GROUP_SUM)
 
 
 @dataclass(frozen=True)
@@ -281,25 +282,29 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     distance is symmetric, so the walks of class c out of the rows add up to
     sum_i deg_c(i) row[i], and rows are built up to level k - 1.  A lane
     holds at most n^(k+1) walks; lanes are that wide, rounded up to whole
-    bytes.  Refused, before any row is built, when n rows of the last level
-    would take more than LANE_GUARD bytes, or the k steps more than
+    bytes.  Refused, before the classes are laid out, when n rows of the last
+    level would take more than LANE_GUARD bytes, or the k steps more than
     SWEEP_GUARD.
     """
     name = "walks" if stays else "profiles"
     if (name, k) in E._cache:
         return E._cache[(name, k)]
     n = len(E)
+    # every distance of E is a step, 0 only where a walk stays or a null segment moves
+    m = len(E.norm_pair_counts)
+    if not (stays or E.norm_pair_counts[0] > n):
+        m -= 1
+    if _exceeds(m, k, LANE_GUARD):
+        raise TooLargeError(f"{m}^{k} lanes exceed {LANE_GUARD} bytes")
+    lanes = m**k
+    width = _lane_width(n, k + 1, k, n * lanes)
+    if n * lanes * width > LANE_GUARD:
+        raise TooLargeError(f"{n} rows of {lanes} lanes of {width} bytes exceed {LANE_GUARD} bytes")
     classes, members = _distance_classes(E)
     if not stays:
         # the other points at distance 0: the point itself is last in its class of 0
         members = [(*mem[:-1], mem[-1][:-1]) for mem in members]
-    steps = classes if any(mem[-1] for mem in members) else classes[:-1]
-    if _exceeds(len(steps), k, LANE_GUARD):
-        raise TooLargeError(f"{len(steps)}^{k} lanes exceed {LANE_GUARD} bytes")
-    lanes = len(steps) ** k
-    width = _lane_width(n, k + 1, k, n * lanes)
-    if n * lanes * width > LANE_GUARD:
-        raise TooLargeError(f"{n} rows of {lanes} lanes of {width} bytes exceed {LANE_GUARD} bytes")
+    steps = classes[:m]  # class 0 is last
     degrees = [[len(mem[c]) for mem in members] for c in range(len(steps))]
     profiles: list[tuple] = [()]
     rows = [1] * n
@@ -493,9 +498,9 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     """
     n = len(E)
     p = E.prime.p
-    classes, members = _distance_classes(E)
-    m = len(classes)
+    m = len(E.norm_pair_counts)
     width = _lane_width(n, 2 * k, k, m * n * n)
+    classes, members = _distance_classes(E)
     row_bytes = n * width
     slot = {t: c for c, t in enumerate(classes)}
     scaled = [slot.get(r * t % p) for t in classes]
@@ -536,18 +541,23 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
     unconstrained apart from the k scaled-length equations.  Methods: "brute"
     (the profile join of brute_join), "nu_identity" (the join of the
     step-profile tables X_k and Y_k), "walk_dp" (the packed paired-state
-    sweep of _paired_walk_sweep); all are valid for every (p, d).
+    sweep of _paired_walk_sweep); all are valid for every (p, d).  Each
+    method's value is cached per (r, k); a refusal is not.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if method == METHOD_BRUTE:
-        value = _brute_scaled_walk_pairs(E, ratio.r, k)
-    elif method == METHOD_NU_IDENTITY:
-        value = _nu_identity_scaled_walk_pairs(E, ratio.r, k)
-    elif method == METHOD_WALK_DP:
-        value = _walk_dp_scaled_pairs(E, ratio.r, k)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    key = ("walk_pairs", method, ratio.r, k)
+    value = E._cache.get(key)
+    if value is None:
+        if method == METHOD_BRUTE:
+            value = _brute_scaled_walk_pairs(E, ratio.r, k)
+        elif method == METHOD_NU_IDENTITY:
+            value = _nu_identity_scaled_walk_pairs(E, ratio.r, k)
+        elif method == METHOD_WALK_DP:
+            value = _walk_dp_scaled_pairs(E, ratio.r, k)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        E._cache[key] = value
     return _report(E, f"S_{k}", value, method, r=ratio.r, k=k)
 
 
@@ -632,7 +642,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
     pp = p * p
     n = len(E)
     # a profile has four of the m distances of E, and a walk has one profile
-    m = len(_distance_classes(E)[0])
+    m = len(E.norm_pair_counts)
     if min(n, m) ** 4 > CENSUS_GUARD:
         raise TooLargeError(
             f"a cycle census of {n} points with {m} distances may hold "
@@ -754,10 +764,11 @@ def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point)
     return count
 
 
-def walk_pair_reports(E: PointSet, ratio: Ratio, k: int) -> list[CountReport]:
-    """walk_dp, cross-checked by brute and nu_identity where their guards admit them."""
+def walk_pair_reports(E: PointSet, ratio: Ratio, k: int,
+                      checks=(METHOD_BRUTE, METHOD_NU_IDENTITY)) -> list[CountReport]:
+    """walk_dp, cross-checked by each method of checks whose guard admits it."""
     return _cross_checked(E, lambda m: count_scaled_walk_pairs(E, ratio, k, m),
-                          METHOD_WALK_DP, [METHOD_BRUTE, METHOD_NU_IDENTITY])
+                          METHOD_WALK_DP, checks)
 
 
 def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:

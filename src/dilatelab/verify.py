@@ -11,20 +11,22 @@ treated by callers as the most severe failure.
 
 from __future__ import annotations
 
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .configcount import (
+    METHOD_NU_IDENTITY,
     Ratio,
     cycle_pair_reports,
     make_ratio,
+    walk_pair_reports,
     walk_profile_counts,
+    # not called here: perfbench/selftest.py checks that its spans rebind them in this module
     _nu_identity_scaled_walk_pairs,
     _walk_dp_scaled_pairs,
 )
-from .errors import MethodMismatchError, TooLargeError
+from .errors import SizeExceedsSpaceError, TooLargeError
 from .families import (
     FAMILY_FOUR_CYCLE,
     FAMILY_PATH_PAIRS,
@@ -53,6 +55,9 @@ CLAIM_NAMES = (
 )
 
 THEOREM_NAMES = ("T1.5", "T1.6", "T1.7", "T1.8", "T1.10")
+
+# claims about the set alone, checked once per set whatever its ratios
+RATIO_FREE_CLAIMS = ("lemma2.6", "quotient")
 
 
 @dataclass(frozen=True)
@@ -126,18 +131,9 @@ def dilation_safe(E: PointSet) -> bool:
     return E.d == 2 and E.prime.p_mod_4 == 3
 
 
-def _pair_count_checked(E: PointSet, r: int, k: int) -> int:
-    """Scaled walk-pair count by the sweep, cross-checked by the identity where its guard admits it."""
-    value = _walk_dp_scaled_pairs(E, r, k)
-    try:
-        alt = _nu_identity_scaled_walk_pairs(E, r, k)
-    except TooLargeError:
-        return value
-    if alt != value:
-        raise MethodMismatchError(
-            f"pair-count methods disagree: walk_dp={value} identity={alt}"
-        )
-    return value
+def _walk_pairs(E: PointSet, ratio: Ratio, k: int) -> int:
+    """S_k by walk_dp, cross-checked by nu_identity where its guard admits it."""
+    return walk_pair_reports(E, ratio, k, checks=(METHOD_NU_IDENTITY,))[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +194,7 @@ def check_lemma22(E: PointSet, ratio: Ratio) -> Verdict:
     p = E.prime.p
     n = len(E)
     hyp = dilation_safe(E)
-    s1 = _pair_count_checked(E, ratio.r, 1)
+    s1 = _walk_pairs(E, ratio, 1)
     rhs = (
         (Fraction(1, p) + Fraction(1, p**2) - Fraction(1, p**3)) * n**4
         - Fraction(2 * n**3, p)
@@ -217,8 +213,8 @@ def check_lemma22(E: PointSet, ratio: Ratio) -> Verdict:
 def check_lemma23(E: PointSet, ratio: Ratio) -> Verdict:
     """Two-step pair count times |E|^2 is at least the square of one-step."""
     n = len(E)
-    s1 = _pair_count_checked(E, ratio.r, 1)
-    s2 = _pair_count_checked(E, ratio.r, 2)
+    s1 = _walk_pairs(E, ratio, 1)
+    s2 = _walk_pairs(E, ratio, 2)
     lhs = s2 * n**2
     rhs = s1**2
     return Verdict(
@@ -234,7 +230,7 @@ def check_lemma23(E: PointSet, ratio: Ratio) -> Verdict:
 def check_lemma24(E: PointSet, ratio: Ratio) -> Verdict:
     """Cycle-pair count times |E|^4 is at least the square of two-step pairs."""
     n = len(E)
-    s2 = _pair_count_checked(E, ratio.r, 2)
+    s2 = _walk_pairs(E, ratio, 2)
     c = cycle_pair_reports(E, ratio)[0].value
     lhs = c * n**4
     rhs = s2**2
@@ -276,7 +272,7 @@ def check_lemma42(E: PointSet, ratio: Ratio) -> Verdict:
     p = E.prime.p
     hyp = dilation_safe(E)
     fams = four_cycle_families(E, ratio)
-    s2 = _pair_count_checked(E, ratio.r, 2)
+    s2 = _walk_pairs(E, ratio, 2)
     values = (fams.x13, fams.x24, fams.y13, fams.y24)
     concl = all(s2 <= v <= (p + 1) * s2 for v in values)
     return Verdict(
@@ -333,7 +329,7 @@ def check_theorem(name: str, E: PointSet, ratio: Ratio, k: int = 3) -> Verdict:
         )
     if name == "T1.10":
         hyp = safe and exceeds_twice_p(n, p)
-        sk = _pair_count_checked(E, ratio.r, k)
+        sk = _walk_pairs(E, ratio, k)
         lhs = Fraction(sk)
         rhs = Fraction(n ** (2 * k + 2), (3 * p) ** k)
         return Verdict(
@@ -379,11 +375,9 @@ def check_quotient_containment(E: PointSet) -> Verdict:
 
 
 def run_claim(name: str, E: PointSet, ratio: Ratio | None = None, k: int = 3) -> Verdict:
-    """Dispatch a claim by its catalog name."""
-    if name == "lemma2.6":
-        return check_lemma26(E)
-    if name == "quotient":
-        return check_quotient_containment(E)
+    """Dispatch a claim by its catalog name; a ratio-free claim ignores ratio and k."""
+    if name in RATIO_FREE_CLAIMS:
+        return check_lemma26(E) if name == "lemma2.6" else check_quotient_containment(E)
     if ratio is None:
         raise ValueError(f"claim {name!r} needs a ratio")
     if name == "lemma2.2":
@@ -527,17 +521,16 @@ def scan_threshold(
     )
 
 
-def random_instances(prime: Prime, d: int, count: int, size, seed, r_values=None):
-    """Deterministic stream of (E, ratio) instances for batch verification."""
-    rng = random.Random(f"instances:{prime.p}:{d}:{count}:{size}:{seed}")
-    sizes = size if isinstance(size, (list, tuple, range)) else [size]
-    out = []
+def random_instances(prime: Prime, d: int, count: int, sizes, seed, ratios: list[Ratio]):
+    """Deterministic stream of (E, ratio) instances for batch verification.
+
+    Drawn one at a time, so each set and its cached tables can be freed
+    before the next; a size that does not fit the space is refused first.
+    """
+    space = prime.p**d
+    for n in sizes[:count]:
+        if n > space:
+            raise SizeExceedsSpaceError(f"cannot pick {n} distinct points from {space}")
     for i in range(count):
-        n = sizes[i % len(sizes)]
-        E = random_point_set(prime, d, n, f"{seed}:{i}")
-        if r_values is None:
-            r = rng.randrange(1, prime.p)
-        else:
-            r = r_values[i % len(r_values)]
-        out.append((E, make_ratio(r, prime)))
-    return out
+        yield (random_point_set(prime, d, sizes[i % len(sizes)], f"{seed}:{i}"),
+               ratios[i % len(ratios)])

@@ -1,15 +1,26 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
+import gc
 import json
+import os
 import subprocess
 import sys
 import time
+import weakref
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dilatelab import configcount
 from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, main
-from dilatelab.verify import CLAIM_NAMES
+from dilatelab.verify import CLAIM_NAMES, RATIO_FREE_CLAIMS
+
+
+# a child process imports the package this suite imports, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(configcount.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(argv, capsys):
@@ -273,6 +284,7 @@ def test_entry_point_runs():
          "--p", "3"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("3")  # three distances in the full plane
@@ -343,6 +355,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "dilatelab", "count", "--what", "distance", "--p", "3"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("3")
@@ -461,6 +474,85 @@ def test_verify_exit_4_on_catalog_contradiction(monkeypatch, capsys):
     )
     assert code == 4
     assert ",FAILED," in out
+
+
+def test_verify_holds_one_instance_at_a_time(monkeypatch, capsys):
+    from dilatelab import cli as cli_mod
+
+    real = cli_mod.run_claim
+    refs = []
+
+    def tracking(name, E, ratio=None, k=3):
+        if not refs or refs[-1]() is not E:
+            # a new instance: every earlier one and its cached tables are gone
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
+            refs.append(weakref.ref(E))
+        return real(name, E, ratio, k)
+
+    monkeypatch.setattr(cli_mod, "run_claim", tracking)
+    code, _, _ = run_cli(["verify", "--claim", "lemma2.3", "--random", "4", "--p", "7",
+                          "--size", "6"], capsys)
+    assert code == 0 and len(refs) == 4
+
+
+def test_verify_counts_each_walk_pair_total_once(monkeypatch, capsys):
+    calls = Counter()
+    for name in ("_walk_dp_scaled_pairs", "_nu_identity_scaled_walk_pairs"):
+        real = getattr(configcount, name)
+
+        def counted(E, r, k, _real=real, _name=name):
+            calls[_name, k] += 1
+            return _real(E, r, k)
+
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("dilatelab") \
+                    and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    code, _, _ = run_cli(["verify", "--claim", "all", "--random", "1", "--p", "7",
+                          "--size", "9", "--r", "3"], capsys)
+    assert code == 0
+    # S_1 serves lemmas 2.2 and 2.3, S_2 lemmas 2.3, 2.4 and 4.2, S_3 T1.10
+    assert calls == {(name, k): 1 for name in ("_walk_dp_scaled_pairs",
+                                               "_nu_identity_scaled_walk_pairs")
+                     for k in (1, 2, 3)}
+
+
+def test_ratio_free_claims_are_checked_once_per_set(tmp_path, capsys):
+    set_path = tmp_path / "set.txt"
+    assert main(["gen", "--p", "7", "--size", "9", "--seed", "5", "--out", str(set_path)]) == 0
+    code, out, _ = run_cli(["verify", "--claim", "all", "--set", str(set_path), "--r", "all"],
+                           capsys)
+    assert code == 0
+    rows = Counter(ln.split(",")[0] for ln in out.splitlines()[2:])
+    assert rows == {claim: 1 if claim in RATIO_FREE_CLAIMS else 6 for claim in CLAIM_NAMES}
+    # every random instance is a set of its own
+    code, out, _ = run_cli(["verify", "--claim", "lemma2.6", "--random", "8", "--p", "7",
+                            "--size", "4:7", "--r", "all"], capsys)
+    assert code == 0
+    assert [ln.split(",")[3] for ln in out.splitlines()[2:]] == ["4", "5", "6", "7"] * 2
+
+
+def test_verify_size_past_the_space_exits_3_before_any_claim(monkeypatch, capsys):
+    from dilatelab import cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("no claim may run")
+
+    monkeypatch.setattr(cli_mod, "run_claim", never)
+    code, _, err = run_cli(["verify", "--claim", "all", "--random", "8", "--p", "5",
+                            "--size", "20:30", "--r", "1"], capsys)
+    assert code == 3
+    assert "cannot pick 26 distinct points from 25" in err
+
+
+@pytest.mark.parametrize("what", COUNT_KINDS + tuple(WHAT_ALIASES))
+def test_unknown_method_is_a_usage_error_for_every_kind(what, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--what", what, "--method", "bogus", "--p", "7", "--random", "6",
+              "--r", "1"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_output_file_and_stdout_agree(tmp_path, capsys):

@@ -373,6 +373,32 @@ def test_step_profile_guard_refuses_before_building_rows(monkeypatch):
     assert [rep.method for rep in reports] == ["walk_dp"]
 
 
+def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
+    import dilatelab.configcount as configcount
+
+    def never(E):
+        raise AssertionError("the guard must refuse before the classes are laid out")
+
+    big = make_prime(100003)
+    # about 39,000 distances: one row of 1-step profile lanes is past LANE_GUARD
+    wide = random_point_set(big, 2, 316, seed=0)
+    # 42 points with 42 or more distances: 42^4 census profiles, past CENSUS_GUARD
+    census_set = random_point_set(make_prime(101), 2, 42, seed=2)
+    monkeypatch.setattr(configcount, "_distance_classes", never)
+    for k in (1, 2):
+        with pytest.raises(TooLargeError):
+            step_profile_counts(wide, k)
+        with pytest.raises(TooLargeError):
+            walk_profile_counts(wide, k)
+    with pytest.raises(TooLargeError):
+        cycle_census(census_set)
+    with pytest.raises(TooLargeError):
+        count_scaled_walk_pairs(TWO_POINT, make_ratio(1, SEVEN), 10**9)
+    # the graph's pair-count check is refused, so it is built without the classes
+    graph = build_similarity_graph(wide, make_ratio(2, big))
+    assert graph.vertex_count == 316**2
+
+
 def test_scaled_cycle_pairs_two_point():
     one = make_ratio(1, SEVEN)
     assert count_scaled_cycle_pairs(TWO_POINT, one, "brute").value == 4
