@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .configcount import (
     METHODS,
@@ -44,8 +45,8 @@ from .families import (
     count_simplex_pairs,
     count_triangle_pairs,
     four_cycle_families,
-    histogram_moments,
     simplex_bound_group_sum,
+    tally_moments,
     triangle_bound_group_sum,
     two_path_parts_closed_form,
     _family,
@@ -249,11 +250,11 @@ def _count_rows(E: PointSet, args, parser) -> list:
             group = enumerate_orthogonal(E.d, E.prime)
             lam_total = n_total = slice_total = 0
             for theta in group:
-                hist = displacement_histogram(E, ratio, theta)
-                total, distinct = histogram_moments(hist, E.d + 1)
+                tally = Counter(displacement_histogram(E, ratio, theta).values())
+                total, distinct = tally_moments(tally, E.d + 1)
                 lam_total += total
                 n_total += distinct
-                slice_total += sum(c ** E.d for c in hist.values())
+                slice_total += sum(k * c ** E.d for c, k in tally.items())
             reports.append(_family(E, "Lambda_theta", lam_total, "group_sum", ratio.r))
             reports.append(_family(E, "N_theta", n_total, "group_sum", ratio.r))
             reports.append(_family(E, "A_kl", slice_total, "group_sum", ratio.r))

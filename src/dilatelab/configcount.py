@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product, repeat
-from operator import add, mul
+from itertools import chain, product, repeat
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
@@ -66,6 +66,13 @@ METHOD_MU_IDENTITY = "mu_identity"
 METHOD_WALK_DP = "walk_dp"
 METHOD_GROUP_SUM = "group_sum"
 METHODS = (METHOD_BRUTE, METHOD_NU_IDENTITY, METHOD_MU_IDENTITY, METHOD_WALK_DP, METHOD_GROUP_SUM)
+# The methods of the two counts that take one.
+WALK_PAIR_METHODS = (METHOD_BRUTE, METHOD_NU_IDENTITY, METHOD_WALK_DP)
+CYCLE_PAIR_METHODS = (METHOD_BRUTE, METHOD_MU_IDENTITY)
+
+
+def _not_a_method_of(kind: str, method: str, methods) -> ValueError:
+    return ValueError(f"{kind} has no method {method!r}; its methods are {', '.join(methods)}")
 
 
 @dataclass(frozen=True)
@@ -556,7 +563,7 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
         elif method == METHOD_WALK_DP:
             value = _walk_dp_scaled_pairs(E, ratio.r, k)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            raise _not_a_method_of("S_k", method, WALK_PAIR_METHODS)
         E._cache[key] = value
     return _report(E, f"S_{k}", value, method, r=ratio.r, k=k)
 
@@ -718,7 +725,7 @@ def count_scaled_cycle_pairs(E: PointSet, ratio: Ratio, method: str = METHOD_MU_
     elif method == METHOD_MU_IDENTITY:
         value = _mu_identity_scaled_cycle_pairs(E, ratio.r)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise _not_a_method_of("C", method, CYCLE_PAIR_METHODS)
     return _report(E, "C", value, method, r=ratio.r)
 
 
@@ -736,17 +743,33 @@ def count_ratio_quadruples(E: PointSet, ratio: Ratio) -> CountReport:
 
 
 def displacement_histogram(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> dict[Point, int]:
-    """For each z, the number of pairs (u, v) of E with u - sqrt(r)*theta*v = z."""
+    """For each z, the number of pairs (u, v) of E with u - sqrt(r)*theta*v = z.
+
+    Built a coordinate at a time, like PointSet.dist_table.  Coordinate i of
+    the images w = sqrt(r) theta v is the column sum over j of
+    (sqrt(r) theta_ij mod p) v_j, reduced mod p.  Over the n^2 ordered pairs,
+    v outer and u inner, the displacement column is then u_i - w_i with the
+    u column tiled and the w column repeated, reduced by one lookup in
+    range(p): a negative index reads p + u_i - w_i.  The histogram counts
+    the rows of the d columns.  Only E's coordinate columns are cached.
+    """
     if not ratio.is_square or ratio.sqrt_r is None:
         raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
     p = E.prime.p
-    hist: dict[Point, int] = {}
-    images = [scaled_apply(theta, ratio.sqrt_r, v, p) for v in E.points]
-    for w in images:
-        for u in E.points:
-            z = tuple((a - b) % p for a, b in zip(u, w))
-            hist[z] = hist.get(z, 0) + 1
-    return hist
+    n = len(E)
+    cols = E._cache.get(("coordinate_columns",))
+    if cols is None:
+        cols = E._cache[("coordinate_columns",)] = tuple(zip(*E.points))
+    residue = tuple(range(p)).__getitem__
+    s = ratio.sqrt_r
+    columns = []
+    for row, col in zip(theta.entries, cols):
+        w = repeat(0, n)
+        for t, c in zip(row, cols):
+            w = map(add, w, map((s * t % p).__mul__, c))
+        repeated = chain.from_iterable(map(repeat, map(p.__rmod__, w), repeat(n)))
+        columns.append(map(residue, map(sub, col * n, repeated)))
+    return Counter(zip(*columns))
 
 
 def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
@@ -390,8 +391,16 @@ def shared_displacement_counts(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
 
 def histogram_moments(hist: dict, m: int) -> tuple[int, int]:
     """(sum of c^m, sum of c (c-1) .. (c-m+1)) over the counts c of hist."""
-    counts = hist.values()
-    return sum(c**m for c in counts), sum(_falling(c, m) for c in counts)
+    return tally_moments(Counter(hist.values()), m)
+
+
+def tally_moments(tally: dict, m: int) -> tuple[int, int]:
+    """histogram_moments read from the tally c -> how many keys have count c.
+
+    Each distinct count's power and falling factorial is formed once.
+    """
+    items = tally.items()
+    return sum(k * c**m for c, k in items), sum(k * _falling(c, m) for c, k in items)
 
 
 def shared_displacement_counts_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",

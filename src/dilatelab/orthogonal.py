@@ -28,8 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Matrix = tuple[tuple[int, ...], ...]
 
-# Full-matrix search spaces beyond this are refused.
-GROUP_GUARD = 10**9
+# Orthonormal-frame searches that could take more steps than this are refused.
+GROUP_GUARD = 10**6
 
 
 def identity_matrix(d: int) -> Matrix:
@@ -158,13 +158,22 @@ def _enumerate_orthogonal_cached(d: int, p: int) -> GroupTable:
 def enumerate_orthogonal(d: int, prime: Prime) -> GroupTable:
     """All d x d orthogonal matrices over Z/pZ, by orthonormal-column search.
 
-    Supported for d in {2, 3}; results are cached per (d, p).
+    Supported for d in {2, 3}; results are cached per (d, p).  The search
+    extends each partial frame by every unit vector, so it takes at most
+    |O(d, p)| |S_1| steps, |S_1| <= p^(d-1) + p^floor((d-1)/2).  Refused,
+    before any sphere is enumerated, when that bound exceeds GROUP_GUARD.
     """
     if d not in (2, 3):
         raise DimensionMismatchError("orthogonal enumeration is implemented for d in {2, 3}")
-    if prime.p ** (d * d) > GROUP_GUARD:
-        raise TooLargeError(f"p^(d^2) = {prime.p ** (d * d)} exceeds the group guard")
-    return _enumerate_orthogonal_cached(d, prime.p)
+    p = prime.p
+    # x_1^2 + x_2^2 is hyperbolic exactly when -1 is a square
+    kind = "odd" if d == 3 else "even_plus" if prime.p_mod_4 == 1 else "even_minus"
+    steps = order_formula(kind, 1, prime) * (p ** (d - 1) + p ** ((d - 1) // 2))
+    if steps > GROUP_GUARD:
+        raise TooLargeError(
+            f"the O({d}, {p}) frame search may take {steps} steps, over {GROUP_GUARD}"
+        )
+    return _enumerate_orthogonal_cached(d, p)
 
 
 @lru_cache(maxsize=None)

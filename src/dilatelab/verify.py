@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .configcount import (
     METHOD_NU_IDENTITY,
@@ -451,14 +452,19 @@ def ratios_for_policy(policy: str, prime: Prime) -> list[Ratio]:
     return [make_ratio(v, prime) for v in values]
 
 
+@lru_cache(maxsize=None)
+def _scan_ratios(p: int, policy: str) -> tuple[Prime, tuple[Ratio, ...]]:
+    """A scan's prime and ratios, built once per process rather than per cell."""
+    prime = make_prime(p)
+    return prime, tuple(ratios_for_policy(policy, prime))
+
+
 def _scan_cell(args) -> tuple[int, int, bool]:
     p, d, family, policy, size, sample_index, seed = args
-    prime = make_prime(p)
+    prime, ratios = _scan_ratios(p, policy)
     cell_seed = f"scan:{seed}:{size}:{sample_index}"
     E = random_point_set(prime, d, size, cell_seed)
-    positive = all(
-        family_witness(E, ratio, family) is not None for ratio in ratios_for_policy(policy, prime)
-    )
+    positive = all(family_witness(E, ratio, family) is not None for ratio in ratios)
     return size, sample_index, positive
 
 

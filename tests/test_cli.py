@@ -384,9 +384,9 @@ def test_count_cycles_at_p_1_mod_4_use_the_census(capsys):
 
 
 def test_count_simplex_group_guard_keeps_exact_rows(capsys):
-    # the full orthogonal group of F_13^3 is refused; the brute count stays
+    # the frame search for O(3, 17) is refused; the brute count stays
     code, out, err = run_cli(
-        ["count", "--what", "P", "--d", "3", "--p", "13", "--random", "7",
+        ["count", "--what", "P", "--d", "3", "--p", "17", "--random", "7",
          "--method", "all", "--r", "4"],
         capsys,
     )
@@ -394,6 +394,21 @@ def test_count_simplex_group_guard_keeps_exact_rows(capsys):
     assert "note: group_sum skipped for r=4 (guard:" in err
     rows = [ln.split(",") for ln in out.splitlines()[2:]]
     assert [(row[0], row[6]) for row in rows] == [("P_simplex", "brute")]
+
+
+def test_count_simplex_group_sum_at_p_11(capsys):
+    # O(3, 11) has 2640 elements, a frame search the group guard admits
+    code, out, err = run_cli(
+        ["count", "--what", "P", "--d", "3", "--p", "11", "--random", "7",
+         "--method", "all", "--r", "4"],
+        capsys,
+    )
+    assert code == 0
+    assert "skipped" not in err
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    methods = {row[6]: int(row[5]) for row in rows}
+    assert set(methods) == {"brute", "group_sum"}
+    assert methods["group_sum"] <= methods["brute"]
 
 
 def test_count_triangles_at_the_t17_threshold(capsys):
@@ -553,6 +568,18 @@ def test_unknown_method_is_a_usage_error_for_every_kind(what, capsys):
               "--r", "1"])
     assert exc.value.code == 2
     assert "--method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what,method,methods", [
+    ("S_k", "mu_identity", "brute, nu_identity, walk_dp"),
+    ("C", "walk_dp", "brute, mu_identity"),
+])
+def test_method_of_another_kind_names_the_kind_and_its_methods(what, method, methods, capsys):
+    code, out, err = run_cli(["count", "--what", what, "--method", method, "--p", "7",
+                              "--random", "5", "--r", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} has no method {method!r}; its methods are {methods}\n"
 
 
 def test_output_file_and_stdout_agree(tmp_path, capsys):

@@ -494,6 +494,27 @@ def test_displacement_histogram_matches_pointwise():
         assert displacement_count(E, ratio, theta, z) == hist.get(z, 0)
 
 
+def _leaves(value) -> int:
+    if isinstance(value, (tuple, list)):
+        return sum(map(_leaves, value))
+    return 1
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (5, 2), (5, 3), (7, 3), (13, 2)])
+def test_displacement_histogram_matches_count_at_every_z(p, d):
+    prime = make_prime(p)
+    ratio = make_ratio(4, prime)
+    group = enumerate_orthogonal(d, prime).elements
+    sets = [PointSet(prime, d, [(1,) * d]), random_point_set(prime, d, 9, seed=p), full_space(prime, d)]
+    for E, theta in zip(sets, (group[1], group[len(group) // 2], group[-1])):
+        hist = displacement_histogram(E, ratio, theta)
+        assert sum(hist.values()) == len(E) ** 2
+        for z in itertools.product(range(p), repeat=d):
+            assert hist.get(z, 0) == displacement_count(E, ratio, theta, z)
+        # only columns of E are cached, nothing with a cell per pair
+        assert all(_leaves(value) <= 2 * d * len(E) for value in E._cache.values())
+
+
 def test_report_helpers_cross_check():
     E = random_point_set(SEVEN, 2, 5, seed=6)
     ratio = make_ratio(2, SEVEN)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dilatelab import families
 from dilatelab.configcount import (
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
@@ -30,6 +31,7 @@ from dilatelab.families import (
     find_path_pair_witness,
     four_cycle_families,
     four_cycle_fiber_check,
+    histogram_moments,
     iter_clique_pairs,
     iter_cycle_pairs,
     iter_path_pairs,
@@ -618,6 +620,63 @@ def test_triangle_group_bound_is_lower_bound():
             so2_bound = triangle_bound_group_sum(E, ratio, group="SO2")
             assert Fraction(exact) >= so2_bound
             assert so2_bound == paper_triangle_bound(E, ratio, so2_elements(SEVEN))
+
+
+def direct_group_sum(E, ratio, table, arity=None):
+    # the group sum of the distinct-source counts by explicit tuple extension
+    return sum(shared_displacement_counts_direct(E, ratio, theta, arity)[1] for theta in table)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_simplex_bound_matches_direct_group_sum(p):
+    prime = make_prime(p)
+    E = random_point_set(prime, 3, 6, seed=p)
+    table = enumerate_orthogonal(3, prime)
+    for r in sorted({x * x % p for x in range(1, p)}):
+        ratio = make_ratio(r, prime)
+        expected = Fraction(direct_group_sum(E, ratio, table), len(table))
+        assert simplex_bound_group_sum(E, ratio) == expected
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_triangle_bound_matches_direct_group_sum(p):
+    prime = make_prime(p)
+    E = random_point_set(prime, 2, 8, seed=p)
+    for r in (1, 4):
+        ratio = make_ratio(r, prime)
+        for group, table in (("full", enumerate_orthogonal(2, prime)), ("SO2", so2_elements(prime))):
+            expected = Fraction(direct_group_sum(E, ratio, table, 3), len(table)) - 2 * len(E) ** 2
+            assert triangle_bound_group_sum(E, ratio, group) == expected
+
+
+def test_histogram_moments_match_the_per_count_formula():
+    hist = {(0, 0): 3, (0, 1): 1, (1, 0): 3, (1, 1): 5, (2, 0): 3, (2, 1): 1, (2, 2): 2}
+    for m in (1, 2, 3, 4, 6):
+        expected = (sum(c**m for c in hist.values()), sum(math.perm(c, m) for c in hist.values()))
+        assert histogram_moments(hist, m) == expected
+    assert histogram_moments({}, 3) == (0, 0)
+
+
+def test_group_bounds_build_one_histogram_per_group_element(monkeypatch):
+    calls = []
+
+    def counted(E, ratio, theta):
+        calls.append(theta)
+        return displacement_histogram(E, ratio, theta)
+
+    monkeypatch.setattr(families, "displacement_histogram", counted)
+    cases = [
+        (triangle_bound_group_sum, random_point_set(SEVEN, 2, 6, 1), make_ratio(2, SEVEN)),
+        (simplex_bound_group_sum, random_point_set(THREE, 3, 5, 2), make_ratio(1, THREE)),
+    ]
+    for bound, E, ratio in cases:
+        table = enumerate_orthogonal(E.d, E.prime)
+        calls.clear()
+        bound(E, ratio)
+        assert calls == list(table)
+    calls.clear()
+    triangle_bound_group_sum(*cases[0][1:], group="SO2")
+    assert calls == list(so2_elements(SEVEN))
 
 
 def test_distinct_source_tuples_are_triangle_pairs():

@@ -5,9 +5,11 @@ import itertools
 import pytest
 
 from dilatelab.configcount import make_ratio
+from dilatelab import orthogonal
 from dilatelab.errors import (
     NormMismatchError,
     NotASquareRatioError,
+    TooLargeError,
     WrongResidueClassError,
     ZeroVectorError,
 )
@@ -65,6 +67,31 @@ def test_o3_order(p):
 @pytest.mark.parametrize("d,p", [(2, 3), (2, 5), (2, 7), (3, 3)])
 def test_group_axioms(d, p):
     assert enumerate_orthogonal(d, make_prime(p)).verify_group()
+
+
+def _refuse_search(d, p):
+    raise AssertionError(f"the frame search of O({d}, {p}) ran")
+
+
+def test_group_guard_refuses_before_the_frame_search(monkeypatch):
+    monkeypatch.setattr(orthogonal, "_enumerate_orthogonal_cached", _refuse_search)
+    with pytest.raises(TooLargeError, match="frame search"):
+        enumerate_orthogonal(3, make_prime(31))
+
+
+def test_group_guard_bounds_the_frame_search(monkeypatch):
+    # |O(d, p)| (p^(d-1) + p^floor((d-1)/2)) <= GROUP_GUARD admits
+    monkeypatch.setattr(orthogonal, "_enumerate_orthogonal_cached", lambda d, p: (d, p))
+    for p in (3, 5, 7, 11, 13):
+        assert enumerate_orthogonal(3, make_prime(p)) == (3, p)
+    monkeypatch.setattr(orthogonal, "_enumerate_orthogonal_cached", _refuse_search)
+    for p in (17, 19):
+        with pytest.raises(TooLargeError):
+            enumerate_orthogonal(3, make_prime(p))
+    # every p with p^4 <= 10^9, the bound on the whole matrix space it replaced
+    monkeypatch.setattr(orthogonal, "_enumerate_orthogonal_cached", lambda d, p: (d, p))
+    primes = [p for p in range(3, 178) if all(p % q for q in range(2, p))]
+    assert all(enumerate_orthogonal(2, make_prime(p)) == (2, p) for p in primes)
 
 
 def test_order_formula_examples():
