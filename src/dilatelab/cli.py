@@ -15,16 +15,16 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 
 from .configcount import (
+    CYCLE_PAIR_METHODS,
     METHODS,
+    WALK_PAIR_METHODS,
     CountReport,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
     cycle_pair_reports,
-    displacement_histogram,
     walk_pair_reports,
     _report,
 )
@@ -45,13 +45,12 @@ from .families import (
     count_simplex_pairs,
     count_triangle_pairs,
     four_cycle_families,
+    group_displacement_sums,
     simplex_bound_group_sum,
-    tally_moments,
     triangle_bound_group_sum,
     two_path_parts_closed_form,
     _family,
 )
-from .orthogonal import enumerate_orthogonal
 from .field import make_prime
 from .geometry import (
     PointSet,
@@ -204,6 +203,20 @@ def cmd_gen(args, parser) -> int:
     return 0
 
 
+def _note(text: str) -> None:
+    """One line on stderr for work left out; stdout stays the rows alone."""
+    print(f"note: {text}", file=sys.stderr)
+
+
+def _cross_checked_rows(reports: list, kind: str, ratio, methods) -> list:
+    """The reports of a --method all count, with a note per method its guard left out."""
+    done = {rep.method for rep in reports}
+    for method in methods:
+        if method not in done:
+            _note(f"{method} skipped for {kind} r={ratio.r} (guard)")
+    return reports
+
+
 def _count_rows(E: PointSet, args, parser) -> list:
     what = WHAT_ALIASES.get(args.what, args.what)
     if what in ("quotient", "distance"):
@@ -214,13 +227,15 @@ def _count_rows(E: PointSet, args, parser) -> list:
     for ratio in ratios:
         if what == "S_k":
             if args.method == "all":
-                reports.extend(walk_pair_reports(E, ratio, args.k))
+                reports.extend(_cross_checked_rows(walk_pair_reports(E, ratio, args.k),
+                                                   what, ratio, WALK_PAIR_METHODS))
             else:
                 method = "walk_dp" if args.method == "auto" else args.method
                 reports.append(count_scaled_walk_pairs(E, ratio, args.k, method))
         elif what == "C":
             if args.method == "all":
-                reports.extend(cycle_pair_reports(E, ratio))
+                reports.extend(_cross_checked_rows(cycle_pair_reports(E, ratio),
+                                                   what, ratio, CYCLE_PAIR_METHODS))
             else:
                 method = "mu_identity" if args.method == "auto" else args.method
                 reports.append(count_scaled_cycle_pairs(E, ratio, method))
@@ -244,17 +259,9 @@ def _count_rows(E: PointSet, args, parser) -> list:
                                for nm, v in zip(names, closed))
         elif what == "displacement":
             if not ratio.is_square:
-                print(f"note: displacement rows skipped for r={ratio.r} "
-                      "(not a square)", file=sys.stderr)
+                _note(f"displacement rows skipped for r={ratio.r} (not a square)")
                 continue
-            group = enumerate_orthogonal(E.d, E.prime)
-            lam_total = n_total = slice_total = 0
-            for theta in group:
-                tally = Counter(displacement_histogram(E, ratio, theta).values())
-                total, distinct = tally_moments(tally, E.d + 1)
-                lam_total += total
-                n_total += distinct
-                slice_total += sum(k * c ** E.d for c, k in tally.items())
+            _, lam_total, n_total, slice_total = group_displacement_sums(E, ratio)
             reports.append(_family(E, "Lambda_theta", lam_total, "group_sum", ratio.r))
             reports.append(_family(E, "N_theta", n_total, "group_sum", ratio.r))
             reports.append(_family(E, "A_kl", slice_total, "group_sum", ratio.r))
@@ -273,17 +280,13 @@ def _count_rows(E: PointSet, args, parser) -> list:
             reports.append(counter(E, ratio))
             if args.method == "all":
                 if not ratio.is_square:
-                    print(
-                        f"note: group_sum skipped for r={ratio.r} (not a square)",
-                        file=sys.stderr,
-                    )
+                    _note(f"group_sum skipped for r={ratio.r} (not a square)")
                     continue
                 try:
                     value = max(0, int(bound(E, ratio)))
                 except TooLargeError as exc:
                     # the bound is optional: keep the exact rows already counted
-                    print(f"note: group_sum skipped for r={ratio.r} (guard: {exc})",
-                          file=sys.stderr)
+                    _note(f"group_sum skipped for r={ratio.r} (guard: {exc})")
                     continue
                 reports.append(_family(E, what, value, "group_sum", ratio.r))
         else:
@@ -334,8 +337,7 @@ def cmd_verify(args, parser) -> int:
                 except TooLargeError as exc:
                     if len(claims) == 1:
                         raise
-                    print(f"note: {claim} skipped on |E|={len(E)} (guard: {exc})",
-                          file=sys.stderr)
+                    _note(f"{claim} skipped on |E|={len(E)} (guard: {exc})")
     failed = any(v.contradicts_catalog for v in verdicts)
     _emit("verify", Verdict.CSV_HEADER, [v.csv_row() for v in verdicts],
           [v.json_dict() for v in verdicts], args)

@@ -53,6 +53,9 @@ BRUTE_GUARD = 10**6
 PAIR_GUARD = 10**9
 # Step-profile sweeps whose packed rows would take more bytes are refused.
 LANE_GUARD = 1 << 24
+# Step-profile sweeps whose last level would hold more profiles (lanes) are
+# refused: each nonzero one becomes a dict entry of the cached tables.
+PROFILE_GUARD = 1 << 18
 # Packed sweeps whose steps could form more bytes of lanes in all are refused.
 SWEEP_GUARD = 1 << 30
 # Cycle censuses whose tables could hold more profiles than this are refused:
@@ -289,9 +292,9 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     distance is symmetric, so the walks of class c out of the rows add up to
     sum_i deg_c(i) row[i], and rows are built up to level k - 1.  A lane
     holds at most n^(k+1) walks; lanes are that wide, rounded up to whole
-    bytes.  Refused, before the classes are laid out, when n rows of the last
-    level would take more than LANE_GUARD bytes, or the k steps more than
-    SWEEP_GUARD.
+    bytes.  Refused, before the classes are laid out, when the last level
+    would hold more than PROFILE_GUARD lanes, n rows of it would take more
+    than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
     name = "walks" if stays else "profiles"
     if (name, k) in E._cache:
@@ -301,8 +304,8 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     m = len(E.norm_pair_counts)
     if not (stays or E.norm_pair_counts[0] > n):
         m -= 1
-    if _exceeds(m, k, LANE_GUARD):
-        raise TooLargeError(f"{m}^{k} lanes exceed {LANE_GUARD} bytes")
+    if _exceeds(m, k, PROFILE_GUARD):
+        raise TooLargeError(f"{m}^{k} profiles exceed {PROFILE_GUARD} lanes")
     lanes = m**k
     width = _lane_width(n, k + 1, k, n * lanes)
     if n * lanes * width > LANE_GUARD:

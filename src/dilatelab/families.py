@@ -52,7 +52,7 @@ from .configcount import (
 )
 from .errors import DimensionMismatchError, NotASquareRatioError
 from .geometry import PointSet, dist
-from .orthogonal import GroupTable, enumerate_orthogonal, scaled_apply, so2_elements
+from .orthogonal import enumerate_orthogonal, scaled_apply
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orthogonal import OrthMatrix
@@ -156,11 +156,6 @@ def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
                            visits=2 * math.perm(n, k + 1))
     return _family(E, FAMILY_PATH_PAIRS if k == 2 else f"path_pairs_k{k}", total,
                    method="brute", r=ratio.r, k=k)
-
-
-def validate_path_pair(E: PointSet, r: int, xs, ys) -> bool:
-    """Check a claimed witness directly against the definition."""
-    return validate_pattern_pair(E, r, path_edges(len(xs) - 1), xs, ys)
 
 
 def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
@@ -313,10 +308,6 @@ def iter_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
     return _scaled_pairs(E, r, CYCLE_EDGES, xs, distinct=True)
 
 
-def validate_cycle_pair(E: PointSet, r: int, xs, ys) -> bool:
-    return validate_pattern_pair(E, r, CYCLE_EDGES, xs, ys)
-
-
 def find_cycle_pair_witness(E: PointSet, ratio: Ratio):
     """First pair of 4-cycles (all vertices distinct) with ratio r, or None.
 
@@ -375,40 +366,34 @@ def _falling(x: int, m: int) -> int:
     return out
 
 
-def shared_displacement_counts(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
-                               arity: int | None = None) -> tuple[int, int]:
-    """(all, distinct-source) counts of arity-tuples of pairs sharing a displacement.
+def shared_displacement_counts(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> tuple[int, int]:
+    """(all, distinct-source) counts of (d+1)-tuples of pairs sharing a displacement.
 
-    A tuple here is ((u_1, v_1), .., (u_m, v_m)) with every u_i - sqrt(r) *
-    theta * v_i equal; "distinct-source" additionally requires the v_i to be
-    pairwise distinct.  Within one displacement class the v's determine the
-    pairs, so the two counts are power sums and falling-factorial sums of the
-    displacement histogram.
+    A tuple here is ((u_1, v_1), .., (u_m, v_m)), m = d + 1, with every
+    u_i - sqrt(r) * theta * v_i equal; "distinct-source" additionally
+    requires the v_i to be pairwise distinct.  Within one displacement class
+    the v's determine the pairs, so the two counts are power sums and
+    falling-factorial sums of the displacement histogram.
     """
-    m = E.d + 1 if arity is None else arity
-    return histogram_moments(displacement_histogram(E, ratio, theta), m)
-
-
-def histogram_moments(hist: dict, m: int) -> tuple[int, int]:
-    """(sum of c^m, sum of c (c-1) .. (c-m+1)) over the counts c of hist."""
-    return tally_moments(Counter(hist.values()), m)
+    return tally_moments(Counter(displacement_histogram(E, ratio, theta).values()), E.d + 1)
 
 
 def tally_moments(tally: dict, m: int) -> tuple[int, int]:
-    """histogram_moments read from the tally c -> how many keys have count c.
+    """(sum of c^m, sum of c (c-1) .. (c-m+1)) over a histogram's counts c.
 
-    Each distinct count's power and falling factorial is formed once.
+    Read from its tally c -> how many keys have count c, so each distinct
+    count's power and falling factorial is formed once.
     """
     items = tally.items()
     return sum(k * c**m for c, k in items), sum(k * _falling(c, m) for c, k in items)
 
 
-def shared_displacement_counts_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
-                                      arity: int | None = None) -> tuple[int, int]:
+def shared_displacement_counts_direct(E: PointSet, ratio: Ratio,
+                                      theta: "OrthMatrix") -> tuple[int, int]:
     """The same two counts by explicit tuple extension with membership checks."""
     if not ratio.is_square or ratio.sqrt_r is None:
         raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
-    m = E.d + 1 if arity is None else arity
+    m = E.d + 1
     p = E.prime.p
     images = {v: scaled_apply(theta, ratio.sqrt_r, v, p) for v in E.points}
 
@@ -436,13 +421,13 @@ def shared_displacement_counts_direct(E: PointSet, ratio: Ratio, theta: "OrthMat
 
 
 def displacement_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
-                              k: int, l: int, arity: int | None = None) -> int:
+                              k: int, l: int) -> int:
     """Tuples as above (no distinctness) with sources k and l forced equal."""
     if not ratio.is_square or ratio.sqrt_r is None:
         raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
-    m = E.d + 1 if arity is None else arity
+    m = E.d + 1
     if not (0 <= k < l < m):
-        raise ValueError("need 0 <= k < l < arity")
+        raise ValueError("need 0 <= k < l <= d")
     p = E.prime.p
     images = {v: scaled_apply(theta, ratio.sqrt_r, v, p) for v in E.points}
 
@@ -470,8 +455,7 @@ def displacement_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
     return total
 
 
-def all_equal_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
-                           arity: int | None = None) -> int:
+def all_equal_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> int:
     """Tuples as above with every source equal, checked by scanning targets.
 
     The difference conditions force every target to repeat the first one, so
@@ -480,7 +464,7 @@ def all_equal_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
     """
     if not ratio.is_square or ratio.sqrt_r is None:
         raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
-    m = E.d + 1 if arity is None else arity
+    m = E.d + 1
     p = E.prime.p
     s = ratio.sqrt_r
     total = 0
@@ -542,10 +526,6 @@ def count_simplex_pairs(E: PointSet, ratio: Ratio) -> FamilyCount:
     return _family(E, FAMILY_SIMPLEX, value, method="brute", r=ratio.r)
 
 
-def validate_clique_pair(E: PointSet, r: int, us, vs) -> bool:
-    return validate_pattern_pair(E, r, clique_edges(len(vs)), vs, us)
-
-
 def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
     """First (u-tuple, v-tuple) pair with all pairwise norms in ratio r, or None.
 
@@ -558,44 +538,43 @@ def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
     return None if found is None else found[::-1]
 
 
-def _group_for(E: PointSet, group: str) -> GroupTable:
-    if group == "SO2":
-        if E.d != 2:
-            raise DimensionMismatchError("SO2 sums need dimension 2")
-        return so2_elements(E.prime)
-    if group == "full":
-        return enumerate_orthogonal(E.d, E.prime)
-    raise ValueError(f"unknown group {group!r}")
+def group_displacement_sums(E: PointSet, ratio: Ratio) -> tuple[int, int, int, int]:
+    """|G| and the group sums of c^(d+1), c (c-1) .. (c-d) and c^d, G = O(d, p).
+
+    One pass, one displacement_histogram per element, c over its counts: the
+    group sums of shared_displacement_counts and of displacement_slice_direct.
+    """
+    table = enumerate_orthogonal(E.d, E.prime)
+    power = distinct = slices = 0
+    for theta in table:
+        tally = Counter(displacement_histogram(E, ratio, theta).values())
+        total, falling = tally_moments(tally, E.d + 1)
+        power += total
+        distinct += falling
+        slices += sum(k * c**E.d for c, k in tally.items())
+    return len(table), power, distinct, slices
 
 
-def triangle_bound_group_sum(E: PointSet, ratio: Ratio, group: str = "full") -> Fraction:
+def triangle_bound_group_sum(E: PointSet, ratio: Ratio) -> Fraction:
     """Certified lower bound for the triangle-pair count from rotation sums.
 
-    The paper's form averages, over the chosen matrix group, the
-    cube-minus-square moment sum(c^3 - 3 c^2) of the displacement histogram.
-    Since c^3 - 3 c^2 = c (c-1) (c-2) - 2 c and the counts c add up to |E|^2,
+    The paper's form averages, over O(2, p), the cube-minus-square moment
+    sum(c^3 - 3 c^2) of the displacement histogram.  Since
+    c^3 - 3 c^2 = c (c-1) (c-2) - 2 c and the counts c add up to |E|^2,
     that is the average distinct-source triple count minus 2 |E|^2.  The
     result can be negative for tiny sets, in which case it certifies nothing.
     """
     if E.d != 2:
         raise DimensionMismatchError("the triangle bound is planar")
-    table = _group_for(E, group)
-    total = 0
-    for theta in table:
-        _, distinct = shared_displacement_counts(E, ratio, theta, arity=3)
-        total += distinct
-    return Fraction(total, len(table)) - 2 * len(E) ** 2
+    order, _, distinct, _ = group_displacement_sums(E, ratio)
+    return Fraction(distinct, order) - 2 * len(E) ** 2
 
 
-def simplex_bound_group_sum(E: PointSet, ratio: Ratio, group: str = "full") -> Fraction:
+def simplex_bound_group_sum(E: PointSet, ratio: Ratio) -> Fraction:
     """Certified lower bound for the simplex-pair count from rotation sums.
 
-    Averages the distinct-source shared-displacement count over the group;
+    Averages the distinct-source shared-displacement count over O(d, p);
     every such tuple is a simplex pair, so the average is a true lower bound.
     """
-    table = _group_for(E, group)
-    total = 0
-    for theta in table:
-        _, distinct = shared_displacement_counts(E, ratio, theta)
-        total += distinct
-    return Fraction(total, len(table))
+    order, _, distinct, _ = group_displacement_sums(E, ratio)
+    return Fraction(distinct, order)

@@ -87,9 +87,6 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet(p={self.prime.p}, d={self.d}, n={len(self)})"
 
-    def index_of(self, pt: Point) -> int:
-        return self._point_index[tuple(pt)]
-
     @cached_property
     def dist_table(self) -> tuple[tuple[int, ...], ...]:
         """dist_table[i][j] is the norm of points[i] - points[j].

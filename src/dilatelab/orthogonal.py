@@ -138,7 +138,7 @@ def _enumerate_orthogonal_cached(d: int, p: int) -> GroupTable:
     unit = sphere_points(1, d, prime)
 
     frames: list[tuple[Point, ...]] = [()]
-    for _ in range(d):
+    for _ in range(d - 1):
         extended = []
         for frame in frames:
             for cand in unit:
@@ -150,8 +150,13 @@ def _enumerate_orthogonal_cached(d: int, p: int) -> GroupTable:
 
     elements = []
     for frame in frames:
-        entries = tuple(tuple(frame[j][i] for j in range(d)) for i in range(d))
-        elements.append(make_orth(entries, prime))
+        # the signed (d-1)-minors c are orthogonal to the frame and, by Cauchy-Binet,
+        # of norm 1; +-c, in lexicographic order as in unit, close it with det +-1
+        rows = tuple(zip(*frame))
+        c = tuple((-1) ** (i + d - 1) * determinant(rows[:i] + rows[i + 1 :], p) % p
+                  for i in range(d))
+        for last, det in sorted(((c, 1), (tuple(-x % p for x in c), p - 1))):
+            elements.append(OrthMatrix(entries=tuple(zip(*frame, last)), det=det))
     return GroupTable(elements=tuple(elements), d=d, prime=prime)
 
 
@@ -159,9 +164,11 @@ def enumerate_orthogonal(d: int, prime: Prime) -> GroupTable:
     """All d x d orthogonal matrices over Z/pZ, by orthonormal-column search.
 
     Supported for d in {2, 3}; results are cached per (d, p).  The search
-    extends each partial frame by every unit vector, so it takes at most
-    |O(d, p)| |S_1| steps, |S_1| <= p^(d-1) + p^floor((d-1)/2).  Refused,
-    before any sphere is enumerated, when that bound exceeds GROUP_GUARD.
+    extends the first d - 1 columns by every unit vector and closes each frame
+    with +- its cofactor vector, so every element is orthogonal by
+    construction.  It takes at most |O(d, p)| |S_1| steps, |S_1| <=
+    p^(d-1) + p^floor((d-1)/2).  Refused, before any sphere is enumerated,
+    when that bound exceeds GROUP_GUARD.
     """
     if d not in (2, 3):
         raise DimensionMismatchError("orthogonal enumeration is implemented for d in {2, 3}")
@@ -178,20 +185,16 @@ def enumerate_orthogonal(d: int, prime: Prime) -> GroupTable:
 
 @lru_cache(maxsize=None)
 def _so2_cached(p: int) -> GroupTable:
-    prime = make_prime(p)
-    elements = []
-    for a in range(p):
-        for b in range(p):
-            if (a * a + b * b) % p == 1:
-                elements.append(make_orth(((a, -b % p), (b, a)), prime))
-    return GroupTable(elements=tuple(elements), d=2, prime=prime)
+    full = _enumerate_orthogonal_cached(2, p)
+    return GroupTable(elements=full.determinant_one(), d=2, prime=full.prime)
 
 
 def so2_elements(prime: Prime) -> GroupTable:
     """The plane rotations: matrices ((a, -b), (b, a)) with a^2 + b^2 = 1.
 
-    The table has p - chi(-1) elements, i.e. p+1 when p = 3 (mod 4) and p-1
-    when p = 1 (mod 4).
+    The determinant-1 half of the O(2, p) table, refused only where its unit
+    circle is (sphere_points).  It has p - chi(-1) elements, i.e. p+1 when
+    p = 3 (mod 4) and p-1 when p = 1 (mod 4).
     """
     return _so2_cached(prime.p)
 

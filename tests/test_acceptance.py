@@ -13,13 +13,16 @@ from types import SimpleNamespace
 import pytest
 
 from dilatelab.configcount import (
+    CYCLE_EDGES,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
     make_ratio,
+    path_edges,
 )
 from dilatelab.families import (
     all_equal_slice_direct,
     classify_two_path_pairs,
+    clique_edges,
     displacement_slice_direct,
     find_clique_pair_witness,
     find_cycle_pair_witness,
@@ -28,9 +31,7 @@ from dilatelab.families import (
     shared_displacement_counts_direct,
     simplex_bound_group_sum,
     two_path_parts_closed_form,
-    validate_clique_pair,
-    validate_cycle_pair,
-    validate_path_pair,
+    validate_pattern_pair,
 )
 from dilatelab.field import make_prime
 from dilatelab.geometry import (
@@ -286,7 +287,7 @@ def test_criterion_07_path_pairs_at_threshold():
             assert verdict.hypothesis_met
             assert verdict.conclusion_holds, (i, r)
             xs, ys = verdict.params["witness"]
-            assert validate_path_pair(E, r, xs, ys)
+            assert validate_pattern_pair(E, r, path_edges(2), xs, ys)
 
 
 def test_criterion_08_triangles_and_simplexes():
@@ -299,7 +300,7 @@ def test_criterion_08_triangles_and_simplexes():
             assert verdict.hypothesis_met
             assert verdict.conclusion_holds, (i, r)
             us, vs = verdict.params["witness"]
-            assert validate_clique_pair(E, r, us, vs)
+            assert validate_pattern_pair(E, r, clique_edges(3), vs, us)
 
     cube = full_space(THREE, 3)
     ratio = make_ratio(1, THREE)
@@ -307,7 +308,8 @@ def test_criterion_08_triangles_and_simplexes():
     assert verdict.hypothesis_met and verdict.conclusion_holds
     witness = find_clique_pair_witness(cube, ratio, 4)
     assert witness is not None
-    assert validate_clique_pair(cube, 1, *witness)
+    us, vs = witness
+    assert validate_pattern_pair(cube, 1, clique_edges(4), vs, us)
     table = enumerate_orthogonal(3, THREE)
     assert len(table) == 48
     assert simplex_bound_group_sum(cube, ratio) > 0
@@ -340,7 +342,7 @@ def test_criterion_10_four_cycle_claim_vacuous_but_true():
         assert verdict.status == "VACUOUS"
         assert verdict.conclusion_holds  # witness exists regardless
         witness = find_cycle_pair_witness(plane, ratio)
-        assert witness is not None and validate_cycle_pair(plane, 1, *witness)
+        assert witness is not None and validate_pattern_pair(plane, 1, CYCLE_EDGES, *witness)
 
 
 def test_criterion_11_walk_floor_all_graphs(family):

@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dilatelab import configcount
 from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, main
+from dilatelab.errors import TooLargeError
+from dilatelab.geometry import load_point_set
 from dilatelab.verify import CLAIM_NAMES, RATIO_FREE_CLAIMS
 
 
@@ -230,12 +232,38 @@ def test_walk_pairs_past_the_lane_guard_keep_walk_dp(capsys):
     # 8 * 7^8 + 8^9 tuples: both are optional and left out, not run or refused
     code, out, err = run_cli(["count", "--what", "S_k", "--p", "11", "--random", "8",
                               "--k", "8", "--method", "all", "--r", "1"], capsys)
-    assert code == 0 and err == ""
+    assert code == 0
+    assert err == ("note: brute skipped for S_k r=1 (guard)\n"
+                   "note: nu_identity skipped for S_k r=1 (guard)\n")
     assert [row.split(",")[1] for row in out.splitlines()[2:]] == ["walk_dp"]
     # T1.10 skips only its cross-check against the identity
     code, out, _ = run_cli(["verify", "--claim", "T1.10", "--p", "11", "--random", "1",
                             "--size", "8", "--k", "8", "--r", "1"], capsys)
     assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_walks_past_the_profile_lane_bound_keep_walk_dp(tmp_path, capsys, monkeypatch):
+    # two steps, 9 and the null segment 0: nu_identity's last level would hold
+    # 2^20 profiles, over PROFILE_GUARD, so it is refused before its classes
+    # are laid out, and brute would visit 3^21 tuples
+    set_path = tmp_path / "three.txt"
+    set_path.write_text("p=13 d=2\n0,0\n1,5\n1,8\n")
+    E = load_point_set(set_path)
+
+    def never(*args):
+        raise AssertionError("the guard must refuse before the classes are laid out")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(configcount, "_distance_classes", never)
+        for k in (19, 20):
+            with pytest.raises(TooLargeError, match="profiles exceed"):
+                configcount.step_profile_counts(E, k)
+    code, out, err = run_cli(["count", "--what", "S_k", "--set", str(set_path), "--k", "20",
+                              "--method", "all", "--r", "2"], capsys)
+    assert code == 0
+    assert [row.split(",")[1] for row in out.splitlines()[2:]] == ["walk_dp"]
+    assert err == ("note: brute skipped for S_k r=2 (guard)\n"
+                   "note: nu_identity skipped for S_k r=2 (guard)\n")
 
 
 def test_verify_determinism(capsys):

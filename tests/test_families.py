@@ -3,18 +3,22 @@
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from dilatelab import families
+from dilatelab.cli import main
 from dilatelab.configcount import (
+    CYCLE_EDGES,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
     displacement_histogram,
     iter_scaled_cycle_pairs,
     iter_scaled_walk_pairs,
     make_ratio,
+    path_edges,
 )
 from dilatelab.errors import TooLargeError
 from dilatelab.families import (
@@ -22,6 +26,7 @@ from dilatelab.families import (
     all_equal_slice_direct,
     check_two_path_decomposition,
     classify_two_path_pairs,
+    clique_edges,
     count_path_pairs,
     count_simplex_pairs,
     count_triangle_pairs,
@@ -31,18 +36,16 @@ from dilatelab.families import (
     find_path_pair_witness,
     four_cycle_families,
     four_cycle_fiber_check,
-    histogram_moments,
     iter_clique_pairs,
     iter_cycle_pairs,
     iter_path_pairs,
     shared_displacement_counts,
     shared_displacement_counts_direct,
     simplex_bound_group_sum,
+    tally_moments,
     triangle_bound_group_sum,
     two_path_parts_closed_form,
-    validate_clique_pair,
-    validate_cycle_pair,
-    validate_path_pair,
+    validate_pattern_pair,
 )
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
@@ -194,8 +197,8 @@ def test_path_pair_counts_small():
 def test_path_pairs_match_raw(p, size, k):
     prime = make_prime(p)
     nulls = 0
-    for seed in range(2):
-        E = random_point_set(prime, 2, size, seed)
+    for d, seed in itertools.product((2, 3), range(2)):
+        E = random_point_set(prime, d, size, seed)
         nulls += has_null_segment(E)
         for r in (1, p - 1):
             assert count_path_pairs(E, make_ratio(r, prime), k).value == raw_path_pairs(E, r, k)
@@ -251,7 +254,7 @@ def test_path_pair_witness_full_plane():
         found = find_path_pair_witness(plane, make_ratio(r, SEVEN), 2)
         assert found is not None
         xs, ys = found
-        assert validate_path_pair(plane, r, xs, ys)
+        assert validate_pattern_pair(plane, r, path_edges(2), xs, ys)
 
 
 def test_path_pair_witness_none_when_empty():
@@ -408,7 +411,7 @@ def test_cycle_pair_witness_full_plane():
         found = find_cycle_pair_witness(plane, make_ratio(1, prime))
         assert found is not None
         xs, ys = found
-        assert validate_cycle_pair(plane, 1, xs, ys)
+        assert validate_pattern_pair(plane, 1, CYCLE_EDGES, xs, ys)
 
 
 def test_cycle_pair_witness_none_for_two_points():
@@ -617,14 +620,13 @@ def test_triangle_group_bound_is_lower_bound():
             exact = count_triangle_pairs(E, ratio).value
             assert Fraction(exact) >= bound
             assert bound == paper_triangle_bound(E, ratio, enumerate_orthogonal(2, SEVEN))
-            so2_bound = triangle_bound_group_sum(E, ratio, group="SO2")
+            so2_bound = paper_triangle_bound(E, ratio, so2_elements(SEVEN))
             assert Fraction(exact) >= so2_bound
-            assert so2_bound == paper_triangle_bound(E, ratio, so2_elements(SEVEN))
 
 
-def direct_group_sum(E, ratio, table, arity=None):
+def direct_group_sum(E, ratio, table):
     # the group sum of the distinct-source counts by explicit tuple extension
-    return sum(shared_displacement_counts_direct(E, ratio, theta, arity)[1] for theta in table)
+    return sum(shared_displacement_counts_direct(E, ratio, theta)[1] for theta in table)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -644,17 +646,22 @@ def test_triangle_bound_matches_direct_group_sum(p):
     E = random_point_set(prime, 2, 8, seed=p)
     for r in (1, 4):
         ratio = make_ratio(r, prime)
-        for group, table in (("full", enumerate_orthogonal(2, prime)), ("SO2", so2_elements(prime))):
-            expected = Fraction(direct_group_sum(E, ratio, table, 3), len(table)) - 2 * len(E) ** 2
-            assert triangle_bound_group_sum(E, ratio, group) == expected
+        table = enumerate_orthogonal(2, prime)
+        expected = Fraction(direct_group_sum(E, ratio, table), len(table)) - 2 * len(E) ** 2
+        assert triangle_bound_group_sum(E, ratio) == expected
+        # the paper's form over SO(2) is the same average over the rotations
+        rotations = so2_elements(prime)
+        expected = Fraction(direct_group_sum(E, ratio, rotations), len(rotations)) - 2 * len(E) ** 2
+        assert paper_triangle_bound(E, ratio, rotations) == expected
 
 
 def test_histogram_moments_match_the_per_count_formula():
     hist = {(0, 0): 3, (0, 1): 1, (1, 0): 3, (1, 1): 5, (2, 0): 3, (2, 1): 1, (2, 2): 2}
+    tally = Counter(hist.values())
     for m in (1, 2, 3, 4, 6):
         expected = (sum(c**m for c in hist.values()), sum(math.perm(c, m) for c in hist.values()))
-        assert histogram_moments(hist, m) == expected
-    assert histogram_moments({}, 3) == (0, 0)
+        assert tally_moments(tally, m) == expected
+    assert tally_moments({}, 3) == (0, 0)
 
 
 def test_group_bounds_build_one_histogram_per_group_element(monkeypatch):
@@ -674,9 +681,11 @@ def test_group_bounds_build_one_histogram_per_group_element(monkeypatch):
         calls.clear()
         bound(E, ratio)
         assert calls == list(table)
+    # the displacement rows of the CLI read the same one pass
     calls.clear()
-    triangle_bound_group_sum(*cases[0][1:], group="SO2")
-    assert calls == list(so2_elements(SEVEN))
+    assert main(["count", "--what", "displacement", "--p", "7", "--random", "6",
+                 "--seed", "1", "--r", "2"]) == 0
+    assert calls == list(enumerate_orthogonal(2, SEVEN))
 
 
 def test_distinct_source_tuples_are_triangle_pairs():
@@ -699,7 +708,7 @@ def test_distinct_source_tuples_are_triangle_pairs():
             for chosen in itertools.permutations(bucket, 3):
                 us = tuple(u for u, _ in chosen)
                 vs = tuple(v for _, v in chosen)
-                assert validate_clique_pair(E, ratio.r, us, vs)
+                assert validate_pattern_pair(E, ratio.r, clique_edges(3), vs, us)
 
 
 def test_simplex_pairs_match_triangles_in_plane():
@@ -730,7 +739,7 @@ def test_clique_witness_identity_dilation():
     found = find_clique_pair_witness(cube, make_ratio(1, THREE))
     assert found is not None
     us, vs = found
-    assert validate_clique_pair(cube, 1, us, vs)
+    assert validate_pattern_pair(cube, 1, clique_edges(4), vs, us)
 
 
 def test_clique_witness_none_when_too_small():

@@ -16,6 +16,7 @@ from dilatelab.errors import (
 from dilatelab.field import make_prime
 from dilatelab.geometry import norm_of
 from dilatelab.orthogonal import (
+    determinant,
     enumerate_orthogonal,
     identity_matrix,
     make_orth,
@@ -28,13 +29,12 @@ from dilatelab.orthogonal import (
 )
 
 
-def brute_force_o2(p):
-    """All 2x2 orthogonal matrices by checking every matrix; the slow oracle."""
-    prime = make_prime(p)
+def brute_force_orthogonal(d, p):
+    """All d x d orthogonal matrices by checking every matrix; the slow oracle."""
     found = []
-    for a, b, c, d in itertools.product(range(p), repeat=4):
-        m = ((a, b), (c, d))
-        if mat_mul(transpose(m), m, p) == identity_matrix(2):
+    for flat in itertools.product(range(p), repeat=d * d):
+        m = tuple(flat[i * d : (i + 1) * d] for i in range(d))
+        if mat_mul(transpose(m), m, p) == identity_matrix(d):
             found.append(m)
     return found
 
@@ -54,7 +54,14 @@ def test_o2_order_p_1_mod_4(p, expected):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_o2_matches_brute_force(p):
     table = enumerate_orthogonal(2, make_prime(p))
-    assert sorted(m.entries for m in table) == sorted(brute_force_o2(p))
+    assert sorted(m.entries for m in table) == sorted(brute_force_orthogonal(2, p))
+
+
+def test_o3_matches_brute_force():
+    # all 3^9 matrices against the frames closed by their cofactor vectors
+    table = enumerate_orthogonal(3, make_prime(3))
+    expected = [(m, determinant(m, 3)) for m in brute_force_orthogonal(3, 3)]
+    assert sorted((m.entries, m.det) for m in table) == sorted(expected)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
