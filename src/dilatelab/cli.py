@@ -17,10 +17,9 @@ import os
 import sys
 
 from .configcount import (
-    CYCLE_PAIR_METHODS,
     METHODS,
-    WALK_PAIR_METHODS,
     CountReport,
+    CrossChecked,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
@@ -87,12 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # only scan has a worker pool; the others accept --threads and ignore it
+    def add_common(p, threads_help="ignored: this command runs in one process"):
         p.add_argument("--p", type=int, help="odd prime modulus")
         p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
         p.add_argument("--seed", default="0", help="seed for all randomness")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size (results are schedule-independent)")
+                       help=threads_help)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
 
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, default=3, help="walk length for T1.10")
 
     s = sub.add_parser("scan", help="positivity fraction of a family by set size")
-    add_common(s)
+    add_common(s, threads_help="worker pool size (results are schedule-independent)")
     s.add_argument("--family", choices=FAMILIES, required=True)
     s.add_argument("--r", default="all", help="'all', 'squares', or an integer")
     s.add_argument("--sizes", required=True, help="LO:HI[:STEP] inclusive range")
@@ -208,12 +208,10 @@ def _note(text: str) -> None:
     print(f"note: {text}", file=sys.stderr)
 
 
-def _cross_checked_rows(reports: list, kind: str, ratio, methods) -> list:
+def _cross_checked_rows(reports: CrossChecked, kind: str, ratio) -> list:
     """The reports of a --method all count, with a note per method its guard left out."""
-    done = {rep.method for rep in reports}
-    for method in methods:
-        if method not in done:
-            _note(f"{method} skipped for {kind} r={ratio.r} (guard)")
+    for method, reason in reports.refused.items():
+        _note(f"{method} skipped for {kind} r={ratio.r} (guard: {reason})")
     return reports
 
 
@@ -227,15 +225,14 @@ def _count_rows(E: PointSet, args, parser) -> list:
     for ratio in ratios:
         if what == "S_k":
             if args.method == "all":
-                reports.extend(_cross_checked_rows(walk_pair_reports(E, ratio, args.k),
-                                                   what, ratio, WALK_PAIR_METHODS))
+                checked = walk_pair_reports(E, ratio, args.k)
+                reports.extend(_cross_checked_rows(checked, what, ratio))
             else:
                 method = "walk_dp" if args.method == "auto" else args.method
                 reports.append(count_scaled_walk_pairs(E, ratio, args.k, method))
         elif what == "C":
             if args.method == "all":
-                reports.extend(_cross_checked_rows(cycle_pair_reports(E, ratio),
-                                                   what, ratio, CYCLE_PAIR_METHODS))
+                reports.extend(_cross_checked_rows(cycle_pair_reports(E, ratio), what, ratio))
             else:
                 method = "mu_identity" if args.method == "auto" else args.method
                 reports.append(count_scaled_cycle_pairs(E, ratio, method))

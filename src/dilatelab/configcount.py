@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, combinations, permutations, product, repeat
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -360,31 +360,142 @@ def _edge_distinct(n: int, edges) -> Iterator[tuple]:
     return filter(ok, product(range(n), repeat=max(b for _, b in edges) + 1))
 
 
-def brute_join(E: PointSet, r: int, edges, x_tuples, y_tuples, visits: int) -> int:
-    """Pairs (xs, ys) of x_tuples and y_tuples with ys a copy of the pattern of xs scaled by r.
+# The sides of a brute count, named by the tuples of indices they run over:
+# every tuple, the tuples whose two ends differ on every edge, the tuples of
+# distinct entries, and the increasing tuples.
+EVERY = "every"
+EDGE_DISTINCT = "edge_distinct"
+DISTINCT = "distinct"
+INCREASING = "increasing"
+
+
+def _profile_blocks(table, p: int, edges, kind: str) -> Iterator[tuple[Iterable[int], list, int]]:
+    """The profile codes of a side's tuples, one block per assignment of the prefix vertices.
+
+    The code of a tuple is sum_i t_i p^i, with t_i = table[a][b] for the i-th
+    edge (a, b) of the pattern.  The last vertex is free, and so is the first
+    vertex not adjacent to it if there is one, unless the side is increasing.
+    The other vertices, the prefix, are enumerated with itertools; per prefix
+    a free vertex is a column of n codes, its weighted table rows towards its
+    prefix neighbours summed, with the indices its side excludes deleted: the
+    prefix neighbours on an edge-distinct side, the whole prefix on a
+    distinct one, and on an increasing one every index up to the prefix's
+    last.  Two free vertices are not adjacent, so the block is the outer sum
+    of their columns.  Each block is (codes, back, size): the codes of its
+    tuples, codes to take back out (the diagonal of the two columns of a
+    distinct side, whose free vertices may not coincide), and how many
+    tuples it holds.
+    """
+    n = len(table)
+    size = max(b for _, b in edges) + 1
+    last = size - 1
+    near = {a for a, b in edges if b == last} | {b for a, b in edges if a == last}
+    far = [v for v in range(last) if v not in near]
+    free = (far[0], last) if far and kind != INCREASING else (last,)
+    slot = {v: i for i, v in enumerate(v for v in range(size) if v not in free)}
+    inner = [(p**i, slot[a], slot[b]) for i, (a, b) in enumerate(edges) if a in slot and b in slot]
+    links = [
+        [(table if i == 0 else [tuple(map((p**i).__mul__, row)) for row in table],
+          slot[b if a == f else a])
+         for i, (a, b) in enumerate(edges) if f in (a, b)]
+        for f in free
+    ]
+    if kind == DISTINCT:
+        prefixes = permutations(range(n), len(slot))
+    elif kind == INCREASING:
+        prefixes = combinations(range(n), len(slot))
+    else:
+        prefixes = product(range(n), repeat=len(slot))
+        if kind == EDGE_DISTINCT:
+            prefixes = (xs for xs in prefixes if all(xs[a] != xs[b] for _, a, b in inner))
+    for xs in prefixes:
+        cols = []
+        for link in links:
+            (rows, s), *rest = link
+            col = rows[xs[s]]
+            for rows, s in rest:
+                col = map(add, col, rows[xs[s]])
+            col = list(col)
+            if kind == INCREASING:
+                del col[: xs[-1] + 1]
+            elif kind != EVERY:
+                for j in sorted(xs if kind == DISTINCT else {xs[s] for _, s in link},
+                                reverse=True):
+                    del col[j]
+            cols.append(col)
+        hi = cols[0]
+        if inner:
+            hi = list(map(sum(w * table[xs[a]][xs[b]] for w, a, b in inner).__add__, hi))
+        if len(cols) == 1:
+            yield hi, [], len(hi)
+            continue
+        lo = cols[1]
+        m = len(lo)
+        codes = map(add, chain.from_iterable(map(repeat, hi, repeat(m))), lo * m)
+        back = list(map(add, hi, lo)) if kind == DISTINCT else []
+        yield codes, back, len(hi) * m - len(back)
+
+
+def brute_join(E: PointSet, r: int, edges, x_kind: str, y_kind: str, visits: int) -> int:
+    """Pairs (xs, ys) from an x_kind and a y_kind side, ys the pattern of xs scaled by r.
 
     With X(t) and Y(t) the numbers of x and y tuples whose squared distances
-    along the edges are t, this is the join sum_t X(t) Y(r t).  Refused before
-    any tuple is visited when visits, the number of x and y tuples, exceeds
-    BRUTE_GUARD.
+    along the edges are t, this is the join sum_t X(t) Y(r t).  X is held as
+    a histogram of codes of r-scaled profiles, read from the r-scaled
+    distance table, and the y codes stream against it; both sides are
+    _profile_blocks.  Refused before any tuple is visited when visits, the
+    number of x and y tuples, exceeds BRUTE_GUARD.
     """
     if visits > BRUTE_GUARD:
         raise TooLargeError(f"a brute count over {visits} tuples refused, over {BRUTE_GUARD}")
+    p = E.prime.p
     D = E.dist_table
-
-    def profile(t):
-        return tuple([D[t[a]][t[b]] for a, b in edges])
-
-    X, Y = Counter(map(profile, x_tuples)), Counter(map(profile, y_tuples))
-    visited = sum(X.values()) + sum(Y.values())
+    X = Counter()
+    visited = 0
+    scale = [r * t % p for t in range(p)]
+    scaled = [tuple(map(scale.__getitem__, row)) for row in D]
+    for codes, back, size in _profile_blocks(scaled, p, edges, x_kind):
+        X.update(codes)
+        if back:
+            X.subtract(back)
+        visited += size
+    get = X.get
+    total = 0
+    for codes, back, size in _profile_blocks(D, p, edges, y_kind):
+        total += sum(map(get, codes, repeat(0))) - sum(map(get, back, repeat(0)))
+        visited += size
     if visited != visits:
         raise AssertionError(f"internal error: {visited} tuples visited, {visits} guarded")
-    return join(X, Y, _scaling(r, E.prime.p))
+    return total
 
 
 def _scaling(r: int, p: int):
     """The map from a profile tuple t to r t, the scale of join."""
     return lambda t: tuple([r * s % p for s in t])
+
+
+def _completions(buckets, D, into, distinct: bool, prof, ys) -> Iterator[tuple]:
+    """The completions of the partial y tuple ys, in the search order of _scaled_pairs.
+
+    A module-level generator, not a closure: a recursive closure reaches
+    itself through its own cell, and that cycle would keep the searched set
+    alive until the cyclic collector runs.
+    """
+    depth = len(ys)
+    if depth == len(into):
+        yield tuple(ys)
+        return
+    (i, a), *checks = into[depth]
+    for j in buckets[ys[a]].get(prof[i], ()):
+        if distinct and j in ys:
+            continue
+        for e, c in checks:
+            if D[j][ys[c]] != prof[e]:
+                break
+        else:
+            ys.append(j)
+            yield from _completions(buckets, D, into, distinct, prof, ys)
+            ys.pop()
 
 
 def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
@@ -412,23 +523,7 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
     for i, (a, b) in enumerate(edges):
         into[b].append((i, a))
 
-    def extend(prof, ys):
-        depth = len(ys)
-        if depth == size:
-            yield tuple(ys)
-            return
-        (i, a), *checks = into[depth]
-        for j in E.neighbor_buckets[ys[a]].get(prof[i], ()):
-            if distinct and j in ys:
-                continue
-            for e, c in checks:
-                if D[j][ys[c]] != prof[e]:
-                    break
-            else:
-                ys.append(j)
-                yield from extend(prof, ys)
-                ys.pop()
-
+    buckets = E.neighbor_buckets
     done: dict[tuple, list] = {}
     for xs in x_tuples:
         prof = tuple(r * D[xs[a]][xs[b]] % p for a, b in edges)
@@ -436,7 +531,7 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
         if found is None:
             found = []
             for y0 in range(len(E)):
-                for ys in extend(prof, [y0]):
+                for ys in _completions(buckets, D, into, distinct, prof, [y0]):
                     found.append(ys)
                     yield xs, ys
             done[prof] = found
@@ -470,8 +565,7 @@ def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
         raise TooLargeError(
             f"a brute count of {k}-step walks on {n} points refused, over {BRUTE_GUARD} tuples"
         )
-    edges = path_edges(k)
-    return brute_join(E, r, edges, _edge_distinct(n, edges), product(range(n), repeat=k + 1),
+    return brute_join(E, r, path_edges(k), EDGE_DISTINCT, EVERY,
                       visits=n * (n - 1) ** k + n ** (k + 1))
 
 
@@ -574,8 +668,8 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
 def _brute_scaled_cycle_pairs(E: PointSet, r: int) -> int:
     n = len(E)
     # the x side is the closed 4-walks of K_n: tr (J - I)^4 = (n-1)^4 + n-1
-    return brute_join(E, r, CYCLE_EDGES, _edge_distinct(n, CYCLE_EDGES),
-                      product(range(n), repeat=4), visits=(n - 1) ** 4 + n - 1 + n**4)
+    return brute_join(E, r, CYCLE_EDGES, EDGE_DISTINCT, EVERY,
+                      visits=(n - 1) ** 4 + n - 1 + n**4)
 
 
 @dataclass(frozen=True)
@@ -791,30 +885,43 @@ def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point)
 
 
 def walk_pair_reports(E: PointSet, ratio: Ratio, k: int,
-                      checks=(METHOD_BRUTE, METHOD_NU_IDENTITY)) -> list[CountReport]:
+                      checks=(METHOD_BRUTE, METHOD_NU_IDENTITY)) -> CrossChecked:
     """walk_dp, cross-checked by each method of checks whose guard admits it."""
     return _cross_checked(E, lambda m: count_scaled_walk_pairs(E, ratio, k, m),
                           METHOD_WALK_DP, checks)
 
 
-def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:
+def cycle_pair_reports(E: PointSet, ratio: Ratio) -> CrossChecked:
     """mu_identity, cross-checked by brute where its guard admits it."""
     return _cross_checked(E, lambda m: count_scaled_cycle_pairs(E, ratio, m),
                           METHOD_MU_IDENTITY, [METHOD_BRUTE])
 
 
-def _cross_checked(E: PointSet, count, first: str, optional) -> list[CountReport]:
+class CrossChecked(list):
+    """The agreeing reports of one count, its first method's first.
+
+    refused maps each optional method a guard refused, in check order, to
+    the guard's message.
+    """
+
+    def __init__(self, reports: list[CountReport], refused: dict[str, str]):
+        super().__init__(reports)
+        self.refused = refused
+
+
+def _cross_checked(E: PointSet, count, first: str, optional) -> CrossChecked:
     """count's reports for first and each optional method its guard admits; they must agree."""
     reports = [count(first)]
+    refused = {}
     for m in optional:
         try:
             reports.append(count(m))
-        except TooLargeError:
-            pass
+        except TooLargeError as exc:
+            refused[m] = str(exc)
     if len({rep.value for rep in reports}) > 1:
         detail = ", ".join(f"{rep.method}={rep.value}" for rep in reports)
         raise MethodMismatchError(
             f"methods disagree on {reports[0].name} (p={E.prime.p}, d={E.d}, "
             f"n={len(E)}, r={reports[0].r}): {detail}; points={list(E.points)}"
         )
-    return reports
+    return CrossChecked(reports, refused)

@@ -15,9 +15,9 @@ ambient iter_scaled_walk_pairs and iter_scaled_cycle_pairs of
 configcount._scaled_pairs over the edge list of their pattern (path_edges,
 CYCLE_EDGES, clique_edges); they give the witnesses, each the first item,
 checked by the one validator validate_pattern_pair, and the classifications.
-A brute count is configcount.brute_join over the family's x and y tuples
-(times m! for m-cliques, whose v side runs over combinations), not an
-enumerator's length.  The degenerate parts of the 2-path pairs are joins
+A brute count is configcount.brute_join over the family's x and y sides
+(times m! for m-cliques, whose v side is increasing), not an enumerator's
+length.  The degenerate parts of the 2-path pairs are joins
 of the step-profile tables, and the four-cycle coincidence families joins
 of the cycle census, of :mod:`dilatelab.configcount`, for every (p, d);
 each is tested against a classification of the enumerated pairs.
@@ -36,6 +36,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from .configcount import (
     CYCLE_EDGES,
+    DISTINCT,
+    INCREASING,
     Ratio,
     brute_join,
     cycle_census,
@@ -151,8 +153,7 @@ def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
     n = len(E)
     total = 0  # with k >= n no path has k + 1 distinct points
     if k < n:
-        total = brute_join(E, ratio.r, path_edges(k), itertools.permutations(range(n), k + 1),
-                           itertools.permutations(range(n), k + 1),
+        total = brute_join(E, ratio.r, path_edges(k), DISTINCT, DISTINCT,
                            visits=2 * math.perm(n, k + 1))
     return _family(E, FAMILY_PATH_PAIRS if k == 2 else f"path_pairs_k{k}", total,
                    method="brute", r=ratio.r, k=k)
@@ -504,8 +505,7 @@ def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
     """Pairs of m-tuples, distinct entries each, all pairwise norms in ratio r."""
     n = len(E)
     # as in iter_clique_pairs the v side runs over combinations, m! orders each
-    pairs = brute_join(E, r, clique_edges(m), itertools.combinations(range(n), m),
-                       itertools.permutations(range(n), m),
+    pairs = brute_join(E, r, clique_edges(m), INCREASING, DISTINCT,
                        visits=math.comb(n, m) + math.perm(n, m))
     return math.factorial(m) * pairs
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dilatelab import configcount
 from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, main
 from dilatelab.errors import TooLargeError
-from dilatelab.geometry import load_point_set
+from dilatelab.geometry import PointSet, load_point_set
 from dilatelab.verify import CLAIM_NAMES, RATIO_FREE_CLAIMS
 
 
@@ -233,8 +233,10 @@ def test_walk_pairs_past_the_lane_guard_keep_walk_dp(capsys):
     code, out, err = run_cli(["count", "--what", "S_k", "--p", "11", "--random", "8",
                               "--k", "8", "--method", "all", "--r", "1"], capsys)
     assert code == 0
-    assert err == ("note: brute skipped for S_k r=1 (guard)\n"
-                   "note: nu_identity skipped for S_k r=1 (guard)\n")
+    assert err == ("note: brute skipped for S_k r=1 (guard: a brute count of 8-step walks "
+                   "on 8 points refused, over 1000000 tuples)\n"
+                   "note: nu_identity skipped for S_k r=1 (guard: 8^8 profiles exceed "
+                   "262144 lanes)\n")
     assert [row.split(",")[1] for row in out.splitlines()[2:]] == ["walk_dp"]
     # T1.10 skips only its cross-check against the identity
     code, out, _ = run_cli(["verify", "--claim", "T1.10", "--p", "11", "--random", "1",
@@ -262,8 +264,10 @@ def test_walks_past_the_profile_lane_bound_keep_walk_dp(tmp_path, capsys, monkey
                               "--method", "all", "--r", "2"], capsys)
     assert code == 0
     assert [row.split(",")[1] for row in out.splitlines()[2:]] == ["walk_dp"]
-    assert err == ("note: brute skipped for S_k r=2 (guard)\n"
-                   "note: nu_identity skipped for S_k r=2 (guard)\n")
+    assert err == ("note: brute skipped for S_k r=2 (guard: a brute count of 20-step walks "
+                   "on 3 points refused, over 1000000 tuples)\n"
+                   "note: nu_identity skipped for S_k r=2 (guard: 2^20 profiles exceed "
+                   "262144 lanes)\n")
 
 
 def test_verify_determinism(capsys):
@@ -537,6 +541,28 @@ def test_verify_holds_one_instance_at_a_time(monkeypatch, capsys):
     code, _, _ = run_cli(["verify", "--claim", "lemma2.3", "--random", "4", "--p", "7",
                           "--size", "6"], capsys)
     assert code == 0 and len(refs) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "all", "--random", "3", "--size", "8:12", "--p", "7"],
+    ["scan", "--family", "T_triangle", "--p", "7", "--sizes", "2:12", "--samples", "4"],
+    ["scan", "--family", "F4cycle", "--p", "7", "--sizes", "2:8", "--samples", "3"],
+], ids=["verify", "scan-T", "scan-F4"])
+def test_commands_leave_no_point_set_to_the_cyclic_collector(argv, capsys):
+    # every set a command makes is freed by reference counting: a reference
+    # cycle through a witness search would keep its tables until a gc pass
+    def point_sets():
+        return [obj for obj in gc.get_objects() if isinstance(obj, PointSet)]
+
+    gc.collect()
+    before = point_sets()
+    gc.disable()
+    try:
+        code, _, _ = run_cli([*argv, "--threads", "1"], capsys)
+        left = [obj for obj in point_sets() if not any(obj is old for old in before)]
+    finally:
+        gc.enable()
+    assert code == 0 and left == []
 
 
 def test_verify_counts_each_walk_pair_total_once(monkeypatch, capsys):

@@ -2,11 +2,19 @@
 
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
 from dilatelab.configcount import (
+    CYCLE_EDGES,
+    DISTINCT,
+    EDGE_DISTINCT,
+    EVERY,
+    INCREASING,
     CountReport,
+    _profile_blocks,
+    brute_join,
     _lane_bytes,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
@@ -18,6 +26,7 @@ from dilatelab.configcount import (
     displacement_count,
     displacement_histogram,
     make_ratio,
+    path_edges,
     step_profile_counts,
     walk_pair_reports,
     walk_profile_counts,
@@ -397,6 +406,66 @@ def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
     # the graph's pair-count check is refused, so it is built without the classes
     graph = build_similarity_graph(wide, make_ratio(2, big))
     assert graph.vertex_count == 316**2
+
+
+SIDES = {
+    EVERY: lambda n, size, edges: itertools.product(range(n), repeat=size),
+    EDGE_DISTINCT: lambda n, size, edges: (
+        t for t in itertools.product(range(n), repeat=size)
+        if all(t[a] != t[b] for a, b in edges)),
+    DISTINCT: lambda n, size, edges: itertools.permutations(range(n), size),
+    INCREASING: lambda n, size, edges: itertools.combinations(range(n), size),
+}
+PATTERNS = {
+    **{f"path{k}": path_edges(k) for k in (1, 2, 3)},
+    "cycle": CYCLE_EDGES,
+    "clique3": ((0, 1), (0, 2), (1, 2)),
+    "clique4": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),
+}
+
+
+def literal_histogram(E, edges, kind):
+    # the per-tuple oracle: the edge profile of every tuple of the side
+    D = E.dist_table
+    size = max(b for _, b in edges) + 1
+    return Counter(tuple(D[t[a]][t[b]] for a, b in edges)
+                   for t in SIDES[kind](len(E), size, edges))
+
+
+def column_histogram(E, edges, kind):
+    # the blocks of the column brute, decoded to profiles
+    p = E.prime.p
+    codes = Counter()
+    tuples = 0
+    for block, back, size in _profile_blocks(E.dist_table, p, edges, kind):
+        codes.update(block)
+        codes.subtract(back)
+        tuples += size
+    assert sum(codes.values()) == tuples
+    return Counter({tuple(code // p**i % p for i in range(len(edges))): count
+                    for code, count in codes.items() if count})
+
+
+@pytest.mark.parametrize("p,d", [(5, 2), (7, 2), (13, 2), (5, 3), (7, 3), (13, 3)])
+def test_column_brute_matches_the_per_tuple_oracle(p, d):
+    prime = make_prime(p)
+    sets = [random_point_set(prime, d, size, seed) for size, seed in ((1, 0), (2, 1), (5, 2), (6, 3))]
+    nulls = 0
+    for E in sets:
+        nulls += has_null_segment(E)
+        for name, edges in PATTERNS.items():
+            hists = {kind: literal_histogram(E, edges, kind) for kind in SIDES}
+            for kind, hist in hists.items():
+                assert column_histogram(E, edges, kind) == hist, (name, kind, len(E))
+            for r in (1, 2, p - 1):
+                for x_kind, y_kind in itertools.product(SIDES, repeat=2):
+                    X, Y = hists[x_kind], hists[y_kind]
+                    expected = sum(v * Y[tuple(r * t % p for t in prof)] for prof, v in X.items())
+                    visits = sum(X.values()) + sum(Y.values())
+                    assert brute_join(E, r, edges, x_kind, y_kind, visits) == expected, (
+                        name, x_kind, y_kind, r, len(E))
+    # p = 1 (mod 4) and d = 3 must reach null segments
+    assert (d == 2 and p % 4 == 3) or nulls
 
 
 def test_scaled_cycle_pairs_two_point():
