@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .configcount import (
     METHODS,
@@ -79,7 +80,9 @@ COUNT_KINDS = ("S_k", "C", "V", "quotient", "distance", "2path_parts",
 WHAT_ALIASES = {"T": FAMILY_TRIANGLE, "P": FAMILY_SIMPLEX, "F": FAMILY_FOUR_CYCLE}
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="dilatelab",
         description="Exact counting and verification of dilated point configurations",

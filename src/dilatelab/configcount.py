@@ -242,6 +242,11 @@ def _transpose(matrix: bytes, rows: int, lanes: int, width: int) -> list[int]:
     ]
 
 
+def _pack(values, width: int) -> int:
+    """One int holding values as width-byte lanes, the first value lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
 def _lanes(value: int, lanes: int, width: int) -> list[int]:
     """The lanes of a packed int, lowest first."""
     raw = value.to_bytes(lanes * width, "little")
@@ -290,7 +295,10 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     the class sums, so the new lanes are the old profiles extended by each
     class.  A level's totals are summed by degrees, not from its rows:
     distance is symmetric, so the walks of class c out of the rows add up to
-    sum_i deg_c(i) row[i], and rows are built up to level k - 1.  A lane
+    sum_i deg_c(i) row[i], and rows are built up to level k - 1.  The level-1
+    rows, the class sums of rows of ones, are each point's class sizes, so
+    they are packed from the degrees too and the first class-sum step is
+    level 2 -> 3.  A lane
     holds at most n^(k+1) walks; lanes are that wide, rounded up to whole
     bytes.  Refused, before the classes are laid out, when the last level
     would hold more than PROFILE_GUARD lanes, n rows of it would take more
@@ -327,16 +335,13 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
         E._cache[(name, level)] = {
             prof: count for prof, count in zip(profiles, counts) if count
         }
-        if level < k:
+        if level == k:
+            break
+        if level == 1:
+            rows = [_pack(deg, width) for deg in zip(*degrees)]
+        else:
             sources = [rows] * len(steps)
-            rows = [
-                int.from_bytes(
-                    b"".join(s.to_bytes(row_bytes, "little")
-                             for s in _class_sums(members_j, sources)),
-                    "little",
-                )
-                for members_j in members
-            ]
+            rows = [_pack(_class_sums(members_j, sources), row_bytes) for members_j in members]
     return E._cache[(name, k)]
 
 
@@ -592,10 +597,14 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
          subtract the stationary term.
     The subtracted term is the x = x' summand itself, or for the graph the
     part of it with y = y', which class 0 holds; so no lane goes negative.
-    The last step is summed by degrees instead: distance is symmetric, so it
-    adds sum_s sum_y deg_{rs}(y) (sum_x deg_s(x) V[x])[y], with deg_s(x) the
-    number of points in row x of A_s, less the stationary term summed the
-    same way: sum_y deg_0(y) (sum V)[y], or sum V for the graph.
+    The first and last steps are summed by degrees instead, with deg_s(x)
+    the number of points in row x of A_s (x itself in class 0).  From V = J
+    row x' becomes sum_s deg_s(x') Deg_{rs}, Deg_t the packed vector of every
+    point's deg_t, less Deg_0 or, for the graph, the row of ones; class 0
+    maps to itself and holds x', so no lane goes negative.  Distance is
+    symmetric, so the last step adds sum_s sum_y deg_{rs}(y) (sum_x deg_s(x)
+    V[x])[y], less the stationary term summed the same way: sum_y deg_0(y)
+    (sum V)[y], or sum V for the graph.  So k = 2 runs no four-stage step.
     An entry never exceeds n^(2k): it counts pairs of walks with at most k
     free steps each.  Lanes are that wide, rounded up to whole bytes, and
     _lane_width refuses k steps of m n^2 lanes, m classes, past SWEEP_GUARD.
@@ -609,8 +618,16 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     slot = {t: c for c, t in enumerate(classes)}
     scaled = [slot.get(r * t % p) for t in classes]
     zero = [0] * n
-    rows = [int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")] * n
-    for _ in range(k - 1):
+    degrees = [[len(mem[c]) for mem in members] for c in range(m)]
+    ones = _pack([1] * n, width)
+    if k == 1:
+        rows = [ones] * n
+    else:
+        packed = [_pack(deg, width) for deg in degrees]
+        by_scale = [0 if c is None else packed[c] for c in scaled]
+        stay = packed[-1] if distinct_first else ones  # class 0 is last
+        rows = [sum(map(mul, deg, by_scale)) - stay for deg in zip(*degrees)]
+    for _ in range(k - 2):
         cols = _transpose(b"".join(v.to_bytes(row_bytes, "little") for v in rows),
                           n, n, width)
         sources = [cols] * m
@@ -627,7 +644,6 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
             sum(_class_sums(members_j, sources)) - stay[xp]
             for xp, members_j in enumerate(members)
         ]
-    degrees = [[len(mem[c]) for mem in members] for c in range(m)]
     total = sum(sum(map(mul, degrees[c], _lanes(sum(map(mul, deg, rows)), n, width)))
                 for deg, c in zip(degrees, scaled) if c is not None)
     stay = degrees[-1] if distinct_first else [1] * n

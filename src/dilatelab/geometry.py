@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from functools import cached_property
 from operator import add
 
@@ -109,12 +110,11 @@ class PointSet:
 
     @cached_property
     def norm_pair_counts(self) -> dict[int, int]:
-        """How many ordered pairs (x, y), including x = y, have each norm."""
-        counts: dict[int, int] = {}
-        for row in self.dist_table:
-            for t in row:
-                counts[t] = counts.get(t, 0) + 1
-        return counts
+        """How many ordered pairs (x, y), including x = y, have each norm.
+
+        Keys are in order of first appearance in the rows of dist_table.
+        """
+        return dict(Counter(itertools.chain.from_iterable(self.dist_table)))
 
     @cached_property
     def neighbor_buckets(self) -> tuple[dict[int, tuple[int, ...]], ...]:

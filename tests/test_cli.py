@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, determinism, exit codes."""
 
+import argparse
 import gc
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dilatelab import configcount
-from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, main
+from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, build_parser, main
 from dilatelab.errors import TooLargeError
 from dilatelab.geometry import PointSet, load_point_set
 from dilatelab.verify import CLAIM_NAMES, RATIO_FREE_CLAIMS
@@ -563,6 +564,43 @@ def test_commands_leave_no_point_set_to_the_cyclic_collector(argv, capsys):
     finally:
         gc.enable()
     assert code == 0 and left == []
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # each build leaves its formatter and actions in reference cycles, so
+    # commands that rebuilt it would leave parsers to the cyclic collector
+    def parsers():
+        return sum(isinstance(obj, argparse.ArgumentParser) for obj in gc.get_objects())
+
+    assert build_parser() is build_parser()
+    argv = ["count", "--what", "distance", "--p", "7", "--random", "5"]
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(argv, capsys)[0] == 0
+        after_one = parsers()
+        for _ in range(4):
+            assert run_cli(argv, capsys)[0] == 0
+        after_five = parsers()
+    finally:
+        gc.enable()
+    assert after_five <= after_one
+
+
+def test_shared_parser_answers_usage_errors_and_help_alike(capsys):
+    # a parse leaves nothing behind in the shared parser: errors and help
+    # read the same after any number of commands as from a fresh build
+    fresh = build_parser.__wrapped__()
+    for argv in (["count", "--what", "nope"], ["count", "--help"], ["--help"], []):
+        seen = set()
+        for parser in (fresh, build_parser(), build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            captured = capsys.readouterr()
+            seen.add((exc.value.code, captured.out, captured.err))
+        assert len(seen) == 1
+    assert run_cli(["count", "--what", "distance", "--p", "7", "--random", "3"], capsys)[0] == 0
+    assert build_parser().format_help() == fresh.format_help()
 
 
 def test_verify_counts_each_walk_pair_total_once(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from dilatelab.configcount import (
     EVERY,
     INCREASING,
     CountReport,
+    _paired_walk_sweep,
     _profile_blocks,
     brute_join,
     _lane_bytes,
@@ -78,6 +79,34 @@ def raw_scaled_walk_pairs(E, r, k):
             if all(dist(ys[i], ys[i + 1], p) == prof[i] for i in range(k)):
                 total += 1
     return total
+
+
+def dense_paired_walks(E, r, k, distinct_first):
+    # 1^T T^k 1 for T = sum_s A'_s (x) A_{rs}, the n^2 state held as plain ints
+    # and stepped by (A (x) B) vec(V) = vec(A V B^T) over the nonzero entries of
+    # the indicator matrices A_s.  With distinct_first A'_0 = A_0 - I;
+    # otherwise A'_s = A_s and the step keeping both points, I (x) I, is dropped
+    n, p, D = len(E), E.prime.p, E.dist_table
+    A = {s: [[int(D[i][j] == s) for j in range(n)] for i in range(n)] for s in range(p)}
+    first = dict(A)
+    if distinct_first:
+        first[0] = [[A[0][i][j] - (i == j) for j in range(n)] for i in range(n)]
+
+    def support(M):
+        return [[(j, e) for j, e in enumerate(row) if e] for row in M]
+
+    # A'_s = 0 off the distances of E
+    pairs = [(support(first[s]), support(A[r * s % p])) for s in E.norm_pair_counts]
+    V = [[1] * n for _ in range(n)]
+    for _ in range(k):
+        new = [[0] * n for _ in range(n)] if distinct_first else [[-v for v in row] for row in V]
+        for left, right in pairs:
+            LV = [[sum(e * V[x][y] for x, e in left[i]) for y in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    new[i][j] += sum(e * LV[i][y] for y, e in right[j])
+        V = new
+    return sum(map(sum, V))
 
 
 def raw_scaled_cycle_pairs(E, r):
@@ -267,18 +296,92 @@ from hypothesis import given, settings, strategies as st
     d=st.integers(min_value=1, max_value=3),
     codes=st.sets(st.integers(min_value=0, max_value=13**3 - 1), min_size=2, max_size=5),
     r=st.integers(min_value=1, max_value=12),
-    k=st.integers(min_value=1, max_value=2),
+    k=st.integers(min_value=1, max_value=3),
 )
 def test_walk_dp_equals_raw_oracle_fuzz(p, d, codes, r, k):
     # both residue classes of p and every d: the sweep must match raw tuple
-    # enumeration, null segments included
+    # enumeration, null segments included; k = 3 is the first k whose sweep
+    # runs a paired-state step, and past 4^8 tuple pairs the dense oracle
+    # stands in for the raw one
     prime = make_prime(p)
     pts = sorted({tuple(c // p**i % p for i in range(d)) for c in codes})
     E = PointSet(prime, d, pts)
     ratio = make_ratio(1 + r % (p - 1), prime)
-    expected = raw_scaled_walk_pairs(E, ratio.r, k)
+    if len(E) ** (2 * k + 2) <= 4**8:
+        expected = raw_scaled_walk_pairs(E, ratio.r, k)
+    else:
+        expected = dense_paired_walks(E, ratio.r, k, distinct_first=True)
     for method in ("walk_dp", "brute", "nu_identity"):
         assert count_scaled_walk_pairs(E, ratio, k, method).value == expected
+
+
+def test_dense_oracle_matches_raw_enumeration():
+    # the oracle itself against raw tuples; the graph counts vertex walks
+    thirteen = make_prime(13)
+    E = PointSet(thirteen, 2, [(0, 0), (5, 1), (2, 3), (1, 1)])
+    assert has_null_segment(E)
+    pts = range(len(E))
+    for k in (1, 2):
+        for r in (1, 2):
+            assert dense_paired_walks(E, r, k, True) == raw_scaled_walk_pairs(E, r, k)
+            graph = build_similarity_graph(E, make_ratio(r, thirteen))
+            walks = sum(
+                all(a != b and graph.adjacent(a, b) for a, b in zip(w, w[1:]))
+                for w in itertools.product(itertools.product(pts, repeat=2), repeat=k + 1))
+            assert dense_paired_walks(E, r, k, False) == walks
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_paired_walk_sweep_matches_the_dense_oracle(p, d):
+    # both modes, every r, k = 1..4: k = 1 and 2 sum the first and last steps
+    # by degrees, k >= 3 runs k - 2 paired-state steps between them
+    prime = make_prime(p)
+    sets = [random_point_set(prime, d, n, seed=n) for n in (1, 2, 3, 6, 10) if n <= p**d]
+    if (p, d) == (13, 2):
+        sets.append(PointSet(prime, 2, [(t, 5 * t % 13) for t in range(13)]))
+    for E in sets:
+        for r in range(1, p):
+            for distinct_first in (True, False):
+                for k in range(1, 5):
+                    assert _paired_walk_sweep(E, r, k, distinct_first) == \
+                        dense_paired_walks(E, r, k, distinct_first), (len(E), r, k, distinct_first)
+
+
+def signed_step_walks(E, prof, moving):
+    # walks whose steps follow prof, the zero steps moving (a null segment)
+    # if moving: inclusion-exclusion over the zero steps that stay put, a
+    # stay being a walk with that step deleted
+    if not moving:
+        return count_step_walks(E, prof)
+    zeros = [i for i, t in enumerate(prof) if t == 0]
+    return sum(
+        (-1) ** len(stays) * count_step_walks(E, [t for i, t in enumerate(prof) if i not in stays])
+        for size in range(len(zeros) + 1) for stays in itertools.combinations(zeros, size))
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_cached_profile_level_matches_step_walks(p, d):
+    # one k = 3 sweep caches levels 1..3 of X and Y; each level against
+    # count_step_walks, so a level packed in the wrong lane order shows
+    prime = make_prime(p)
+    sets = [random_point_set(prime, d, 6, seed) for seed in range(2)]
+    if p % 4 == 1 or d == 3:
+        assert any(map(has_null_segment, sets))
+    for E in sets:
+        step_profile_counts(E, 3)
+        walk_profile_counts(E, 3)
+        distances = sorted(E.norm_pair_counts)
+        for level in (1, 2, 3):
+            for moving, table in ((True, E._cache[("profiles", level)]),
+                                  (False, E._cache[("walks", level)])):
+                expected = {}
+                for prof in itertools.product(distances, repeat=level):
+                    value = signed_step_walks(E, prof, moving)
+                    if value:
+                        expected[prof] = value
+                assert table == expected, (len(E), level, moving)
 
 
 def test_packed_lanes_at_their_worst_case():

@@ -235,3 +235,26 @@ def test_dist_table_matches_dist(p, d):
     E = PointSet(prime, d, corners + extra)
     for a, row in zip(E.points, E.dist_table):
         assert row == tuple(dist(a, b, p) for b in E.points)
+
+
+def test_norm_pair_counts_match_the_row_loop():
+    # a plain dict in order of first appearance along the rows, as a per-entry
+    # loop builds it; the isotropic line and p = 1 (mod 4) sets have null segments
+    def loop(E):
+        counts = {}
+        for row in E.dist_table:
+            for t in row:
+                counts[t] = counts.get(t, 0) + 1
+        return counts
+
+    sets = [PointSet(make_prime(13), 2, [(t, 5 * t % 13) for t in range(13)]),
+            PointSet(make_prime(7), 2, [(0, 0)])]
+    for p in (3, 5, 7, 13):
+        for d in (1, 2, 3):
+            sets += [random_point_set(make_prime(p), d, min(size, p**d), seed=size)
+                     for size in (2, 9, 40)]
+    assert any(E.norm_pair_counts[0] > len(E) for E in sets)
+    for E in sets:
+        counts = E.norm_pair_counts
+        assert type(counts) is dict
+        assert list(counts.items()) == list(loop(E).items()), E
