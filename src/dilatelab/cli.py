@@ -365,6 +365,7 @@ def cmd_scan(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _require_positive(args.d, "--d", parser)  # every subcommand has --d
     try:
         if args.command == "gen":
             return cmd_gen(args, parser)

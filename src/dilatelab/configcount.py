@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product, repeat
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -490,7 +491,7 @@ def _completions(buckets, D, into, distinct: bool, prof, ys) -> Iterator[tuple]:
     if depth == len(into):
         yield tuple(ys)
         return
-    (i, a), *checks = into[depth]
+    (i, a), checks = into[depth]
     for j in buckets[ys[a]].get(prof[i], ()):
         if distinct and j in ys:
             continue
@@ -501,6 +502,16 @@ def _completions(buckets, D, into, distinct: bool, prof, ys) -> Iterator[tuple]:
             ys.append(j)
             yield from _completions(buckets, D, into, distinct, prof, ys)
             ys.pop()
+
+
+@lru_cache(maxsize=None)
+def _edges_into(edges: tuple) -> tuple:
+    """Per vertex b > 0 of the pattern, its first edge into an earlier vertex and
+    the others, each as (edge index, earlier end); vertex 0 has none."""
+    into = [[] for _ in range(max(b for _, b in edges) + 1)]
+    for i, (a, b) in enumerate(edges):
+        into[b].append((i, a))
+    return (None, *((first, tuple(rest)) for first, *rest in into[1:]))
 
 
 def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
@@ -522,11 +533,8 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
     """
     p = E.prime.p
     D = E.dist_table
-    size = max(b for _, b in edges) + 1
-    # per vertex b: the (edge index, earlier end) of every edge into b
-    into = [[] for _ in range(size)]
-    for i, (a, b) in enumerate(edges):
-        into[b].append((i, a))
+    into = _edges_into(tuple(edges))
+    first = into[1][0][0]  # the edge from vertex 0 to vertex 1
 
     buckets = E.neighbor_buckets
     done: dict[tuple, list] = {}
@@ -535,7 +543,10 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
         found = done.get(prof)
         if found is None:
             found = []
-            for y0 in range(len(E)):
+            t = prof[first]
+            for y0, bucket in enumerate(buckets):
+                if t not in bucket:  # no y1 at all: skip before forming a generator
+                    continue
                 for ys in _completions(buckets, D, into, distinct, prof, [y0]):
                     found.append(ys)
                     yield xs, ys

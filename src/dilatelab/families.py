@@ -32,6 +32,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import TYPE_CHECKING, Iterator
 
 from .configcount import (
@@ -53,7 +55,7 @@ from .configcount import (
     _walk_dp_scaled_pairs,
 )
 from .errors import DimensionMismatchError, NotASquareRatioError
-from .geometry import PointSet, dist
+from .geometry import PointSet
 from .orthogonal import enumerate_orthogonal, scaled_apply
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,19 +111,30 @@ def _family(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> 
 def validate_pattern_pair(E: PointSet, r: int, edges, xs, ys) -> bool:
     """Check a claimed pair of copies of the pattern directly against the definition.
 
-    xs and ys are point tuples, one point per vertex of the pattern, each with
-    distinct entries, and every edge (a, b) of the pattern has
-    dist(ys[a], ys[b]) = r dist(xs[a], xs[b]).
+    xs and ys are sequences (tuples or lists) of points of E, one point per
+    vertex of the pattern, each with distinct entries, and every edge (a, b)
+    of the pattern has dist(ys[a], ys[b]) = r dist(xs[a], xs[b]).  The norms
+    are computed from the coordinates, never read from E.dist_table.
     """
     p = E.prime.p
-    size = max((b for _, b in edges), default=0) + 1
-    if len(xs) != size or len(ys) != size:
+    size = max(map(itemgetter(1), edges), default=0) + 1
+    x_set, y_set = set(xs), set(ys)
+    if not len(xs) == len(ys) == len(x_set) == len(y_set) == size:
         return False
-    if any(pt not in E for pt in (*xs, *ys)):
+    if not E._point_index.keys() >= x_set | y_set:
         return False
-    if len(set(xs)) != size or len(set(ys)) != size:
-        return False
-    return all(dist(ys[a], ys[b], p) == r * dist(xs[a], xs[b], p) % p for a, b in edges)
+    # each edge's norm from coordinates: the sum of squared differences mod p
+    return all(
+        (sum(map(pow, map(sub, ys[a], ys[b]), repeat(2)))
+         - r * sum(map(pow, map(sub, xs[a], xs[b]), repeat(2)))) % p == 0
+        for a, b in edges
+    )
+
+
+def revalidate(E: PointSet, r: int, edges, xs, ys) -> None:
+    """Raise the internal error if a witness found by search fails validate_pattern_pair."""
+    if not validate_pattern_pair(E, r, edges, xs, ys):
+        raise AssertionError("internal error: witness failed revalidation")
 
 
 def _first_pair(E: PointSet, r: int, edges, pairs):
@@ -131,8 +144,7 @@ def _first_pair(E: PointSet, r: int, edges, pairs):
         return None
     pts = E.points
     xs, ys = (tuple(pts[i] for i in side) for side in found)
-    if not validate_pattern_pair(E, r, edges, xs, ys):
-        raise AssertionError("internal error: witness failed revalidation")
+    revalidate(E, r, edges, xs, ys)
     return xs, ys
 
 

@@ -42,6 +42,20 @@ def dist(x: Point, y: Point, p: int) -> int:
     return sum((a - b) * (a - b) for a, b in zip(x, y)) % p
 
 
+def _first_fault(p: int, d: int, pts) -> None:
+    """Raise for the first point of pts, in order, of the wrong dimension,
+    with a non-canonical coordinate, or repeating an earlier one."""
+    seen = set()
+    for pt in pts:
+        if len(pt) != d:
+            raise DimensionMismatchError(f"point {pt} does not have dimension {d}")
+        if not all(0 <= c < p for c in pt):
+            raise PointFileError(f"point {pt} has non-canonical coordinates for p={p}")
+        if pt in seen:
+            raise PointFileError(f"duplicate point {pt}")
+        seen.add(pt)
+
+
 class PointSet:
     """A duplicate-free collection of points of (Z/pZ)^d in a fixed order.
 
@@ -55,25 +69,21 @@ class PointSet:
     def __init__(self, prime: Prime, d: int, points):
         if d < 1:
             raise DimensionMismatchError("dimension must be at least 1")
-        pts = []
-        seen = set()
-        p = prime.p
-        for pt in points:
-            pt = tuple(pt)
-            if len(pt) != d:
-                raise DimensionMismatchError(f"point {pt} does not have dimension {d}")
-            if not all(0 <= c < p for c in pt):
-                raise PointFileError(f"point {pt} has non-canonical coordinates for p={p}")
-            if pt in seen:
-                raise PointFileError(f"duplicate point {pt}")
-            seen.add(pt)
-            pts.append(pt)
+        pts = tuple(map(tuple, points))
         if not pts:
             raise PointFileError("a point set must contain at least one point")
+        # one pass each over the lengths, the coordinates and the index, then
+        # the distinct coordinate values; only a failure walks the points in
+        # order, to name the first offending one
+        index = dict(zip(pts, range(len(pts))))
+        values = set(itertools.chain.from_iterable(pts))
+        if not (set(map(len, pts)) == {d} and len(index) == len(pts)
+                and all(map(range(prime.p).__contains__, values))):
+            _first_fault(prime.p, d, pts)
         self.prime = prime
         self.d = d
-        self.points: tuple[Point, ...] = tuple(pts)
-        self._point_index = {pt: i for i, pt in enumerate(self.points)}
+        self.points: tuple[Point, ...] = pts
+        self._point_index = index
         self._cache: dict = {}  # memo space for the counting modules
 
     def __len__(self) -> int:
@@ -166,14 +176,13 @@ def random_point_set(prime: Prime, d: int, size: int, seed) -> PointSet:
         raise SizeExceedsSpaceError("size must be at least 1")
     rng = random.Random(f"pointset:{prime.p}:{d}:{size}:{seed}")
     codes = sorted(rng.sample(range(space), size))
-    pts = []
-    for code in codes:
-        coords = []
-        for _ in range(d):
-            code, c = divmod(code, prime.p)
-            coords.append(c)
-        pts.append(tuple(coords))
-    return PointSet(prime, d, pts)
+    # decoded a coordinate column at a time, least significant digit first
+    p = prime.p
+    cols = []
+    for _ in range(d):
+        cols.append([code % p for code in codes])
+        codes = [code // p for code in codes]
+    return PointSet(prime, d, zip(*cols))
 
 
 def sphere_points(t: int, d: int, prime: Prime) -> tuple[Point, ...]:

@@ -17,10 +17,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .configcount import (
+    CYCLE_EDGES,
     METHOD_NU_IDENTITY,
     Ratio,
     cycle_pair_reports,
     make_ratio,
+    path_edges,
     walk_pair_reports,
     walk_profile_counts,
     # not called here: perfbench/selftest.py checks that its spans rebind them in this module
@@ -33,12 +35,14 @@ from .families import (
     FAMILY_PATH_PAIRS,
     FAMILY_SIMPLEX,
     FAMILY_TRIANGLE,
+    clique_edges,
     find_clique_pair_witness,
     find_cycle_pair_witness,
     find_path_pair_witness,
     four_cycle_families,
+    revalidate,
 )
-from .field import Prime, make_prime, squares_set
+from .field import Prime, inverse, make_prime, squares_set
 from .geometry import PointSet, distance_set, quotient_set, random_point_set
 
 CLAIM_NAMES = (
@@ -299,6 +303,20 @@ def family_witness(E: PointSet, ratio: Ratio, family: str):
     raise ValueError(f"unknown family {family!r}")
 
 
+def witness_pattern(family: str, d: int) -> tuple[tuple, bool]:
+    """The edge list of the family's witnesses in dimension d, and whether
+    family_witness gives their r-scaled side first (cliques) or second."""
+    if family == FAMILY_PATH_PAIRS:
+        return path_edges(2), False
+    if family == FAMILY_FOUR_CYCLE:
+        return CYCLE_EDGES, False
+    if family == FAMILY_TRIANGLE:
+        return clique_edges(3), True
+    if family == FAMILY_SIMPLEX:
+        return clique_edges(d + 1), True
+    raise ValueError(f"unknown family {family!r}")
+
+
 def check_theorem(name: str, E: PointSet, ratio: Ratio, k: int = 3) -> Verdict:
     """Evaluate one of the headline existence/size claims on an instance.
 
@@ -453,18 +471,48 @@ def ratios_for_policy(policy: str, prime: Prime) -> list[Ratio]:
 
 
 @lru_cache(maxsize=None)
-def _scan_ratios(p: int, policy: str) -> tuple[Prime, tuple[Ratio, ...]]:
-    """A scan's prime and ratios, built once per process rather than per cell."""
+def _scan_ratios(p: int, policy: str) -> tuple[Prime, tuple[tuple[Ratio, int | None], ...]]:
+    """A scan's prime and the policy's ratios in pairs {r, 1/r}, built once per process.
+
+    A pair is (r, 1/r) with r its first member in policy order, or (r, None)
+    when r is its own inverse (1 and p - 1) or 1/r is outside the policy.
+    """
     prime = make_prime(p)
-    return prime, tuple(ratios_for_policy(policy, prime))
+    ratios = ratios_for_policy(policy, prime)
+    values = {ratio.r for ratio in ratios}
+    pairs, partners = [], set()
+    for ratio in ratios:
+        if ratio.r in partners:  # decided by its pair's search
+            continue
+        inv = inverse(ratio.r, prime)
+        partner = inv if inv != ratio.r and inv in values else None
+        if partner is not None:
+            partners.add(partner)
+        pairs.append((ratio, partner))
+    return prime, tuple(pairs)
+
+
+def _has_witnesses(E: PointSet, family: str, ratio: Ratio, inv: int | None) -> bool:
+    """Whether E has a family witness at r and, if inv is given, at inv = 1/r.
+
+    Both sides of a witness are copies of one pattern with distinct points,
+    so swapping them maps the witnesses at r one to one onto those at 1/r:
+    one search decides both, and the swapped witness is revalidated at 1/r.
+    """
+    witness = family_witness(E, ratio, family)
+    if witness is not None and inv is not None:
+        edges, scaled_first = witness_pattern(family, E.d)
+        scaled, base = witness if scaled_first else witness[::-1]
+        revalidate(E, inv, edges, scaled, base)
+    return witness is not None
 
 
 def _scan_cell(args) -> tuple[int, int, bool]:
     p, d, family, policy, size, sample_index, seed = args
-    prime, ratios = _scan_ratios(p, policy)
+    prime, pairs = _scan_ratios(p, policy)
     cell_seed = f"scan:{seed}:{size}:{sample_index}"
     E = random_point_set(prime, d, size, cell_seed)
-    positive = all(family_witness(E, ratio, family) is not None for ratio in ratios)
+    positive = all(_has_witnesses(E, family, ratio, inv) for ratio, inv in pairs)
     return size, sample_index, positive
 
 
@@ -481,7 +529,8 @@ def scan_threshold(
     """Fraction of seeded random sets whose family count is positive, per size.
 
     A sample counts as positive only if every ratio allowed by the policy has
-    a witness.  Cell seeds are derived from (seed, size, sample index), so
+    a witness; one search decides each pair {r, 1/r} of the policy's ratios
+    (_scan_ratios).  Cell seeds are derived from (seed, size, sample index), so
     results do not depend on the worker count.
     """
     if samples < 1:

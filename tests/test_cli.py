@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dilatelab import configcount
 from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, build_parser, main
 from dilatelab.errors import TooLargeError
+from dilatelab.families import FAMILIES
 from dilatelab.geometry import PointSet, load_point_set
 from dilatelab.verify import CLAIM_NAMES, RATIO_FREE_CLAIMS
 
@@ -674,6 +675,41 @@ def test_method_of_another_kind_names_the_kind_and_its_methods(what, method, met
     assert err == f"error: {what} has no method {method!r}; its methods are {methods}\n"
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", "7", "--size", "3"],
+    ["count", "--what", "S_k", "--p", "7", "--random", "3", "--r", "1"],
+    ["verify", "--claim", "T1.5", "--p", "7", "--random", "1", "--size", "3"],
+    ["scan", "--family", "C2path", "--p", "7", "--sizes", "2:4", "--samples", "2"],
+], ids=["gen", "count", "verify", "scan"])
+def test_dimension_below_one_is_a_usage_error(argv, d, capsys):
+    # not a refused guard (exit 3) about a 1-point or fractional space
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--d", d, "--threads", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--d must be at least 1" in err and "Traceback" not in err
+
+
+def test_set_file_of_dimension_zero_is_a_usage_error(tmp_path, capsys):
+    set_path = tmp_path / "flat.txt"
+    set_path.write_text("p=7 d=0\n\n")
+    code, _, err = run_cli(["count", "--what", "V", "--set", str(set_path), "--r", "1"], capsys)
+    assert code == 2 and "dimension must be at least 1" in err
+
+
+def test_scan_output_does_not_depend_on_the_worker_count(capsys):
+    argv = ["scan", "--family", "T_triangle", "--p", "7", "--sizes", "3:14:2",
+            "--samples", "5", "--r", "all", "--seed", "3"]
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run_cli([*argv, "--threads", threads], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert {"0", "5"} < {line.split(",")[6] for line in outs[0].splitlines()[2:]}
+
+
 def test_output_file_and_stdout_agree(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     args = ["count", "--what", "S_k", "--k", "1", "--p", "7", "--random", "5",
@@ -769,10 +805,18 @@ SMALL = st.integers(min_value=-1, max_value=8) | st.just(10**9)
 
 @st.composite
 def cli_argv(draw):
+    seed = ["--seed", str(draw(st.integers(0, 3))), "--threads", "1"]
+    command = draw(st.sampled_from(("gen", "count", "verify", "scan")))
+    if command == "scan":
+        lo = draw(st.integers(0, 8))
+        hi = lo + draw(st.integers(-1, 4))
+        return ["scan", "--p", str(draw(st.sampled_from((3, 5, 7)))),
+                "--d", str(draw(st.integers(-1, 3))), *seed,
+                "--family", draw(st.sampled_from(FAMILIES)),
+                "--r", draw(st.sampled_from(("all", "squares", "2"))),
+                "--sizes", f"{lo}:{hi}", "--samples", str(draw(st.integers(-1, 3)))]
     common = ["--p", str(draw(st.sampled_from((3, 5, 7, 11, 13)))),
-              "--d", str(draw(st.integers(1, 3))),
-              "--seed", str(draw(st.integers(0, 3))), "--threads", "1"]
-    command = draw(st.sampled_from(("gen", "count", "verify")))
+              "--d", str(draw(st.integers(1, 3))), *seed]
     if command == "gen":
         return ["gen", *common, "--size", str(draw(SMALL))]
     tail = ["--k", str(draw(SMALL)), "--r", draw(st.sampled_from(("1", "2", "squares")))]
@@ -787,7 +831,7 @@ def cli_argv(draw):
             "--size", str(draw(SMALL)), *tail]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
 def test_cli_fuzz_exits_with_a_documented_code(argv, capsys):

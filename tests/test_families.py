@@ -257,6 +257,48 @@ def test_path_pair_witness_full_plane():
         assert validate_pattern_pair(plane, r, path_edges(2), xs, ys)
 
 
+def test_validate_pattern_pair_rejects_each_fault():
+    # a 2-path pair at r = 2 on the plane; every fault below breaks one check
+    plane = full_space(SEVEN, 2)
+    edges = path_edges(2)
+    xs = ((0, 0), (1, 0), (1, 1))                     # steps 1, 1
+    ys = ((0, 0), (3, 0), (3, 3))                     # steps 2, 2
+    assert validate_pattern_pair(plane, 2, edges, xs, ys)
+    assert validate_pattern_pair(plane, 2, edges, list(xs), list(ys))
+    bad = [
+        (xs[:2], ys), (xs, ys + ys[:1]),                  # a side of the wrong length
+        ((xs[0], xs[1], xs[0]), ys), (xs, (ys[0], ys[0], ys[2])),  # a repeated point
+        (xs, ys[:2] + ((7, 0),)),                         # a point not in E
+        ((xs[0] + (0,),) + xs[1:], ys),                   # a point of the wrong dimension
+    ]
+    for bx, by in bad:
+        assert not validate_pattern_pair(plane, 2, edges, bx, by), (bx, by)
+    # one edge whose norm is off by the ratio: the last step of ys is 1, not 2
+    assert not validate_pattern_pair(plane, 2, edges, xs, ys[:2] + ((3, 1),))
+    assert not validate_pattern_pair(plane, 4, edges, xs, ys)
+    outside = PointSet(SEVEN, 2, [pt for pt in plane.points if pt != ys[2]])
+    assert not validate_pattern_pair(outside, 2, edges, xs, ys)
+
+
+def test_validate_pattern_pair_checks_every_edge():
+    # a triangle pair, broken one vertex or one edge at a time
+    E = full_space(SEVEN, 2)
+    edges = clique_edges(3)
+    vs = ((0, 0), (1, 0), (0, 1))                    # norms 1, 1, 2
+    us = ((0, 0), (3, 0), (0, 3))                    # norms 2, 2, 4 = 2 * (1, 1, 2)
+    assert validate_pattern_pair(E, 2, edges, vs, us)
+    for k in range(3):
+        # move the k-th point of us so that only the edges into it break
+        moved = list(us)
+        moved[k] = tuple((c + 1) % 7 for c in us[k])
+        assert not validate_pattern_pair(E, 2, edges, vs, tuple(moved))
+    # each has exactly one edge off: norms 1, 2, 4; 2, 1, 4; 2, 2, 1 against 2, 2, 4
+    one_off = [((0, 0), (0, 1), (0, 3)), ((0, 0), (0, 3), (0, 1)), ((0, 0), (0, 3), (0, 4))]
+    for k, us_off in enumerate(one_off):
+        assert not validate_pattern_pair(E, 2, edges, vs, us_off)
+        assert validate_pattern_pair(E, 2, edges[:k] + edges[k + 1:], vs, us_off)
+
+
 def test_path_pair_witness_none_when_empty():
     ratio = make_ratio(3, SEVEN)
     assert find_path_pair_witness(TWO_POINT, ratio, 1) is None

@@ -109,6 +109,35 @@ def test_distance_set_examples():
     assert distance_set(plane3) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("points,error,message", [
+    ([(0, 0), (1, 2, 3)], DimensionMismatchError, "point (1, 2, 3) does not have dimension 2"),
+    ([(0, 0), (7, 1)], PointFileError, "point (7, 1) has non-canonical coordinates for p=7"),
+    ([(0, 0), (-1, 0)], PointFileError, "point (-1, 0) has non-canonical coordinates for p=7"),
+    ([(0, 0), (1, 1), (0, 0)], PointFileError, "duplicate point (0, 0)"),
+    ([[1, 2], [1, 2]], PointFileError, "duplicate point (1, 2)"),
+    # several faults: the first offending point in input order is named
+    ([(1, 1), (1, 1), (9, 0), (0, 0, 0)], PointFileError, "duplicate point (1, 1)"),
+    ([(0, 0), (0, 0, 0), (8, 0)], DimensionMismatchError,
+     "point (0, 0, 0) does not have dimension 2"),
+    ([(0, 0), (8, 0), (0, 0, 0), (0, 0)], PointFileError,
+     "point (8, 0) has non-canonical coordinates for p=7"),
+    ([(3, 3), (0, 7, 0), (3, 3)], DimensionMismatchError,
+     "point (0, 7, 0) does not have dimension 2"),
+])
+def test_point_set_names_the_first_offending_point(points, error, message):
+    with pytest.raises(error) as exc:
+        PointSet(make_prime(7), 2, points)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_point_set_keeps_points_in_input_order():
+    pts = [[3, 1], (0, 6), (6, 0), (0, 0)]
+    E = PointSet(make_prime(7), 2, iter(pts))
+    assert E.points == ((3, 1), (0, 6), (6, 0), (0, 0))
+    assert all(tuple(pt) in E for pt in pts) and (1, 1) not in E
+
+
 def test_quotient_set_examples():
     seven = make_prime(7)
     two = PointSet(seven, 2, [(0, 0), (1, 0)])

@@ -1,15 +1,20 @@
 """Claim verdicts: exact thresholds, conclusions, and scan machinery."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from dilatelab import verify
 from dilatelab.configcount import make_ratio
-from dilatelab.field import make_prime
+from dilatelab.families import FAMILIES, validate_pattern_pair
+from dilatelab.field import inverse, make_prime
 from dilatelab.geometry import PointSet, full_space, random_point_set
 from dilatelab.verify import (
     CLAIM_NAMES,
+    _scan_cell,
+    _scan_ratios,
     check_lemma22,
     check_lemma23,
     check_lemma24,
@@ -19,12 +24,14 @@ from dilatelab.verify import (
     check_theorem,
     exceeds_4_sqrt3_p32,
     exceeds_sqrt3_plus_one,
+    family_witness,
     meets_simplex_size,
     meets_quotient_size,
     ratios_for_policy,
     run_claim,
     scan_threshold,
     smallest_size_meeting,
+    witness_pattern,
 )
 
 SEVEN = make_prime(7)
@@ -325,3 +332,109 @@ def test_scan_determinism_across_threads():
 def test_scan_rejects_bad_input():
     with pytest.raises(ValueError):
         scan_threshold(SEVEN, 2, "C2path", "all", sizes=[5], samples=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# one witness search per ratio pair {r, 1/r}
+
+
+def null_line_set(prime, d):
+    """Points on a line through a nonzero null vector, plus two off it; None if no null line."""
+    p = prime.p
+    for v in itertools.product(range(p), repeat=d):
+        if any(v) and sum(c * c for c in v) % p == 0:
+            line = [tuple(t * c % p for c in v) for t in range(min(p, 5))]
+            off = [pt for pt in itertools.product(range(p), repeat=d) if pt not in line][:2]
+            return PointSet(prime, d, line + off)
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_witness_at_r_read_backwards_is_one_at_its_inverse(p, d):
+    # both sides of a witness are copies of one pattern with distinct points,
+    # so a witness exists at r exactly when one exists at 1/r, and swapping
+    # its sides gives one
+    prime = make_prime(p)
+    sets = [random_point_set(prime, d, min(n, p**d), seed=f"sym:{n}:{seed}")
+            for n in (3, 4, 6, 8) for seed in range(2)]
+    null = null_line_set(prime, d)
+    if null is not None:
+        assert null.norm_pair_counts[0] > len(null)
+        sets.append(null)
+    found = missing = 0
+    for family in FAMILIES:
+        for E in sets:
+            edges, scaled_first = witness_pattern(family, d)
+            for r in range(1, p):
+                witness = family_witness(E, make_ratio(r, prime), family)
+                inv = inverse(r, prime)
+                assert (witness is None) == (family_witness(E, make_ratio(inv, prime), family)
+                                             is None), (family, E.points, r)
+                if witness is None:
+                    missing += 1
+                    continue
+                found += 1
+                scaled, base = witness if scaled_first else witness[::-1]
+                assert validate_pattern_pair(E, r, edges, base, scaled)
+                assert validate_pattern_pair(E, inv, edges, scaled, base)
+    assert found and missing
+
+
+def scan_cell_every_ratio(p, d, family, policy, size, sample_index, seed):
+    """The scan cell as a literal loop: one witness search per ratio of the policy."""
+    prime = make_prime(p)
+    E = random_point_set(prime, d, size, f"scan:{seed}:{size}:{sample_index}")
+    ratios = ratios_for_policy(policy, prime)
+    return size, sample_index, all(family_witness(E, r, family) is not None for r in ratios)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_scan_cell_matches_a_search_at_every_ratio(p):
+    shapes = [("C2path", 2, range(3, 12, 2)), ("T_triangle", 2, range(4, 17, 3)),
+              ("F4cycle", 2, range(4, 9, 2)), ("P_simplex", 3, range(4, 13, 4))]
+    outcomes = set()
+    for family, d, sizes in shapes:
+        for policy in ("all", "squares", "r=3"):
+            for size in sizes:
+                for sample in range(3):
+                    cell = (p, d, family, policy, size, sample, 4)
+                    expected = scan_cell_every_ratio(*cell)
+                    assert _scan_cell(cell) == expected, cell
+                    outcomes.add(expected[2])
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("policy", ["all", "squares", "r=2", "r=1"])
+def test_scan_ratio_pairs_cover_the_policy_once(p, policy):
+    prime, pairs = _scan_ratios(p, policy)
+    searched = [ratio.r for ratio, _ in pairs]
+    partners = [inv for _, inv in pairs if inv is not None]
+    policy_values = [ratio.r for ratio in ratios_for_policy(policy, prime)]
+    assert sorted(searched + partners) == sorted(policy_values)
+    assert searched == [r for r in policy_values if r in searched]  # policy order
+    for ratio, inv in pairs:
+        if inv is None:  # self-inverse, or its inverse is outside the policy
+            assert inverse(ratio.r, prime) == ratio.r or len(policy_values) == 1
+        else:
+            assert ratio.r < inv == inverse(ratio.r, prime)
+
+
+def test_scan_cell_revalidates_the_reversed_witness(monkeypatch):
+    # a 2-path search result at r = 2 (p = 7), base side first, is checked
+    # read backwards at 1/2 = 4; a result that is no witness fails that check
+    E = full_space(SEVEN, 2)
+    good = (((0, 0), (1, 0), (1, 1)), ((0, 0), (3, 0), (3, 3)))   # steps 1, 1 and 2, 2
+    bad = (good[0], ((0, 0), (3, 0), (3, 1)))                      # last scaled step 1, not 2
+    edges = witness_pattern("C2path", 2)[0]
+    assert validate_pattern_pair(E, 4, edges, good[1], good[0])
+    result = {}
+    monkeypatch.setattr(verify, "family_witness", lambda E, ratio, family: result["w"])
+    result["w"] = good
+    assert verify._has_witnesses(E, "C2path", make_ratio(2, SEVEN), 4)
+    result["w"] = bad
+    with pytest.raises(AssertionError, match="internal error: witness failed revalidation"):
+        verify._has_witnesses(E, "C2path", make_ratio(2, SEVEN), 4)
+    # a ratio without a partner is not searched again
+    assert verify._has_witnesses(E, "C2path", make_ratio(2, SEVEN), None)
