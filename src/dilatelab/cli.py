@@ -245,14 +245,16 @@ def _count_rows(E: PointSet, args, parser) -> list:
             reports.append(count_path_pairs(E, ratio, args.k))
         elif what == "2path_parts":
             parts = classify_two_path_pairs(E, ratio)
-            names = ("A", "B", "A∩B", FAMILY_PATH_PAIRS)
+            # open: x1 != x3 and y1 != y3, which holds pairs with y1 = y2 where
+            # null segments exist, so it is not the C2path count
+            names = ("A", "B", "A∩B", "open")
             values = (parts.x_coincide, parts.y_coincide, parts.both_coincide, parts.open_pairs)
             reports.extend(_family(E, nm, v, "brute", ratio.r) for nm, v in zip(names, values))
             if args.method == "all":
                 closed = two_path_parts_closed_form(E, ratio)
                 if closed != values[:3]:
                     raise MethodMismatchError(
-                        f"closed forms {closed} disagree with enumeration on "
+                        f"closed forms {closed} disagree with the brute classification on "
                         f"p={E.prime.p} r={ratio.r} points={list(E.points)}"
                     )
                 reports.extend(_family(E, nm, v, "nu_identity", ratio.r)
@@ -365,7 +367,9 @@ def cmd_scan(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _require_positive(args.d, "--d", parser)  # every subcommand has --d
+    # every subcommand has --d and --threads
+    _require_positive(args.d, "--d", parser)
+    _require_positive(args.threads, "--threads", parser)
     try:
         if args.command == "gen":
             return cmd_gen(args, parser)

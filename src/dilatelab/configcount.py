@@ -10,13 +10,16 @@ The central objects are, for a point set E and a nonzero ratio r:
   Y_k, for every (p, d);
 * scaled walk/cycle pairs: pairs of walks (or closed 4-walks) where the
   second walk's squared step lengths are the first's multiplied by r, the
-  first walk having distinct consecutive points;
+  first walk having distinct consecutive points; they are counted, never
+  enumerated;
 * the cycle census: per-profile tables of E's closed 4-walks, built once
   per set for every ratio, whose joins against their r-scaled profiles give
   the cycle pair count C and the four-cycle coincidence families;
 * the brute oracle, brute_join: any pair count as the join of the profile
-  histograms of its x and y tuples, behind the one brute guard; the pair
-  enumerators, all the one bucket search _scaled_pairs, serve witnesses;
+  histograms of its x and y tuples, behind the one brute guard;
+* the bucket search _scaled_pairs, which finds witnesses and counts nothing:
+  pairs of copies of a pattern, distinct entries on each side, the second
+  scaled by r;
 * ratio quadruples: 4-tuples (x, y, z, w) whose two segment norms are in
   ratio r with a nonzero denominator;
 * displacement histograms: for a rotation theta, how many pairs (u, v) of E
@@ -50,8 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Brute oracles that would visit more x and y tuples than this are refused.
 BRUTE_GUARD = 10**6
-# Pair enumerators that could yield more pairs than this are refused.
-PAIR_GUARD = 10**9
 # Step-profile sweeps whose packed rows would take more bytes are refused.
 LANE_GUARD = 1 << 24
 # Step-profile sweeps whose last level would hold more profiles (lanes) are
@@ -355,17 +356,6 @@ def path_edges(k: int) -> tuple[tuple[int, int], ...]:
 CYCLE_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3))
 
 
-def _edge_distinct(n: int, edges) -> Iterator[tuple]:
-    """Index tuples, in lexicographic order, whose two ends differ on every edge."""
-    def ok(t):
-        for a, b in edges:
-            if t[a] == t[b]:
-                return False
-        return True
-
-    return filter(ok, product(range(n), repeat=max(b for _, b in edges) + 1))
-
-
 # The sides of a brute count, named by the tuples of indices they run over:
 # every tuple, the tuples whose two ends differ on every edge, the tuples of
 # distinct entries, and the increasing tuples.
@@ -480,7 +470,7 @@ def _scaling(r: int, p: int):
     return lambda t: tuple([r * s % p for s in t])
 
 
-def _completions(buckets, D, into, distinct: bool, prof, ys) -> Iterator[tuple]:
+def _completions(buckets, D, into, prof, ys) -> Iterator[tuple]:
     """The completions of the partial y tuple ys, in the search order of _scaled_pairs.
 
     A module-level generator, not a closure: a recursive closure reaches
@@ -493,14 +483,14 @@ def _completions(buckets, D, into, distinct: bool, prof, ys) -> Iterator[tuple]:
         return
     (i, a), checks = into[depth]
     for j in buckets[ys[a]].get(prof[i], ()):
-        if distinct and j in ys:
+        if j in ys:
             continue
         for e, c in checks:
             if D[j][ys[c]] != prof[e]:
                 break
         else:
             ys.append(j)
-            yield from _completions(buckets, D, into, distinct, prof, ys)
+            yield from _completions(buckets, D, into, prof, ys)
             ys.pop()
 
 
@@ -514,22 +504,21 @@ def _edges_into(edges: tuple) -> tuple:
     return (None, *((first, tuple(rest)) for first, *rest in into[1:]))
 
 
-def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
-                  distinct: bool) -> Iterator[tuple[tuple, tuple]]:
+def _scaled_pairs(E: PointSet, r: int, edges, x_tuples) -> Iterator[tuple[tuple, tuple]]:
     """Pairs (xs, ys) with xs from x_tuples and ys a copy of the pattern scaled by r.
 
     The pattern is a graph H on the vertices 0..v-1 given by its edge list,
     pairs (a, b) with a < b, and every vertex b > 0 has an earlier
     neighbour.  ys is a tuple of v indices with D[ys[a]][ys[b]] equal to
-    r D[xs[a]][xs[b]] on every edge; with distinct its entries are pairwise
-    distinct.  ys is found by a depth-first search: ys[b] is drawn, in bucket
+    r D[xs[a]][xs[b]] on every edge, and its entries are pairwise distinct.
+    ys is found by a depth-first search: ys[b] is drawn, in bucket
     order, from PointSet.neighbor_buckets of the other end of b's first
     listed edge, and b's other edges into earlier vertices are then checked.
 
-    ys depends on xs only through its scaled profile, so the completions of a
+    ys depends on xs only through its scaled profile.  The completions of a
     profile are kept once they have been enumerated in full and replayed for
-    every later xs with that profile.  A consumer that stops early (a witness
-    search) keeps nothing, and the store holds each y tuple at most once.
+    every later xs with that profile, so a witness search that finds nothing
+    searches each profile once.  The store holds each y tuple at most once.
     """
     p = E.prime.p
     D = E.dist_table
@@ -547,30 +536,12 @@ def _scaled_pairs(E: PointSet, r: int, edges, x_tuples,
             for y0, bucket in enumerate(buckets):
                 if t not in bucket:  # no y1 at all: skip before forming a generator
                     continue
-                for ys in _completions(buckets, D, into, distinct, prof, [y0]):
+                for ys in _completions(buckets, D, into, prof, [y0]):
                     found.append(ys)
                     yield xs, ys
             done[prof] = found
         else:
             yield from zip(repeat(xs), found)
-
-
-def iter_scaled_walk_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
-    """All index-tuple pairs (xs, ys) of the scaled k-step walk-pair set."""
-    n = len(E)
-    if _exceeds(n, 2 * k + 2, PAIR_GUARD):
-        raise TooLargeError(f"enumeration over {n}^{2 * k + 2} tuples refused")
-    edges = path_edges(k)
-    yield from _scaled_pairs(E, r, edges, _edge_distinct(n, edges), distinct=False)
-
-
-def iter_scaled_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
-    """All index-tuple pairs (xs, ys) of the scaled closed 4-walk pair set."""
-    n = len(E)
-    if n**8 > PAIR_GUARD:
-        raise TooLargeError(f"enumeration over {n}^8 tuples refused")
-    yield from _scaled_pairs(E, r, CYCLE_EDGES, _edge_distinct(n, CYCLE_EDGES),
-                             distinct=False)
 
 
 def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:

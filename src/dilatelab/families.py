@@ -5,22 +5,20 @@ points, each with pairwise-distinct entries, whose consecutive squared step
 lengths are in ratio r; triangle and simplex pairs constrain every pairwise
 squared distance instead of only consecutive ones.  The scaled walk/cycle
 pairs of :mod:`dilatelab.configcount` also contain degenerate pairs (repeated
-vertices); this module enumerates those remainder families and checks the
-exact bookkeeping identities between them.
+vertices); this module counts those remainder families.
 
 Each family has one lazy enumerator of its index-tuple pairs:
-iter_path_pairs, iter_cycle_pairs and iter_clique_pairs here, and the
-ambient iter_scaled_walk_pairs and iter_scaled_cycle_pairs of
-:mod:`dilatelab.configcount`.  All five are the one bucket search of
-configcount._scaled_pairs over the edge list of their pattern (path_edges,
-CYCLE_EDGES, clique_edges); they give the witnesses, each the first item,
-checked by the one validator validate_pattern_pair, and the classifications.
-A brute count is configcount.brute_join over the family's x and y sides
-(times m! for m-cliques, whose v side is increasing), not an enumerator's
-length.  The degenerate parts of the 2-path pairs are joins
-of the step-profile tables, and the four-cycle coincidence families joins
-of the cycle census, of :mod:`dilatelab.configcount`, for every (p, d);
-each is tested against a classification of the enumerated pairs.
+iter_path_pairs, iter_cycle_pairs and iter_clique_pairs, each the one bucket
+search configcount._scaled_pairs over the edge list of its pattern
+(path_edges, CYCLE_EDGES, clique_edges).  They give the witnesses, each the
+first item, checked by the one validator validate_pattern_pair; no count
+reads them.  A brute count is configcount.brute_join over the family's x and
+y sides (times m! for m-cliques, whose v side is increasing).  The
+degenerate parts of the 2-path pairs come from a brute classification of the
+x and y tuples by profile and coincidence, checked against their closed
+forms, joins of the step-profile tables; the four-cycle coincidence families
+are joins of the cycle census of :mod:`dilatelab.configcount`.  Both hold
+for every (p, d).
 iter_cycle_pairs, one x tuple per rotation/reflection orbit, yields an
 eighth of the fully distinct family.
 """
@@ -34,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter, sub
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .configcount import (
+    BRUTE_GUARD,
     CYCLE_EDGES,
     DISTINCT,
     INCREASING,
@@ -44,22 +43,18 @@ from .configcount import (
     brute_join,
     cycle_census,
     displacement_histogram,
-    iter_scaled_cycle_pairs,
-    iter_scaled_walk_pairs,
     join,
     path_edges,
     step_profile_counts,
     _scaled_pairs,
     _scaled_walk_table,
     _scaling,
+    # not called here: perfbench/selftest.py checks that its span rebinds it in this module
     _walk_dp_scaled_pairs,
 )
-from .errors import DimensionMismatchError, NotASquareRatioError
+from .errors import DimensionMismatchError, TooLargeError
 from .geometry import PointSet
-from .orthogonal import enumerate_orthogonal, scaled_apply
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .orthogonal import OrthMatrix
+from .orthogonal import enumerate_orthogonal
 
 FAMILY_PATH_PAIRS = "C2path"
 FAMILY_FOUR_CYCLE = "F4cycle"
@@ -155,7 +150,7 @@ def _first_pair(E: PointSet, r: int, edges, pairs):
 def iter_path_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
     """Index-tuple pairs (xs, ys) of k-paths with dilation ratio r, in search order."""
     xs = itertools.permutations(range(len(E)), k + 1)
-    return _scaled_pairs(E, r, path_edges(k), xs, distinct=True)
+    return _scaled_pairs(E, r, path_edges(k), xs)
 
 
 def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
@@ -197,22 +192,35 @@ class TwoPathParts:
 
 
 def classify_two_path_pairs(E: PointSet, ratio: Ratio) -> TwoPathParts:
-    """One pass over the concrete scaled 2-walk pairs, sorted into the parts."""
-    a = b = ab = c = total = 0
-    for xs, ys in iter_scaled_walk_pairs(E, ratio.r, 2):
-        total += 1
-        x_deg = xs[0] == xs[2]
-        y_deg = ys[0] == ys[2]
-        if x_deg:
-            a += 1
-        if y_deg:
-            b += 1
-        if x_deg and y_deg:
-            ab += 1
-        if not x_deg and not y_deg:
-            c += 1
-    return TwoPathParts(x_coincide=a, y_coincide=b, both_coincide=ab,
-                        open_pairs=c, total=total)
+    """The scaled 2-walk pairs sorted into the parts, by a brute classification.
+
+    Every x 2-walk (x1 != x2 != x3) is counted by its r-scaled step profile
+    and whether x1 = x3, and every y 3-tuple by its step profile and whether
+    y1 = y3; each part is the join of one x class against one y class.
+    Refused before any tuple is visited when the tuples of both sides, the
+    n (n-1)^2 + n^3 of brute S_2, exceed BRUTE_GUARD.
+    """
+    n = len(E)
+    visits = n * (n - 1) ** 2 + n**3
+    if visits > BRUTE_GUARD:
+        raise TooLargeError(f"a brute classification over {visits} tuples refused, "
+                            f"over {BRUTE_GUARD}")
+    p = E.prime.p
+    D = E.dist_table
+    scale = [ratio.r * t % p for t in range(p)]
+    scaled = [[scale[t] for t in row] for row in D]
+    X = Counter((scaled[a][b], scaled[b][c], a == c)
+                for a, b, c in itertools.product(range(n), repeat=3) if a != b != c)
+    Y = Counter((D[a][b], D[b][c], a == c) for a, b, c in itertools.product(range(n), repeat=3))
+    # parts[x1 = x3, y1 = y3]
+    parts = Counter()
+    for (s, t, x_same), count in X.items():
+        for y_same in (False, True):
+            parts[x_same, y_same] += count * Y[s, t, y_same]
+    both = parts[True, True]
+    return TwoPathParts(x_coincide=parts[True, False] + both,
+                        y_coincide=parts[False, True] + both, both_coincide=both,
+                        open_pairs=parts[False, False], total=sum(parts.values()))
 
 
 def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int]:
@@ -229,33 +237,6 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     b = join({t[:1]: c for t, c in x2.items() if t[0] == t[1]}, y1, scale)
     ab = join(x1, y1, scale)
     return a, b, ab
-
-
-@dataclass(frozen=True)
-class TwoPathDecomposition:
-    """Both sides of the inclusion-exclusion identity for open 2-path pairs."""
-
-    open_pairs: int
-    s2: int
-    s1: int
-    a_closed: int
-    b_closed: int
-
-    @property
-    def holds(self) -> bool:
-        return self.open_pairs == self.s2 + self.s1 - self.a_closed - self.b_closed
-
-
-def check_two_path_decomposition(E: PointSet, ratio: Ratio) -> TwoPathDecomposition:
-    """Evaluate the identity with every term computed by an independent route."""
-    parts = classify_two_path_pairs(E, ratio)
-    a_closed, b_closed, _ = two_path_parts_closed_form(E, ratio)
-    s2 = _walk_dp_scaled_pairs(E, ratio.r, 2)
-    s1 = _walk_dp_scaled_pairs(E, ratio.r, 1)
-    return TwoPathDecomposition(
-        open_pairs=parts.open_pairs, s2=s2, s1=s1,
-        a_closed=a_closed, b_closed=b_closed,
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -318,7 +299,7 @@ def iter_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
     idx = range(len(E))
     xs = ((x1, x2, x3, x4) for x1 in idx for x2 in idx[x1 + 1:]
           for x3 in idx[x1 + 1:] if x3 != x2 for x4 in idx[x2 + 1:] if x4 != x3)
-    return _scaled_pairs(E, r, CYCLE_EDGES, xs, distinct=True)
+    return _scaled_pairs(E, r, CYCLE_EDGES, xs)
 
 
 def find_cycle_pair_witness(E: PointSet, ratio: Ratio):
@@ -328,43 +309,6 @@ def find_cycle_pair_witness(E: PointSet, ratio: Ratio):
     orbit, so a None answer means the family is empty.
     """
     return _first_pair(E, ratio.r, CYCLE_EDGES, iter_cycle_pairs(E, ratio.r))
-
-
-@dataclass(frozen=True)
-class FiberCheck:
-    """Surjectivity and fiber sizes of the collapse from x1=x3 cycle pairs."""
-
-    surjective: bool
-    max_fiber: int
-    domain_size: int
-    target_size: int
-    image_inside_target: bool
-
-
-def four_cycle_fiber_check(E: PointSet, ratio: Ratio) -> FiberCheck:
-    """Map each x1 = x3 cycle pair onto a scaled 2-walk pair and inspect fibers.
-
-    The collapse (x1,x2,x4,y1,y2,y3,y4) -> (x4,x1,x2,y4,y1,y2) must cover the
-    whole 2-walk pair set with fibers of size at most p + 1.  The cycle
-    enumeration refuses sets beyond its guard.
-    """
-    r = ratio.r
-    fibers: dict[tuple, int] = {}
-    for (x1, x2, x3, x4), (y1, y2, _, y4) in iter_scaled_cycle_pairs(E, r):
-        if x1 == x3:
-            key = (x4, x1, x2, y4, y1, y2)
-            fibers[key] = fibers.get(key, 0) + 1
-    target = set()
-    for xs, ys in iter_scaled_walk_pairs(E, r, 2):
-        target.add(xs + ys)
-    image = set(fibers)
-    return FiberCheck(
-        surjective=image >= target,
-        max_fiber=max(fibers.values(), default=0),
-        domain_size=sum(fibers.values()),
-        target_size=len(target),
-        image_inside_target=image <= target,
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -379,18 +323,6 @@ def _falling(x: int, m: int) -> int:
     return out
 
 
-def shared_displacement_counts(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> tuple[int, int]:
-    """(all, distinct-source) counts of (d+1)-tuples of pairs sharing a displacement.
-
-    A tuple here is ((u_1, v_1), .., (u_m, v_m)), m = d + 1, with every
-    u_i - sqrt(r) * theta * v_i equal; "distinct-source" additionally
-    requires the v_i to be pairwise distinct.  Within one displacement class
-    the v's determine the pairs, so the two counts are power sums and
-    falling-factorial sums of the displacement histogram.
-    """
-    return tally_moments(Counter(displacement_histogram(E, ratio, theta).values()), E.d + 1)
-
-
 def tally_moments(tally: dict, m: int) -> tuple[int, int]:
     """(sum of c^m, sum of c (c-1) .. (c-m+1)) over a histogram's counts c.
 
@@ -399,97 +331,6 @@ def tally_moments(tally: dict, m: int) -> tuple[int, int]:
     """
     items = tally.items()
     return sum(k * c**m for c, k in items), sum(k * _falling(c, m) for c, k in items)
-
-
-def shared_displacement_counts_direct(E: PointSet, ratio: Ratio,
-                                      theta: "OrthMatrix") -> tuple[int, int]:
-    """The same two counts by explicit tuple extension with membership checks."""
-    if not ratio.is_square or ratio.sqrt_r is None:
-        raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
-    m = E.d + 1
-    p = E.prime.p
-    images = {v: scaled_apply(theta, ratio.sqrt_r, v, p) for v in E.points}
-
-    def extensions(base, chosen, need_distinct):
-        if len(chosen) == m:
-            return 1
-        total = 0
-        for v in E.points:
-            if need_distinct and v in chosen:
-                continue
-            u = tuple((a + b) % p for a, b in zip(base, images[v]))
-            if u in E:
-                chosen.append(v)
-                total += extensions(base, chosen, need_distinct)
-                chosen.pop()
-        return total
-
-    total = distinct = 0
-    for u1 in E.points:
-        for v1 in E.points:
-            base = tuple((a - b) % p for a, b in zip(u1, images[v1]))
-            total += extensions(base, [v1], False)
-            distinct += extensions(base, [v1], True)
-    return total, distinct
-
-
-def displacement_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix",
-                              k: int, l: int) -> int:
-    """Tuples as above (no distinctness) with sources k and l forced equal."""
-    if not ratio.is_square or ratio.sqrt_r is None:
-        raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
-    m = E.d + 1
-    if not (0 <= k < l < m):
-        raise ValueError("need 0 <= k < l <= d")
-    p = E.prime.p
-    images = {v: scaled_apply(theta, ratio.sqrt_r, v, p) for v in E.points}
-
-    total = 0
-    for u1 in E.points:
-        for v1 in E.points:
-            base = tuple((a - b) % p for a, b in zip(u1, images[v1]))
-
-            def extensions(chosen):
-                pos = len(chosen)
-                if pos == m:
-                    return 1
-                if pos == l:
-                    v = chosen[k]
-                    u = tuple((a + b) % p for a, b in zip(base, images[v]))
-                    return extensions(chosen + [v]) if u in E else 0
-                total_here = 0
-                for v in E.points:
-                    u = tuple((a + b) % p for a, b in zip(base, images[v]))
-                    if u in E:
-                        total_here += extensions(chosen + [v])
-                return total_here
-
-            total += extensions([v1])
-    return total
-
-
-def all_equal_slice_direct(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> int:
-    """Tuples as above with every source equal, checked by scanning targets.
-
-    The difference conditions force every target to repeat the first one, so
-    the count comes out as |E|^2; this routine verifies that by enumeration
-    instead of assuming it.
-    """
-    if not ratio.is_square or ratio.sqrt_r is None:
-        raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
-    m = E.d + 1
-    p = E.prime.p
-    s = ratio.sqrt_r
-    total = 0
-    for u1 in E.points:
-        for v1 in E.points:
-            # sources all equal v1, so each later target must sit at
-            # u1 + sqrt(r) * theta * (v1 - v1); count the members of E there
-            shift = scaled_apply(theta, s, tuple(0 for _ in v1), p)
-            want = tuple((a + b) % p for a, b in zip(u1, shift))
-            per_slot = sum(1 for u in E.points if u == want)
-            total += per_slot ** (m - 1)
-    return total
 
 
 # ----------------------------------------------------------------------------
@@ -510,7 +351,7 @@ def iter_clique_pairs(E: PointSet, r: int, m: int) -> Iterator[tuple[tuple, tupl
     ways.
     """
     vs = itertools.combinations(range(len(E)), m)
-    return _scaled_pairs(E, r, clique_edges(m), vs, distinct=True)
+    return _scaled_pairs(E, r, clique_edges(m), vs)
 
 
 def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
@@ -553,8 +394,12 @@ def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
 def group_displacement_sums(E: PointSet, ratio: Ratio) -> tuple[int, int, int, int]:
     """|G| and the group sums of c^(d+1), c (c-1) .. (c-d) and c^d, G = O(d, p).
 
-    One pass, one displacement_histogram per element, c over its counts: the
-    group sums of shared_displacement_counts and of displacement_slice_direct.
+    One pass, one displacement_histogram per element, c over its counts.  Per
+    element theta they count the (d+1)-tuples of pairs (u_i, v_i) of E that
+    share one displacement u_i - sqrt(r) theta v_i: c^(d+1) all of them, the
+    falling factorial those whose v_i are pairwise distinct (within one
+    displacement the v's determine the pairs), and c^d those with two given
+    v_i equal.
     """
     table = enumerate_orthogonal(E.d, E.prime)
     power = distinct = slices = 0

@@ -3,19 +3,15 @@
 For a point set E and ratio r the graph has vertex set E x E, and two
 distinct vertices (x, x') and (y, y') are adjacent when the norm of y' - x'
 is r times the norm of y - x.  Walks in this graph encode scaled walk pairs;
-the module also carries the exact generic walk-count floor (2e)^k / n^(k-1)
-and the two incidence double-count identities used to chain pair counts of
-consecutive lengths.
+the module also carries the exact generic walk-count floor (2e)^k / n^(k-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .configcount import (
     Ratio,
-    iter_scaled_walk_pairs,
     join,
     _nu_identity_scaled_walk_pairs,
     _paired_walk_sweep,
@@ -112,102 +108,3 @@ def ms_lower_bound(n: int, e: int, k: int) -> Fraction:
     if n < 1:
         raise ValueError("the graph needs at least one vertex")
     return Fraction((2 * e) ** k, n ** (k - 1))
-
-
-@dataclass(frozen=True)
-class IncidenceChecks:
-    """Both incidence double counts, each with its convexity floor.
-
-    pair_side_square_sum counts incidences of 1-step pairs on their two
-    anchor pairs; it must equal four times the 2-step pair count.
-    corner_square_sum counts 2-step pairs sharing their outer corners; it
-    must equal the 4-cycle pair count.
-    """
-
-    pair_side_square_sum: int
-    four_times_s2: int
-    pair_floor: Fraction
-    corner_square_sum: int
-    c_count: int
-    corner_floor: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return (
-            self.pair_side_square_sum == self.four_times_s2
-            and self.corner_square_sum == self.c_count
-            and Fraction(self.pair_side_square_sum) >= self.pair_floor
-            and Fraction(self.corner_square_sum) >= self.corner_floor
-        )
-
-
-def check_incidence_double_counts(E: PointSet, ratio: Ratio) -> IncidenceChecks:
-    """Evaluate both double-count identities on concrete tuples.
-
-    The left sides attach each enumerated 1-step (resp. 2-step) scaled pair
-    to its anchor vertices and square the resulting degrees; the right sides
-    are independent pair counts.
-    """
-    from .configcount import count_scaled_cycle_pairs
-
-    r = ratio.r
-    n = len(E)
-
-    # degrees of anchor vertices (x, y) under 1-step pairs
-    degree: dict[tuple[int, int], int] = {}
-    s1_size = 0
-    for (x1, x2), (y1, y2) in iter_scaled_walk_pairs(E, r, 1):
-        s1_size += 1
-        degree[(x1, y1)] = degree.get((x1, y1), 0) + 1
-        degree[(x2, y2)] = degree.get((x2, y2), 0) + 1
-    pair_side_square_sum = sum(v * v for v in degree.values())
-
-    pair_floor = Fraction((2 * s1_size) ** 2, n**2)
-
-    # degrees of outer-corner 4-tuples under 2-step pairs
-    corner: dict[tuple, int] = {}
-    for (x1, x2, x3), (y1, y2, y3) in iter_scaled_walk_pairs(E, r, 2):
-        key = (x1, x3, y1, y3)
-        corner[key] = corner.get(key, 0) + 1
-    s2_size = sum(corner.values())
-    corner_square_sum = sum(v * v for v in corner.values())
-    corner_floor = Fraction(s2_size**2, n**4)
-
-    c_count = count_scaled_cycle_pairs(E, ratio, "brute").value
-
-    return IncidenceChecks(
-        pair_side_square_sum=pair_side_square_sum,
-        four_times_s2=4 * s2_size,
-        pair_floor=pair_floor,
-        corner_square_sum=corner_square_sum,
-        c_count=c_count,
-        corner_floor=corner_floor,
-    )
-
-
-def pair_collapse_fibers(E: PointSet, ratio: Ratio) -> dict[tuple, int]:
-    """Fibers of the canonical collapse of incidence triples onto 2-step pairs.
-
-    An incidence triple is (u, u', v) with u and u' 1-step pairs both touching
-    the anchor v; gluing them along v yields a 2-step pair.  Every 2-step pair
-    must arise from exactly four triples.
-    """
-    r = ratio.r
-    ones = list(iter_scaled_walk_pairs(E, r, 1))
-    touching: dict[tuple[int, int], list[tuple]] = {}
-    for (x1, x2), (y1, y2) in ones:
-        tup = (x1, x2, y1, y2)
-        touching.setdefault((x1, y1), []).append(tup)
-        touching.setdefault((x2, y2), []).append(tup)
-
-    fibers: dict[tuple, int] = {}
-    for v, incident in touching.items():
-        vx, vy = v
-        for a, b, a2, b2 in incident:
-            # the end of the first pair not glued to the anchor
-            nx, ny = (b, b2) if (a, a2) == v else (a, a2)
-            for c, d, c2, d2 in incident:
-                mx, my = (d, d2) if (c, c2) == v else (c, c2)
-                image = (nx, vx, mx, ny, vy, my)
-                fibers[image] = fibers.get(image, 0) + 1
-    return fibers

@@ -20,15 +20,11 @@ from dilatelab.configcount import (
     path_edges,
 )
 from dilatelab.families import (
-    all_equal_slice_direct,
     classify_two_path_pairs,
     clique_edges,
-    displacement_slice_direct,
     find_clique_pair_witness,
     find_cycle_pair_witness,
     four_cycle_families,
-    shared_displacement_counts,
-    shared_displacement_counts_direct,
     simplex_bound_group_sum,
     two_path_parts_closed_form,
     validate_pattern_pair,
@@ -42,17 +38,21 @@ from dilatelab.geometry import (
     sphere_size_formula,
 )
 from dilatelab.orthogonal import enumerate_orthogonal, order_formula, so2_elements
-from dilatelab.simgraph import (
-    build_similarity_graph,
-    check_incidence_double_counts,
-    ms_lower_bound,
-    pair_collapse_fibers,
-)
+from dilatelab.simgraph import build_similarity_graph, ms_lower_bound
 from dilatelab.configcount import displacement_histogram
 from dilatelab.verify import (
     check_quotient_containment,
     check_theorem,
     exceeds_4_sqrt3_p32,
+)
+from oracles import (
+    all_equal_slice_direct,
+    check_incidence_double_counts,
+    displacement_slice_direct,
+    pair_collapse_fibers,
+    scaled_pattern_pairs,
+    shared_displacement_counts,
+    shared_displacement_counts_direct,
 )
 
 THREE = make_prime(3)
@@ -392,8 +392,6 @@ def test_criterion_12_quotient_sets():
 
 def test_criterion_13_double_count_constructions():
     """Factor-4 collapse fibers and the corner double count, exhaustively."""
-    from dilatelab.families import iter_scaled_walk_pairs
-
     for p in (3, 7):
         prime = make_prime(p)
         for i in range(8):
@@ -402,9 +400,11 @@ def test_criterion_13_double_count_constructions():
             for r in (1, 2, p - 1):
                 ratio = make_ratio(r, prime)
                 fibers = pair_collapse_fibers(E, ratio)
-                targets = {xs + ys for xs, ys in iter_scaled_walk_pairs(E, r, 2)}
+                targets = {xs + ys for xs, ys in scaled_pattern_pairs(E, r, path_edges(2))}
                 assert set(fibers) == targets
                 assert all(v == 4 for v in fibers.values())
-                checks = check_incidence_double_counts(E, ratio)
-                assert checks.holds
-                assert checks.corner_square_sum == checks.c_count
+                pair_side, corner, s1, s2, c_count = check_incidence_double_counts(E, ratio)
+                assert pair_side == 4 * s2
+                assert corner == c_count
+                assert Fraction(pair_side) >= Fraction((2 * s1) ** 2, size**2)
+                assert Fraction(corner) >= Fraction(s2**2, size**4)

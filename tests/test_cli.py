@@ -332,8 +332,8 @@ def test_count_two_path_parts(capsys):
     )
     assert code == 0
     rows = {ln.split(",")[0]: ln for ln in out.splitlines()[2:]}
-    assert {"A", "B", "A∩B", "C2path"} <= set(rows)
-    # closed-form rows agree with the enumeration rows
+    assert {"A", "B", "A∩B", "open"} <= set(rows)
+    # closed-form rows agree with the brute rows
     both = [ln for ln in out.splitlines()[2:] if ln.startswith("A,")]
     assert len({ln.split(",")[5] for ln in both}) == 1
 
@@ -353,6 +353,49 @@ def test_count_two_path_parts_with_null_segments(capsys):
     for name in ("A", "B", "A∩B"):
         assert values[(name, "nu_identity")] == values[(name, "brute")]
     assert [row[-1] for row in rows].count("nu_identity") == 3
+
+
+def last_value(argv, capsys):
+    # the value column of the last row, whichever of the two headers it has
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    header, *rows = out.splitlines()[1:]
+    return int(rows[-1].split(",")[header.split(",").index("value")])
+
+
+@pytest.mark.parametrize("p,seed,same", [(13, "1", False), (7, "1", True)])
+def test_open_row_is_inclusion_exclusion_not_c2path(p, seed, same, capsys):
+    # open counts x1 != x3 and y1 != y3: S_2 + S_1 - A - B.  Where null
+    # segments exist it holds pairs with y1 = y2 too, so it is not C2path
+    base = ["--p", str(p), "--random", "8", "--r", "2", "--seed", seed]
+    code, out, _ = run_cli(["count", "--what", "2path_parts", *base], capsys)
+    assert code == 0
+    parts = {row.split(",")[0]: int(row.split(",")[-2]) for row in out.splitlines()[2:]}
+    s1, s2 = (last_value(["count", "--what", "S_k", "--k", k, "--method", "walk_dp", *base],
+                         capsys) for k in ("1", "2"))
+    assert parts["open"] == s2 + s1 - parts["A"] - parts["B"]
+    c2path = last_value(["count", "--what", "C2path", *base], capsys)
+    assert (parts["open"] == c2path) == same
+    if p == 13:
+        assert (parts["open"], c2path, s2, s1) == (738, 494, 1318, 268)
+
+
+def test_two_path_parts_reach_the_brute_guard(capsys):
+    # brute rows by histogram: n = 40 runs every ratio and matches the closed forms
+    code, out, err = run_cli(["count", "--what", "2path_parts", "--method", "all",
+                              "--p", "11", "--random", "40", "--threads", "1"], capsys)
+    assert code == 0 and err == ""
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    brute = [row[:-1] for row in rows if row[-1] == "brute"]
+    closed = [row[:-1] for row in rows if row[-1] == "nu_identity"]
+    assert len(brute) == 40 and [row for row in brute if row[0] != "open"] == closed
+    # n = 80: 80 * 79^2 + 80^3 tuples, refused before any is visited
+    start = time.process_time()
+    code, out, err = run_cli(["count", "--what", "2path_parts", "--method", "all",
+                              "--p", "11", "--random", "80", "--threads", "1"], capsys)
+    assert code == 3 and out == ""
+    assert "1011280 tuples refused, over 1000000" in err
+    assert time.process_time() - start < 1.0
 
 
 def test_count_nu_identity_with_null_segments(capsys):
@@ -691,6 +734,22 @@ def test_dimension_below_one_is_a_usage_error(argv, d, capsys):
     assert "--d must be at least 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", "7", "--size", "3"],
+    ["count", "--what", "S_k", "--p", "7", "--random", "3", "--r", "1"],
+    ["verify", "--claim", "T1.5", "--p", "7", "--random", "1", "--size", "3"],
+    ["scan", "--family", "C2path", "--p", "7", "--sizes", "2:4", "--samples", "2"],
+], ids=["gen", "count", "verify", "scan"])
+def test_threads_below_one_is_a_usage_error(argv, threads, capsys):
+    # not a quiet fall back to one process
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads must be at least 1" in err and "Traceback" not in err
+
+
 def test_set_file_of_dimension_zero_is_a_usage_error(tmp_path, capsys):
     set_path = tmp_path / "flat.txt"
     set_path.write_text("p=7 d=0\n\n")
@@ -843,6 +902,50 @@ def test_cli_fuzz_exits_with_a_documented_code(argv, capsys):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 2, 3), argv
+
+
+@st.composite
+def set_file(draw):
+    # a small point-set file, valid or with one fault
+    p = draw(st.sampled_from((3, 5, 7)))
+    d = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(0, p - 1)] * d)
+    points = draw(st.lists(coords, min_size=1, max_size=6, unique=True))
+    header = f"p={p} d={d}"
+    fault = draw(st.sampled_from(("none", "duplicate", "coordinate", "dimension",
+                                  "header", "empty")))
+    if fault == "duplicate":
+        points.append(draw(st.sampled_from(points)))
+    elif fault == "coordinate":
+        points[0] = (draw(st.sampled_from((-1, p, p + 2))),) + points[0][1:]
+    elif fault == "dimension":
+        points[-1] = points[-1][:-1] if d > 1 and draw(st.booleans()) else points[-1] + (0,)
+    elif fault == "header":
+        header = draw(st.sampled_from((f"p={p}", f"p={p} d=x", f"p=9 d={d}", f"d={d} p",
+                                       f"{p} {d}")))
+    lines = ["# drawn", header, *(",".join(map(str, pt)) for pt in points)]
+    return "" if fault == "empty" else "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=set_file(), command=st.sampled_from(("count", "verify")), data=st.data())
+def test_cli_fuzz_set_files_exit_with_a_documented_code(text, command, data, tmp_path, capsys):
+    path = tmp_path / "drawn.txt"
+    path.write_text(text)
+    ratio = data.draw(st.sampled_from(("1", "2", "squares")))
+    if command == "count":
+        what = data.draw(st.sampled_from(COUNT_KINDS + tuple(WHAT_ALIASES)))
+        tail = ["--what", what, "--method", data.draw(st.sampled_from(("auto", "all")))]
+    else:
+        tail = ["--claim", data.draw(st.sampled_from(CLAIM_NAMES + ("all",)))]
+    argv = [command, "--set", str(path), "--r", ratio, "--threads", "1", *tail]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3), (argv, text)
 
 
 HUGE_K = ["--k", str(10**9), "--threads", "1"]

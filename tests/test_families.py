@@ -1,6 +1,5 @@
 """Configuration families: classification passes against raw tuple oracles."""
 
-import hashlib
 import itertools
 import math
 from collections import Counter
@@ -12,35 +11,25 @@ from dilatelab import families
 from dilatelab.cli import main
 from dilatelab.configcount import (
     CYCLE_EDGES,
-    count_scaled_cycle_pairs,
-    count_scaled_walk_pairs,
     displacement_histogram,
-    iter_scaled_cycle_pairs,
-    iter_scaled_walk_pairs,
     make_ratio,
     path_edges,
 )
 from dilatelab.errors import TooLargeError
 from dilatelab.families import (
     FourCycleFamilies,
-    all_equal_slice_direct,
-    check_two_path_decomposition,
     classify_two_path_pairs,
     clique_edges,
     count_path_pairs,
     count_simplex_pairs,
     count_triangle_pairs,
-    displacement_slice_direct,
     find_clique_pair_witness,
     find_cycle_pair_witness,
     find_path_pair_witness,
     four_cycle_families,
-    four_cycle_fiber_check,
     iter_clique_pairs,
     iter_cycle_pairs,
     iter_path_pairs,
-    shared_displacement_counts,
-    shared_displacement_counts_direct,
     simplex_bound_group_sum,
     tally_moments,
     triangle_bound_group_sum,
@@ -50,6 +39,15 @@ from dilatelab.families import (
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
 from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
+from oracles import (
+    all_equal_slice_direct,
+    check_two_path_decomposition,
+    displacement_slice_direct,
+    four_cycle_fiber_check,
+    scaled_pattern_pairs,
+    shared_displacement_counts,
+    shared_displacement_counts_direct,
+)
 
 SEVEN = make_prime(7)
 THREE = make_prime(3)
@@ -162,14 +160,15 @@ def test_closed_forms_match_classification(p, d):
 
 def test_two_point_decomposition_identity():
     deco = check_two_path_decomposition(TWO_POINT, make_ratio(1, SEVEN))
-    assert (deco.open_pairs, deco.s2, deco.s1, deco.a_closed, deco.b_closed) == (0, 4, 4, 4, 4)
-    assert deco.holds
+    assert deco == (0, 4, 4, 4, 4)
+    open_pairs, s2, s1, a, b = deco
+    assert open_pairs == s2 + s1 - a - b
 
 
 def test_single_point_decomposition_identity():
     single = PointSet(SEVEN, 2, [(3, 3)])
-    deco = check_two_path_decomposition(single, make_ratio(2, SEVEN))
-    assert deco.holds and deco.s2 == deco.s1 == 0
+    open_pairs, s2, s1, a, b = check_two_path_decomposition(single, make_ratio(2, SEVEN))
+    assert open_pairs == s2 + s1 - a - b and s2 == s1 == 0
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -178,7 +177,8 @@ def test_decomposition_identity_random(p):
     for seed in range(8):
         E = random_point_set(prime, 2, 4 + seed % 5, seed)
         for r in (1, 2, 3, p - 1):
-            assert check_two_path_decomposition(E, make_ratio(r, prime)).holds
+            open_pairs, s2, s1, a, b = check_two_path_decomposition(E, make_ratio(r, prime))
+            assert open_pairs == s2 + s1 - a - b
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,8 @@ def test_path_pairs_match_raw(p, size, k):
 
 
 def test_enumerators_match_the_brute_oracle():
-    # the enumerators no longer give the counts but still give every witness,
-    # so each must list exactly the pairs the profile-join oracle counts
+    # the enumerators give no count but every witness, so each must list
+    # exactly the pairs the profile-join oracle counts
     from dilatelab.families import _count_clique_pairs
 
     def length(pairs):
@@ -222,12 +222,8 @@ def test_enumerators_match_the_brute_oracle():
             for r in range(1, p):
                 ratio = make_ratio(r, prime)
                 for k in (1, 2, 3):
-                    walks = count_scaled_walk_pairs(E, ratio, k, "brute").value
-                    assert length(iter_scaled_walk_pairs(E, r, k)) == walks, (p, d, r, k)
                     paths = count_path_pairs(E, ratio, k).value
                     assert length(iter_path_pairs(E, r, k)) == paths, (p, d, r, k)
-                cycles = count_scaled_cycle_pairs(E, ratio, "brute").value
-                assert length(iter_scaled_cycle_pairs(E, r)) == cycles, (p, d, r)
                 # triangles in every dimension, simplices of F_p^3
                 for m in (3, 4) if d == 3 else (3,):
                     cliques = _count_clique_pairs(E, r, m)
@@ -345,7 +341,7 @@ def classify_cycle_pairs(E, r):
     """The coincidence families by classifying every enumerated cycle pair."""
     f = a13 = a24 = b13 = b24 = union = total = 0
     exact = True
-    for xs, ys in iter_scaled_cycle_pairs(E, r):
+    for xs, ys in scaled_pattern_pairs(E, r, CYCLE_EDGES):
         total += 1
         c_a13, c_a24 = xs[0] == xs[2], xs[1] == xs[3]
         c_b13, c_b24 = ys[0] == ys[2], ys[1] == ys[3]
@@ -362,27 +358,6 @@ def classify_cycle_pairs(E, r):
         fully_distinct=f, x13=a13, x24=a24, y13=b13, y24=b24,
         degenerate_union=union, total=total, decomposition_exact=exact,
     )
-
-
-# (p, d, size, seed, r, pairs, digest) of iter_scaled_cycle_pairs, recorded
-# from the nested-loop search that the bucket search over CYCLE_EDGES replaced
-CYCLE_PAIR_ORDER = [
-    (3, 2, 6, 0, 1, 29972, "715012cf916ed509"),
-    (5, 2, 7, 1, 2, 13484, "a1840d0afb200951"),
-    (7, 2, 8, 0, 3, 12936, "f6ffa1f2e5fe3fd6"),
-    (13, 2, 6, 1, 5, 2060, "308860ddf2272d3f"),
-    (3, 3, 7, 0, 2, 34000, "860d46a5fd72c8c4"),
-    (7, 1, 6, 1, 2, 7692, "e37fb5d40217ed66"),
-    (5, 3, 6, 1, 3, 3292, "cad8d0e9ecfb6339"),
-]
-
-
-@pytest.mark.parametrize("p,d,size,seed,r,pairs,digest", CYCLE_PAIR_ORDER)
-def test_scaled_cycle_pairs_keep_their_order(p, d, size, seed, r, pairs, digest):
-    E = random_point_set(make_prime(p), d, size, seed)
-    found = list(iter_scaled_cycle_pairs(E, r))
-    assert len(found) == pairs
-    assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == digest
 
 
 def test_four_cycle_census_matches_enumeration():
@@ -438,12 +413,12 @@ def test_fiber_check_small():
     for seed in range(3):
         E = random_point_set(THREE, 2, 6, seed)
         for r in (1, 2):
-            check = four_cycle_fiber_check(E, make_ratio(r, THREE))
-            assert check.surjective
-            assert check.image_inside_target
-            assert check.max_fiber <= 3 + 1
+            fibers, targets = four_cycle_fiber_check(E, make_ratio(r, THREE))
+            # onto the scaled 2-walk pairs and inside them
+            assert set(fibers) == targets
+            assert max(fibers.values(), default=0) <= 3 + 1
             fam = four_cycle_families(E, make_ratio(r, THREE))
-            assert check.domain_size == fam.x13
+            assert sum(fibers.values()) == fam.x13
 
 
 def test_cycle_pair_witness_full_plane():

@@ -1,0 +1,82 @@
+"""The package surface: every import is used, and every top-level name is reached."""
+
+import ast
+from pathlib import Path
+
+import dilatelab
+
+PACKAGE = Path(dilatelab.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+# Imported and never called: perfbench/selftest.py checks that the benchmark's
+# spans rebind these names in these modules.
+BENCHMARK_LOCKED = {
+    ("verify", "_walk_dp_scaled_pairs"),
+    ("verify", "_nu_identity_scaled_walk_pairs"),
+    ("families", "_walk_dp_scaled_pairs"),
+}
+
+
+def referenced(tree):
+    """Every name a module reads, as a bare name, an attribute or in a string annotation."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= referenced(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def imported(tree):
+    """(name, node) for every name bound by an import statement of the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node
+
+
+def exported(tree):
+    """The names listed in the module's __all__, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in MODULES.items():
+        used = referenced(tree) | exported(tree)
+        for name, node in imported(tree):
+            if name not in used and (module, name) not in BENCHMARK_LOCKED:
+                unused.append(f"{module}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_every_top_level_definition_is_reached():
+    # reached from another definition of the package, or exported by it
+    reads = set()
+    for tree in MODULES.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a definition's own body does not reach it
+                reads |= referenced(node) - {node.name}
+            else:
+                reads |= referenced(node)
+    unreached = [
+        f"{module}.{node.name}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in reads and node.name not in dilatelab.__all__
+    ]
+    assert unreached == []

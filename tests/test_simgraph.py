@@ -6,18 +6,12 @@ from fractions import Fraction
 import pytest
 
 from dilatelab import configcount
-from dilatelab.configcount import count_scaled_walk_pairs, make_ratio
+from dilatelab.configcount import count_scaled_walk_pairs, make_ratio, path_edges
 from dilatelab.errors import TooLargeError
-from dilatelab.families import iter_scaled_walk_pairs
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, random_point_set
-from dilatelab.simgraph import (
-    SimilarityGraph,
-    build_similarity_graph,
-    check_incidence_double_counts,
-    ms_lower_bound,
-    pair_collapse_fibers,
-)
+from dilatelab.simgraph import SimilarityGraph, build_similarity_graph, ms_lower_bound
+from oracles import check_incidence_double_counts, pair_collapse_fibers, scaled_pattern_pairs
 
 SEVEN = make_prime(7)
 TWO_POINT = PointSet(SEVEN, 2, [(0, 0), (1, 0)])
@@ -187,17 +181,27 @@ def test_walk_floor_from_edge_count(p):
                 assert Fraction(sk) >= Fraction(s1**k, len(E) ** (2 * k - 2))
 
 
+def assert_double_counts(E, ratio):
+    # both identities, each with its convexity floor; returns the numbers
+    pair_side, corner, s1, s2, c_count = check_incidence_double_counts(E, ratio)
+    n = len(E)
+    assert pair_side == 4 * s2
+    assert corner == c_count
+    assert Fraction(pair_side) >= Fraction((2 * s1) ** 2, n**2)
+    assert Fraction(corner) >= Fraction(s2**2, n**4)
+    return pair_side, corner, s1, s2, c_count
+
+
 def test_double_counts_two_point():
-    checks = check_incidence_double_counts(TWO_POINT, make_ratio(1, SEVEN))
-    assert checks.pair_side_square_sum == 16 == checks.four_times_s2
-    assert checks.holds
+    pair_side, _, _, s2, _ = assert_double_counts(TWO_POINT, make_ratio(1, SEVEN))
+    assert pair_side == 16 == 4 * s2
 
 
 def test_double_counts_single_point():
-    checks = check_incidence_double_counts(PointSet(SEVEN, 2, [(0, 0)]), make_ratio(1, SEVEN))
-    assert checks.pair_side_square_sum == 0 == checks.four_times_s2
-    assert checks.corner_square_sum == 0 == checks.c_count
-    assert checks.holds
+    pair_side, corner, _, s2, c_count = assert_double_counts(
+        PointSet(SEVEN, 2, [(0, 0)]), make_ratio(1, SEVEN))
+    assert pair_side == 0 == 4 * s2
+    assert corner == 0 == c_count
 
 
 @pytest.mark.parametrize("p", [3, 7])
@@ -206,14 +210,14 @@ def test_double_counts_random(p):
     for seed in range(5):
         E = random_point_set(prime, 2, 5, seed)
         for r in (1, p - 1):
-            assert check_incidence_double_counts(E, make_ratio(r, prime)).holds
+            assert_double_counts(E, make_ratio(r, prime))
 
 
 def test_double_counts_with_null_segments():
     # the two identities are residue-free; check one p = 1 (mod 4) instance
     thirteen = make_prime(13)
     E = PointSet(thirteen, 2, [(0, 0), (5, 1), (2, 3), (1, 1)])
-    assert check_incidence_double_counts(E, make_ratio(2, thirteen)).holds
+    assert_double_counts(E, make_ratio(2, thirteen))
 
 
 def test_edge_list_export(tmp_path):
@@ -232,6 +236,6 @@ def test_collapse_fibers_are_exactly_four(p):
         for r in (1, 2):
             ratio = make_ratio(r, prime)
             fibers = pair_collapse_fibers(E, ratio)
-            targets = {xs + ys for xs, ys in iter_scaled_walk_pairs(E, r, 2)}
+            targets = {xs + ys for xs, ys in scaled_pattern_pairs(E, r, path_edges(2))}
             assert set(fibers) == targets
             assert all(v == 4 for v in fibers.values())
