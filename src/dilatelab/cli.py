@@ -18,7 +18,9 @@ import sys
 from functools import lru_cache
 
 from .configcount import (
+    CYCLE_PAIR_METHODS,
     METHODS,
+    WALK_PAIR_METHODS,
     CountReport,
     CrossChecked,
     count_ratio_quadruples,
@@ -26,6 +28,7 @@ from .configcount import (
     count_scaled_walk_pairs,
     cycle_pair_reports,
     walk_pair_reports,
+    _not_a_method_of,
     _report,
 )
 from .errors import (
@@ -78,6 +81,10 @@ JSON_SCHEMA = "dilatelab-json v1"
 COUNT_KINDS = ("S_k", "C", "V", "quotient", "distance", "2path_parts",
                "displacement") + FAMILIES
 WHAT_ALIASES = {"T": FAMILY_TRIANGLE, "P": FAMILY_SIMPLEX, "F": FAMILY_FOUR_CYCLE}
+# the methods --method may name besides auto and all: S_k and C choose among
+# theirs, and every other kind has one, brute where it is not listed
+KIND_METHODS = {"S_k": WALK_PAIR_METHODS, "C": CYCLE_PAIR_METHODS, "V": ("nu_identity",),
+                "displacement": ("group_sum",), FAMILY_FOUR_CYCLE: ("mu_identity",)}
 
 
 @lru_cache(maxsize=1)
@@ -92,12 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     # only scan has a worker pool; the others accept --threads and ignore it
     def add_common(p, threads_help="ignored: this command runs in one process"):
         p.add_argument("--p", type=int, help="odd prime modulus")
-        p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
+        p.add_argument("--d", type=int, help="dimension (default 2, or the --set file's)")
         p.add_argument("--seed", default="0", help="seed for all randomness")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help=threads_help)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
+
+    def add_set(p, random_help):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--set", dest="set_path", help="point-set file")
+        source.add_argument("--random", type=int, help=random_help)
 
     g = sub.add_parser("gen", help="write a seeded random point-set file")
     add_common(g)
@@ -108,18 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--what", choices=COUNT_KINDS + tuple(WHAT_ALIASES), required=True)
     c.add_argument("--k", type=int, default=2, help="walk length for S_k")
     c.add_argument("--r", default="all", help="ratio: integer, 'squares', or 'all'")
-    c.add_argument("--set", dest="set_path", help="point-set file")
-    c.add_argument("--random", type=int, help="use a seeded random set of this size")
+    add_set(c, "use a seeded random set of this size")
     c.add_argument("--method", default="auto", choices=("auto", "all") + METHODS,
-                   help="auto, all, or a specific method name")
+                   help="auto, all, or a method of the kind")
 
     v = sub.add_parser("verify", help="check catalog claims on instances")
     add_common(v)
     v.add_argument("--claim", choices=CLAIM_NAMES + ("all",), required=True)
     v.add_argument("--r", default="all", help="ratio: integer, 'squares', or 'all'")
-    v.add_argument("--set", dest="set_path", help="point-set file")
-    v.add_argument("--random", type=int,
-                   help="number of seeded random instances (one ratio each)")
+    add_set(v, "number of seeded random instances (one ratio each)")
     v.add_argument("--size", default="4:10",
                    help="size or LO:HI[:STEP] inclusive range for --random instances")
     v.add_argument("--k", type=int, default=3, help="walk length for T1.10")
@@ -130,6 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", default="all", help="'all', 'squares', or an integer")
     s.add_argument("--sizes", required=True, help="LO:HI[:STEP] inclusive range")
     s.add_argument("--samples", type=int, required=True)
+
+    # gen writes a point-set file, not rows
+    for p in (c, v, s):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 
@@ -165,6 +177,8 @@ def _resolve_set(args, parser) -> PointSet:
         E = load_point_set(args.set_path)
         if args.p is not None and E.prime.p != args.p:
             parser.error(f"--p {args.p} contradicts the file header p={E.prime.p}")
+        if args.d is not None and E.d != args.d:
+            parser.error(f"--d {args.d} contradicts the file header d={E.d}")
         return E
     if args.p is None:
         parser.error("--p is required without --set")
@@ -218,8 +232,11 @@ def _cross_checked_rows(reports: CrossChecked, kind: str, ratio) -> list:
     return reports
 
 
-def _count_rows(E: PointSet, args, parser) -> list:
+def _count_rows(E: PointSet, args) -> list:
     what = WHAT_ALIASES.get(args.what, args.what)
+    methods = KIND_METHODS.get(what, ("brute",))
+    if args.method not in ("auto", "all", *methods):
+        raise _not_a_method_of(what, args.method, methods)
     if what in ("quotient", "distance"):
         value = len(quotient_set(E)) if what == "quotient" else len(distance_set(E))
         return [_report(E, what, value, "brute")]
@@ -291,14 +308,12 @@ def _count_rows(E: PointSet, args, parser) -> list:
                     _note(f"group_sum skipped for r={ratio.r} (guard: {exc})")
                     continue
                 reports.append(_family(E, what, value, "group_sum", ratio.r))
-        else:
-            parser.error(f"cannot count {what!r}")
     return reports
 
 
 def cmd_count(args, parser) -> int:
     E = _resolve_set(args, parser)
-    reports = _count_rows(E, args, parser)
+    reports = _count_rows(E, args)
     header = reports[0].CSV_HEADER if reports else CountReport.CSV_HEADER
     _emit("count", header, [rep.csv_row() for rep in reports],
           [rep.json_dict() for rep in reports], args)
@@ -367,8 +382,11 @@ def cmd_scan(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # every subcommand has --d and --threads
-    _require_positive(args.d, "--d", parser)
+    # every subcommand has --d and --threads; --d is 2 unless a --set file's header gives it
+    if args.d is None and not getattr(args, "set_path", None):
+        args.d = 2
+    if args.d is not None:
+        _require_positive(args.d, "--d", parser)
     _require_positive(args.threads, "--threads", parser)
     try:
         if args.command == "gen":

@@ -5,9 +5,9 @@ The central objects are, for a point set E and a nonzero ratio r:
 * step-walk counts: how many walks through E have a prescribed sequence of
   squared step lengths (and the closed 4-walk variant);
 * step-profile tables, one per walk length k: X_k counts the walks with
-  distinct consecutive points by profile, and Y_k every walk; both come
-  from one packed sweep, and nu_identity joins X_k against the r-scaled
-  Y_k, for every (p, d);
+  distinct consecutive points by profile, and Y_k every walk; each is one
+  packed sweep that keeps level k alone, and nu_identity joins X_k against
+  the r-scaled Y_k, for every (p, d);
 * scaled walk/cycle pairs: pairs of walks (or closed 4-walks) where the
   second walk's squared step lengths are the first's multiplied by r, the
   first walk having distinct consecutive points; they are counted, never
@@ -17,9 +17,9 @@ The central objects are, for a point set E and a nonzero ratio r:
   the cycle pair count C and the four-cycle coincidence families;
 * the brute oracle, brute_join: any pair count as the join of the profile
   histograms of its x and y tuples, behind the one brute guard;
-* the bucket search _scaled_pairs, which finds witnesses and counts nothing:
-  pairs of copies of a pattern, distinct entries on each side, the second
-  scaled by r;
+* the bucket search _first_scaled_pair, which finds a witness and counts
+  nothing: the first pair of copies of a pattern, distinct entries on each
+  side, the second scaled by r;
 * ratio quadruples: 4-tuples (x, y, z, w) whose two segment norms are in
   ratio r with a nonzero denominator;
 * displacement histograms: for a rotation theta, how many pairs (u, v) of E
@@ -260,8 +260,7 @@ def step_profile_counts(E: PointSet, k: int) -> dict:
 
     The steps range over the nonzero distances of E, and over 0 where some
     point has another point at squared distance 0 (a null segment).  Only
-    profiles with a nonzero count appear.  One sweep fills the cache of every
-    level 1..k, k >= 1.  See _profile_sweep.
+    profiles with a nonzero count appear; k >= 1.  See _profile_sweep.
     """
     return _profile_sweep(E, k, stays=False)
 
@@ -289,26 +288,25 @@ def _scaled_walk_table(E: PointSet, k: int) -> dict:
 
 
 def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
-    """X_k, or with stays Y_k, as a map from profiles to nonzero counts; cached per level.
+    """X_k, or with stays Y_k, as a map from profiles to nonzero counts; cached per k.
 
     Packed distance-class sweep: per endpoint j, one int whose lanes count
-    the walks ending at j, one lane per profile of the level so far.  A step
-    sums the endpoint rows by the distance class of (i, j) and concatenates
-    the class sums, so the new lanes are the old profiles extended by each
-    class.  A level's totals are summed by degrees, not from its rows:
-    distance is symmetric, so the walks of class c out of the rows add up to
-    sum_i deg_c(i) row[i], and rows are built up to level k - 1.  The level-1
-    rows, the class sums of rows of ones, are each point's class sizes, so
-    they are packed from the degrees too and the first class-sum step is
-    level 2 -> 3.  A lane
-    holds at most n^(k+1) walks; lanes are that wide, rounded up to whole
-    bytes.  Refused, before the classes are laid out, when the last level
-    would hold more than PROFILE_GUARD lanes, n rows of it would take more
+    the walks ending at j, one lane per profile of the level so far, the
+    first step least significant.  A step sums the endpoint rows by the
+    distance class of (i, j) and concatenates the class sums, so the new
+    lanes are the old profiles extended by each class.  Rows are built up to
+    level k - 1 only, and level k is summed by degrees: distance is
+    symmetric, so the walks of class c out of the rows add up to
+    sum_i deg_c(i) row[i].  The level-1 rows, the class sums of rows of
+    ones, are each point's class sizes, so they are packed from the degrees
+    too.  A lane holds at most n^(k+1) walks; lanes are that wide, rounded
+    up to whole bytes.  Refused, before the classes are laid out, when level
+    k would hold more than PROFILE_GUARD lanes, n rows of it would take more
     than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
-    name = "walks" if stays else "profiles"
-    if (name, k) in E._cache:
-        return E._cache[(name, k)]
+    key = ("walks" if stays else "profiles", k)
+    if key in E._cache:
+        return E._cache[key]
     n = len(E)
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
     m = len(E.norm_pair_counts)
@@ -322,29 +320,26 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
         raise TooLargeError(f"{n} rows of {lanes} lanes of {width} bytes exceed {LANE_GUARD} bytes")
     classes, members = _distance_classes(E)
     if not stays:
-        # the other points at distance 0: the point itself is last in its class of 0
-        members = [(*mem[:-1], mem[-1][:-1]) for mem in members]
-    steps = classes[:m]  # class 0 is last
-    degrees = [[len(mem[c]) for mem in members] for c in range(len(steps))]
-    profiles: list[tuple] = [()]
-    rows = [1] * n
-    for level in range(1, k + 1):
-        row_bytes = len(profiles) * width
-        total = sum(sum(map(mul, deg, rows)) << (8 * c * row_bytes)
-                    for c, deg in enumerate(degrees))
-        profiles = [prof + (t,) for t in steps for prof in profiles]
-        counts = _lanes(total, len(profiles), width)
-        E._cache[(name, level)] = {
-            prof: count for prof, count in zip(profiles, counts) if count
-        }
-        if level == k:
-            break
-        if level == 1:
-            rows = [_pack(deg, width) for deg in zip(*degrees)]
-        else:
-            sources = [rows] * len(steps)
-            rows = [_pack(_class_sums(members_j, sources), row_bytes) for members_j in members]
-    return E._cache[(name, k)]
+        # the other points at distance 0; class 0 is last.  Tuples of lists: tuples
+        # grown from generators raised the walks benchmark's peak RSS by 2-4%
+        members = [(*mem[:-1], tuple([j for j in mem[-1] if j != i]))
+                   for i, mem in enumerate(members)]
+    steps = classes[:m]
+    degrees = [[len(mem[c]) for mem in members] for c in range(m)]
+    rows, row_bytes = [1] * n, width  # level 0
+    if k > 1:  # level 1, each point's class sizes
+        rows, row_bytes = [_pack(deg, width) for deg in zip(*degrees)], m * width
+    for _ in range(k - 2):
+        sources = [rows] * m
+        rows = [_pack(_class_sums(members_j, sources), row_bytes) for members_j in members]
+        row_bytes *= m
+    total = sum(sum(map(mul, deg, rows)) << (8 * c * row_bytes) for c, deg in enumerate(degrees))
+    # lane i is the profile whose steps are the base-m digits of i, lowest first
+    counts = _lanes(total, lanes, width)
+    table = E._cache[key] = {
+        prof[::-1]: count for prof, count in zip(product(steps, repeat=k), counts) if count
+    }
+    return table
 
 
 def path_edges(k: int) -> tuple[tuple[int, int], ...]:
@@ -470,17 +465,13 @@ def _scaling(r: int, p: int):
     return lambda t: tuple([r * s % p for s in t])
 
 
-def _completions(buckets, D, into, prof, ys) -> Iterator[tuple]:
-    """The completions of the partial y tuple ys, in the search order of _scaled_pairs.
-
-    A module-level generator, not a closure: a recursive closure reaches
-    itself through its own cell, and that cycle would keep the searched set
-    alive until the cyclic collector runs.
-    """
+def _completion(buckets, D, into, prof, ys) -> tuple | None:
+    """The first completion of the partial y tuple ys in the search order of
+    _first_scaled_pair, or None.  Module-level, so the search holds no
+    reference cycle that would keep the searched set alive."""
     depth = len(ys)
     if depth == len(into):
-        yield tuple(ys)
-        return
+        return tuple(ys)
     (i, a), checks = into[depth]
     for j in buckets[ys[a]].get(prof[i], ()):
         if j in ys:
@@ -490,8 +481,10 @@ def _completions(buckets, D, into, prof, ys) -> Iterator[tuple]:
                 break
         else:
             ys.append(j)
-            yield from _completions(buckets, D, into, prof, ys)
+            if found := _completion(buckets, D, into, prof, ys):
+                return found
             ys.pop()
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -504,44 +497,37 @@ def _edges_into(edges: tuple) -> tuple:
     return (None, *((first, tuple(rest)) for first, *rest in into[1:]))
 
 
-def _scaled_pairs(E: PointSet, r: int, edges, x_tuples) -> Iterator[tuple[tuple, tuple]]:
-    """Pairs (xs, ys) with xs from x_tuples and ys a copy of the pattern scaled by r.
+def _first_scaled_pair(E: PointSet, r: int, edges, x_tuples) -> tuple[tuple, tuple] | None:
+    """The first pair (xs, ys), xs from x_tuples and ys a copy of the pattern scaled by r.
 
     The pattern is a graph H on the vertices 0..v-1 given by its edge list,
     pairs (a, b) with a < b, and every vertex b > 0 has an earlier
     neighbour.  ys is a tuple of v indices with D[ys[a]][ys[b]] equal to
     r D[xs[a]][xs[b]] on every edge, and its entries are pairwise distinct.
-    ys is found by a depth-first search: ys[b] is drawn, in bucket
-    order, from PointSet.neighbor_buckets of the other end of b's first
-    listed edge, and b's other edges into earlier vertices are then checked.
-
-    ys depends on xs only through its scaled profile.  The completions of a
-    profile are kept once they have been enumerated in full and replayed for
-    every later xs with that profile, so a witness search that finds nothing
-    searches each profile once.  The store holds each y tuple at most once.
+    ys is found by a depth-first search: y0 ascending, then ys[b] drawn in
+    index order from PointSet.neighbor_buckets of the other end of b's
+    first listed edge, b's other edges into earlier vertices checked.  So
+    the first ys of an xs is the least such tuple in lexicographic order.
+    ys depends on xs only through its scaled profile, so a profile without
+    a completion is searched once.  None when no xs has a completion.
     """
     p = E.prime.p
     D = E.dist_table
     into = _edges_into(tuple(edges))
     first = into[1][0][0]  # the edge from vertex 0 to vertex 1
-
     buckets = E.neighbor_buckets
-    done: dict[tuple, list] = {}
+    empty = set()
     for xs in x_tuples:
         prof = tuple(r * D[xs[a]][xs[b]] % p for a, b in edges)
-        found = done.get(prof)
-        if found is None:
-            found = []
-            t = prof[first]
-            for y0, bucket in enumerate(buckets):
-                if t not in bucket:  # no y1 at all: skip before forming a generator
-                    continue
-                for ys in _completions(buckets, D, into, prof, [y0]):
-                    found.append(ys)
-                    yield xs, ys
-            done[prof] = found
-        else:
-            yield from zip(repeat(xs), found)
+        if prof in empty:
+            continue
+        t = prof[first]
+        for y0, bucket in enumerate(buckets):
+            # a y0 without a y1 is skipped before any call
+            if t in bucket and (ys := _completion(buckets, D, into, prof, [y0])):
+                return xs, ys
+        empty.add(prof)
+    return None
 
 
 def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
@@ -678,7 +664,8 @@ class CycleCensus:
     table maps the code ((t1 p + t2) p + t4) p + t3 of a profile to the
     number of its walks, and holds only nonzero counts.  The code joins the
     pair codes of the walk's two halves around the opposite corners a and c:
-    the middle point b has the pair (t1, t2) and e has (t4, t3).
+    the middle point b has the pair (t1, t2) and e has (t4, t3).  distances
+    lists the squared distances of E, so every half is a pair of them.
 
     y counts every closed walk and x the walks with distinct consecutive
     points; each has a restriction to a = c (x13, y13), to b = e (x24, y24)
@@ -687,6 +674,7 @@ class CycleCensus:
     """
 
     p: int
+    distances: tuple
     x: dict
     y: dict
     x13: dict
@@ -700,7 +688,7 @@ class CycleCensus:
         """The map from a profile code to the code of the r-scaled profile."""
         p = self.p
         pp = p * p
-        pair = [r * (k // p) % p * p + r * k % p for k in range(pp)]
+        pair = {s * p + t: r * s % p * p + r * t % p for s in self.distances for t in self.distances}
 
         def scale(code: int) -> int:
             hi, lo = divmod(code, pp)
@@ -751,6 +739,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
             f"{min(n, m)}^4 profiles, over {CENSUS_GUARD}"
         )
     D = E.dist_table
+    distances = tuple(E.norm_pair_counts)
     tables = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
     for bucket in E.neighbor_buckets:
         deg = {s: len(js) for s, js in bucket.items()}
@@ -764,7 +753,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
                     _add(t13, (s * p + s) * pp + u * p + u, ds * du)
                     _add(t24, (s * p + u) * (pp + 1), ds * du)
     high = [[t * p for t in row] for row in D]
-    swap = [k % p * p + k // p for k in range(pp)]
+    swap = {s * p + t: t * p + s for s in distances for t in distances}
     for side in ("y", "x"):
         half: dict[int, int] = {}
         get = half.get
@@ -789,7 +778,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
                 _add(full, swap[u] * pp + swap[w], v)
         for code, v in tables[side + "13"].items():
             _add(full, code, v)
-    census = E._cache[key] = CycleCensus(p=p, **tables)
+    census = E._cache[key] = CycleCensus(p=p, distances=distances, **tables)
     return census
 
 

@@ -7,20 +7,19 @@ squared distance instead of only consecutive ones.  The scaled walk/cycle
 pairs of :mod:`dilatelab.configcount` also contain degenerate pairs (repeated
 vertices); this module counts those remainder families.
 
-Each family has one lazy enumerator of its index-tuple pairs:
-iter_path_pairs, iter_cycle_pairs and iter_clique_pairs, each the one bucket
-search configcount._scaled_pairs over the edge list of its pattern
-(path_edges, CYCLE_EDGES, clique_edges).  They give the witnesses, each the
-first item, checked by the one validator validate_pattern_pair; no count
-reads them.  A brute count is configcount.brute_join over the family's x and
-y sides (times m! for m-cliques, whose v side is increasing).  The
-degenerate parts of the 2-path pairs come from a brute classification of the
-x and y tuples by profile and coincidence, checked against their closed
-forms, joins of the step-profile tables; the four-cycle coincidence families
-are joins of the cycle census of :mod:`dilatelab.configcount`.  Both hold
-for every (p, d).
-iter_cycle_pairs, one x tuple per rotation/reflection orbit, yields an
-eighth of the fully distinct family.
+Each family has one witness finder: find_path_pair_witness,
+find_cycle_pair_witness and find_clique_pair_witness, each the one bucket
+search configcount._first_scaled_pair over the edge list of its pattern
+(path_edges, CYCLE_EDGES, clique_edges), its answer checked by the one
+validator validate_pattern_pair.  The x side of a 4-cycle search takes one
+tuple per rotation/reflection orbit (cycle_orbit_tuples), and that of a
+clique search one increasing tuple per vertex set.  A brute count is
+configcount.brute_join over the family's x and y sides (times m! for
+m-cliques, whose v side is increasing).  The degenerate parts of the 2-path
+pairs come from a brute classification of the x and y tuples by profile and
+coincidence, checked against their closed forms, joins of the step-profile
+tables; the four-cycle coincidence families are joins of the cycle census
+of :mod:`dilatelab.configcount`.  Both hold for every (p, d).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .configcount import (
     join,
     path_edges,
     step_profile_counts,
-    _scaled_pairs,
+    _first_scaled_pair,
     _scaled_walk_table,
     _scaling,
     # not called here: perfbench/selftest.py checks that its span rebinds it in this module
@@ -132,9 +131,9 @@ def revalidate(E: PointSet, r: int, edges, xs, ys) -> None:
         raise AssertionError("internal error: witness failed revalidation")
 
 
-def _first_pair(E: PointSet, r: int, edges, pairs):
-    """The first index pair of pairs as point tuples, revalidated, or None."""
-    found = next(pairs, None)
+def _first_pair(E: PointSet, r: int, edges, x_tuples):
+    """_first_scaled_pair over x_tuples as point tuples, revalidated, or None."""
+    found = _first_scaled_pair(E, r, edges, x_tuples)
     if found is None:
         return None
     pts = E.points
@@ -145,12 +144,6 @@ def _first_pair(E: PointSet, r: int, edges, pairs):
 
 # ----------------------------------------------------------------------------
 # pairs of k-paths (all vertices distinct on each side)
-
-
-def iter_path_pairs(E: PointSet, r: int, k: int) -> Iterator[tuple[tuple, tuple]]:
-    """Index-tuple pairs (xs, ys) of k-paths with dilation ratio r, in search order."""
-    xs = itertools.permutations(range(len(E)), k + 1)
-    return _scaled_pairs(E, r, path_edges(k), xs)
 
 
 def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
@@ -169,11 +162,12 @@ def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
 def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
     """First pair of k-paths with dilation ratio r, or None if none exists.
 
-    This is the first item of iter_path_pairs, whose x side ranges over every
-    tuple of distinct points and whose y side over every bucket-matched
-    completion, so a None answer means the family is empty.
+    The x side ranges over every tuple of distinct points and the y side
+    over every bucket-matched completion, so a None answer means the family
+    is empty.
     """
-    return _first_pair(E, ratio.r, path_edges(k), iter_path_pairs(E, ratio.r, k))
+    xs = itertools.permutations(range(len(E)), k + 1)
+    return _first_pair(E, ratio.r, path_edges(k), xs)
 
 
 # ----------------------------------------------------------------------------
@@ -287,28 +281,26 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     )
 
 
-def iter_cycle_pairs(E: PointSet, r: int) -> Iterator[tuple[tuple, tuple]]:
-    """Index-tuple pairs (xs, ys) of 4-cycles, distinct entries each, with ratio r.
+def cycle_orbit_tuples(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """One 4-tuple of distinct indices below n per orbit of the dihedral group.
 
-    The x side has one tuple per orbit of the dihedral group acting on the
-    vertex positions: least index first, then x2 < x4.  Applying one group
-    element to both sides is a bijection and the group acts freely on
-    tuples of distinct points, so every fully distinct pair of the scaled
-    closed 4-walks is one yielded pair moved in one of 8 ways.
+    The group acts on the vertex positions of the 4-cycle; the tuple is the
+    orbit's one with its least index first and then x2 < x4.
     """
-    idx = range(len(E))
-    xs = ((x1, x2, x3, x4) for x1 in idx for x2 in idx[x1 + 1:]
-          for x3 in idx[x1 + 1:] if x3 != x2 for x4 in idx[x2 + 1:] if x4 != x3)
-    return _scaled_pairs(E, r, CYCLE_EDGES, xs)
+    idx = range(n)
+    return ((x1, x2, x3, x4) for x1 in idx for x2 in idx[x1 + 1:]
+            for x3 in idx[x1 + 1:] if x3 != x2 for x4 in idx[x2 + 1:] if x4 != x3)
 
 
 def find_cycle_pair_witness(E: PointSet, ratio: Ratio):
     """First pair of 4-cycles (all vertices distinct) with ratio r, or None.
 
-    This is the first item of iter_cycle_pairs, whose x side meets every
-    orbit, so a None answer means the family is empty.
+    The x side is cycle_orbit_tuples.  Applying one group element to both
+    sides is a bijection and the group acts freely on tuples of distinct
+    points, so every pair is one with its x side there, moved in one of 8
+    ways, and a None answer means the family is empty.
     """
-    return _first_pair(E, ratio.r, CYCLE_EDGES, iter_cycle_pairs(E, ratio.r))
+    return _first_pair(E, ratio.r, CYCLE_EDGES, cycle_orbit_tuples(len(E)))
 
 
 # ----------------------------------------------------------------------------
@@ -342,22 +334,11 @@ def clique_edges(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for b in range(m) for a in range(b))
 
 
-def iter_clique_pairs(E: PointSet, r: int, m: int) -> Iterator[tuple[tuple, tuple]]:
-    """Index-tuple pairs (vs, us), distinct entries each, all pairwise norms scaled by r.
-
-    The v side ranges over index combinations only.  The conditions ignore
-    vertex order, so applying one permutation to both sides is a bijection
-    and every pair of m-tuples is one yielded pair reordered in one of m!
-    ways.
-    """
-    vs = itertools.combinations(range(len(E)), m)
-    return _scaled_pairs(E, r, clique_edges(m), vs)
-
-
 def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
     """Pairs of m-tuples, distinct entries each, all pairwise norms in ratio r."""
     n = len(E)
-    # as in iter_clique_pairs the v side runs over combinations, m! orders each
+    # the v side runs over combinations, m! orders each: the conditions ignore
+    # vertex order, so one permutation applied to both sides is a bijection
     pairs = brute_join(E, r, clique_edges(m), INCREASING, DISTINCT,
                        visits=math.comb(n, m) + math.perm(n, m))
     return math.factorial(m) * pairs
@@ -382,12 +363,13 @@ def count_simplex_pairs(E: PointSet, ratio: Ratio) -> FamilyCount:
 def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
     """First (u-tuple, v-tuple) pair with all pairwise norms in ratio r, or None.
 
-    This is the first item of iter_clique_pairs; any witness can be
+    The v side ranges over index combinations only; any witness can be
     simultaneously reordered so its v side is increasing, so the search is
     still complete.
     """
     m = E.d + 1 if m is None else m
-    found = _first_pair(E, ratio.r, clique_edges(m), iter_clique_pairs(E, ratio.r, m))
+    vs = itertools.combinations(range(len(E)), m)
+    found = _first_pair(E, ratio.r, clique_edges(m), vs)
     return None if found is None else found[::-1]
 
 

@@ -130,16 +130,15 @@ class PointSet:
     def neighbor_buckets(self) -> tuple[dict[int, tuple[int, ...]], ...]:
         """Per point i, a map t -> the indices j with dist(i, j) = t, in index order.
 
-        Only i itself is out of order: it ends its class of 0, so a bucket
-        search that may stay put tries every move first.
+        i itself is in its class of 0.  Every bucket holds the int objects of
+        one shared index list, not a copy per row.
         """
+        idx = list(range(len(self)))
         out = []
-        for i, row in enumerate(self.dist_table):
+        for row in self.dist_table:
             bucket: dict[int, list[int]] = {}
-            for j, t in enumerate(row):
+            for j, t in zip(idx, row):
                 bucket.setdefault(t, []).append(j)
-            bucket[0].remove(i)
-            bucket[0].append(i)
             out.append({t: tuple(js) for t, js in bucket.items()})
         return tuple(out)
 

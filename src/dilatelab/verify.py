@@ -11,6 +11,8 @@ treated by callers as the most severe failure.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -174,20 +176,26 @@ def meets_quotient_size(n: int, p: int, d: int) -> bool:
     return n * n >= c * c * p**d
 
 
+# each family's size hypothesis as a predicate of (n, p, d), monotone in n
+_SIZE_HYPOTHESES = {
+    FAMILY_PATH_PAIRS: lambda n, p, d: exceeds_sqrt3_plus_one(n, p),
+    FAMILY_FOUR_CYCLE: lambda n, p, d: exceeds_4_sqrt3_p32(n, p),
+    FAMILY_TRIANGLE: lambda n, p, d: meets_triangle_size(n, p),
+    FAMILY_SIMPLEX: meets_simplex_size,
+}
+
+
 def meets_family_size(family: str, n: int, p: int, d: int) -> bool:
     """Whether n meets the size hypothesis of the family's existence theorem."""
-    return {
-        FAMILY_PATH_PAIRS: exceeds_sqrt3_plus_one(n, p),
-        FAMILY_FOUR_CYCLE: exceeds_4_sqrt3_p32(n, p),
-        FAMILY_TRIANGLE: meets_triangle_size(n, p),
-        FAMILY_SIMPLEX: meets_simplex_size(n, p, d),
-    }[family]
+    return _SIZE_HYPOTHESES[family](n, p, d)
 
 
 def smallest_size_meeting(family: str, prime: Prime, d: int) -> int | None:
-    """Least set size satisfying the family's theorem hypothesis, if any fits."""
+    """Least set size satisfying the family's theorem hypothesis, if any fits;
+    the hypothesis is monotone in n, so the sizes are bisected."""
     sizes = range(1, prime.p**d + 1)
-    return next((n for n in sizes if meets_family_size(family, n, prime.p, d)), None)
+    i = bisect_left(sizes, True, key=lambda n: meets_family_size(family, n, prime.p, d))
+    return sizes[i] if i < len(sizes) else None
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +258,19 @@ def check_lemma24(E: PointSet, ratio: Ratio) -> Verdict:
 
 
 def check_lemma26(E: PointSet) -> Verdict:
-    """Two-step walk counts never exceed |E| times the one-step count."""
+    """Two-step walk counts never exceed |E| times the one-step count.
+
+    lhs is the least margin n nu_1(t1) - nu_2(t1, t2) over every profile
+    pair: over the entries of the nu_2 table, and n nu_1(t1) for each t1
+    that some t2 leaves out of it.
+    """
     p = E.prime.p
     n = len(E)
     nu1 = walk_profile_counts(E, 1)
     nu2 = walk_profile_counts(E, 2)
-    worst = None
-    for t1 in range(p):
-        one = nu1.get((t1,), 0)
-        for t2 in range(p):
-            margin = n * one - nu2.get((t1, t2), 0)
-            if worst is None or margin < worst:
-                worst = margin
+    listed = Counter(t1 for t1, _ in nu2)
+    worst = min([n * nu1[t1,] - count for (t1, _), count in nu2.items()]
+                + [n * nu1.get((t1,), 0) for t1 in range(p) if listed[t1] < p])
     return Verdict(
         claim="lemma2.6",
         hypothesis_met=True,

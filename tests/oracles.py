@@ -49,6 +49,26 @@ def scaled_pattern_pairs(E: PointSet, r: int, edges):
                 yield xs, ys
 
 
+def first_scaled_pair(E: PointSet, r: int, edges, x_tuples):
+    """The first xs of x_tuples with a y tuple of distinct entries at its r-scaled
+    profile, and the first such ys from itertools.permutations, or None.
+
+    Every tuple of distinct indices is grouped by its profile along the
+    edges, the lexicographically first kept, so each xs is a lookup.
+    """
+    p = E.prime.p
+    D = E.dist_table
+    size = max(b for _, b in edges) + 1
+    first = {}
+    for ys in itertools.permutations(range(len(E)), size):
+        first.setdefault(tuple(D[ys[a]][ys[b]] for a, b in edges), ys)
+    for xs in x_tuples:
+        ys = first.get(tuple(r * D[xs[a]][xs[b]] % p for a, b in edges))
+        if ys is not None:
+            return xs, ys
+    return None
+
+
 # ----------------------------------------------------------------------------
 # proof-step checks
 

@@ -550,6 +550,38 @@ def test_set_file_contradicting_p_flag(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["count", "--what", "V"], ["verify", "--claim", "T1.5"]])
+def test_set_file_contradicting_d_flag(command, tmp_path, capsys):
+    # not a run in the file's dimension that ignores --d
+    set_path = tmp_path / "two.txt"
+    set_path.write_text("p=7 d=2\n0,0\n1,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--set", str(set_path), "--d", "3", "--r", "1"])
+    assert exc.value.code == 2
+    assert "--d 3 contradicts the file header d=2" in capsys.readouterr().err
+    # a --d that agrees with the header is accepted
+    code, out, _ = run_cli([*command, "--set", str(set_path), "--d", "2", "--r", "1"], capsys)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", [["count", "--what", "V"], ["verify", "--claim", "T1.5"]])
+def test_set_file_and_random_sets_are_exclusive(command, tmp_path, capsys):
+    # count used the file and verify the random instances; neither is taken now
+    set_path = tmp_path / "two.txt"
+    set_path.write_text("p=7 d=2\n0,0\n1,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--set", str(set_path), "--random", "3", "--p", "7", "--r", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_gen_has_no_format_flag(capsys):
+    # gen writes a point-set file whatever the format, so the flag is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--p", "7", "--size", "3", "--format", "json"])
+    assert exc.value.code == 2
+
+
 def test_verify_exit_4_on_catalog_contradiction(monkeypatch, capsys):
     # force a hypothesis-met failing verdict to check the exit-code plumbing
     from dilatelab import cli as cli_mod
@@ -709,6 +741,15 @@ def test_unknown_method_is_a_usage_error_for_every_kind(what, capsys):
 @pytest.mark.parametrize("what,method,methods", [
     ("S_k", "mu_identity", "brute, nu_identity, walk_dp"),
     ("C", "walk_dp", "brute, mu_identity"),
+    # every other kind has one method
+    ("T_triangle", "walk_dp", "brute"),
+    ("P_simplex", "group_sum", "brute"),
+    ("C2path", "nu_identity", "brute"),
+    ("F4cycle", "brute", "mu_identity"),
+    ("V", "brute", "nu_identity"),
+    ("2path_parts", "nu_identity", "brute"),
+    ("displacement", "brute", "group_sum"),
+    ("quotient", "walk_dp", "brute"),
 ])
 def test_method_of_another_kind_names_the_kind_and_its_methods(what, method, methods, capsys):
     code, out, err = run_cli(["count", "--what", what, "--method", method, "--p", "7",
@@ -940,6 +981,8 @@ def test_cli_fuzz_set_files_exit_with_a_documented_code(text, command, data, tmp
     else:
         tail = ["--claim", data.draw(st.sampled_from(CLAIM_NAMES + ("all",)))]
     argv = [command, "--set", str(path), "--r", ratio, "--threads", "1", *tail]
+    if data.draw(st.booleans()):
+        argv += ["--d", str(data.draw(st.integers(0, 3)))]
     try:
         code = main(argv)
     except SystemExit as exc:

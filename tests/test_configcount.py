@@ -363,19 +363,17 @@ def signed_step_walks(E, prof, moving):
 @pytest.mark.parametrize("p", [5, 7, 13])
 @pytest.mark.parametrize("d", [2, 3])
 def test_every_cached_profile_level_matches_step_walks(p, d):
-    # one k = 3 sweep caches levels 1..3 of X and Y; each level against
-    # count_step_walks, so a level packed in the wrong lane order shows
+    # levels 1..3 of X and Y, each its own sweep, against count_step_walks,
+    # so a level packed in the wrong lane order shows
     prime = make_prime(p)
     sets = [random_point_set(prime, d, 6, seed) for seed in range(2)]
     if p % 4 == 1 or d == 3:
         assert any(map(has_null_segment, sets))
     for E in sets:
-        step_profile_counts(E, 3)
-        walk_profile_counts(E, 3)
         distances = sorted(E.norm_pair_counts)
         for level in (1, 2, 3):
-            for moving, table in ((True, E._cache[("profiles", level)]),
-                                  (False, E._cache[("walks", level)])):
+            for moving, table in ((True, step_profile_counts(E, level)),
+                                  (False, walk_profile_counts(E, level))):
                 expected = {}
                 for prof in itertools.product(distances, repeat=level):
                     value = signed_step_walks(E, prof, moving)

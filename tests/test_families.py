@@ -23,13 +23,11 @@ from dilatelab.families import (
     count_path_pairs,
     count_simplex_pairs,
     count_triangle_pairs,
+    cycle_orbit_tuples,
     find_clique_pair_witness,
     find_cycle_pair_witness,
     find_path_pair_witness,
     four_cycle_families,
-    iter_clique_pairs,
-    iter_cycle_pairs,
-    iter_path_pairs,
     simplex_bound_group_sum,
     tally_moments,
     triangle_bound_group_sum,
@@ -43,6 +41,7 @@ from oracles import (
     all_equal_slice_direct,
     check_two_path_decomposition,
     displacement_slice_direct,
+    first_scaled_pair,
     four_cycle_fiber_check,
     scaled_pattern_pairs,
     shared_displacement_counts,
@@ -206,30 +205,43 @@ def test_path_pairs_match_raw(p, size, k):
     assert p % 4 == 3 or nulls
 
 
-def test_enumerators_match_the_brute_oracle():
-    # the enumerators give no count but every witness, so each must list
-    # exactly the pairs the profile-join oracle counts
+def test_witnesses_are_the_first_scaled_pair():
+    # each finder gives the brute oracle's first pair: x tuples in the
+    # finder's order, y tuples in itertools.permutations order, which is the
+    # search's order; and None exactly when the family's brute count is 0
     from dilatelab.families import _count_clique_pairs
 
-    def length(pairs):
-        return sum(1 for _ in pairs)
-
-    nonzero = 0
+    found = empty = 0
     for p in (3, 5, 7, 13):
         prime = make_prime(p)
-        for d in (1, 2, 3):
-            E = random_point_set(prime, d, min(6, p**d), seed=d)
+        for d, size in itertools.product((1, 2, 3), (5, 6, 7)):
+            E = random_point_set(prime, d, min(size, p**d), seed=size + d)
+            n = len(E)
+
+            def points(pair):
+                return None if pair is None else tuple(
+                    tuple(E.points[i] for i in side) for side in pair)
+
             for r in range(1, p):
                 ratio = make_ratio(r, prime)
                 for k in (1, 2, 3):
-                    paths = count_path_pairs(E, ratio, k).value
-                    assert length(iter_path_pairs(E, r, k)) == paths, (p, d, r, k)
+                    xs = itertools.permutations(range(n), k + 1)
+                    first = first_scaled_pair(E, r, path_edges(k), xs)
+                    assert find_path_pair_witness(E, ratio, k) == points(first), (p, d, n, r, k)
+                    assert (first is None) == (count_path_pairs(E, ratio, k).value == 0)
+                    found += first is not None
+                    empty += first is None
+                first = first_scaled_pair(E, r, CYCLE_EDGES, cycle_orbit_tuples(n))
+                assert find_cycle_pair_witness(E, ratio) == points(first), (p, d, n, r)
+                assert (first is None) == (four_cycle_families(E, ratio).fully_distinct == 0)
                 # triangles in every dimension, simplices of F_p^3
                 for m in (3, 4) if d == 3 else (3,):
-                    cliques = _count_clique_pairs(E, r, m)
-                    assert math.factorial(m) * length(iter_clique_pairs(E, r, m)) == cliques
-                    nonzero += cliques > 0
-    assert nonzero
+                    first = first_scaled_pair(E, r, clique_edges(m),
+                                              itertools.combinations(range(n), m))
+                    witness = find_clique_pair_witness(E, ratio, m)
+                    assert witness == (None if first is None else points(first)[::-1]), (p, d, r, m)
+                    assert (first is None) == (_count_clique_pairs(E, r, m) == 0)
+    assert found and empty
 
 
 def test_path_pairs_meet_open_pairs_when_nondegenerate():
@@ -376,25 +388,13 @@ def test_four_cycle_census_matches_enumeration():
     assert inexact
 
 
-def test_cycle_pair_orbits_count_the_fully_distinct_family():
-    # the dihedral group of order 8 acts freely on the x side, and the
-    # witness is the first orbit representative or None
-    empty = nonempty = 0
-    for p in (3, 5, 7, 13):
-        prime = make_prime(p)
-        for d in (1, 2, 3):
-            for size, seed in ((5, 0), (7, 1)):
-                E = random_point_set(prime, d, min(size, p**d), seed)
-                for r in range(1, p):
-                    ratio = make_ratio(r, prime)
-                    orbits = sum(1 for _ in iter_cycle_pairs(E, r))
-                    fam = four_cycle_families(E, ratio)
-                    assert 8 * orbits == fam.fully_distinct, (p, d, seed, r)
-                    witness = find_cycle_pair_witness(E, ratio)
-                    assert (witness is None) == (orbits == 0), (p, d, seed, r)
-                    empty += orbits == 0
-                    nonempty += orbits > 0
-    assert empty and nonempty
+def test_cycle_orbit_tuples_meet_every_distinct_tuple_once():
+    # the 8 rotations and reflections of the 4-cycle's vertex positions map
+    # the orbit tuples onto every 4-tuple of distinct indices, each once
+    for n in range(8):
+        images = Counter(tuple(xs[(s + sign * i) % 4] for i in range(4))
+                         for xs in cycle_orbit_tuples(n) for s in range(4) for sign in (1, -1))
+        assert images == Counter(itertools.permutations(range(n), 4)), n
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -244,10 +244,8 @@ def test_dist_table_and_buckets_agree():
             assert classes == tuple(sorted(distances, key=lambda t: (t == 0, t)))
             for i, row in enumerate(D):
                 buckets = E.neighbor_buckets[i]
-                assert buckets[0][-1] == i  # the point itself ends its class of 0
-                direct = {t: tuple(j for j, s in enumerate(row) if s == t and j != i)
-                          for t in set(row)}
-                direct[0] += (i,)
+                # every class in index order, the point itself in its class of 0
+                direct = {t: tuple(j for j, s in enumerate(row) if s == t) for t in set(row)}
                 assert buckets == direct, (p, d, i)
                 assert members[i] == tuple(direct.get(t, ()) for t in classes), (p, d, i)
 

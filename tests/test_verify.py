@@ -25,6 +25,7 @@ from dilatelab.verify import (
     exceeds_4_sqrt3_p32,
     exceeds_sqrt3_plus_one,
     family_witness,
+    meets_family_size,
     meets_simplex_size,
     meets_quotient_size,
     ratios_for_policy,
@@ -78,6 +79,16 @@ def test_smallest_size_meeting():
     assert smallest_size_meeting("T_triangle", SEVEN, 2) == 21
     assert smallest_size_meeting("F4cycle", SEVEN, 2) is None  # beyond the plane
     assert smallest_size_meeting("P_simplex", make_prime(3), 3) == 21
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_smallest_size_meeting_is_the_first_size_of_a_linear_scan(p, d):
+    # the bisection against trying every size in turn
+    prime = make_prime(p)
+    for family in FAMILIES:
+        linear = next((n for n in range(1, p**d + 1) if meets_family_size(family, n, p, d)), None)
+        assert smallest_size_meeting(family, prime, d) == linear, (family, p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +152,17 @@ def test_lemma24_random(p):
 
 
 def test_lemma26_random():
-    for seed in range(5):
-        E = random_point_set(SEVEN, 2, 6 + seed % 4, seed)
+    # lhs is the least margin over all p^2 profile pairs, listed or not
+    for p, d, seed in itertools.product((5, 7), (1, 2, 3), range(3)):
+        E = random_point_set(make_prime(p), d, min(6 + seed, p**d), seed)
         verdict = check_lemma26(E)
         assert verdict.conclusion_holds
+        D = E.dist_table
+        one = [sum(row.count(t) for row in D) for t in range(p)]
+        two = {(s, t): sum(D[a][b] == s and D[b][c] == t
+                           for a, b, c in itertools.product(range(len(E)), repeat=3))
+               for s in range(p) for t in range(p)}
+        assert verdict.lhs == min(len(E) * one[s] - two[s, t] for s, t in two), (p, d, seed)
 
 
 def test_lemma42_random():
