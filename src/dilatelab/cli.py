@@ -22,11 +22,11 @@ from .configcount import (
     METHODS,
     WALK_PAIR_METHODS,
     CountReport,
-    CrossChecked,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
     cycle_pair_reports,
+    refused_checks,
     walk_pair_reports,
     _not_a_method_of,
     _report,
@@ -225,11 +225,12 @@ def _note(text: str) -> None:
     print(f"note: {text}", file=sys.stderr)
 
 
-def _cross_checked_rows(reports: CrossChecked, kind: str, ratio) -> list:
-    """The reports of a --method all count, with a note per method its guard left out."""
-    for method, reason in reports.refused.items():
-        _note(f"{method} skipped for {kind} r={ratio.r} (guard: {reason})")
-    return reports
+def _note_refused_checks(E: PointSet) -> None:
+    """A note per cross-check on E a guard refused since the last call."""
+    record = refused_checks(E)
+    for (kind, r, _, method), reason in record.items():
+        _note(f"{method} skipped for {kind} r={r} (guard: {reason})")
+    record.clear()
 
 
 def _count_rows(E: PointSet, args) -> list:
@@ -241,21 +242,19 @@ def _count_rows(E: PointSet, args) -> list:
         value = len(quotient_set(E)) if what == "quotient" else len(distance_set(E))
         return [_report(E, what, value, "brute")]
     ratios = ratios_for_policy(_ratio_policy(args.r), E.prime)
+    named = () if args.method == "auto" else (args.method,)  # auto: the count's default
     reports = []
     for ratio in ratios:
         if what == "S_k":
             if args.method == "all":
-                checked = walk_pair_reports(E, ratio, args.k)
-                reports.extend(_cross_checked_rows(checked, what, ratio))
+                reports.extend(walk_pair_reports(E, ratio, args.k))
             else:
-                method = "walk_dp" if args.method == "auto" else args.method
-                reports.append(count_scaled_walk_pairs(E, ratio, args.k, method))
+                reports.append(count_scaled_walk_pairs(E, ratio, args.k, *named))
         elif what == "C":
             if args.method == "all":
-                reports.extend(_cross_checked_rows(cycle_pair_reports(E, ratio), what, ratio))
+                reports.extend(cycle_pair_reports(E, ratio))
             else:
-                method = "mu_identity" if args.method == "auto" else args.method
-                reports.append(count_scaled_cycle_pairs(E, ratio, method))
+                reports.append(count_scaled_cycle_pairs(E, ratio, *named))
         elif what == "V":
             reports.append(count_ratio_quadruples(E, ratio))
         elif what == FAMILY_PATH_PAIRS:
@@ -268,7 +267,11 @@ def _count_rows(E: PointSet, args) -> list:
             values = (parts.x_coincide, parts.y_coincide, parts.both_coincide, parts.open_pairs)
             reports.extend(_family(E, nm, v, "brute", ratio.r) for nm, v in zip(names, values))
             if args.method == "all":
-                closed = two_path_parts_closed_form(E, ratio)
+                try:
+                    closed = two_path_parts_closed_form(E, ratio)
+                except TooLargeError as exc:  # optional: the brute rows stay
+                    _note(f"nu_identity skipped for {what} r={ratio.r} (guard: {exc})")
+                    continue
                 if closed != values[:3]:
                     raise MethodMismatchError(
                         f"closed forms {closed} disagree with the brute classification on "
@@ -314,6 +317,7 @@ def _count_rows(E: PointSet, args) -> list:
 def cmd_count(args, parser) -> int:
     E = _resolve_set(args, parser)
     reports = _count_rows(E, args)
+    _note_refused_checks(E)
     header = reports[0].CSV_HEADER if reports else CountReport.CSV_HEADER
     _emit("count", header, [rep.csv_row() for rep in reports],
           [rep.json_dict() for rep in reports], args)
@@ -355,6 +359,7 @@ def cmd_verify(args, parser) -> int:
                     if len(claims) == 1:
                         raise
                     _note(f"{claim} skipped on |E|={len(E)} (guard: {exc})")
+            _note_refused_checks(E)
     failed = any(v.contradicts_catalog for v in verdicts)
     _emit("verify", Verdict.CSV_HEADER, [v.csv_row() for v in verdicts],
           [v.json_dict() for v in verdicts], args)

@@ -26,8 +26,9 @@ The central objects are, for a point set E and a nonzero ratio r:
   leave each displacement u - sqrt(r) * theta * v.
 
 Every count is computed by at least two genuinely different methods at test
-time.  All arithmetic is exact integer arithmetic; results are independent of
-any iteration schedule.
+time, in exact integer arithmetic independent of any iteration schedule.
+Tables and counts are memoised per set by geometry.per_set; refusals are
+not, and refused_checks records each cross-check a guard left out.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     TooLargeError,
 )
 from .field import Prime, legendre, sqrt_mod
-from .geometry import Point, PointSet
+from .geometry import Point, PointSet, per_set
 from .orthogonal import scaled_apply
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -195,22 +196,18 @@ def _lane_width(n: int, e: int, k: int, lanes: int) -> int:
     return _lane_bytes(n**e)
 
 
+@per_set
 def _distance_classes(E: PointSet) -> tuple[tuple[int, ...], tuple]:
     """The distinct squared distances of E and, per point, its buckets by position.
 
-    A cached view of PointSet.neighbor_buckets that fixes the lane order of
+    A memoised view of PointSet.neighbor_buckets that fixes the lane order of
     the packed sweeps: classes lists the nonzero distances in increasing
     order and then 0, so the nonzero classes are a prefix, and members[j][c]
     is the bucket of point j at classes[c] (empty if it has none).
     """
-    key = ("distance_classes",)
-    hit = E._cache.get(key)
-    if hit is None:
-        buckets = E.neighbor_buckets
-        classes = tuple(sorted(set().union(*buckets), key=lambda t: (t == 0, t)))
-        members = tuple(tuple([b.get(t, ()) for t in classes]) for b in buckets)
-        hit = E._cache[key] = (classes, members)
-    return hit
+    buckets = E.neighbor_buckets
+    classes = tuple(sorted(set().union(*buckets), key=lambda t: (t == 0, t)))
+    return classes, tuple(tuple([b.get(t, ()) for t in classes]) for b in buckets)
 
 
 def _class_sums(members_j, sources) -> list[int]:
@@ -287,8 +284,9 @@ def _scaled_walk_table(E: PointSet, k: int) -> dict:
     return step_profile_counts(E, k)
 
 
+@per_set
 def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
-    """X_k, or with stays Y_k, as a map from profiles to nonzero counts; cached per k.
+    """X_k, or with stays Y_k, as a map from profiles to nonzero counts; memoised.
 
     Packed distance-class sweep: per endpoint j, one int whose lanes count
     the walks ending at j, one lane per profile of the level so far, the
@@ -304,9 +302,6 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     k would hold more than PROFILE_GUARD lanes, n rows of it would take more
     than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
-    key = ("walks" if stays else "profiles", k)
-    if key in E._cache:
-        return E._cache[key]
     n = len(E)
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
     m = len(E.norm_pair_counts)
@@ -336,10 +331,7 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     total = sum(sum(map(mul, deg, rows)) << (8 * c * row_bytes) for c, deg in enumerate(degrees))
     # lane i is the profile whose steps are the base-m digits of i, lowest first
     counts = _lanes(total, lanes, width)
-    table = E._cache[key] = {
-        prof[::-1]: count for prof, count in zip(product(steps, repeat=k), counts) if count
-    }
-    return table
+    return {prof[::-1]: count for prof, count in zip(product(steps, repeat=k), counts) if count}
 
 
 def path_edges(k: int) -> tuple[tuple[int, int], ...]:
@@ -622,6 +614,7 @@ def _walk_dp_scaled_pairs(E: PointSet, r: int, k: int) -> int:
     return _paired_walk_sweep(E, r, k, distinct_first=True)
 
 
+@per_set
 def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = METHOD_WALK_DP) -> CountReport:
     """Pairs of k-step walks whose squared step lengths are in ratio r.
 
@@ -629,23 +622,19 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
     unconstrained apart from the k scaled-length equations.  Methods: "brute"
     (the profile join of brute_join), "nu_identity" (the join of the
     step-profile tables X_k and Y_k), "walk_dp" (the packed paired-state
-    sweep of _paired_walk_sweep); all are valid for every (p, d).  Each
-    method's value is cached per (r, k); a refusal is not.
+    sweep of _paired_walk_sweep); all are valid for every (p, d).  Memoised
+    per (r, k, method).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    key = ("walk_pairs", method, ratio.r, k)
-    value = E._cache.get(key)
-    if value is None:
-        if method == METHOD_BRUTE:
-            value = _brute_scaled_walk_pairs(E, ratio.r, k)
-        elif method == METHOD_NU_IDENTITY:
-            value = _nu_identity_scaled_walk_pairs(E, ratio.r, k)
-        elif method == METHOD_WALK_DP:
-            value = _walk_dp_scaled_pairs(E, ratio.r, k)
-        else:
-            raise _not_a_method_of("S_k", method, WALK_PAIR_METHODS)
-        E._cache[key] = value
+    if method == METHOD_BRUTE:
+        value = _brute_scaled_walk_pairs(E, ratio.r, k)
+    elif method == METHOD_NU_IDENTITY:
+        value = _nu_identity_scaled_walk_pairs(E, ratio.r, k)
+    elif method == METHOD_WALK_DP:
+        value = _walk_dp_scaled_pairs(E, ratio.r, k)
+    else:
+        raise _not_a_method_of("S_k", method, WALK_PAIR_METHODS)
     return _report(E, f"S_{k}", value, method, r=ratio.r, k=k)
 
 
@@ -701,8 +690,9 @@ def _add(table: dict, code: int, value: int) -> None:
     table[code] = table.get(code, 0) + value
 
 
+@per_set
 def cycle_census(E: PointSet) -> CycleCensus:
-    """The closed 4-walk tables of E, independent of any ratio.  Cached.
+    """The closed 4-walk tables of E, independent of any ratio.  Memoised.
 
     Corner split: with H_ac(t1, t2) the number of points b having
     (D[a][b], D[c][b]) = (t1, t2), y(t) = sum over (a, c) of
@@ -724,10 +714,6 @@ def cycle_census(E: PointSet) -> CycleCensus:
     min(n, m)^4, a bound on the profiles of a table for m distances in E,
     exceeds CENSUS_GUARD.
     """
-    key = ("cycle_census",)
-    hit = E._cache.get(key)
-    if hit is not None:
-        return hit
     p = E.prime.p
     pp = p * p
     n = len(E)
@@ -778,18 +764,12 @@ def cycle_census(E: PointSet) -> CycleCensus:
                 _add(full, swap[u] * pp + swap[w], v)
         for code, v in tables[side + "13"].items():
             _add(full, code, v)
-    census = E._cache[key] = CycleCensus(p=p, distances=distances, **tables)
-    return census
+    return CycleCensus(p=p, distances=distances, **tables)
 
 
 def join(first: dict, second: dict, scale) -> int:
     """J(F, G): the sum over profiles t of F(t) G(r t), scale mapping t to r t."""
-    total = 0
-    for code, v in first.items():
-        w = second.get(scale(code))
-        if w:
-            total += v * w
-    return total
+    return sum(map(mul, first.values(), map(second.get, map(scale, first), repeat(0))))
 
 
 def _mu_identity_scaled_cycle_pairs(E: PointSet, r: int) -> int:
@@ -797,12 +777,13 @@ def _mu_identity_scaled_cycle_pairs(E: PointSet, r: int) -> int:
     return join(census.x, census.y, census.scaled(r))
 
 
+@per_set
 def count_scaled_cycle_pairs(E: PointSet, ratio: Ratio, method: str = METHOD_MU_IDENTITY) -> CountReport:
     """Pairs of closed 4-walks with squared step lengths in ratio r.
 
     The first cycle must have distinct consecutive points (including the
     wrap-around step); the second is unconstrained apart from the four
-    scaled-length equations.
+    scaled-length equations.  Memoised per (r, method).
     """
     if method == METHOD_BRUTE:
         value = _brute_scaled_cycle_pairs(E, ratio.r)
@@ -835,15 +816,13 @@ def displacement_histogram(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> di
     v outer and u inner, the displacement column is then u_i - w_i with the
     u column tiled and the w column repeated, reduced by one lookup in
     range(p): a negative index reads p + u_i - w_i.  The histogram counts
-    the rows of the d columns.  Only E's coordinate columns are cached.
+    the rows of the d columns.
     """
     if not ratio.is_square or ratio.sqrt_r is None:
         raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
     p = E.prime.p
     n = len(E)
-    cols = E._cache.get(("coordinate_columns",))
-    if cols is None:
-        cols = E._cache[("coordinate_columns",)] = tuple(zip(*E.points))
+    cols = tuple(zip(*E.points))
     residue = tuple(range(p)).__getitem__
     s = ratio.sqrt_r
     columns = []
@@ -872,43 +851,36 @@ def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point)
 
 
 def walk_pair_reports(E: PointSet, ratio: Ratio, k: int,
-                      checks=(METHOD_BRUTE, METHOD_NU_IDENTITY)) -> CrossChecked:
+                      checks=(METHOD_BRUTE, METHOD_NU_IDENTITY)) -> list[CountReport]:
     """walk_dp, cross-checked by each method of checks whose guard admits it."""
     return _cross_checked(E, lambda m: count_scaled_walk_pairs(E, ratio, k, m),
-                          METHOD_WALK_DP, checks)
+                          METHOD_WALK_DP, checks, ("S_k", ratio.r, k))
 
 
-def cycle_pair_reports(E: PointSet, ratio: Ratio) -> CrossChecked:
+def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:
     """mu_identity, cross-checked by brute where its guard admits it."""
     return _cross_checked(E, lambda m: count_scaled_cycle_pairs(E, ratio, m),
-                          METHOD_MU_IDENTITY, [METHOD_BRUTE])
+                          METHOD_MU_IDENTITY, [METHOD_BRUTE], ("C", ratio.r, None))
 
 
-class CrossChecked(list):
-    """The agreeing reports of one count, its first method's first.
-
-    refused maps each optional method a guard refused, in check order, to
-    the guard's message.
-    """
-
-    def __init__(self, reports: list[CountReport], refused: dict[str, str]):
-        super().__init__(reports)
-        self.refused = refused
+@per_set
+def refused_checks(E: PointSet) -> dict:
+    """(kind, r, k, method) -> guard message, per cross-check on E refused until cleared."""
+    return {}
 
 
-def _cross_checked(E: PointSet, count, first: str, optional) -> CrossChecked:
+def _cross_checked(E: PointSet, count, first: str, optional, key) -> list[CountReport]:
     """count's reports for first and each optional method its guard admits; they must agree."""
     reports = [count(first)]
-    refused = {}
     for m in optional:
         try:
             reports.append(count(m))
-        except TooLargeError as exc:
-            refused[m] = str(exc)
+        except TooLargeError as exc:  # key is the count's (kind, r, k)
+            refused_checks(E)[(*key, m)] = str(exc)
     if len({rep.value for rep in reports}) > 1:
         detail = ", ".join(f"{rep.method}={rep.value}" for rep in reports)
         raise MethodMismatchError(
             f"methods disagree on {reports[0].name} (p={E.prime.p}, d={E.d}, "
             f"n={len(E)}, r={reports[0].r}): {detail}; points={list(E.points)}"
         )
-    return CrossChecked(reports, refused)
+    return reports

@@ -40,6 +40,7 @@ from .configcount import (
     INCREASING,
     Ratio,
     brute_join,
+    count_scaled_cycle_pairs,
     cycle_census,
     displacement_histogram,
     join,
@@ -255,13 +256,14 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     """The coincidence families of the scaled closed-4-walk pairs, by joins.
 
     Each field is a join J(F, G) = sum_t F(t) G(r t) of two tables of the
-    cycle census: total = J(x, y), x13 = J(x13, y), x24 = J(x24, y),
-    y13 = J(x, y13) and y24 = J(x, y24).  With AD = x - x13 - x24 + xb the
-    walks whose four points are distinct and ND = y - y13 - y24 + yb the
-    walks with a != c and b != e, fully_distinct = J(AD, AD) and the union
-    of the four families is total - J(AD, ND).  A pair outside both has an
-    adjacent y coincidence, which only nonzero null segments allow.  The
-    only size guard is the census's own, on the profiles its tables can hold.
+    cycle census: total = J(x, y), the memoised mu_identity count C,
+    x13 = J(x13, y), x24 = J(x24, y), y13 = J(x, y13), y24 = J(x, y24).
+    With AD = x - x13 - x24 + xb the walks whose four points are distinct
+    and ND = y - y13 - y24 + yb the walks with a != c and b != e,
+    fully_distinct = J(AD, AD) and the union of the families is
+    total - J(AD, ND).  A pair outside both has an adjacent y coincidence,
+    which only nonzero null segments allow.  The only size guard is the
+    census's own, on the profiles its tables can hold.
     """
     cen = cycle_census(E)
     scale = cen.scaled(ratio.r)
@@ -271,7 +273,7 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     ad = {t: v - x13.get(t, 0) - x24.get(t, 0) + xb.get(t, 0) for t, v in x.items()}
     nd = {t: v - y13.get(t, 0) - y24.get(t, 0) + yb.get(t, 0) for t, v in y.items()}
     f = join(ad, ad, scale)
-    total = join(x, y, scale)
+    total = count_scaled_cycle_pairs(E, ratio).value
     union = total - join(ad, nd, scale)
     return FourCycleFamilies(
         fully_distinct=f, x13=join(x13, y, scale), x24=join(x24, y, scale),

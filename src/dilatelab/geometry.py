@@ -1,4 +1,4 @@
-"""Point sets in (Z/pZ)^d, the quadratic norm, spheres, and distance sets.
+"""Point sets in (Z/pZ)^d and their per_set memo, the norm, spheres, distance sets.
 
 A point is a plain tuple of canonical coordinates.  The "norm" is the sum of
 squared coordinates mod p; it is not a metric, but it is invariant under the
@@ -8,10 +8,11 @@ every counting routine in this package is built on.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import add
 
 from .errors import (
@@ -84,7 +85,7 @@ class PointSet:
         self.d = d
         self.points: tuple[Point, ...] = pts
         self._point_index = index
-        self._cache: dict = {}  # memo space for the counting modules
+        self._cache: dict = {}  # the per_set memo of every other table and count
 
     def __len__(self) -> int:
         return len(self.points)
@@ -153,6 +154,24 @@ class PointSet:
                 if j != i:
                     buckets.setdefault(row[j], []).append((i, j))
         return {t: tuple(ps) for t, ps in buckets.items()}
+
+
+def per_set(func):
+    """Memoise func(E, ...) on E, keyed by func and its arguments with defaults bound.
+
+    The memo is freed with the set, and a call that raises, a guard's
+    refusal above all, caches nothing.  The one reader of PointSet._cache.
+    """
+    params = list(inspect.signature(func).parameters.values())[1:]
+
+    @wraps(func)
+    def memo(E: PointSet, *args, **kwargs):
+        key = (func, *args, *[kwargs.get(q.name, q.default) for q in params[len(args):]])
+        if key not in E._cache:
+            E._cache[key] = func(E, *args, **kwargs)
+        return E._cache[key]
+
+    return memo
 
 
 def full_space(prime: Prime, d: int) -> PointSet:

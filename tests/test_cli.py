@@ -272,6 +272,42 @@ def test_walks_past_the_profile_lane_bound_keep_walk_dp(tmp_path, capsys, monkey
                    "262144 lanes)\n")
 
 
+def test_2path_parts_keep_the_brute_rows_when_the_closed_forms_are_refused(monkeypatch,
+                                                                           capsys):
+    # with a one-lane profile guard every step-profile table is refused: the
+    # closed forms are an optional cross-check, so the brute rows stay
+    monkeypatch.setattr(configcount, "PROFILE_GUARD", 1)
+    code, out, err = run_cli(["count", "--what", "2path_parts", "--p", "7", "--random", "8",
+                              "--r", "2", "--method", "all"], capsys)
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["A", "B", "A∩B", "open"]
+    assert {row.split(",")[-1] for row in out.splitlines()[2:]} == {"brute"}
+    assert err == ("note: nu_identity skipped for 2path_parts r=2 "
+                   "(guard: 6^2 profiles exceed 1 lanes)\n")
+
+
+def test_verify_notes_each_refused_cross_check_once(monkeypatch, capsys):
+    # three points at k = 19: T1.10 keeps walk_dp and notes nu_identity's
+    # refusal with the text count --method all gives the same set
+    argv = ["--p", "13", "--random", "1", "--size", "3", "--k", "19", "--r", "2", "--seed", "1"]
+    note = "note: nu_identity skipped for S_k r=2 (guard: 3^19 profiles exceed 262144 lanes)\n"
+    code, out, err = run_cli(["verify", "--claim", "T1.10", *argv], capsys)
+    assert code == 0 and out.splitlines()[2].startswith("T1.10,")
+    assert err == note
+    code, _, err = run_cli(["count", "--what", "S_k", "--method", "all", "--p", "13",
+                            "--random", "3", "--k", "19", "--r", "2", "--seed", "1:0"], capsys)
+    assert code == 0 and note in err
+    # with a one-lane profile guard S_1 is refused in lemmas 2.2 and 2.3 and
+    # S_2 in lemmas 2.3, 2.4 and 4.2, yet each is noted once per set and ratio
+    monkeypatch.setattr(configcount, "PROFILE_GUARD", 1)
+    code, out, err = run_cli(["verify", "--claim", "all", "--p", "7", "--random", "1",
+                              "--size", "8", "--r", "2", "--seed", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 12
+    assert err == ("note: lemma2.6 skipped on |E|=8 (guard: 7^1 profiles exceed 1 lanes)\n"
+                   + "".join(f"note: nu_identity skipped for S_k r=2 "
+                             f"(guard: 6^{k} profiles exceed 1 lanes)\n" for k in (1, 2, 3)))
+
+
 def test_verify_determinism(capsys):
     args = ["verify", "--claim", "lemma2.2", "--random", "6", "--p", "11",
             "--seed", "9"]

@@ -11,6 +11,7 @@ from dilatelab.errors import (
     OddDimensionError,
     PointFileError,
     SizeExceedsSpaceError,
+    TooLargeError,
 )
 from dilatelab.field import make_prime
 from dilatelab.geometry import (
@@ -20,6 +21,7 @@ from dilatelab.geometry import (
     full_space,
     load_point_set,
     norm_of,
+    per_set,
     quotient_set,
     random_point_set,
     save_point_set,
@@ -285,3 +287,25 @@ def test_norm_pair_counts_match_the_row_loop():
         counts = E.norm_pair_counts
         assert type(counts) is dict
         assert list(counts.items()) == list(loop(E).items()), E
+
+
+def test_per_set_binds_defaults_and_caches_no_refusal():
+    calls = []
+
+    @per_set
+    def table(E, k, stays=False):
+        calls.append((len(E), k, stays))
+        if k < 0:
+            raise TooLargeError("refused")
+        return [k, stays]
+
+    prime = make_prime(7)
+    E, other = random_point_set(prime, 2, 4, seed=0), random_point_set(prime, 2, 5, seed=0)
+    # a default left out, passed by position or by keyword is one entry
+    assert table(E, 1) is table(E, 1, False) is table(E, k=1, stays=False)
+    assert table(E, 1, True) == [1, True]
+    assert table(other, 1) == [1, False]
+    for _ in range(2):
+        with pytest.raises(TooLargeError):
+            table(E, -1)
+    assert calls == [(4, 1, False), (4, 1, True), (5, 1, False), (4, -1, False), (4, -1, False)]

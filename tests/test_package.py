@@ -80,3 +80,22 @@ def test_every_top_level_definition_is_reached():
         and node.name not in reads and node.name not in dilatelab.__all__
     ]
     assert unreached == []
+
+
+def cache_touches(node, path=()):
+    """The enclosing definitions, as dotted paths, of every read of an attribute _cache."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from cache_touches(child, (*path, child.name))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "_cache":
+            yield ".".join(path)
+        yield from cache_touches(child, path)
+
+
+def test_only_the_memo_touches_the_per_set_cache():
+    # PointSet.__init__ makes the memo and per_set reads and writes it, so
+    # every per-set table or count goes through per_set's keys
+    touches = {(module, path) for module, tree in MODULES.items()
+               for path in cache_touches(tree)}
+    assert touches == {("geometry", "PointSet.__init__"), ("geometry", "per_set.memo")}

@@ -2,13 +2,15 @@
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
 from dilatelab import verify
-from dilatelab.configcount import make_ratio
-from dilatelab.families import FAMILIES, validate_pattern_pair
+from dilatelab import cli, configcount, families
+from dilatelab.configcount import CYCLE_EDGES, make_ratio
+from dilatelab.families import FAMILIES, FAMILY_FOUR_CYCLE, validate_pattern_pair
 from dilatelab.field import inverse, make_prime
 from dilatelab.geometry import PointSet, full_space, random_point_set
 from dilatelab.verify import (
@@ -456,3 +458,39 @@ def test_scan_cell_revalidates_the_reversed_witness(monkeypatch):
         verify._has_witnesses(E, "C2path", make_ratio(2, SEVEN), 4)
     # a ratio without a partner is not searched again
     assert verify._has_witnesses(E, "C2path", make_ratio(2, SEVEN), None)
+
+
+def test_t16_holds_with_its_hypothesis_met():
+    # the least size the hypothesis admits at the least prime p = 3 (mod 4)
+    # where it fits the plane: 3140^2 > 48 * 59^3, on 3140 of 3481 points
+    prime = make_prime(59)
+    assert smallest_size_meeting(FAMILY_FOUR_CYCLE, prime, 2) == 3140
+    E = random_point_set(prime, 2, 3140, seed=0)
+    for r in (2, 1, 3, 58):
+        verdict = check_theorem("T1.6", E, make_ratio(r, prime))
+        assert verdict.hypothesis_met and verdict.status == "HOLDS"
+        assert validate_pattern_pair(E, r, CYCLE_EDGES, *verdict.params["witness"])
+
+
+def test_verify_all_computes_each_join_once_per_set_and_ratio(monkeypatch):
+    # per instance: S_1, S_2 and S_3 by nu_identity, C by mu_identity, which
+    # lemma 2.4 reads and lemma 4.2 takes as its total, and the six other
+    # joins of the four-cycle families: 10 joins, not 11
+    joins, kernels = [], []
+    join, mu = configcount.join, configcount._mu_identity_scaled_cycle_pairs
+
+    def counted_join(*args):
+        joins.append(args)
+        return join(*args)
+
+    def counted_mu(E, r):
+        kernels.append(r)
+        return mu(E, r)
+
+    monkeypatch.setattr(configcount, "join", counted_join)
+    monkeypatch.setattr(families, "join", counted_join)
+    monkeypatch.setattr(configcount, "_mu_identity_scaled_cycle_pairs", counted_mu)
+    assert cli.main(["verify", "--claim", "all", "--random", "4", "--size", "8:12",
+                     "--p", "7", "--r", "3", "--seed", "5", "--out", os.devnull]) == 0
+    assert kernels == [3] * 4
+    assert len(joins) == 40
