@@ -28,6 +28,7 @@ from .configcount import (
     cycle_pair_reports,
     refused_checks,
     walk_pair_reports,
+    _cross_checked,
     _not_a_method_of,
     _report,
 )
@@ -43,7 +44,6 @@ from .families import (
     FAMILY_PATH_PAIRS,
     FAMILY_SIMPLEX,
     FAMILY_TRIANGLE,
-    classify_two_path_pairs,
     count_path_pairs,
     count_simplex_pairs,
     count_triangle_pairs,
@@ -51,7 +51,7 @@ from .families import (
     group_displacement_sums,
     simplex_bound_group_sum,
     triangle_bound_group_sum,
-    two_path_parts_closed_form,
+    two_path_part_rows,
     _family,
 )
 from .field import make_prime
@@ -260,25 +260,9 @@ def _count_rows(E: PointSet, args) -> list:
         elif what == FAMILY_PATH_PAIRS:
             reports.append(count_path_pairs(E, ratio, args.k))
         elif what == "2path_parts":
-            parts = classify_two_path_pairs(E, ratio)
-            # open: x1 != x3 and y1 != y3, which holds pairs with y1 = y2 where
-            # null segments exist, so it is not the C2path count
-            names = ("A", "B", "A∩B", "open")
-            values = (parts.x_coincide, parts.y_coincide, parts.both_coincide, parts.open_pairs)
-            reports.extend(_family(E, nm, v, "brute", ratio.r) for nm, v in zip(names, values))
-            if args.method == "all":
-                try:
-                    closed = two_path_parts_closed_form(E, ratio)
-                except TooLargeError as exc:  # optional: the brute rows stay
-                    _note(f"nu_identity skipped for {what} r={ratio.r} (guard: {exc})")
-                    continue
-                if closed != values[:3]:
-                    raise MethodMismatchError(
-                        f"closed forms {closed} disagree with the brute classification on "
-                        f"p={E.prime.p} r={ratio.r} points={list(E.points)}"
-                    )
-                reports.extend(_family(E, nm, v, "nu_identity", ratio.r)
-                               for nm, v in zip(names, closed))
+            optional = ("nu_identity",) if args.method == "all" else ()
+            reports.extend(_cross_checked(E, lambda m: two_path_part_rows(E, ratio, m), "brute",
+                                          optional, (what, ratio.r, None)))
         elif what == "displacement":
             if not ratio.is_square:
                 _note(f"displacement rows skipped for r={ratio.r} (not a square)")
@@ -305,12 +289,16 @@ def _count_rows(E: PointSet, args) -> list:
                     _note(f"group_sum skipped for r={ratio.r} (not a square)")
                     continue
                 try:
-                    value = max(0, int(bound(E, ratio)))
+                    value = bound(E, ratio)
                 except TooLargeError as exc:
                     # the bound is optional: keep the exact rows already counted
                     _note(f"group_sum skipped for r={ratio.r} (guard: {exc})")
                     continue
-                reports.append(_family(E, what, value, "group_sum", ratio.r))
+                if value > reports[-1].value:  # an element counts a pair at most once
+                    raise MethodMismatchError(f"the group_sum bound {value} exceeds the {what} "
+                                              f"count {reports[-1].value} at r={ratio.r}; "
+                                              f"points={list(E.points)}")
+                reports.append(_family(E, what, max(0, int(value)), "group_sum", ratio.r))
     return reports
 
 

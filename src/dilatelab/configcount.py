@@ -16,7 +16,8 @@ The central objects are, for a point set E and a nonzero ratio r:
   per set for every ratio, whose joins against their r-scaled profiles give
   the cycle pair count C and the four-cycle coincidence families;
 * the brute oracle, brute_join: any pair count as the join of the profile
-  histograms of its x and y tuples, behind the one brute guard;
+  histograms of its x and y tuples, each side of its own pattern, behind
+  the one brute guard;
 * the bucket search _first_scaled_pair, which finds a witness and counts
   nothing: the first pair of copies of a pattern, distinct entries on each
   side, the second scaled by r;
@@ -419,16 +420,21 @@ def _profile_blocks(table, p: int, edges, kind: str) -> Iterator[tuple[Iterable[
         yield codes, back, len(hi) * m - len(back)
 
 
-def brute_join(E: PointSet, r: int, edges, x_kind: str, y_kind: str, visits: int) -> int:
+def brute_join(E: PointSet, r: int, edges, x_kind: str, y_kind: str, visits: int,
+               y_edges=None) -> int:
     """Pairs (xs, ys) from an x_kind and a y_kind side, ys the pattern of xs scaled by r.
 
     With X(t) and Y(t) the numbers of x and y tuples whose squared distances
-    along the edges are t, this is the join sum_t X(t) Y(r t).  X is held as
-    a histogram of codes of r-scaled profiles, read from the r-scaled
-    distance table, and the y codes stream against it; both sides are
-    _profile_blocks.  Refused before any tuple is visited when visits, the
-    number of x and y tuples, exceeds BRUTE_GUARD.
+    along the edges are t, this is the join sum_t X(t) Y(r t); the y side may
+    have its own pattern y_edges, whose i-th edge scales the i-th of edges.
+    X is held as a histogram of codes of r-scaled profiles, read from the
+    r-scaled distance table, and the y codes stream against it; both sides
+    are _profile_blocks.  Refused before any tuple is visited when visits,
+    the number of x and y tuples, exceeds BRUTE_GUARD.
     """
+    y_edges = edges if y_edges is None else y_edges
+    if len(y_edges) != len(edges):
+        raise ValueError(f"a y pattern of {len(y_edges)} edges against {len(edges)}")
     if visits > BRUTE_GUARD:
         raise TooLargeError(f"a brute count over {visits} tuples refused, over {BRUTE_GUARD}")
     p = E.prime.p
@@ -444,7 +450,7 @@ def brute_join(E: PointSet, r: int, edges, x_kind: str, y_kind: str, visits: int
         visited += size
     get = X.get
     total = 0
-    for codes, back, size in _profile_blocks(D, p, edges, y_kind):
+    for codes, back, size in _profile_blocks(D, p, y_edges, y_kind):
         total += sum(map(get, codes, repeat(0))) - sum(map(get, back, repeat(0)))
         visited += size
     if visited != visits:
@@ -853,13 +859,13 @@ def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point)
 def walk_pair_reports(E: PointSet, ratio: Ratio, k: int,
                       checks=(METHOD_BRUTE, METHOD_NU_IDENTITY)) -> list[CountReport]:
     """walk_dp, cross-checked by each method of checks whose guard admits it."""
-    return _cross_checked(E, lambda m: count_scaled_walk_pairs(E, ratio, k, m),
+    return _cross_checked(E, lambda m: [count_scaled_walk_pairs(E, ratio, k, m)],
                           METHOD_WALK_DP, checks, ("S_k", ratio.r, k))
 
 
 def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:
     """mu_identity, cross-checked by brute where its guard admits it."""
-    return _cross_checked(E, lambda m: count_scaled_cycle_pairs(E, ratio, m),
+    return _cross_checked(E, lambda m: [count_scaled_cycle_pairs(E, ratio, m)],
                           METHOD_MU_IDENTITY, [METHOD_BRUTE], ("C", ratio.r, None))
 
 
@@ -869,18 +875,21 @@ def refused_checks(E: PointSet) -> dict:
     return {}
 
 
-def _cross_checked(E: PointSet, count, first: str, optional, key) -> list[CountReport]:
-    """count's reports for first and each optional method its guard admits; they must agree."""
-    reports = [count(first)]
+def _cross_checked(E: PointSet, count, first: str, optional, key) -> list:
+    """count(first)'s rows and each optional method's that its guard admits, which
+    must equal first's row by row as far as both go."""
+    rows = count(first)
+    reports = list(rows)
     for m in optional:
         try:
-            reports.append(count(m))
+            more = count(m)
         except TooLargeError as exc:  # key is the count's (kind, r, k)
             refused_checks(E)[(*key, m)] = str(exc)
-    if len({rep.value for rep in reports}) > 1:
-        detail = ", ".join(f"{rep.method}={rep.value}" for rep in reports)
-        raise MethodMismatchError(
-            f"methods disagree on {reports[0].name} (p={E.prime.p}, d={E.d}, "
-            f"n={len(E)}, r={reports[0].r}): {detail}; points={list(E.points)}"
-        )
+            continue
+        if any(mine.value != theirs.value for mine, theirs in zip(rows, more)):
+            raise MethodMismatchError(
+                f"methods disagree on (kind, r, k) = {key} (p={E.prime.p}, d={E.d}, n={len(E)}): "
+                f"{first}={[row.value for row in rows]}, {m}={[row.value for row in more]}; "
+                f"points={list(E.points)}")
+        reports.extend(more)
     return reports

@@ -16,10 +16,10 @@ tuple per rotation/reflection orbit (cycle_orbit_tuples), and that of a
 clique search one increasing tuple per vertex set.  A brute count is
 configcount.brute_join over the family's x and y sides (times m! for
 m-cliques, whose v side is increasing).  The degenerate parts of the 2-path
-pairs come from a brute classification of the x and y tuples by profile and
-coincidence, checked against their closed forms, joins of the step-profile
-tables; the four-cycle coincidence families are joins of the cycle census
-of :mod:`dilatelab.configcount`.  Both hold for every (p, d).
+pairs are brute_join counts too, a side being the walk (a, b, a) where it
+has x1 = x3 or y1 = y3, checked against their closed forms, joins of the
+step-profile tables; the four-cycle coincidence families are joins of the
+cycle census of :mod:`dilatelab.configcount`.  Both hold for every (p, d).
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from operator import itemgetter, sub
 from typing import Iterator
 
 from .configcount import (
-    BRUTE_GUARD,
     CYCLE_EDGES,
     DISTINCT,
+    EDGE_DISTINCT,
+    EVERY,
     INCREASING,
+    METHOD_BRUTE,
     Ratio,
     brute_join,
     count_scaled_cycle_pairs,
@@ -52,7 +54,7 @@ from .configcount import (
     # not called here: perfbench/selftest.py checks that its span rebinds it in this module
     _walk_dp_scaled_pairs,
 )
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import DimensionMismatchError
 from .geometry import PointSet
 from .orthogonal import enumerate_orthogonal
 
@@ -187,35 +189,24 @@ class TwoPathParts:
 
 
 def classify_two_path_pairs(E: PointSet, ratio: Ratio) -> TwoPathParts:
-    """The scaled 2-walk pairs sorted into the parts, by a brute classification.
+    """The scaled 2-walk pairs sorted into the parts, each by brute_join.
 
-    Every x 2-walk (x1 != x2 != x3) is counted by its r-scaled step profile
-    and whether x1 = x3, and every y 3-tuple by its step profile and whether
-    y1 = y3; each part is the join of one x class against one y class.
-    Refused before any tuple is visited when the tuples of both sides, the
-    n (n-1)^2 + n^3 of brute S_2, exceed BRUTE_GUARD.
+    Every count takes x 2-walks (x1 != x2 != x3) and any y 3-tuples: S_2
+    joins the path pattern on both sides, A the back-and-forth walk (a, b, a)
+    on the x side, whose profile is (s, s), B the same walk on the y side,
+    and A∩B on both.  The open pairs are S_2 - A - B + A∩B.  S_2 is counted
+    first, so its guard, on the most tuples, refuses before any is visited.
     """
-    n = len(E)
-    visits = n * (n - 1) ** 2 + n**3
-    if visits > BRUTE_GUARD:
-        raise TooLargeError(f"a brute classification over {visits} tuples refused, "
-                            f"over {BRUTE_GUARD}")
-    p = E.prime.p
-    D = E.dist_table
-    scale = [ratio.r * t % p for t in range(p)]
-    scaled = [[scale[t] for t in row] for row in D]
-    X = Counter((scaled[a][b], scaled[b][c], a == c)
-                for a, b, c in itertools.product(range(n), repeat=3) if a != b != c)
-    Y = Counter((D[a][b], D[b][c], a == c) for a, b, c in itertools.product(range(n), repeat=3))
-    # parts[x1 = x3, y1 = y3]
-    parts = Counter()
-    for (s, t, x_same), count in X.items():
-        for y_same in (False, True):
-            parts[x_same, y_same] += count * Y[s, t, y_same]
-    both = parts[True, True]
-    return TwoPathParts(x_coincide=parts[True, False] + both,
-                        y_coincide=parts[False, True] + both, both_coincide=both,
-                        open_pairs=parts[False, False], total=sum(parts.values()))
+    n, r = len(E), ratio.r
+    path, back = path_edges(2), ((0, 1), (0, 1))
+    # n (n-1)^2 x 2-walks, n (n-1) of them back and forth; n^3 y tuples, n^2 with y1 = y3
+    total = brute_join(E, r, path, EDGE_DISTINCT, EVERY, visits=n * (n - 1) ** 2 + n**3)
+    a = brute_join(E, r, back, EDGE_DISTINCT, EVERY, visits=n * (n - 1) + n**3, y_edges=path)
+    b = brute_join(E, r, path, EDGE_DISTINCT, EVERY, visits=n * (n - 1) ** 2 + n**2,
+                   y_edges=back)
+    ab = brute_join(E, r, back, EDGE_DISTINCT, EVERY, visits=n * (n - 1) + n**2)
+    return TwoPathParts(x_coincide=a, y_coincide=b, both_coincide=ab,
+                        open_pairs=total - a - b + ab, total=total)
 
 
 def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int]:
@@ -232,6 +223,19 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     b = join({t[:1]: c for t, c in x2.items() if t[0] == t[1]}, y1, scale)
     ab = join(x1, y1, scale)
     return a, b, ab
+
+
+def two_path_part_rows(E: PointSet, ratio: Ratio, method: str) -> list[FamilyCount]:
+    """The 2path_parts rows of method: A, B, A∩B and open by brute, or else the
+    nu_identity closed forms of A, B and A∩B.  open (x1 != x3, y1 != y3) holds
+    pairs with y1 = y2 where null segments exist, so it is not the C2path count."""
+    if method == METHOD_BRUTE:
+        parts = classify_two_path_pairs(E, ratio)
+        values = (parts.x_coincide, parts.y_coincide, parts.both_coincide, parts.open_pairs)
+    else:
+        values = two_path_parts_closed_form(E, ratio)
+    return [_family(E, name, value, method, ratio.r)
+            for name, value in zip(("A", "B", "A∩B", "open"), values)]
 
 
 # ----------------------------------------------------------------------------

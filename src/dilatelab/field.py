@@ -72,7 +72,8 @@ def inverse(a: int, prime: Prime) -> int:
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
-    """General square root mod an odd prime; assumes a is a nonzero square."""
+    """A square root of a nonzero square a mod an odd prime p; for p = 3 (mod 4)
+    that is a^((p+1)/4), as p - 1 = 2q with q odd and the loop never runs."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -98,8 +99,7 @@ def _tonelli_shanks(a: int, p: int) -> int:
 def sqrt_mod(a: int, prime: Prime) -> int:
     """Canonical square root of a mod p: the smaller of the two roots.
 
-    Uses the a^((p+1)/4) fast path when p = 3 (mod 4) and Tonelli-Shanks
-    otherwise.  Raises NotASquareError for quadratic nonresidues.
+    By Tonelli-Shanks; raises NotASquareError for quadratic nonresidues.
     """
     p = prime.p
     a %= p
@@ -107,10 +107,7 @@ def sqrt_mod(a: int, prime: Prime) -> int:
         return 0
     if legendre(a, prime) != 1:
         raise NotASquareError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        r = _tonelli_shanks(a, p)
+    r = _tonelli_shanks(a, p)
     return min(r, p - r)
 
 

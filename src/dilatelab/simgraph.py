@@ -13,6 +13,7 @@ from fractions import Fraction
 from .configcount import (
     Ratio,
     join,
+    refused_checks,
     _nu_identity_scaled_walk_pairs,
     _paired_walk_sweep,
 )
@@ -33,8 +34,8 @@ class SimilarityGraph:
     its stationary-step rule swapped: a walk may keep x' = x but never the
     whole vertex, so the packed row V[x'] is subtracted.  Its lanes are sized
     for n^(2k), the most walks any vertex pair can end.  On construction the
-    edge count is checked against nu_identity's 1-step pair count, on every
-    point set whose profile table the lane guard admits.
+    edge count is checked against nu_identity's 1-step pair count; a guard's
+    refusal of it goes to configcount.refused_checks(E).
     """
 
     def __init__(self, E: PointSet, ratio: Ratio):
@@ -47,8 +48,9 @@ class SimilarityGraph:
         # along a null segment: 2e = S_1 + n (N_0 - n)
         try:
             s1 = _nu_identity_scaled_walk_pairs(E, ratio.r, 1)
-        except TooLargeError:
-            return  # a refused profile table only skips the check
+        except TooLargeError as exc:  # a refused profile table only skips the check
+            refused_checks(E)[("S_k", ratio.r, 1, "nu_identity")] = str(exc)
+            return
         if 2 * self.edge_count() != s1 + len(E) * E.norm_pair_counts[0] - self.vertex_count:
             raise AssertionError("internal error: edge count disagrees with the pair count")
 

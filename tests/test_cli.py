@@ -17,7 +17,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dilatelab import configcount
 from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, build_parser, main
 from dilatelab.errors import TooLargeError
-from dilatelab.families import FAMILIES
+from dilatelab.families import (
+    FAMILIES,
+    count_simplex_pairs,
+    count_triangle_pairs,
+    two_path_parts_closed_form,
+)
 from dilatelab.geometry import PointSet, load_point_set
 from dilatelab.verify import CLAIM_NAMES, RATIO_FREE_CLAIMS
 
@@ -124,6 +129,24 @@ def test_count_triangle_square_ratio_bounds(capsys):
     methods = {row[6]: int(row[5]) for row in rows}
     assert set(methods) == {"brute", "group_sum"}
     assert methods["group_sum"] <= methods["brute"]
+
+
+@pytest.mark.parametrize("what,bound,counter", [
+    ("T", "triangle_bound_group_sum", count_triangle_pairs),
+    ("P", "simplex_bound_group_sum", count_simplex_pairs),
+])
+def test_a_bound_over_the_exact_count_is_a_mismatch(what, bound, counter, monkeypatch, capsys):
+    # the certified bound averages pairs over the group, so it never exceeds the count
+    monkeypatch.setattr(f"dilatelab.cli.{bound}", lambda E, ratio: counter(E, ratio).value + 1)
+    code, out, err = run_cli(["count", "--what", what, "--p", "7", "--random", "7", "--seed", "4",
+                              "--r", "2", "--method", "all"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("method mismatch (implementation bug): the group_sum bound ")
+    # the unpatched bound passes the check
+    monkeypatch.undo()
+    code, _, err = run_cli(["count", "--what", what, "--p", "7", "--random", "7", "--seed", "4",
+                            "--r", "2", "--method", "all"], capsys)
+    assert code == 0 and err == ""
 
 
 def test_verify_vacuous_t16(capsys):
@@ -372,6 +395,20 @@ def test_count_two_path_parts(capsys):
     # closed-form rows agree with the brute rows
     both = [ln for ln in out.splitlines()[2:] if ln.startswith("A,")]
     assert len({ln.split(",")[5] for ln in both}) == 1
+
+
+def test_2path_parts_closed_forms_off_by_one_are_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr("dilatelab.families.two_path_parts_closed_form",
+                        lambda E, ratio: tuple(v + 1 for v in two_path_parts_closed_form(E, ratio)))
+    argv = ["count", "--what", "2path_parts", "--p", "7", "--random", "6", "--seed", "3",
+            "--r", "2"]
+    code, out, err = run_cli([*argv, "--method", "all"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("method mismatch (implementation bug): methods disagree on "
+                          "(kind, r, k) = ('2path_parts', 2, None)")
+    # without --method all the closed forms are not read
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and len(out.splitlines()) == 6
 
 
 def test_count_two_path_parts_with_null_segments(capsys):

@@ -547,6 +547,18 @@ def column_histogram(E, edges, kind):
                     for code, count in codes.items() if count})
 
 
+# the walk (a, b, a) on two vertices, whose profile is (s, s)
+BACK = ((0, 1), (0, 1))
+# (x pattern, y pattern): each pattern on both sides, and the mixed sides of
+# the 2-walk parts
+PATTERN_PAIRS = {
+    **{name: (edges, edges) for name, edges in PATTERNS.items()},
+    "back-path2": (BACK, path_edges(2)),
+    "path2-back": (path_edges(2), BACK),
+    "back-back": (BACK, BACK),
+}
+
+
 @pytest.mark.parametrize("p,d", [(5, 2), (7, 2), (13, 2), (5, 3), (7, 3), (13, 3)])
 def test_column_brute_matches_the_per_tuple_oracle(p, d):
     prime = make_prime(p)
@@ -554,17 +566,22 @@ def test_column_brute_matches_the_per_tuple_oracle(p, d):
     nulls = 0
     for E in sets:
         nulls += has_null_segment(E)
-        for name, edges in PATTERNS.items():
-            hists = {kind: literal_histogram(E, edges, kind) for kind in SIDES}
-            for kind, hist in hists.items():
-                assert column_histogram(E, edges, kind) == hist, (name, kind, len(E))
+        for name, (x_edges, y_edges) in PATTERN_PAIRS.items():
+            hists = [{kind: literal_histogram(E, edges, kind) for kind in SIDES}
+                     for edges in (x_edges, y_edges)]
+            for edges, side in zip((x_edges, y_edges), hists):
+                for kind, hist in side.items():
+                    assert column_histogram(E, edges, kind) == hist, (name, kind, len(E))
             for r in (1, 2, p - 1):
                 for x_kind, y_kind in itertools.product(SIDES, repeat=2):
-                    X, Y = hists[x_kind], hists[y_kind]
+                    X, Y = hists[0][x_kind], hists[1][y_kind]
                     expected = sum(v * Y[tuple(r * t % p for t in prof)] for prof, v in X.items())
                     visits = sum(X.values()) + sum(Y.values())
-                    assert brute_join(E, r, edges, x_kind, y_kind, visits) == expected, (
+                    assert brute_join(E, r, x_edges, x_kind, y_kind, visits,
+                                      y_edges=y_edges) == expected, (
                         name, x_kind, y_kind, r, len(E))
+    with pytest.raises(ValueError):
+        brute_join(E, 1, BACK, EVERY, EVERY, 0, y_edges=path_edges(1))
     # p = 1 (mod 4) and d = 3 must reach null segments
     assert (d == 2 and p % 4 == 3) or nulls
 

@@ -84,6 +84,22 @@ def test_refused_profile_table_skips_the_construction_check(monkeypatch):
     assert 2 * g.edge_count() == 2 * len(g.edges_direct()) == g.count_walks(1)
 
 
+def test_refused_construction_check_is_recorded(monkeypatch):
+    # the skipped check goes to the record count --method all and verify note
+    # from, under the key of the 1-step pair count it would have read
+    thirteen = make_prime(13)
+    ratio = make_ratio(2, thirteen)
+    E = random_point_set(thirteen, 2, 6, seed=1)
+    SimilarityGraph(E, ratio)
+    assert configcount.refused_checks(E) == {}
+    E = random_point_set(thirteen, 2, 6, seed=1)
+    monkeypatch.setattr(configcount, "PROFILE_GUARD", 1)
+    SimilarityGraph(E, ratio)
+    (key, reason), = configcount.refused_checks(E).items()
+    assert key == ("S_k", 2, 1, "nu_identity")
+    assert reason.endswith("^1 profiles exceed 1 lanes")
+
+
 def test_two_point_walks():
     g = build_similarity_graph(TWO_POINT, make_ratio(1, SEVEN))
     assert g.count_walks(1) == 2 * g.edge_count()
