@@ -15,19 +15,14 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .configcount import (
-    CYCLE_PAIR_METHODS,
-    METHODS,
-    WALK_PAIR_METHODS,
     CountReport,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
-    cycle_pair_reports,
     refused_checks,
-    walk_pair_reports,
     _cross_checked,
     _not_a_method_of,
     _report,
@@ -58,11 +53,11 @@ from .field import make_prime
 from .geometry import (
     PointSet,
     distance_set,
+    format_point_set,
     full_space,
     load_point_set,
     quotient_set,
     random_point_set,
-    save_point_set,
 )
 from .verify import (
     CLAIM_NAMES,
@@ -78,13 +73,23 @@ from .verify import (
 CSV_SCHEMA = "dilatelab-csv v1"
 JSON_SCHEMA = "dilatelab-json v1"
 
-COUNT_KINDS = ("S_k", "C", "V", "quotient", "distance", "2path_parts",
-               "displacement") + FAMILIES
+# Every count kind and its methods, in the order --method all runs them; auto
+# runs the first.  A group_sum after the first is a lower bound, not a check.
+KIND_METHODS = {
+    "S_k": ("walk_dp", "brute", "nu_identity"),
+    "C": ("mu_identity", "brute"),
+    "V": ("nu_identity",),
+    "quotient": ("brute",),
+    "distance": ("brute",),
+    "2path_parts": ("brute", "nu_identity"),
+    "displacement": ("group_sum",),
+    FAMILY_PATH_PAIRS: ("brute",),
+    FAMILY_FOUR_CYCLE: ("mu_identity",),
+    FAMILY_TRIANGLE: ("brute", "group_sum"),
+    FAMILY_SIMPLEX: ("brute", "group_sum"),
+}
+COUNT_KINDS = tuple(KIND_METHODS)
 WHAT_ALIASES = {"T": FAMILY_TRIANGLE, "P": FAMILY_SIMPLEX, "F": FAMILY_FOUR_CYCLE}
-# the methods --method may name besides auto and all: S_k and C choose among
-# theirs, and every other kind has one, brute where it is not listed
-KIND_METHODS = {"S_k": WALK_PAIR_METHODS, "C": CYCLE_PAIR_METHODS, "V": ("nu_identity",),
-                "displacement": ("group_sum",), FAMILY_FOUR_CYCLE: ("mu_identity",)}
 
 
 @lru_cache(maxsize=1)
@@ -120,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, default=2, help="walk length for S_k")
     c.add_argument("--r", default="all", help="ratio: integer, 'squares', or 'all'")
     add_set(c, "use a seeded random set of this size")
-    c.add_argument("--method", default="auto", choices=("auto", "all") + METHODS,
+    c.add_argument("--method", default="auto",
+                   choices=("auto", "all", *sorted(set().union(*KIND_METHODS.values()))),
                    help="auto, all, or a method of the kind")
 
     v = sub.add_parser("verify", help="check catalog claims on instances")
@@ -197,6 +203,11 @@ def _emit(kind: str, header: str, rows: list[str], json_rows: list[dict], args) 
     else:
         payload = {"schema": JSON_SCHEMA, "kind": kind, "seed": args.seed, "rows": json_rows}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """Text to the --out file, or to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -208,15 +219,8 @@ def cmd_gen(args, parser) -> int:
     if args.p is None:
         parser.error("gen requires --p")
     _require_positive(args.size, "--size", parser)
-    prime = make_prime(args.p)
-    E = random_point_set(prime, args.d, args.size, args.seed)
-    comment = f"generated size={args.size} seed={args.seed}"
-    if args.out:
-        save_point_set(E, args.out, comment=comment)
-    else:
-        sys.stdout.write(f"# {comment}\np={prime.p} d={args.d}\n")
-        for pt in E.points:
-            sys.stdout.write(",".join(str(c) for c in pt) + "\n")
+    E = random_point_set(make_prime(args.p), args.d, args.size, args.seed)
+    _write(format_point_set(E, comment=f"generated size={args.size} seed={args.seed}"), args)
     return 0
 
 
@@ -226,79 +230,76 @@ def _note(text: str) -> None:
 
 
 def _note_refused_checks(E: PointSet) -> None:
-    """A note per cross-check on E a guard refused since the last call."""
+    """A note per method on E left out since the last call, with its reason."""
     record = refused_checks(E)
     for (kind, r, _, method), reason in record.items():
-        _note(f"{method} skipped for {kind} r={r} (guard: {reason})")
+        _note(f"{method} skipped for {kind} r={r} ({reason})")
     record.clear()
+
+
+def _method_rows(E: PointSet, args, what: str, ratio, method: str, exact=()) -> list:
+    """The rows of one method of a count kind at one ratio (None for a ratio-free kind).
+
+    A group_sum bound is checked against the exact rows it is given, and at
+    a non-square ratio it is recorded as skipped, with no rows.
+    """
+    if what in ("quotient", "distance"):
+        return [_report(E, what, len((quotient_set if what == "quotient" else distance_set)(E)),
+                        method)]
+    if what == "S_k":
+        return [count_scaled_walk_pairs(E, ratio, args.k, method)]
+    if what == "C":
+        return [count_scaled_cycle_pairs(E, ratio, method)]
+    if what == "V":
+        return [count_ratio_quadruples(E, ratio)]
+    if what == FAMILY_PATH_PAIRS:
+        return [count_path_pairs(E, ratio, args.k)]
+    if what == "2path_parts":
+        return two_path_part_rows(E, ratio, method)
+    if what == FAMILY_FOUR_CYCLE:
+        fams = four_cycle_families(E, ratio)
+        named = [(what, fams.fully_distinct)]
+        if args.method == "all":  # the coincidence subfamilies
+            named += [("A13", fams.x13), ("A24", fams.x24), ("B13", fams.y13), ("B24", fams.y24)]
+        return [_family(E, name, value, method, ratio.r) for name, value in named]
+    planar = what == FAMILY_TRIANGLE
+    if method == "brute":
+        return [(count_triangle_pairs if planar else count_simplex_pairs)(E, ratio)]
+    if not ratio.is_square:
+        refused_checks(E)[(what, ratio.r, None, method)] = "not a square"
+        return []
+    if what == "displacement":
+        _, lam_total, n_total, slice_total = group_displacement_sums(E, ratio)
+        return [_family(E, name, value, method, ratio.r) for name, value in
+                (("Lambda_theta", lam_total), ("N_theta", n_total), ("A_kl", slice_total))]
+    value = (triangle_bound_group_sum if planar else simplex_bound_group_sum)(E, ratio)
+    if exact and value > exact[0].value:  # an element counts a pair at most once
+        raise MethodMismatchError(f"the group_sum bound {value} exceeds the {what} count "
+                                  f"{exact[0].value} at r={ratio.r}; points={list(E.points)}")
+    return [_family(E, what, max(0, int(value)), method, ratio.r)]
 
 
 def _count_rows(E: PointSet, args) -> list:
     what = WHAT_ALIASES.get(args.what, args.what)
-    methods = KIND_METHODS.get(what, ("brute",))
+    first, *rest = methods = KIND_METHODS[what]
     if args.method not in ("auto", "all", *methods):
-        raise _not_a_method_of(what, args.method, methods)
-    if what in ("quotient", "distance"):
-        value = len(quotient_set(E)) if what == "quotient" else len(distance_set(E))
-        return [_report(E, what, value, "brute")]
-    ratios = ratios_for_policy(_ratio_policy(args.r), E.prime)
-    named = () if args.method == "auto" else (args.method,)  # auto: the count's default
+        raise _not_a_method_of(what, args.method, sorted(methods))
+    ratio_free = what in ("quotient", "distance")
+    ratios = [None] if ratio_free else ratios_for_policy(_ratio_policy(args.r), E.prime)
     reports = []
     for ratio in ratios:
-        if what == "S_k":
-            if args.method == "all":
-                reports.extend(walk_pair_reports(E, ratio, args.k))
-            else:
-                reports.append(count_scaled_walk_pairs(E, ratio, args.k, *named))
-        elif what == "C":
-            if args.method == "all":
-                reports.extend(cycle_pair_reports(E, ratio))
-            else:
-                reports.append(count_scaled_cycle_pairs(E, ratio, *named))
-        elif what == "V":
-            reports.append(count_ratio_quadruples(E, ratio))
-        elif what == FAMILY_PATH_PAIRS:
-            reports.append(count_path_pairs(E, ratio, args.k))
-        elif what == "2path_parts":
-            optional = ("nu_identity",) if args.method == "all" else ()
-            reports.extend(_cross_checked(E, lambda m: two_path_part_rows(E, ratio, m), "brute",
-                                          optional, (what, ratio.r, None)))
-        elif what == "displacement":
-            if not ratio.is_square:
-                _note(f"displacement rows skipped for r={ratio.r} (not a square)")
-                continue
-            _, lam_total, n_total, slice_total = group_displacement_sums(E, ratio)
-            reports.append(_family(E, "Lambda_theta", lam_total, "group_sum", ratio.r))
-            reports.append(_family(E, "N_theta", n_total, "group_sum", ratio.r))
-            reports.append(_family(E, "A_kl", slice_total, "group_sum", ratio.r))
-        elif what == FAMILY_FOUR_CYCLE:
-            fams = four_cycle_families(E, ratio)
-            reports.append(_family(E, FAMILY_FOUR_CYCLE, fams.fully_distinct,
-                                   "mu_identity", ratio.r))
-            if args.method == "all":
-                for name, value in (("A13", fams.x13), ("A24", fams.x24),
-                                    ("B13", fams.y13), ("B24", fams.y24)):
-                    reports.append(_family(E, name, value, "mu_identity", ratio.r))
-        elif what in (FAMILY_TRIANGLE, FAMILY_SIMPLEX):
-            planar = what == FAMILY_TRIANGLE
-            counter = count_triangle_pairs if planar else count_simplex_pairs
-            bound = triangle_bound_group_sum if planar else simplex_bound_group_sum
-            reports.append(counter(E, ratio))
-            if args.method == "all":
-                if not ratio.is_square:
-                    _note(f"group_sum skipped for r={ratio.r} (not a square)")
-                    continue
-                try:
-                    value = bound(E, ratio)
-                except TooLargeError as exc:
-                    # the bound is optional: keep the exact rows already counted
-                    _note(f"group_sum skipped for r={ratio.r} (guard: {exc})")
-                    continue
-                if value > reports[-1].value:  # an element counts a pair at most once
-                    raise MethodMismatchError(f"the group_sum bound {value} exceeds the {what} "
-                                              f"count {reports[-1].value} at r={ratio.r}; "
-                                              f"points={list(E.points)}")
-                reports.append(_family(E, what, max(0, int(value)), "group_sum", ratio.r))
+        rows = partial(_method_rows, E, args, what, ratio)
+        if args.method != "all":
+            reports.extend(rows(first if args.method == "auto" else args.method))
+            continue
+        key = (what, None if ratio_free else ratio.r, args.k if what == "S_k" else None)
+        exact = _cross_checked(E, rows, first, [m for m in rest if m != "group_sum"], key)
+        reports.extend(exact)
+        if "group_sum" in rest:  # the bound is optional: a refusal keeps the exact rows
+            try:
+                reports.extend(rows("group_sum", exact))
+            except TooLargeError as exc:
+                refused_checks(E)[(*key, "group_sum")] = f"guard: {exc}"
     return reports
 
 

@@ -71,11 +71,6 @@ METHOD_BRUTE = "brute"
 METHOD_NU_IDENTITY = "nu_identity"
 METHOD_MU_IDENTITY = "mu_identity"
 METHOD_WALK_DP = "walk_dp"
-METHOD_GROUP_SUM = "group_sum"
-METHODS = (METHOD_BRUTE, METHOD_NU_IDENTITY, METHOD_MU_IDENTITY, METHOD_WALK_DP, METHOD_GROUP_SUM)
-# The methods of the two counts that take one.
-WALK_PAIR_METHODS = (METHOD_BRUTE, METHOD_NU_IDENTITY, METHOD_WALK_DP)
-CYCLE_PAIR_METHODS = (METHOD_BRUTE, METHOD_MU_IDENTITY)
 
 
 def _not_a_method_of(kind: str, method: str, methods) -> ValueError:
@@ -640,7 +635,7 @@ def count_scaled_walk_pairs(E: PointSet, ratio: Ratio, k: int, method: str = MET
     elif method == METHOD_WALK_DP:
         value = _walk_dp_scaled_pairs(E, ratio.r, k)
     else:
-        raise _not_a_method_of("S_k", method, WALK_PAIR_METHODS)
+        raise _not_a_method_of("S_k", method, (METHOD_BRUTE, METHOD_NU_IDENTITY, METHOD_WALK_DP))
     return _report(E, f"S_{k}", value, method, r=ratio.r, k=k)
 
 
@@ -796,7 +791,7 @@ def count_scaled_cycle_pairs(E: PointSet, ratio: Ratio, method: str = METHOD_MU_
     elif method == METHOD_MU_IDENTITY:
         value = _mu_identity_scaled_cycle_pairs(E, ratio.r)
     else:
-        raise _not_a_method_of("C", method, CYCLE_PAIR_METHODS)
+        raise _not_a_method_of("C", method, (METHOD_BRUTE, METHOD_MU_IDENTITY))
     return _report(E, "C", value, method, r=ratio.r)
 
 
@@ -871,7 +866,7 @@ def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:
 
 @per_set
 def refused_checks(E: PointSet) -> dict:
-    """(kind, r, k, method) -> guard message, per cross-check on E refused until cleared."""
+    """(kind, r, k, method) -> 'guard: ..' or 'not a square', per method on E left out."""
     return {}
 
 
@@ -884,7 +879,7 @@ def _cross_checked(E: PointSet, count, first: str, optional, key) -> list:
         try:
             more = count(m)
         except TooLargeError as exc:  # key is the count's (kind, r, k)
-            refused_checks(E)[(*key, m)] = str(exc)
+            refused_checks(E)[(*key, m)] = f"guard: {exc}"
             continue
         if any(mine.value != theirs.value for mine, theirs in zip(rows, more)):
             raise MethodMismatchError(

@@ -421,5 +421,7 @@ def simplex_bound_group_sum(E: PointSet, ratio: Ratio) -> Fraction:
     Averages the distinct-source shared-displacement count over O(d, p);
     every such tuple is a simplex pair, so the average is a true lower bound.
     """
+    if E.d < 2:
+        raise DimensionMismatchError("simplex pairs need dimension at least 2")
     order, _, distinct, _ = group_displacement_sums(E, ratio)
     return Fraction(distinct, order)

@@ -241,15 +241,18 @@ def quotient_set(E: PointSet) -> frozenset[int]:
     return frozenset(a * inverse(b, E.prime) % p for a in deltas for b in nonzero)
 
 
-def save_point_set(E: PointSet, path, comment: str | None = None) -> None:
-    """Write the shared text format: a `p=.. d=..` header, one point per line."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
+def format_point_set(E: PointSet, comment: str | None = None) -> str:
+    """The shared text format: an optional comment, a `p=.. d=..` header, one point per line."""
+    lines = [f"# {comment}"] if comment else []
     lines.append(f"p={E.prime.p} d={E.d}")
     lines.extend(",".join(str(c) for c in pt) for pt in E.points)
+    return "\n".join(lines) + "\n"
+
+
+def save_point_set(E: PointSet, path, comment: str | None = None) -> None:
+    """Write E to path in the shared text format."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_point_set(E, comment))
 
 
 def load_point_set(path) -> PointSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .configcount import (
+    BRUTE_GUARD,
     Ratio,
     join,
     refused_checks,
@@ -19,9 +20,6 @@ from .configcount import (
 )
 from .errors import TooLargeError
 from .geometry import PointSet
-
-# Vertex sets (|E|^2) beyond this are refused.
-VERTEX_GUARD = 10**5
 
 
 class SimilarityGraph:
@@ -39,8 +37,6 @@ class SimilarityGraph:
     """
 
     def __init__(self, E: PointSet, ratio: Ratio):
-        if len(E) ** 2 > VERTEX_GUARD:
-            raise TooLargeError(f"{len(E)}^2 vertices exceed the graph guard")
         self.E = E
         self.ratio = ratio
         self.vertex_count = len(E) ** 2
@@ -49,7 +45,7 @@ class SimilarityGraph:
         try:
             s1 = _nu_identity_scaled_walk_pairs(E, ratio.r, 1)
         except TooLargeError as exc:  # a refused profile table only skips the check
-            refused_checks(E)[("S_k", ratio.r, 1, "nu_identity")] = str(exc)
+            refused_checks(E)[("S_k", ratio.r, 1, "nu_identity")] = f"guard: {exc}"
             return
         if 2 * self.edge_count() != s1 + len(E) * E.norm_pair_counts[0] - self.vertex_count:
             raise AssertionError("internal error: edge count disagrees with the pair count")
@@ -77,8 +73,11 @@ class SimilarityGraph:
         return _paired_walk_sweep(self.E, self.ratio.r, k, distinct_first=False)
 
     def edges_direct(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """All edges by scanning vertex pairs; for small cross-checks only."""
+        """All edges by scanning vertex pairs, refused past BRUTE_GUARD pairs; for small checks."""
         n = len(self.E)
+        pairs = self.vertex_count * (self.vertex_count - 1) // 2
+        if pairs > BRUTE_GUARD:
+            raise TooLargeError(f"an edge scan of {pairs} vertex pairs refused, over {BRUTE_GUARD}")
         vertices = [(i, j) for i in range(n) for j in range(n)]
         out = []
         for a_pos, a in enumerate(vertices):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dilatelab import configcount
-from dilatelab.cli import COUNT_KINDS, WHAT_ALIASES, build_parser, main
+from dilatelab.cli import COUNT_KINDS, KIND_METHODS, WHAT_ALIASES, build_parser, main
 from dilatelab.errors import TooLargeError
 from dilatelab.families import (
     FAMILIES,
@@ -541,7 +541,8 @@ def test_count_simplex_group_guard_keeps_exact_rows(capsys):
         capsys,
     )
     assert code == 0
-    assert "note: group_sum skipped for r=4 (guard:" in err
+    assert err == ("note: group_sum skipped for P_simplex r=4 (guard: the O(3, 17) frame "
+                   "search may take 2996352 steps, over 1000000)\n")
     rows = [ln.split(",") for ln in out.splitlines()[2:]]
     assert [(row[0], row[6]) for row in rows] == [("P_simplex", "brute")]
 
@@ -814,13 +815,13 @@ def test_unknown_method_is_a_usage_error_for_every_kind(what, capsys):
 @pytest.mark.parametrize("what,method,methods", [
     ("S_k", "mu_identity", "brute, nu_identity, walk_dp"),
     ("C", "walk_dp", "brute, mu_identity"),
+    ("T_triangle", "walk_dp", "brute, group_sum"),
+    ("P_simplex", "walk_dp", "brute, group_sum"),
+    ("2path_parts", "walk_dp", "brute, nu_identity"),
     # every other kind has one method
-    ("T_triangle", "walk_dp", "brute"),
-    ("P_simplex", "group_sum", "brute"),
     ("C2path", "nu_identity", "brute"),
     ("F4cycle", "brute", "mu_identity"),
     ("V", "brute", "nu_identity"),
-    ("2path_parts", "nu_identity", "brute"),
     ("displacement", "brute", "group_sum"),
     ("quotient", "walk_dp", "brute"),
 ])
@@ -830,6 +831,60 @@ def test_method_of_another_kind_names_the_kind_and_its_methods(what, method, met
     assert code == 2
     assert out == ""
     assert err == f"error: {what} has no method {method!r}; its methods are {methods}\n"
+
+
+def _rows_by_method(out: str) -> list[tuple[str, list[str]]]:
+    """The csv rows of a count, each with its method, read by the header's column."""
+    header, *rows = out.splitlines()[1:]
+    column = header.split(",").index("method")
+    return [(row.split(",")[column], row.split(",")) for row in rows]
+
+
+@pytest.mark.parametrize("what,method", [(what, method) for what, methods in KIND_METHODS.items()
+                                         for method in methods])
+def test_each_method_prints_its_rows_of_method_all(what, method, capsys):
+    # a method named alone prints the rows --method all prints for it, apart
+    # from F4cycle's coincidence subfamilies, which only all adds
+    argv = ["count", "--what", what, "--p", "7", "--random", "6", "--r", "1", "--method"]
+    code, out_all, _ = run_cli([*argv, "all"], capsys)
+    assert code == 0
+    code, out, err = run_cli([*argv, method], capsys)
+    assert code == 0 and err == ""
+    rows = [row for m, row in _rows_by_method(out_all)
+            if m == method and row[0] not in ("A13", "A24", "B13", "B24")]
+    assert rows and [row for _, row in _rows_by_method(out)] == rows
+    if method == KIND_METHODS[what][0]:  # auto runs the first method
+        assert run_cli([*argv, "auto"], capsys)[1] == out
+
+
+def test_every_skipped_method_is_noted_in_one_format(capsys):
+    # a bound at a non-square ratio, with all or named alone, and the
+    # displacement rows there, are recorded and noted like a refused check
+    argv = ["--p", "7", "--random", "6", "--r", "3"]
+    for what, method in (("T", "all"), ("P", "all"), ("T", "group_sum"),
+                         ("displacement", "auto")):
+        kind = WHAT_ALIASES.get(what, what)
+        code, out, err = run_cli(["count", "--what", what, "--method", method, *argv], capsys)
+        assert code == 0
+        assert err == f"note: group_sum skipped for {kind} r=3 (not a square)\n"
+        assert "group_sum" not in out
+
+
+def test_the_simplex_bound_needs_the_dimension_the_count_needs(capsys):
+    # named alone, group_sum reaches P at d = 1, which the brute count refuses
+    for method in ("brute", "group_sum"):
+        code, out, err = run_cli(["count", "--what", "P", "--d", "1", "--p", "7", "--random", "5",
+                                  "--r", "1", "--method", method], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: simplex pairs need dimension at least 2\n"
+
+
+def test_gen_stdout_is_its_out_file(tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    argv = ["gen", "--p", "11", "--d", "3", "--size", "9", "--seed", "4"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and run_cli([*argv, "--out", str(path)], capsys)[0] == 0
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])

@@ -141,13 +141,22 @@ def test_walks_match_matrix_power_oracle():
         assert g.count_walks(k) == walk_count_by_matrix(adj, k)
 
 
-def test_graph_guard():
-    big = random_point_set(make_prime(11), 2, 100, seed=0)
-    E = PointSet(make_prime(331), 2, [(i, 0) for i in range(331)])
-    with pytest.raises(TooLargeError):
-        SimilarityGraph(E, make_ratio(1, make_prime(331)))
-    assert len(big) == 100  # guard boundary: 100^2 = 10^4 vertices is fine
-    build_similarity_graph(big, make_ratio(1, make_prime(11)))
+def test_graph_guard(monkeypatch):
+    # the graph is never materialised, so no size refuses it; only the edge
+    # scan is guarded, past BRUTE_GUARD vertex pairs: 37^2 points' 936,396
+    # pairs are admitted and 38^2 points' 1,041,846 refused before any is read
+    prime = make_prime(331)
+    g = SimilarityGraph(PointSet(prime, 2, [(i, 0) for i in range(331)]), make_ratio(1, prime))
+    assert g.count_walks(1) == 2 * g.edge_count()
+    g = build_similarity_graph(random_point_set(make_prime(11), 2, 38, seed=0),
+                               make_ratio(1, make_prime(11)))
+
+    def never(*args):
+        raise AssertionError("the guard must refuse before the scan")
+
+    monkeypatch.setattr(SimilarityGraph, "adjacent", never)
+    with pytest.raises(TooLargeError, match="1041846 vertex pairs"):
+        g.edges_direct()
 
 
 def test_ms_bound_examples():

@@ -494,3 +494,21 @@ def test_verify_all_computes_each_join_once_per_set_and_ratio(monkeypatch):
                      "--p", "7", "--r", "3", "--seed", "5", "--out", os.devnull]) == 0
     assert kernels == [3] * 4
     assert len(joins) == 40
+
+
+@pytest.mark.parametrize("claim,p,d,n", [
+    ("T1.5", 3, 2, 9),        # all of F_3^2: 9 > (sqrt(3) + 1) 3
+    ("T1.7", 3, 2, 9),        # 9 >= 3p
+    ("T1.8", 3, 3, 21),       # 21 >= 4 * 3^1.5 (= 20.78..)
+    ("T1.10", 3, 2, 7),       # 7 > 2p
+    ("quotient", 11, 2, 99),  # 99 >= 9p (even d)
+    ("quotient", 37, 1, 37),  # 37 >= 6 sqrt(37) (odd d)
+    ("quotient", 5, 3, 68),   # 68 >= 6 * 5^1.5 (= 67.08..)
+])
+def test_each_claim_holds_at_its_smallest_hypothesis_met_instance(claim, p, d, n):
+    # one size smaller the hypothesis fails, so this is where each claim is
+    # first checked with it met; T1.6 has its own test at p = 59
+    prime = make_prime(p)
+    for size, status in ((n, "HOLDS"), (n - 1, "VACUOUS")):
+        E = random_point_set(prime, d, size, seed=1)
+        assert run_claim(claim, E, make_ratio(1, prime)).status == status
