@@ -51,8 +51,8 @@ from .orthogonal import (
     scaled_apply,
     so2_elements,
 )
-from .simgraph import SimilarityGraph, build_similarity_graph, ms_lower_bound
-from .verify import ScanResult, Verdict, check_theorem, run_claim, scan_threshold
+from .simgraph import SimilarityGraph, ms_lower_bound
+from .verify import ScanResult, Verdict, run_claim, scan_threshold
 
 __version__ = "0.1.0"
 
@@ -67,8 +67,6 @@ __all__ = [
     "ScanResult",
     "SimilarityGraph",
     "Verdict",
-    "build_similarity_graph",
-    "check_theorem",
     "count_path_pairs",
     "count_ratio_quadruples",
     "count_scaled_cycle_pairs",

@@ -224,16 +224,12 @@ def cmd_gen(args, parser) -> int:
     return 0
 
 
-def _note(text: str) -> None:
-    """One line on stderr for work left out; stdout stays the rows alone."""
-    print(f"note: {text}", file=sys.stderr)
-
-
 def _note_refused_checks(E: PointSet) -> None:
-    """A note per method on E left out since the last call, with its reason."""
+    """A stderr note per method on E left out since the last call, with its
+    reason; stdout stays the rows alone."""
     record = refused_checks(E)
     for (kind, r, _, method), reason in record.items():
-        _note(f"{method} skipped for {kind} r={r} ({reason})")
+        print(f"note: {method} skipped for {kind} r={r} ({reason})", file=sys.stderr)
     record.clear()
 
 
@@ -347,7 +343,7 @@ def cmd_verify(args, parser) -> int:
                 except TooLargeError as exc:
                     if len(claims) == 1:
                         raise
-                    _note(f"{claim} skipped on |E|={len(E)} (guard: {exc})")
+                    refused_checks(E)[("claim", ratio.r, None, claim)] = f"guard: {exc}"
             _note_refused_checks(E)
     failed = any(v.contradicts_catalog for v in verdicts)
     _emit("verify", Verdict.CSV_HEADER, [v.csv_row() for v in verdicts],

@@ -27,15 +27,11 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Prime:
-    """An odd prime together with cached residue-class facts.
-
-    ``legendre_minus_one`` is +1 exactly when p = 1 (mod 4), i.e. when -1 is
-    a square mod p, and -1 when p = 3 (mod 4).
-    """
+    """An odd prime and its residue mod 4; -1 is a square mod p exactly when
+    p = 1 (mod 4)."""
 
     p: int
     p_mod_4: int
-    legendre_minus_one: int
 
     def __int__(self) -> int:
         return self.p
@@ -50,7 +46,7 @@ def make_prime(n: int) -> Prime:
         raise EvenPrimeError("p = 2 is not supported; an odd prime is required")
     if not _is_prime(n):
         raise NotPrimeError(f"{n} is not prime")
-    return Prime(p=n, p_mod_4=n % 4, legendre_minus_one=1 if n % 4 == 1 else -1)
+    return Prime(p=n, p_mod_4=n % 4)
 
 
 def legendre(a: int, prime: Prime) -> int:

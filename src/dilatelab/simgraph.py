@@ -100,10 +100,6 @@ class SimilarityGraph:
                 fh.write(f"{label(a)} {label(b)}\n")
 
 
-def build_similarity_graph(E: PointSet, ratio: Ratio) -> SimilarityGraph:
-    return SimilarityGraph(E, ratio)
-
-
 def ms_lower_bound(n: int, e: int, k: int) -> Fraction:
     """The generic walk-count floor (2e)^k / n^(k-1) for n-vertex simple graphs."""
     if n < 1:

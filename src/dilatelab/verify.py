@@ -7,12 +7,17 @@ whose size hypothesis fails on the instance yields a VACUOUS verdict (with
 the conclusion still evaluated when feasible); a verdict that is
 hypothesis-met but conclusion-false would contradict the catalog and is
 treated by callers as the most severe failure.
+
+CLAIMS maps each claim, in catalog order, to its checker.  FAMILY_TABLE gives
+each witness family its finder, witness pattern and size hypothesis, shared
+by the existence checkers of T1.5-T1.8 and by the threshold scans.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,25 +51,6 @@ from .families import (
 )
 from .field import Prime, inverse, make_prime, squares_set
 from .geometry import PointSet, distance_set, quotient_set, random_point_set
-
-CLAIM_NAMES = (
-    "lemma2.2",
-    "lemma2.3",
-    "lemma2.4",
-    "lemma2.6",
-    "lemma4.2",
-    "T1.5",
-    "T1.6",
-    "T1.7",
-    "T1.8",
-    "T1.10",
-    "quotient",
-)
-
-THEOREM_NAMES = ("T1.5", "T1.6", "T1.7", "T1.8", "T1.10")
-
-# claims about the set alone, checked once per set whatever its ratios
-RATIO_FREE_CLAIMS = ("lemma2.6", "quotient")
 
 
 @dataclass(frozen=True)
@@ -157,17 +143,9 @@ def exceeds_4_sqrt3_p32(n: int, p: int) -> bool:
     return n * n > 48 * p**3
 
 
-def meets_triangle_size(n: int, p: int) -> bool:
-    return n >= 3 * p
-
-
 def meets_simplex_size(n: int, p: int, d: int) -> bool:
     """n >= (d + 1) * p^(d/2), decided by squaring."""
     return n * n >= (d + 1) ** 2 * p**d
-
-
-def exceeds_twice_p(n: int, p: int) -> bool:
-    return n > 2 * p
 
 
 def meets_quotient_size(n: int, p: int, d: int) -> bool:
@@ -176,18 +154,45 @@ def meets_quotient_size(n: int, p: int, d: int) -> bool:
     return n * n >= c * c * p**d
 
 
-# each family's size hypothesis as a predicate of (n, p, d), monotone in n
-_SIZE_HYPOTHESES = {
-    FAMILY_PATH_PAIRS: lambda n, p, d: exceeds_sqrt3_plus_one(n, p),
-    FAMILY_FOUR_CYCLE: lambda n, p, d: exceeds_4_sqrt3_p32(n, p),
-    FAMILY_TRIANGLE: lambda n, p, d: meets_triangle_size(n, p),
-    FAMILY_SIMPLEX: meets_simplex_size,
+@dataclass(frozen=True)
+class _Family:
+    witness: Callable   # (E, ratio) -> the first witness, or None
+    pattern: Callable   # d -> (edges, whether the witness gives its r-scaled side first)
+    size: Callable      # (n, p, d) -> the existence theorem's size hypothesis, monotone in n
+
+
+# Each finder is read from this module's globals per call, never stored, so
+# a rebinding of it (a test double, a timing span) is the one that runs.
+FAMILY_TABLE = {
+    FAMILY_PATH_PAIRS: _Family(lambda E, ratio: find_path_pair_witness(E, ratio, 2),
+                               lambda d: (path_edges(2), False),
+                               lambda n, p, d: exceeds_sqrt3_plus_one(n, p)),
+    FAMILY_FOUR_CYCLE: _Family(lambda E, ratio: find_cycle_pair_witness(E, ratio),
+                               lambda d: (CYCLE_EDGES, False),
+                               lambda n, p, d: exceeds_4_sqrt3_p32(n, p)),
+    FAMILY_TRIANGLE: _Family(lambda E, ratio: find_clique_pair_witness(E, ratio, 3),
+                             lambda d: (clique_edges(3), True),
+                             lambda n, p, d: n >= 3 * p),
+    FAMILY_SIMPLEX: _Family(lambda E, ratio: find_clique_pair_witness(E, ratio, E.d + 1),
+                            lambda d: (clique_edges(d + 1), True),
+                            meets_simplex_size),
 }
+
+
+def family_witness(E: PointSet, ratio: Ratio, family: str):
+    """The family's first witness on E at ratio r, or None."""
+    return FAMILY_TABLE[family].witness(E, ratio)
+
+
+def witness_pattern(family: str, d: int) -> tuple[tuple, bool]:
+    """The edge list of the family's witnesses in dimension d, and whether
+    family_witness gives their r-scaled side first (cliques) or second."""
+    return FAMILY_TABLE[family].pattern(d)
 
 
 def meets_family_size(family: str, n: int, p: int, d: int) -> bool:
     """Whether n meets the size hypothesis of the family's existence theorem."""
-    return _SIZE_HYPOTHESES[family](n, p, d)
+    return FAMILY_TABLE[family].size(n, p, d)
 
 
 def smallest_size_meeting(family: str, prime: Prime, d: int) -> int | None:
@@ -299,76 +304,41 @@ def check_lemma42(E: PointSet, ratio: Ratio) -> Verdict:
     )
 
 
-def family_witness(E: PointSet, ratio: Ratio, family: str):
-    """The family's first witness on E at ratio r, or None; finders are looked up per call."""
-    if family == FAMILY_PATH_PAIRS:
-        return find_path_pair_witness(E, ratio, 2)
-    if family == FAMILY_FOUR_CYCLE:
-        return find_cycle_pair_witness(E, ratio)
-    if family == FAMILY_TRIANGLE:
-        return find_clique_pair_witness(E, ratio, 3)
-    if family == FAMILY_SIMPLEX:
-        return find_clique_pair_witness(E, ratio, E.d + 1)
-    raise ValueError(f"unknown family {family!r}")
+def _existence_checker(name: str, family: str, hypothesis):
+    """The checker of an existence theorem: a family witness concludes it, and
+    its hypothesis is hypothesis(E, ratio) and the family's size hypothesis.
 
-
-def witness_pattern(family: str, d: int) -> tuple[tuple, bool]:
-    """The edge list of the family's witnesses in dimension d, and whether
-    family_witness gives their r-scaled side first (cliques) or second."""
-    if family == FAMILY_PATH_PAIRS:
-        return path_edges(2), False
-    if family == FAMILY_FOUR_CYCLE:
-        return CYCLE_EDGES, False
-    if family == FAMILY_TRIANGLE:
-        return clique_edges(3), True
-    if family == FAMILY_SIMPLEX:
-        return clique_edges(d + 1), True
-    raise ValueError(f"unknown family {family!r}")
-
-
-def check_theorem(name: str, E: PointSet, ratio: Ratio, k: int = 3) -> Verdict:
-    """Evaluate one of the headline existence/size claims on an instance.
-
-    The hypothesis is evaluated exactly (residue class, squareness, and the
-    size threshold via integer certificates); the conclusion is computed
-    regardless, by exhaustive witness search for the existence claims and by
-    exact rational comparison for the T1.10 floor.
+    The witness search runs whether or not the hypothesis holds.
     """
-    p = E.prime.p
-    n = len(E)
-    safe = dilation_safe(E)
-    existence = {  # the family whose witness concludes, and the hypotheses besides size
-        "T1.5": (FAMILY_PATH_PAIRS, safe),
-        "T1.6": (FAMILY_FOUR_CYCLE, safe),
-        "T1.7": (FAMILY_TRIANGLE, E.d == 2 and ratio.is_square),
-        "T1.8": (FAMILY_SIMPLEX, E.d >= 2 and ratio.is_square),
-    }
-    if name in existence:
-        family, hyp = existence[name]
+    def check(E: PointSet, ratio: Ratio, k: int) -> Verdict:
         witness = family_witness(E, ratio, family)
         found = witness is not None
         return Verdict(
             claim=name,
-            hypothesis_met=hyp and meets_family_size(family, n, p, E.d),
+            hypothesis_met=hypothesis(E, ratio)
+            and meets_family_size(family, len(E), E.prime.p, E.d),
             conclusion_holds=found,
             lhs=int(found),
             rhs=0,
             params=_base_params(E, ratio, **({"witness": witness} if found else {})),
         )
-    if name == "T1.10":
-        hyp = safe and exceeds_twice_p(n, p)
-        sk = _walk_pairs(E, ratio, k)
-        lhs = Fraction(sk)
-        rhs = Fraction(n ** (2 * k + 2), (3 * p) ** k)
-        return Verdict(
-            claim=name,
-            hypothesis_met=hyp,
-            conclusion_holds=lhs > rhs,
-            lhs=lhs,
-            rhs=rhs,
-            params=_base_params(E, ratio, k=k),
-        )
-    raise ValueError(f"unknown theorem {name!r}")
+    return check
+
+
+def check_t110(E: PointSet, ratio: Ratio, k: int) -> Verdict:
+    """S_k exceeds n^(2k+2) / (3p)^k once n > 2p (d = 2, p = 3 mod 4)."""
+    p = E.prime.p
+    n = len(E)
+    lhs = Fraction(_walk_pairs(E, ratio, k))
+    rhs = Fraction(n ** (2 * k + 2), (3 * p) ** k)
+    return Verdict(
+        claim="T1.10",
+        hypothesis_met=dilation_safe(E) and n > 2 * p,
+        conclusion_holds=lhs > rhs,
+        lhs=lhs,
+        rhs=rhs,
+        params=_base_params(E, ratio, k=k),
+    )
 
 
 def check_quotient_containment(E: PointSet) -> Verdict:
@@ -402,23 +372,38 @@ def check_quotient_containment(E: PointSet) -> Verdict:
     )
 
 
+# The claim catalog in its order: each claim's checker of (E, ratio, k).
+# Size hypotheses are decided by exact integer arithmetic; the conclusion is
+# computed regardless, by witness search or exact rational comparison.
+CLAIMS = {
+    "lemma2.2": lambda E, ratio, k: check_lemma22(E, ratio),
+    "lemma2.3": lambda E, ratio, k: check_lemma23(E, ratio),
+    "lemma2.4": lambda E, ratio, k: check_lemma24(E, ratio),
+    "lemma2.6": lambda E, ratio, k: check_lemma26(E),
+    "lemma4.2": lambda E, ratio, k: check_lemma42(E, ratio),
+    "T1.5": _existence_checker("T1.5", FAMILY_PATH_PAIRS, lambda E, ratio: dilation_safe(E)),
+    "T1.6": _existence_checker("T1.6", FAMILY_FOUR_CYCLE, lambda E, ratio: dilation_safe(E)),
+    "T1.7": _existence_checker("T1.7", FAMILY_TRIANGLE,
+                               lambda E, ratio: E.d == 2 and ratio.is_square),
+    "T1.8": _existence_checker("T1.8", FAMILY_SIMPLEX,
+                               lambda E, ratio: E.d >= 2 and ratio.is_square),
+    "T1.10": check_t110,
+    "quotient": lambda E, ratio, k: check_quotient_containment(E),
+}
+
+CLAIM_NAMES = tuple(CLAIMS)
+
+# claims about the set alone, checked once per set whatever its ratios
+RATIO_FREE_CLAIMS = ("lemma2.6", "quotient")
+
+
 def run_claim(name: str, E: PointSet, ratio: Ratio | None = None, k: int = 3) -> Verdict:
-    """Dispatch a claim by its catalog name; a ratio-free claim ignores ratio and k."""
-    if name in RATIO_FREE_CLAIMS:
-        return check_lemma26(E) if name == "lemma2.6" else check_quotient_containment(E)
-    if ratio is None:
+    """Check a claim by its catalog name; a ratio-free claim ignores ratio and k."""
+    if name not in CLAIMS:
+        raise ValueError(f"unknown claim {name!r}")
+    if ratio is None and name not in RATIO_FREE_CLAIMS:
         raise ValueError(f"claim {name!r} needs a ratio")
-    if name == "lemma2.2":
-        return check_lemma22(E, ratio)
-    if name == "lemma2.3":
-        return check_lemma23(E, ratio)
-    if name == "lemma2.4":
-        return check_lemma24(E, ratio)
-    if name == "lemma4.2":
-        return check_lemma42(E, ratio)
-    if name in THEOREM_NAMES:
-        return check_theorem(name, E, ratio, k=k)
-    raise ValueError(f"unknown claim {name!r}")
+    return CLAIMS[name](E, ratio, k)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +527,8 @@ def scan_threshold(
     (_scan_ratios).  Cell seeds are derived from (seed, size, sample index), so
     results do not depend on the worker count.
     """
+    if family not in FAMILY_TABLE:
+        raise ValueError(f"unknown family {family!r}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     sizes = tuple(sizes)

@@ -38,12 +38,12 @@ from dilatelab.geometry import (
     sphere_size_formula,
 )
 from dilatelab.orthogonal import enumerate_orthogonal, order_formula, so2_elements
-from dilatelab.simgraph import build_similarity_graph, ms_lower_bound
+from dilatelab.simgraph import SimilarityGraph, ms_lower_bound
 from dilatelab.configcount import displacement_histogram
 from dilatelab.verify import (
     check_quotient_containment,
-    check_theorem,
     exceeds_4_sqrt3_p32,
+    run_claim,
 )
 from oracles import (
     all_equal_slice_direct,
@@ -190,7 +190,7 @@ def test_criterion_05_exact_identities(family):
         assert parts.total == s2
 
         # edge count of the pair graph
-        graph = build_similarity_graph(E, ratio)
+        graph = SimilarityGraph(E, ratio)
         assert 2 * graph.edge_count() == s1
 
         # the cycle-pair set splits into the distinct family and the union
@@ -283,7 +283,7 @@ def test_criterion_07_path_pairs_at_threshold():
         E = random_point_set(SEVEN, 2, 20, f"c7:{i}")
         for r in range(1, 7):
             ratio = make_ratio(r, SEVEN)
-            verdict = check_theorem("T1.5", E, ratio)
+            verdict = run_claim("T1.5", E, ratio)
             assert verdict.hypothesis_met
             assert verdict.conclusion_holds, (i, r)
             xs, ys = verdict.params["witness"]
@@ -296,7 +296,7 @@ def test_criterion_08_triangles_and_simplexes():
         E = random_point_set(SEVEN, 2, 21, f"c8:{i}")
         for r in (1, 2, 4):
             ratio = make_ratio(r, SEVEN)
-            verdict = check_theorem("T1.7", E, ratio)
+            verdict = run_claim("T1.7", E, ratio)
             assert verdict.hypothesis_met
             assert verdict.conclusion_holds, (i, r)
             us, vs = verdict.params["witness"]
@@ -304,7 +304,7 @@ def test_criterion_08_triangles_and_simplexes():
 
     cube = full_space(THREE, 3)
     ratio = make_ratio(1, THREE)
-    verdict = check_theorem("T1.8", cube, ratio)
+    verdict = run_claim("T1.8", cube, ratio)
     assert verdict.hypothesis_met and verdict.conclusion_holds
     witness = find_clique_pair_witness(cube, ratio, 4)
     assert witness is not None
@@ -321,7 +321,7 @@ def test_criterion_09_walk_pair_floor():
     for i in range(50):
         E = random_point_set(SEVEN, 2, 15, f"c9:{i}")
         for r in range(1, 7):
-            verdict = check_theorem("T1.10", E, make_ratio(r, SEVEN), k=3)
+            verdict = run_claim("T1.10", E, make_ratio(r, SEVEN), k=3)
             assert verdict.hypothesis_met
             assert verdict.rhs == rhs
             assert verdict.conclusion_holds, (i, r)
@@ -338,7 +338,7 @@ def test_criterion_10_four_cycle_claim_vacuous_but_true():
         prime = make_prime(p)
         plane = full_space(prime, 2)
         ratio = make_ratio(1, prime)
-        verdict = check_theorem("T1.6", plane, ratio)
+        verdict = run_claim("T1.6", plane, ratio)
         assert verdict.status == "VACUOUS"
         assert verdict.conclusion_holds  # witness exists regardless
         witness = find_cycle_pair_witness(plane, ratio)

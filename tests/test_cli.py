@@ -326,9 +326,11 @@ def test_verify_notes_each_refused_cross_check_once(monkeypatch, capsys):
     code, out, err = run_cli(["verify", "--claim", "all", "--p", "7", "--random", "1",
                               "--size", "8", "--r", "2", "--seed", "1"], capsys)
     assert code == 0 and len(out.splitlines()) == 12
-    assert err == ("note: lemma2.6 skipped on |E|=8 (guard: 7^1 profiles exceed 1 lanes)\n"
-                   + "".join(f"note: nu_identity skipped for S_k r=2 "
-                             f"(guard: 6^{k} profiles exceed 1 lanes)\n" for k in (1, 2, 3)))
+    # lemma2.6, refused as a whole, is noted from the same record, in claim order
+    refused = [f"nu_identity skipped for S_k r=2 (guard: 6^{k} profiles exceed 1 lanes)"
+               for k in (1, 2, 3)]
+    refused.insert(2, "lemma2.6 skipped for claim r=2 (guard: 7^1 profiles exceed 1 lanes)")
+    assert err == "".join(f"note: {line}\n" for line in refused)
 
 
 def test_verify_determinism(capsys):

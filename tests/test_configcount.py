@@ -36,7 +36,7 @@ from dilatelab.errors import TooLargeError
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
 from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
-from dilatelab.simgraph import build_similarity_graph
+from dilatelab.simgraph import SimilarityGraph
 
 SEVEN = make_prime(7)
 TWO_POINT = PointSet(SEVEN, 2, [(0, 0), (1, 0)])
@@ -324,7 +324,7 @@ def test_dense_oracle_matches_raw_enumeration():
     for k in (1, 2):
         for r in (1, 2):
             assert dense_paired_walks(E, r, k, True) == raw_scaled_walk_pairs(E, r, k)
-            graph = build_similarity_graph(E, make_ratio(r, thirteen))
+            graph = SimilarityGraph(E, make_ratio(r, thirteen))
             walks = sum(
                 all(a != b and graph.adjacent(a, b) for a, b in zip(w, w[1:]))
                 for w in itertools.product(itertools.product(pts, repeat=2), repeat=k + 1))
@@ -396,7 +396,7 @@ def test_packed_lanes_at_their_worst_case():
         assert walk_profile_counts(E, k) == {(0,) * k: n ** (k + 1)}
         assert step_profile_counts(E, k) == {(0,) * k: n * (n - 1) ** k}
         # the pair graph is complete on n^2 vertices
-        assert build_similarity_graph(E, ratio).count_walks(k) == n * n * (n * n - 1) ** k
+        assert SimilarityGraph(E, ratio).count_walks(k) == n * n * (n * n - 1) ** k
     assert count_scaled_walk_pairs(E, ratio, 1, "brute").value == n * (n - 1) * n**2
 
 
@@ -505,7 +505,7 @@ def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
     with pytest.raises(TooLargeError):
         count_scaled_walk_pairs(TWO_POINT, make_ratio(1, SEVEN), 10**9)
     # the graph's pair-count check is refused, so it is built without the classes
-    graph = build_similarity_graph(wide, make_ratio(2, big))
+    graph = SimilarityGraph(wide, make_ratio(2, big))
     assert graph.vertex_count == 316**2
 
 

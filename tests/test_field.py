@@ -22,10 +22,10 @@ def brute_squares(p):
 
 def test_make_prime_residue_facts():
     seven = make_prime(7)
-    assert seven.p_mod_4 == 3 and seven.legendre_minus_one == -1
+    assert seven.p_mod_4 == 3 and legendre(-1, seven) == -1
     five = make_prime(5)
     # 2^2 = 4 = -1 mod 5, so -1 is a square
-    assert five.p_mod_4 == 1 and five.legendre_minus_one == 1
+    assert five.p_mod_4 == 1 and legendre(-1, five) == 1
 
 
 def test_make_prime_rejects_bad_input():

@@ -13,7 +13,7 @@ from dilatelab.errors import (
     WrongResidueClassError,
     ZeroVectorError,
 )
-from dilatelab.field import make_prime
+from dilatelab.field import legendre, make_prime
 from dilatelab.geometry import norm_of
 from dilatelab.orthogonal import (
     determinant,
@@ -111,7 +111,7 @@ def test_order_formula_examples():
 def test_so2_is_determinant_one_half(p):
     prime = make_prime(p)
     rotations = so2_elements(prime)
-    assert len(rotations) == p - prime.legendre_minus_one
+    assert len(rotations) == p - legendre(-1, prime)
     full = enumerate_orthogonal(2, prime)
     assert sorted(m.entries for m in rotations) == sorted(
         m.entries for m in full.determinant_one()

@@ -10,7 +10,7 @@ from dilatelab.configcount import count_scaled_walk_pairs, make_ratio, path_edge
 from dilatelab.errors import TooLargeError
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, random_point_set
-from dilatelab.simgraph import SimilarityGraph, build_similarity_graph, ms_lower_bound
+from dilatelab.simgraph import SimilarityGraph, ms_lower_bound
 from oracles import check_incidence_double_counts, pair_collapse_fibers, scaled_pattern_pairs
 
 SEVEN = make_prime(7)
@@ -27,7 +27,7 @@ def walk_count_by_matrix(adj, k):
 
 
 def test_two_point_graph_shape():
-    g = build_similarity_graph(TWO_POINT, make_ratio(1, SEVEN))
+    g = SimilarityGraph(TWO_POINT, make_ratio(1, SEVEN))
     assert g.vertex_count == 4
     edges = g.edges_direct()
     assert len(edges) == 2 == g.edge_count()
@@ -36,7 +36,7 @@ def test_two_point_graph_shape():
 
 
 def test_single_point_graph():
-    g = build_similarity_graph(PointSet(SEVEN, 2, [(5, 5)]), make_ratio(2, SEVEN))
+    g = SimilarityGraph(PointSet(SEVEN, 2, [(5, 5)]), make_ratio(2, SEVEN))
     assert g.vertex_count == 1
     assert g.edge_count() == 0
     assert g.count_walks(2) == 0
@@ -49,7 +49,7 @@ def test_edge_count_is_half_pair_count(p):
         E = random_point_set(prime, 2, 5 + seed, seed)
         for r in (1, 2, p - 1):
             ratio = make_ratio(r, prime)
-            g = build_similarity_graph(E, ratio)
+            g = SimilarityGraph(E, ratio)
             s1 = count_scaled_walk_pairs(E, ratio, 1, "walk_dp").value
             assert g.edge_count() * 2 == s1
             assert len(g.edges_direct()) == g.edge_count()
@@ -65,7 +65,7 @@ def test_edge_count_with_null_segments(seed):
     assert E.norm_pair_counts[0] > n
     for r in (1, 2, 12):
         ratio = make_ratio(r, thirteen)
-        g = build_similarity_graph(E, ratio)
+        g = SimilarityGraph(E, ratio)
         assert 2 * g.edge_count() == g.count_walks(1) == 2 * len(g.edges_direct())
         s1 = count_scaled_walk_pairs(E, ratio, 1, "nu_identity").value
         assert 2 * g.edge_count() == s1 + n * (E.norm_pair_counts[0] - n)
@@ -101,7 +101,7 @@ def test_refused_construction_check_is_recorded(monkeypatch):
 
 
 def test_two_point_walks():
-    g = build_similarity_graph(TWO_POINT, make_ratio(1, SEVEN))
+    g = SimilarityGraph(TWO_POINT, make_ratio(1, SEVEN))
     assert g.count_walks(1) == 2 * g.edge_count()
     assert g.count_walks(2) == 4  # degrees are all one
 
@@ -115,7 +115,7 @@ def test_walks_equal_scaled_pairs(p, k):
         E = random_point_set(prime, 2, min(6, p * p - 1), seed)
         for r in (1, p - 1):
             ratio = make_ratio(r, prime)
-            g = build_similarity_graph(E, ratio)
+            g = SimilarityGraph(E, ratio)
             assert g.count_walks(k) == count_scaled_walk_pairs(E, ratio, k, "walk_dp").value
 
 
@@ -124,7 +124,7 @@ def test_walks_equal_scaled_pairs_at_scale():
     E = random_point_set(SEVEN, 2, 15, seed=15)
     for r in (1, 5):
         ratio = make_ratio(r, SEVEN)
-        g = build_similarity_graph(E, ratio)
+        g = SimilarityGraph(E, ratio)
         for k in (2, 3):
             assert g.count_walks(k) == count_scaled_walk_pairs(E, ratio, k, "walk_dp").value
 
@@ -133,7 +133,7 @@ def test_walks_match_matrix_power_oracle():
     prime = make_prime(13)  # includes null segments; graph rule still total
     E = PointSet(prime, 2, [(0, 0), (5, 1), (2, 3), (1, 1)])
     ratio = make_ratio(2, prime)
-    g = build_similarity_graph(E, ratio)
+    g = SimilarityGraph(E, ratio)
     n = len(E) ** 2
     vertices = [(i, j) for i in range(len(E)) for j in range(len(E))]
     adj = [[g.adjacent(a, b) for b in vertices] for a in vertices]
@@ -148,7 +148,7 @@ def test_graph_guard(monkeypatch):
     prime = make_prime(331)
     g = SimilarityGraph(PointSet(prime, 2, [(i, 0) for i in range(331)]), make_ratio(1, prime))
     assert g.count_walks(1) == 2 * g.edge_count()
-    g = build_similarity_graph(random_point_set(make_prime(11), 2, 38, seed=0),
+    g = SimilarityGraph(random_point_set(make_prime(11), 2, 38, seed=0),
                                make_ratio(1, make_prime(11)))
 
     def never(*args):
@@ -186,7 +186,7 @@ def test_ms_bound_on_all_five_vertex_graphs():
 
 
 def test_ms_bound_on_two_point_graph():
-    g = build_similarity_graph(TWO_POINT, make_ratio(1, SEVEN))
+    g = SimilarityGraph(TWO_POINT, make_ratio(1, SEVEN))
     walks = g.count_walks(2)
     assert Fraction(walks) >= ms_lower_bound(g.vertex_count, g.edge_count(), 2)
     assert walks == 4 and ms_lower_bound(4, 2, 2) == 4
@@ -246,7 +246,7 @@ def test_double_counts_with_null_segments():
 
 
 def test_edge_list_export(tmp_path):
-    g = build_similarity_graph(TWO_POINT, make_ratio(1, SEVEN))
+    g = SimilarityGraph(TWO_POINT, make_ratio(1, SEVEN))
     path = tmp_path / "edges.txt"
     g.export_edges(path)
     lines = sorted(path.read_text().splitlines())

@@ -23,7 +23,6 @@ from dilatelab.verify import (
     check_lemma26,
     check_lemma42,
     check_quotient_containment,
-    check_theorem,
     exceeds_4_sqrt3_p32,
     exceeds_sqrt3_plus_one,
     family_witness,
@@ -184,7 +183,7 @@ def test_t15_at_threshold_size():
     for seed in range(5):
         E = random_point_set(SEVEN, 2, 20, seed)
         for r in range(1, 7):
-            verdict = check_theorem("T1.5", E, make_ratio(r, SEVEN))
+            verdict = run_claim("T1.5", E, make_ratio(r, SEVEN))
             assert verdict.hypothesis_met
             assert verdict.conclusion_holds
             assert "witness" in verdict.params
@@ -192,7 +191,7 @@ def test_t15_at_threshold_size():
 
 def test_t15_below_threshold_is_vacuous():
     E = random_point_set(SEVEN, 2, 19, 0)
-    verdict = check_theorem("T1.5", E, make_ratio(1, SEVEN))
+    verdict = run_claim("T1.5", E, make_ratio(1, SEVEN))
     assert not verdict.hypothesis_met
     assert verdict.status == "VACUOUS"
     assert verdict.conclusion_holds is not None  # still evaluated
@@ -200,7 +199,7 @@ def test_t15_below_threshold_is_vacuous():
 
 def test_t16_vacuous_with_certificate():
     plane = full_space(SEVEN, 2)
-    verdict = check_theorem("T1.6", plane, make_ratio(1, SEVEN))
+    verdict = run_claim("T1.6", plane, make_ratio(1, SEVEN))
     assert not verdict.hypothesis_met  # 49^2 = 2401 <= 48 * 343 = 16464
     assert verdict.status == "VACUOUS"
     assert verdict.conclusion_holds  # the full plane still has the cycles
@@ -210,20 +209,20 @@ def test_t17_at_threshold():
     for seed in range(3):
         E = random_point_set(SEVEN, 2, 21, seed)
         for r in (1, 2, 4):
-            verdict = check_theorem("T1.7", E, make_ratio(r, SEVEN))
+            verdict = run_claim("T1.7", E, make_ratio(r, SEVEN))
             assert verdict.hypothesis_met and verdict.conclusion_holds
 
 
 def test_t17_nonsquare_ratio_is_vacuous():
     E = random_point_set(SEVEN, 2, 21, 0)
-    verdict = check_theorem("T1.7", E, make_ratio(3, SEVEN))
+    verdict = run_claim("T1.7", E, make_ratio(3, SEVEN))
     assert not verdict.hypothesis_met
 
 
 def test_t18_cube():
     three = make_prime(3)
     cube = full_space(three, 3)
-    verdict = check_theorem("T1.8", cube, make_ratio(1, three))
+    verdict = run_claim("T1.8", cube, make_ratio(1, three))
     assert verdict.hypothesis_met  # 27 >= 4 * 3^1.5 = 20.78..
     assert verdict.conclusion_holds
 
@@ -232,7 +231,7 @@ def test_t110_conclusion_exact():
     for seed in range(3):
         E = random_point_set(SEVEN, 2, 15, seed)
         for r in (1, 3, 6):
-            verdict = check_theorem("T1.10", E, make_ratio(r, SEVEN), k=3)
+            verdict = run_claim("T1.10", E, make_ratio(r, SEVEN), k=3)
             assert verdict.hypothesis_met  # 15 > 14
             assert verdict.conclusion_holds
             assert verdict.rhs == Fraction(15**8, 21**3)
@@ -240,7 +239,7 @@ def test_t110_conclusion_exact():
 
 def test_t110_small_set_vacuous():
     E = random_point_set(SEVEN, 2, 14, 0)
-    verdict = check_theorem("T1.10", E, make_ratio(1, SEVEN), k=2)
+    verdict = run_claim("T1.10", E, make_ratio(1, SEVEN), k=2)
     assert not verdict.hypothesis_met
 
 
@@ -293,6 +292,40 @@ def test_run_claim_dispatch():
         assert not verdict.contradicts_catalog
     with pytest.raises(ValueError):
         run_claim("nonsense", TWO_POINT, ratio)
+
+
+def test_claim_and_family_tables_list_the_catalog():
+    assert CLAIM_NAMES == ("lemma2.2", "lemma2.3", "lemma2.4", "lemma2.6", "lemma4.2",
+                           "T1.5", "T1.6", "T1.7", "T1.8", "T1.10", "quotient")
+    assert tuple(verify.FAMILY_TABLE) == FAMILIES
+
+
+def test_claims_and_scans_call_the_finders_bound_in_verify(monkeypatch):
+    # the family table looks each finder up in verify's globals per call, so
+    # a rebinding there (a test double, a timing span) is the one that runs
+    calls = []
+
+    def sentinel(name, witness):
+        def find(E, ratio, m):
+            calls.append((name, ratio.r, m))
+            return witness
+        return find
+
+    found = object()
+    monkeypatch.setattr(verify, "find_path_pair_witness", sentinel("path", found))
+    monkeypatch.setattr(verify, "find_clique_pair_witness", sentinel("clique", found))
+    E = full_space(SEVEN, 2)
+    assert run_claim("T1.5", E, make_ratio(2, SEVEN)).params["witness"] is found
+    assert run_claim("T1.7", E, make_ratio(2, SEVEN)).params["witness"] is found
+    assert calls == [("path", 2, 2), ("clique", 2, 3)]
+    # the whole plane has witnesses of both families, which a scan cell at
+    # r = 1 (its own inverse, so not revalidated) misses with finders that find none
+    calls.clear()
+    monkeypatch.setattr(verify, "find_path_pair_witness", sentinel("path", None))
+    monkeypatch.setattr(verify, "find_clique_pair_witness", sentinel("clique", None))
+    assert _scan_cell((7, 2, "C2path", "r=1", 49, 0, 1)) == (49, 0, False)
+    assert _scan_cell((7, 2, "T_triangle", "r=1", 49, 0, 1)) == (49, 0, False)
+    assert calls == [("path", 1, 2), ("clique", 1, 3)]
 
 
 def test_verdict_serialization():
@@ -352,6 +385,8 @@ def test_scan_determinism_across_threads():
 def test_scan_rejects_bad_input():
     with pytest.raises(ValueError):
         scan_threshold(SEVEN, 2, "C2path", "all", sizes=[5], samples=0, seed=0)
+    with pytest.raises(ValueError, match="unknown family 'C3path'"):
+        scan_threshold(SEVEN, 2, "C3path", "all", sizes=[5], samples=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +502,7 @@ def test_t16_holds_with_its_hypothesis_met():
     assert smallest_size_meeting(FAMILY_FOUR_CYCLE, prime, 2) == 3140
     E = random_point_set(prime, 2, 3140, seed=0)
     for r in (2, 1, 3, 58):
-        verdict = check_theorem("T1.6", E, make_ratio(r, prime))
+        verdict = run_claim("T1.6", E, make_ratio(r, prime))
         assert verdict.hypothesis_met and verdict.status == "HOLDS"
         assert validate_pattern_pair(E, r, CYCLE_EDGES, *verdict.params["witness"])
 
