@@ -229,7 +229,8 @@ def _note_refused_checks(E: PointSet) -> None:
     reason; stdout stays the rows alone."""
     record = refused_checks(E)
     for (kind, r, _, method), reason in record.items():
-        print(f"note: {method} skipped for {kind} r={r} ({reason})", file=sys.stderr)
+        at = "" if r is None else f" r={r}"
+        print(f"note: {method} skipped for {kind}{at} ({reason})", file=sys.stderr)
     record.clear()
 
 
@@ -343,7 +344,8 @@ def cmd_verify(args, parser) -> int:
                 except TooLargeError as exc:
                     if len(claims) == 1:
                         raise
-                    refused_checks(E)[("claim", ratio.r, None, claim)] = f"guard: {exc}"
+                    r = None if claim in RATIO_FREE_CLAIMS else ratio.r
+                    refused_checks(E)[("claim", r, None, claim)] = f"guard: {exc}"
             _note_refused_checks(E)
     failed = any(v.contradicts_catalog for v in verdicts)
     _emit("verify", Verdict.CSV_HEADER, [v.csv_row() for v in verdicts],

@@ -12,7 +12,7 @@ import inspect
 import itertools
 import random
 from collections import Counter
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from operator import add
 
 from .errors import (
@@ -41,6 +41,17 @@ def dist(x: Point, y: Point, p: int) -> int:
     if len(x) != len(y):
         raise DimensionMismatchError(f"points of dimension {len(x)} and {len(y)}")
     return sum((a - b) * (a - b) for a, b in zip(x, y)) % p
+
+
+@lru_cache(maxsize=None)
+def _byte_squares(p: int) -> tuple[tuple[bytes, ...], bytes]:
+    """The translation tables of the bytes dist_table rows, d(p - 1) <= 255.
+
+    sqd[c] maps a coordinate x to (c - x)^2 mod p, and modp maps a byte s to
+    s mod p.
+    """
+    sqd = tuple(bytes([(c - x) ** 2 % p for x in range(p)] + [0] * (256 - p)) for c in range(p))
+    return sqd, bytes([s % p for s in range(256)])
 
 
 def _first_fault(p: int, d: int, pts) -> None:
@@ -100,16 +111,30 @@ class PointSet:
         return f"PointSet(p={self.prime.p}, d={self.d}, n={len(self)})"
 
     @cached_property
-    def dist_table(self) -> tuple[tuple[int, ...], ...]:
+    def dist_table(self) -> tuple[bytes | tuple[int, ...], ...]:
         """dist_table[i][j] is the norm of points[i] - points[j].
 
-        Built a coordinate at a time: row i adds sq[c_i - c_j] across the
-        column of each coordinate.  A negative index reads sq[p + c_i - c_j],
-        the same square mod p, so the row is reduced mod p once, at the end.
+        A tuple of rows, each an int sequence: bytes when d(p - 1) <= 255,
+        else a tuple.  Built a coordinate at a time.  A bytes row translates
+        each coordinate column by the squares (c_i - c_j)^2 mod p, sums the d
+        parts as one big int, in which no byte lane carries, and reduces the
+        sum mod p by one more translation.  A tuple row adds sq[c_i - c_j]
+        across each column; a negative index reads sq[p + c_i - c_j], the
+        same square mod p, so the row is reduced mod p once, at the end.
         """
-        p = self.prime.p
-        sq = [c * c for c in range(p)]
+        p, n = self.prime.p, len(self)
         cols = tuple(zip(*self.points))
+        if self.d * (p - 1) <= 255:
+            sqd, modp = _byte_squares(p)
+            cols = tuple(map(bytes, cols))
+            rows = []
+            for pt in self.points:
+                total = 0
+                for c, col in zip(pt, cols):
+                    total += int.from_bytes(col.translate(sqd[c]), "little")
+                rows.append(total.to_bytes(n, "little").translate(modp))
+            return tuple(rows)
+        sq = [c * c for c in range(p)]
         rows = []
         for pt in self.points:
             acc = None

@@ -329,7 +329,7 @@ def test_verify_notes_each_refused_cross_check_once(monkeypatch, capsys):
     # lemma2.6, refused as a whole, is noted from the same record, in claim order
     refused = [f"nu_identity skipped for S_k r=2 (guard: 6^{k} profiles exceed 1 lanes)"
                for k in (1, 2, 3)]
-    refused.insert(2, "lemma2.6 skipped for claim r=2 (guard: 7^1 profiles exceed 1 lanes)")
+    refused.insert(2, "lemma2.6 skipped for claim (guard: 7^1 profiles exceed 1 lanes)")
     assert err == "".join(f"note: {line}\n" for line in refused)
 
 

@@ -236,34 +236,39 @@ def test_dist_table_and_buckets_agree():
             assert j in E.neighbor_buckets[i][D[i][j]]
     assert sum(E.norm_pair_counts.values()) == n * n
     # every bucket against a direct per-row construction, and the sweeps'
-    # class members are the buckets, nonzero distances first
-    for p in (5, 7, 13):
-        for d in (1, 2, 3):
-            E = random_point_set(make_prime(p), d, min(12, p**d), seed=d)
-            D = E.dist_table
-            classes, members = _distance_classes(E)
-            distances = {t for row in D for t in row}
-            assert classes == tuple(sorted(distances, key=lambda t: (t == 0, t)))
-            for i, row in enumerate(D):
-                buckets = E.neighbor_buckets[i]
-                # every class in index order, the point itself in its class of 0
-                direct = {t: tuple(j for j, s in enumerate(row) if s == t) for t in set(row)}
-                assert buckets == direct, (p, d, i)
-                assert members[i] == tuple(direct.get(t, ()) for t in classes), (p, d, i)
+    # class members are the buckets, nonzero distances first; bytes rows, and
+    # at p = 131 tuple rows, past the cut d(p - 1) <= 255
+    for p, d in [*itertools.product((5, 7, 13), (1, 2, 3)), (131, 2)]:
+        E = random_point_set(make_prime(p), d, min(12, p**d), seed=d)
+        D = E.dist_table
+        assert isinstance(D[0], tuple) == (p == 131)
+        classes, members = _distance_classes(E)
+        distances = {t for row in D for t in row}
+        assert classes == tuple(sorted(distances, key=lambda t: (t == 0, t)))
+        for i, row in enumerate(D):
+            buckets = E.neighbor_buckets[i]
+            # every class in index order, the point itself in its class of 0
+            direct = {t: tuple(j for j, s in enumerate(row) if s == t) for t in set(row)}
+            assert buckets == direct, (p, d, i)
+            assert members[i] == tuple(direct.get(t, ()) for t in classes), (p, d, i)
 
 
-@pytest.mark.parametrize("p", [3, 5, 13])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_dist_table_matches_dist(p, d):
-    # the table is built column by column with negative indexes into the
-    # squares; the corners of {0, p - 1}^d reach the extremes c_i - c_j = ±(p - 1)
+@pytest.mark.parametrize(
+    "d, p", [*itertools.product((1, 2, 3), (3, 5, 13)), (2, 127), (2, 131), (3, 83), (3, 89)])
+def test_dist_table_matches_dist(d, p):
+    # the table is built column by column, as bytes rows while d(p - 1) <= 255
+    # and past that as tuples with negative indexes into the squares; the
+    # corners of {0, p - 1}^d reach the extremes c_i - c_j = ±(p - 1), and the
+    # point (m, .., m) with the largest square m^2 mod p the largest byte lane
     prime = make_prime(p)
     corners = list(itertools.product((0, p - 1), repeat=d))
-    extra = [pt for pt in random_point_set(prime, d, min(10, p**d), seed=p).points
+    far = (max(range(p), key=lambda m: m * m % p),) * d
+    extra = [pt for pt in dict.fromkeys([far, *random_point_set(prime, d, min(10, p**d), seed=p)])
              if pt not in corners]
     E = PointSet(prime, d, corners + extra)
     for a, row in zip(E.points, E.dist_table):
-        assert row == tuple(dist(a, b, p) for b in E.points)
+        assert isinstance(row, bytes) == (d * (p - 1) <= 255)
+        assert tuple(row) == tuple(dist(a, b, p) for b in E.points)
 
 
 def test_norm_pair_counts_match_the_row_loop():
