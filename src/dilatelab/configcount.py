@@ -201,7 +201,7 @@ def _distance_classes(E: PointSet) -> tuple[tuple[int, ...], tuple]:
     order and then 0, so the nonzero classes are a prefix, and members[j][c]
     is the bucket of point j at classes[c] (empty if it has none).
     """
-    buckets = E.neighbor_buckets
+    buckets = E.neighbor_buckets.rows()
     classes = tuple(sorted(set().union(*buckets), key=lambda t: (t == 0, t)))
     return classes, tuple(tuple([b.get(t, ()) for t in classes]) for b in buckets)
 
@@ -245,6 +245,8 @@ def _pack(values, width: int) -> int:
 def _lanes(value: int, lanes: int, width: int) -> list[int]:
     """The lanes of a packed int, lowest first."""
     raw = value.to_bytes(lanes * width, "little")
+    if width == 1:
+        return list(raw)
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
@@ -501,8 +503,10 @@ def _first_scaled_pair(E: PointSet, r: int, edges, x_tuples) -> tuple[tuple, tup
     index order from PointSet.neighbor_buckets of the other end of b's
     first listed edge, b's other edges into earlier vertices checked.  So
     the first ys of an xs is the least such tuple in lexicographic order.
-    ys depends on xs only through its scaled profile, so a profile without
-    a completion is searched once.  None when no xs has a completion.
+    A y0 is tested against its distance row, so only the bucket rows the
+    search reads are built.  ys depends on xs only through its scaled
+    profile, so a profile without a completion is searched once.  None when
+    no xs has a completion.
     """
     p = E.prime.p
     D = E.dist_table
@@ -515,9 +519,9 @@ def _first_scaled_pair(E: PointSet, r: int, edges, x_tuples) -> tuple[tuple, tup
         if prof in empty:
             continue
         t = prof[first]
-        for y0, bucket in enumerate(buckets):
-            # a y0 without a y1 is skipped before any call
-            if t in bucket and (ys := _completion(buckets, D, into, prof, [y0])):
+        for y0, row in enumerate(D):
+            # a y0 without a y1 is skipped before any call, and before its bucket is built
+            if t in row and (ys := _completion(buckets, D, into, prof, [y0])):
                 return xs, ys
         empty.add(prof)
     return None
@@ -728,7 +732,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
     D = E.dist_table
     distances = tuple(E.norm_pair_counts)
     tables = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
-    for bucket in E.neighbor_buckets:
+    for bucket in E.neighbor_buckets.rows():
         deg = {s: len(js) for s, js in bucket.items()}
         deg_x = {**deg, 0: deg[0] - 1}          # the point itself
         for side, degrees in (("y", deg), ("x", deg_x)):

@@ -68,6 +68,37 @@ def _first_fault(p: int, d: int, pts) -> None:
         seen.add(pt)
 
 
+class BucketRows(dict):
+    """The neighbour buckets of a distance table, keyed by point index, each
+    row built on its first read and kept.
+
+    Row i maps t -> the indices j with table[i][j] = t, in index order.  A
+    row already built is read by the dict's own lookup.  A reader that needs
+    every row takes rows(), in index order; iterating the map itself gives
+    only the rows built so far.  Every row holds the int objects of one
+    shared index list, not a copy per row.  The map holds the table, not
+    its PointSet, so it makes no reference cycle.
+    """
+
+    __slots__ = ("_table", "_idx")
+
+    def __init__(self, table):
+        super().__init__()
+        self._table = table
+        self._idx = list(range(len(table)))
+
+    def __missing__(self, i: int) -> dict[int, tuple[int, ...]]:
+        bucket: dict[int, list[int]] = {}
+        for j, t in zip(self._idx, self._table[i]):
+            bucket.setdefault(t, []).append(j)
+        row = self[i] = {t: tuple(js) for t, js in bucket.items()}
+        return row
+
+    def rows(self) -> list[dict[int, tuple[int, ...]]]:
+        """Every row, in index order, built where not yet read."""
+        return list(map(self.__getitem__, range(len(self._table))))
+
+
 class PointSet:
     """A duplicate-free collection of points of (Z/pZ)^d in a fixed order.
 
@@ -75,7 +106,7 @@ class PointSet:
     serialization, so identical inputs give byte-identical outputs.  The
     distance classes every count rests on are laid out once, here, and cached
     lazily: dist_table, and per point the neighbor_buckets that every bucket
-    search and packed sweep reads.
+    search and packed sweep reads, each row on its first read.
     """
 
     def __init__(self, prime: Prime, d: int, points):
@@ -153,20 +184,13 @@ class PointSet:
         return dict(Counter(itertools.chain.from_iterable(self.dist_table)))
 
     @cached_property
-    def neighbor_buckets(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+    def neighbor_buckets(self) -> BucketRows:
         """Per point i, a map t -> the indices j with dist(i, j) = t, in index order.
 
-        i itself is in its class of 0.  Every bucket holds the int objects of
-        one shared index list, not a copy per row.
+        i itself is in its class of 0.  Row i is built on its first read; see
+        BucketRows.
         """
-        idx = list(range(len(self)))
-        out = []
-        for row in self.dist_table:
-            bucket: dict[int, list[int]] = {}
-            for j, t in zip(idx, row):
-                bucket.setdefault(t, []).append(j)
-            out.append({t: tuple(js) for t, js in bucket.items()})
-        return tuple(out)
+        return BucketRows(self.dist_table)
 
     @cached_property
     def pair_buckets(self) -> dict[int, tuple[tuple[int, int], ...]]:

@@ -543,8 +543,12 @@ def scan_threshold(
         for i in range(samples)
     ]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_scan_cell, cells, chunksize=8))
+        # about four chunks per worker, and no worker without a chunk: a forked
+        # pool starts every worker at its first submit
+        chunksize = max(1, len(cells) // (4 * threads))
+        workers = min(threads, -(-len(cells) // chunksize))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_scan_cell, cells, chunksize=chunksize))
     else:
         outcomes = [_scan_cell(cell) for cell in cells]
     positive: dict[int, int] = {size: 0 for size in sizes}

@@ -17,6 +17,7 @@ from dilatelab.configcount import (
     _profile_blocks,
     brute_join,
     _lane_bytes,
+    _lanes,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
@@ -380,6 +381,19 @@ def test_every_cached_profile_level_matches_step_walks(p, d):
                     if value:
                         expected[prof] = value
                 assert table == expected, (len(E), level, moving)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_lanes_unpack_every_width_alike(width):
+    # one-byte lanes are read as the bytes themselves; every width agrees with
+    # shifting and masking the packed int, the top lane full and zero lanes kept
+    full = (1 << 8 * width) - 1
+    for values in ([0], [full], [5, 0, full, 1, 0], list(range(1, 40)), [0] * 7):
+        values = [v & full for v in values]
+        packed = sum(v << (8 * width * i) for i, v in enumerate(values))
+        lanes = _lanes(packed, len(values), width)
+        assert lanes == [(packed >> (8 * width * i)) & full for i in range(len(values))]
+        assert lanes == values and all(type(v) is int for v in lanes)
 
 
 def test_packed_lanes_at_their_worst_case():

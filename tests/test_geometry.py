@@ -1,10 +1,11 @@
 """Point sets, spheres, distance sets, quotient sets, and the file format."""
 
 import itertools
+import random
 
 import pytest
 
-from dilatelab.configcount import _distance_classes
+from dilatelab.configcount import _distance_classes, _first_scaled_pair, path_edges
 from dilatelab.errors import (
     DimensionMismatchError,
     NoNonzeroDistanceError,
@@ -251,6 +252,56 @@ def test_dist_table_and_buckets_agree():
             direct = {t: tuple(j for j, s in enumerate(row) if s == t) for t in set(row)}
             assert buckets == direct, (p, d, i)
             assert members[i] == tuple(direct.get(t, ()) for t in classes), (p, d, i)
+
+
+def eager_buckets(D):
+    """Every row of the neighbour buckets at once, classes in order of first appearance."""
+    return [{t: tuple(j for j, s in enumerate(row) if s == t) for t in dict.fromkeys(row)}
+            for row in D]
+
+
+# bytes rows; tuple rows past d(p - 1) <= 255; null segments, at p = 13 = 1 mod 4
+BUCKET_SETS = [(7, 2, 15, 1), (131, 2, 30, 2), (13, 2, 60, 3)]
+
+
+@pytest.mark.parametrize("p, d, n, seed", BUCKET_SETS)
+def test_bucket_rows_equal_an_eager_build(p, d, n, seed):
+    E = random_point_set(make_prime(p), d, n, seed=seed)
+    D = E.dist_table
+    assert isinstance(D[0], bytes) == (p != 131)
+    if p == 13:
+        assert E.norm_pair_counts[0] > n  # distinct points at distance 0
+    expected = [list(row.items()) for row in eager_buckets(D)]
+    assert len(E.neighbor_buckets) == 0  # nothing is built before a read
+    rows = E.neighbor_buckets.rows()
+    assert [list(row.items()) for row in rows] == expected
+    assert len(E.neighbor_buckets) == n
+    # a second read returns the kept row, not a rebuild
+    assert all(E.neighbor_buckets[i] is row for i, row in enumerate(rows))
+    assert E.neighbor_buckets.rows() == rows
+
+
+@pytest.mark.parametrize("p, d, n, seed", BUCKET_SETS)
+def test_bucket_rows_do_not_depend_on_the_read_order(p, d, n, seed):
+    prime = make_prime(p)
+    expected = random_point_set(prime, d, n, seed=seed).neighbor_buckets.rows()
+    orders = [range(n - 1, -1, -1), [*range(1, n, 2), *range(0, n, 2)],
+              random.Random(seed).sample(range(n), n)]
+    for order in orders:
+        E = random_point_set(prime, d, n, seed=seed)
+        for i in order:
+            E.neighbor_buckets[i]
+        assert list(E.neighbor_buckets) == list(order)
+        assert [list(E.neighbor_buckets[i].items()) for i in range(n)] == \
+            [list(row.items()) for row in expected]
+
+
+def test_a_witness_search_builds_only_the_rows_it_reads():
+    E = random_point_set(make_prime(7), 2, 20, seed=4)
+    n = len(E)
+    found = _first_scaled_pair(E, 1, path_edges(2), itertools.permutations(range(n), 3))
+    assert found is not None and found[1][0] == 0  # the first y0 completes
+    assert 0 < len(E.neighbor_buckets) < n
 
 
 @pytest.mark.parametrize(

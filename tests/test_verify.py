@@ -382,6 +382,46 @@ def test_scan_determinism_across_threads():
     assert seq == par
 
 
+class RecordingPool:
+    """An in-process stand-in for ProcessPoolExecutor that records how it was asked to run."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable, chunksize=1):
+        self.chunksize = chunksize
+        return map(func, iterable)
+
+
+@pytest.mark.parametrize("threads, sizes, samples, chunksize, workers", [
+    (64, [3, 4], 1, 1, 2),          # never more workers than chunks
+    (2, range(3, 7), 3, 1, 2),
+    (3, range(2, 27), 4, 8, 3),     # 100 cells, about four chunks a worker
+])
+def test_scan_sizes_its_pool_from_the_cells(monkeypatch, threads, sizes, samples,
+                                             chunksize, workers):
+    # no process is started: the pool maps in this one
+    made = []
+
+    def executor(max_workers):
+        made.append(RecordingPool(max_workers))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", executor)
+    kwargs = dict(sizes=sizes, samples=samples, seed=3)
+    pooled = scan_threshold(SEVEN, 2, "T_triangle", "squares", threads=threads, **kwargs)
+    [pool] = made
+    assert (pool.max_workers, pool.chunksize) == (workers, chunksize)
+    assert pooled == scan_threshold(SEVEN, 2, "T_triangle", "squares", threads=1, **kwargs)
+    assert len(made) == 1  # one thread maps without a pool
+
+
 def test_scan_rejects_bad_input():
     with pytest.raises(ValueError):
         scan_threshold(SEVEN, 2, "C2path", "all", sizes=[5], samples=0, seed=0)
