@@ -39,6 +39,7 @@ from .families import (
     FAMILY_PATH_PAIRS,
     FAMILY_SIMPLEX,
     FAMILY_TRIANGLE,
+    FamilyCount,
     count_path_pairs,
     count_simplex_pairs,
     count_triangle_pairs,
@@ -89,6 +90,9 @@ KIND_METHODS = {
     FAMILY_SIMPLEX: ("brute", "group_sum"),
 }
 COUNT_KINDS = tuple(KIND_METHODS)
+# the kinds whose rows, and so whose fixed CSV header, are CountReport's; the
+# others' are FamilyCount's, even when every row is skipped
+REPORT_KINDS = ("S_k", "C", "V", "quotient", "distance")
 WHAT_ALIASES = {"T": FAMILY_TRIANGLE, "P": FAMILY_SIMPLEX, "F": FAMILY_FOUR_CYCLE}
 
 
@@ -304,8 +308,8 @@ def cmd_count(args, parser) -> int:
     E = _resolve_set(args, parser)
     reports = _count_rows(E, args)
     _note_refused_checks(E)
-    header = reports[0].CSV_HEADER if reports else CountReport.CSV_HEADER
-    _emit("count", header, [rep.csv_row() for rep in reports],
+    row = CountReport if WHAT_ALIASES.get(args.what, args.what) in REPORT_KINDS else FamilyCount
+    _emit("count", row.CSV_HEADER, [rep.csv_row() for rep in reports],
           [rep.json_dict() for rep in reports], args)
     return 0
 

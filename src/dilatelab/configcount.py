@@ -4,17 +4,20 @@ The central objects are, for a point set E and a nonzero ratio r:
 
 * step-walk counts: how many walks through E have a prescribed sequence of
   squared step lengths (and the closed 4-walk variant);
+* profile tables, keyed by the code sum_i t_i p^i of a profile, the squared
+  distances t_i along a pattern's edges; join(F, G, r, p) = sum F(t) G(r t)
+  is the one place a ratio scales a profile;
 * step-profile tables, one per walk length k: X_k counts the walks with
   distinct consecutive points by profile, and Y_k every walk; each is one
   packed sweep that keeps level k alone, and nu_identity joins X_k against
-  the r-scaled Y_k, for every (p, d);
+  Y_k, for every (p, d);
 * scaled walk/cycle pairs: pairs of walks (or closed 4-walks) where the
   second walk's squared step lengths are the first's multiplied by r, the
   first walk having distinct consecutive points; they are counted, never
   enumerated;
 * the cycle census: per-profile tables of E's closed 4-walks, built once
-  per set for every ratio, whose joins against their r-scaled profiles give
-  the cycle pair count C and the four-cycle coincidence families;
+  per set for every ratio, whose joins give the cycle pair count C and the
+  four-cycle coincidence families;
 * the brute oracle, brute_join: any pair count as the join of the profile
   histograms of its x and y tuples, each side of its own pattern, behind
   the one brute guard;
@@ -251,7 +254,8 @@ def _lanes(value: int, lanes: int, width: int) -> list[int]:
 
 
 def step_profile_counts(E: PointSet, k: int) -> dict:
-    """Map from step profiles (t_1, .., t_k) to X_k, their walks with distinct consecutive points.
+    """Map from the codes sum_i ||x_i - x_{i+1}|| p^i of step profiles to X_k, the walks
+    (x_0, .., x_k) with distinct consecutive points.
 
     The steps range over the nonzero distances of E, and over 0 where some
     point has another point at squared distance 0 (a null segment).  Only
@@ -261,7 +265,7 @@ def step_profile_counts(E: PointSet, k: int) -> dict:
 
 
 def walk_profile_counts(E: PointSet, k: int) -> dict:
-    """Map from step profiles (t_1, .., t_k) to Y_k, their walks, which may stay put.
+    """Map from step profile codes to Y_k, their walks, which may stay put.
 
     The sweep of step_profile_counts with each point in its own class of 0,
     so its steps are every distance of E, 0 included.  Where E has a null
@@ -284,7 +288,7 @@ def _scaled_walk_table(E: PointSet, k: int) -> dict:
 
 @per_set
 def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
-    """X_k, or with stays Y_k, as a map from profiles to nonzero counts; memoised.
+    """X_k, or with stays Y_k, as a map from profile codes to nonzero counts; memoised.
 
     Packed distance-class sweep: per endpoint j, one int whose lanes count
     the walks ending at j, one lane per profile of the level so far, the
@@ -300,7 +304,7 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     k would hold more than PROFILE_GUARD lanes, n rows of it would take more
     than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
-    n = len(E)
+    n, p = len(E), E.prime.p
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
     m = len(E.norm_pair_counts)
     if not (stays or E.norm_pair_counts[0] > n):
@@ -327,9 +331,10 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
         rows = [_pack(_class_sums(members_j, sources), row_bytes) for members_j in members]
         row_bytes *= m
     total = sum(sum(map(mul, deg, rows)) << (8 * c * row_bytes) for c, deg in enumerate(degrees))
-    # lane i is the profile whose steps are the base-m digits of i, lowest first
-    counts = _lanes(total, lanes, width)
-    return {prof[::-1]: count for prof, count in zip(product(steps, repeat=k), counts) if count}
+    # lane i is the profile whose steps are the base-m digits of i, lowest first;
+    # product varies its last factor fastest, so it lists the codes in lane order
+    codes = map(sum, product(*[[t * p**i for t in steps] for i in reversed(range(k))]))
+    return {code: count for code, count in zip(codes, _lanes(total, lanes, width)) if count}
 
 
 def path_edges(k: int) -> tuple[tuple[int, int], ...]:
@@ -455,11 +460,6 @@ def brute_join(E: PointSet, r: int, edges, x_kind: str, y_kind: str, visits: int
     return total
 
 
-def _scaling(r: int, p: int):
-    """The map from a profile tuple t to r t, the scale of join."""
-    return lambda t: tuple([r * s % p for s in t])
-
-
 def _completion(buckets, D, into, prof, ys) -> tuple | None:
     """The first completion of the partial y tuple ys in the search order of
     _first_scaled_pair, or None.  Module-level, so the search holds no
@@ -540,7 +540,7 @@ def _brute_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
 
 
 def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
-    return join(step_profile_counts(E, k), _scaled_walk_table(E, k), _scaling(r, E.prime.p))
+    return join(step_profile_counts(E, k), _scaled_walk_table(E, k), r, E.prime.p)
 
 
 def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int:
@@ -654,21 +654,16 @@ def _brute_scaled_cycle_pairs(E: PointSet, r: int) -> int:
 class CycleCensus:
     """Per-profile counts of the closed 4-walks (a, b, c, e) of a point set.
 
-    The profile of a walk is t = (D[a][b], D[b][c], D[c][e], D[e][a]).  A
-    table maps the code ((t1 p + t2) p + t4) p + t3 of a profile to the
-    number of its walks, and holds only nonzero counts.  The code joins the
-    pair codes of the walk's two halves around the opposite corners a and c:
-    the middle point b has the pair (t1, t2) and e has (t4, t3).  distances
-    lists the squared distances of E, so every half is a pair of them.
+    A table maps the code t1 + t2 p + t3 p^2 + t4 p^3 of a profile along
+    CYCLE_EDGES, (D[a][b], D[b][c], D[c][e], D[a][e]), to its nonzero
+    number of walks: y and x are brute_join's EVERY and EDGE_DISTINCT sides.
 
     y counts every closed walk and x the walks with distinct consecutive
     points; each has a restriction to a = c (x13, y13), to b = e (x24, y24)
     and to both (xb, yb).  Every count C and the lemma 4.2 families need is
-    a join of an x-side table against the r-scaled profile of a y-side one.
+    a join of an x-side table against a y-side one.
     """
 
-    p: int
-    distances: tuple
     x: dict
     y: dict
     x13: dict
@@ -677,18 +672,6 @@ class CycleCensus:
     y24: dict
     xb: dict
     yb: dict
-
-    def scaled(self, r: int):
-        """The map from a profile code to the code of the r-scaled profile."""
-        p = self.p
-        pp = p * p
-        pair = {s * p + t: r * s % p * p + r * t % p for s in self.distances for t in self.distances}
-
-        def scale(code: int) -> int:
-            hi, lo = divmod(code, pp)
-            return pair[hi] * pp + pair[lo]
-
-        return scale
 
 
 def _add(table: dict, code: int, value: int) -> None:
@@ -699,25 +682,26 @@ def _add(table: dict, code: int, value: int) -> None:
 def cycle_census(E: PointSet) -> CycleCensus:
     """The closed 4-walk tables of E, independent of any ratio.  Memoised.
 
-    Corner split: with H_ac(t1, t2) the number of points b having
-    (D[a][b], D[c][b]) = (t1, t2), y(t) = sum over (a, c) of
-    H_ac(t1, t2) H_ac(t4, t3).  x is the same sum over the histograms H'
-    that leave out b = a and b = c.  The a = c terms are products of point
-    degrees: with deg_s(a) the number of points at squared distance s from
-    a (a itself at s = 0), y13(s, s, u, u) = sum_a deg_s(a) deg_u(a), and
-    y24(s, u, u, s), which counts the walks (a, b, c, b), has the same
-    value.  yb(s, s, s, s) = sum_a deg_s(a) counts the walks (a, b, a, b).
-    The x-side tables use the degrees that leave a out.  As x13 and y13 are
-    the a = c terms of x and y, the histograms are built for a != c only.
+    Corner split: with H_ac(h) the number of points b whose pair code
+    D[a][b] + D[c][b] p is h, y sums H_ac(h) H_ac(h') over (a, c) at the
+    code h + swap(h') p^2, swap exchanging the two digits of a pair code:
+    the middle point b has the pair (t1, t2) and e has (t4, t3).  x is the
+    same sum over the histograms H' that leave out b = a and b = c.  The
+    a = c terms are products of point degrees: with deg_s(a) the number of
+    points at squared distance s from a (a itself at s = 0),
+    y13(s, s, u, u) = sum_a deg_s(a) deg_u(a), and y24(s, u, u, s), which
+    counts the walks (a, b, c, b), has the same value.  yb(s, s, s, s) =
+    sum_a deg_s(a) counts the walks (a, b, a, b).  The x-side tables use
+    the degrees that leave a out.  As x13 and y13 are the a = c terms of x
+    and y, the histograms are built for a != c only.
 
     Each term is summed once per symmetry class: a pair a < c stands for
-    (c, a) too, whose term is the same count at the profile (t2, t1, t4, t3);
-    and of the two products H(t1, t2) H(t4, t3) and H(t4, t3) H(t1, t2) only
-    one is formed, the other being the same count at (t4, t3, t2, t1), the
-    walk read backwards.  The images are added at the end.  Cost
-    O(n^2 h^2) for h histogram keys, with h <= min(n, p^2).  Refused when
-    min(n, m)^4, a bound on the profiles of a table for m distances in E,
-    exceeds CENSUS_GUARD.
+    (c, a) too, whose term is the same count with both pair codes swapped;
+    and of the two products H(h) H(h') and H(h') H(h) only one is formed,
+    the other being the same count at the walk read backwards.  The images
+    are added at the end.  Cost O(n^2 h^2) for h histogram keys, with
+    h <= min(n, p^2).  Refused when min(n, m)^4, a bound on the profiles of
+    a table for m distances in E, exceeds CENSUS_GUARD.
     """
     p = E.prime.p
     pp = p * p
@@ -730,7 +714,6 @@ def cycle_census(E: PointSet) -> CycleCensus:
             f"{min(n, m)}^4 profiles, over {CENSUS_GUARD}"
         )
     D = E.dist_table
-    distances = tuple(E.norm_pair_counts)
     tables = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
     for bucket in E.neighbor_buckets.rows():
         deg = {s: len(js) for s, js in bucket.items()}
@@ -739,22 +722,22 @@ def cycle_census(E: PointSet) -> CycleCensus:
             t13, t24, tb = tables[side + "13"], tables[side + "24"], tables[side + "b"]
             items = [(s, c) for s, c in degrees.items() if c]
             for s, ds in items:
-                _add(tb, (s * p + s) * (pp + 1), ds)
+                _add(tb, s * (p + 1) * (pp + 1), ds)
                 for u, du in items:
-                    _add(t13, (s * p + s) * pp + u * p + u, ds * du)
-                    _add(t24, (s * p + u) * (pp + 1), ds * du)
+                    _add(t13, (s + u * pp) * (p + 1), ds * du)
+                    _add(t24, s + u * p + (u + s * p) * pp, ds * du)
     high = [[t * p for t in row] for row in D]
-    swap = {s * p + t: t * p + s for s in distances for t in distances}
+    swap = {s + t * p: t + s * p for s in E.norm_pair_counts for t in E.norm_pair_counts}
     for side in ("y", "x"):
         half: dict[int, int] = {}
         get = half.get
         for a in range(n):
             for c in range(a + 1, n):
-                hist = Counter(map(add, high[a], D[c]))
+                hist = Counter(map(add, D[a], high[c]))
                 if side == "x":
                     s = D[a][c]
-                    hist[s] -= 1        # b = a
-                    hist[s * p] -= 1    # b = c
+                    hist[s * p] -= 1    # b = a
+                    hist[s] -= 1        # b = c
                 items = [(k, v) for k, v in hist.items() if v]
                 for i, (k1, v1) in enumerate(items):
                     base = k1 * pp
@@ -765,21 +748,45 @@ def cycle_census(E: PointSet) -> CycleCensus:
         for code, v in half.items():
             k1, k2 = divmod(code, pp)
             for u, w in {(k1, k2), (k2, k1)}:
-                _add(full, u * pp + w, v)
-                _add(full, swap[u] * pp + swap[w], v)
+                _add(full, u + swap[w] * pp, v)
+                _add(full, swap[u] + w * pp, v)
         for code, v in tables[side + "13"].items():
             _add(full, code, v)
-    return CycleCensus(p=p, distances=distances, **tables)
+    return CycleCensus(**tables)
 
 
-def join(first: dict, second: dict, scale) -> int:
-    """J(F, G): the sum over profiles t of F(t) G(r t), scale mapping t to r t."""
+@lru_cache(maxsize=32)
+def _code_scale(r: int, p: int):
+    """The map from a profile code to the code of its r-scaled profile, two digits at a
+    time from the pair codes scaled so far, so a code below p^4 takes one divmod.  A map
+    holds up to p^2 pair codes, so the last 32 are kept: every ratio of p <= 31."""
+    pp = p * p
+    pair: dict[int, int] = {}
+
+    def scale(code: int) -> int:
+        hi, lo = divmod(code, pp)
+        try:
+            return (pair[hi] if hi < pp else scale(hi)) * pp + pair[lo]
+        except KeyError:  # a plain dict: a subclass's __missing__ slows every lookup by 30%
+            pair.update({c: r * (c // p) % p * p + r * c % p for c in (hi % pp, lo)})
+            return scale(code)
+
+    return scale
+
+
+def join(first: dict, second: dict, r: int, p: int) -> int:
+    """J(F, G): the sum over profiles t of F(t) G(r t), F and G keyed by profile code.
+
+    Every profile table is keyed by the code sum_i t_i p^i of its profiles
+    (t_0, .., t_{k-1}), and r scales each base-p digit mod p.
+    """
+    scale = _code_scale(r, p)
     return sum(map(mul, first.values(), map(second.get, map(scale, first), repeat(0))))
 
 
 def _mu_identity_scaled_cycle_pairs(E: PointSet, r: int) -> int:
     census = cycle_census(E)
-    return join(census.x, census.y, census.scaled(r))
+    return join(census.x, census.y, r, E.prime.p)
 
 
 @per_set
@@ -806,9 +813,8 @@ def count_ratio_quadruples(E: PointSet, ratio: Ratio) -> CountReport:
     points themselves, so the two counts can differ when nonzero vectors of
     norm zero exist.
     """
-    p = E.prime.p
     counts = E.norm_pair_counts
-    value = join({t: c for t, c in counts.items() if t != 0}, counts, lambda t: ratio.r * t % p)
+    value = join({t: c for t, c in counts.items() if t != 0}, counts, ratio.r, E.prime.p)
     return _report(E, "V", value, method=METHOD_NU_IDENTITY, r=ratio.r)
 
 

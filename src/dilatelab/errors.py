@@ -46,10 +46,6 @@ class OddDimensionError(DilateLabError):
     """The closed-form sphere size is only available in even dimension."""
 
 
-class NoNonzeroDistanceError(DilateLabError):
-    """The distance set is {0}, so quotients are undefined."""
-
-
 class TooLargeError(DilateLabError):
     """An enumeration or brute-force guard was exceeded."""
 

@@ -50,7 +50,6 @@ from .configcount import (
     step_profile_counts,
     _first_scaled_pair,
     _scaled_walk_table,
-    _scaling,
     # not called here: perfbench/selftest.py checks that its span rebinds it in this module
     _walk_dp_scaled_pairs,
 )
@@ -216,12 +215,12 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     step profile: x_1 = x_3 gives a = sum_s X_1(s) Y_2(rs, rs), y_1 = y_3
     gives b = sum_s X_2(s, s) Y_1(rs), and both give sum_s X_1(s) Y_1(rs).
     """
+    r, p = ratio.r, E.prime.p
     x2, y2 = step_profile_counts(E, 2), _scaled_walk_table(E, 2)
     x1, y1 = step_profile_counts(E, 1), _scaled_walk_table(E, 1)
-    scale = _scaling(ratio.r, E.prime.p)
-    a = join(x1, y2, lambda t: scale(t) * 2)
-    b = join({t[:1]: c for t, c in x2.items() if t[0] == t[1]}, y1, scale)
-    ab = join(x1, y1, scale)
+    a = join({s * (p + 1): c for s, c in x1.items()}, y2, r, p)
+    b = join({code % p: c for code, c in x2.items() if code % p == code // p}, y1, r, p)
+    ab = join(x1, y1, r, p)
     return a, b, ab
 
 
@@ -270,18 +269,18 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     census's own, on the profiles its tables can hold.
     """
     cen = cycle_census(E)
-    scale = cen.scaled(ratio.r)
+    r, p = ratio.r, E.prime.p
     x, y = cen.x, cen.y
     x13, x24, xb = cen.x13, cen.x24, cen.xb
     y13, y24, yb = cen.y13, cen.y24, cen.yb
     ad = {t: v - x13.get(t, 0) - x24.get(t, 0) + xb.get(t, 0) for t, v in x.items()}
     nd = {t: v - y13.get(t, 0) - y24.get(t, 0) + yb.get(t, 0) for t, v in y.items()}
-    f = join(ad, ad, scale)
+    f = join(ad, ad, r, p)
     total = count_scaled_cycle_pairs(E, ratio).value
-    union = total - join(ad, nd, scale)
+    union = total - join(ad, nd, r, p)
     return FourCycleFamilies(
-        fully_distinct=f, x13=join(x13, y, scale), x24=join(x24, y, scale),
-        y13=join(x, y13, scale), y24=join(x, y24, scale),
+        fully_distinct=f, x13=join(x13, y, r, p), x24=join(x24, y, r, p),
+        y13=join(x, y13, r, p), y24=join(x, y24, r, p),
         degenerate_union=union, total=total,
         decomposition_exact=total == f + union,
     )

@@ -17,7 +17,6 @@ from operator import add
 
 from .errors import (
     DimensionMismatchError,
-    NoNonzeroDistanceError,
     OddDimensionError,
     PointFileError,
     SizeExceedsSpaceError,
@@ -281,11 +280,9 @@ def distance_set(E: PointSet) -> frozenset[int]:
 
 
 def quotient_set(E: PointSet) -> frozenset[int]:
-    """All quotients a/b with a any distance of E and b a nonzero distance."""
+    """All quotients a/b with a any distance of E and b a nonzero distance, if E has one."""
     deltas = distance_set(E)
     nonzero = [b for b in deltas if b != 0]
-    if not nonzero:
-        raise NoNonzeroDistanceError("the distance set is {0}")
     p = E.prime.p
     return frozenset(a * inverse(b, E.prime) % p for a in deltas for b in nonzero)
 

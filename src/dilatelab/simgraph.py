@@ -59,9 +59,9 @@ class SimilarityGraph:
         return D[a[1]][b[1]] == self.ratio.r * D[a[0]][b[0]] % p
 
     def degree_sum(self) -> int:
-        counts, p = self.E.norm_pair_counts, self.E.prime.p
+        counts = self.E.norm_pair_counts
         # self-pairs always satisfy the rule
-        return join(counts, counts, lambda t: self.ratio.r * t % p) - self.vertex_count
+        return join(counts, counts, self.ratio.r, self.E.prime.p) - self.vertex_count
 
     def edge_count(self) -> int:
         return self.degree_sum() // 2

@@ -50,7 +50,7 @@ from .families import (
     revalidate,
 )
 from .field import Prime, inverse, make_prime, squares_set
-from .geometry import PointSet, distance_set, quotient_set, random_point_set
+from .geometry import PointSet, quotient_set, random_point_set
 
 
 @dataclass(frozen=True)
@@ -266,16 +266,16 @@ def check_lemma26(E: PointSet) -> Verdict:
     """Two-step walk counts never exceed |E| times the one-step count.
 
     lhs is the least margin n nu_1(t1) - nu_2(t1, t2) over every profile
-    pair: over the entries of the nu_2 table, and n nu_1(t1) for each t1
-    that some t2 leaves out of it.
+    pair: over the entries of the nu_2 table, whose codes are t1 + t2 p,
+    and n nu_1(t1) for each t1 that some t2 leaves out of it.
     """
     p = E.prime.p
     n = len(E)
     nu1 = walk_profile_counts(E, 1)
     nu2 = walk_profile_counts(E, 2)
-    listed = Counter(t1 for t1, _ in nu2)
-    worst = min([n * nu1[t1,] - count for (t1, _), count in nu2.items()]
-                + [n * nu1.get((t1,), 0) for t1 in range(p) if listed[t1] < p])
+    listed = Counter(code % p for code in nu2)
+    worst = min([n * nu1[code % p] - count for code, count in nu2.items()]
+                + [n * nu1.get(t1, 0) for t1 in range(p) if listed[t1] < p])
     return Verdict(
         claim="lemma2.6",
         hypothesis_met=True,
@@ -351,11 +351,7 @@ def check_quotient_containment(E: PointSet) -> Verdict:
     p = E.prime.p
     n = len(E)
     hyp = meets_quotient_size(n, p, E.d)
-    deltas = distance_set(E)
-    if deltas == {0}:
-        quotients: frozenset[int] = frozenset()
-    else:
-        quotients = quotient_set(E)
+    quotients = quotient_set(E)
     if E.d % 2 == 0:
         concl = quotients == frozenset(range(p))
         target = "field"

@@ -93,6 +93,38 @@ def test_count_quotient_full_plane(capsys):
     assert last == "quotient,brute,7,2,49,,,7"
 
 
+def test_count_quotient_without_a_nonzero_distance(tmp_path, capsys):
+    # every distance of the null segment (0, 0) - (1, 2) is 0: no quotient,
+    # counted as 0 and not refused, as verify already reports it
+    set_path = tmp_path / "null.txt"
+    set_path.write_text("p=5 d=2\n0,0\n1,2\n")
+    code, out, err = run_cli(["count", "--what", "quotient", "--set", str(set_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["name,method,p,d,E_size,r,k,value", "quotient,brute,5,2,2,,,0"]
+    code, out, _ = run_cli(["verify", "--claim", "quotient", "--set", str(set_path)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "quotient,5,2,2,,,False,False,VACUOUS,0,5"
+
+
+@pytest.mark.parametrize("what,args", [
+    ("T", ["--p", "7", "--random", "14"]),
+    ("P", ["--p", "7", "--random", "9"]),
+    ("displacement", ["--p", "7", "--random", "9"]),
+])
+def test_count_header_is_fixed_per_kind(what, args, capsys):
+    # at the square r = 2 the group_sum rows are printed, at the nonsquare
+    # r = 3 every row is skipped: the header is the family header either way
+    headers = []
+    for r in ("2", "3"):
+        code, out, err = run_cli(["count", "--what", what, "--method", "group_sum",
+                                  "--r", r, *args], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert (len(lines) > 2) == (r == "2") and ("not a square" in err) == (r == "3")
+        headers.append(lines[1])
+    assert headers == ["family,p,d,E_size,r,value,method"] * 2
+
+
 def test_count_json_format(capsys):
     code, out, _ = run_cli(
         ["count", "--what", "V", "--p", "3", "--random", "4", "--seed", "2",

@@ -1,6 +1,7 @@
 """Counting engines against raw tuple-product oracles on small instances."""
 
 import itertools
+import random
 import time
 from collections import Counter
 
@@ -27,6 +28,7 @@ from dilatelab.configcount import (
     cycle_pair_reports,
     displacement_count,
     displacement_histogram,
+    join,
     make_ratio,
     path_edges,
     step_profile_counts,
@@ -61,6 +63,11 @@ def raw_distinct_step_walks(E, k):
             prof = tuple(dist(tup[i], tup[i + 1], p) for i in range(k))
             table[prof] = table.get(prof, 0) + 1
     return table
+
+
+def profile_code(prof, p):
+    # the key of every profile table: sum_i t_i p^i
+    return sum(t * p**i for i, t in enumerate(prof))
 
 
 def has_null_segment(E):
@@ -163,8 +170,9 @@ def test_step_profile_counts_match_single_profile():
         E = random_point_set(make_prime(p), d, size, seed)
         table = walk_profile_counts(E, 2)
         for prof in itertools.product(range(p), repeat=2):
-            assert table.get(prof, 0) == count_step_walks(E, prof)
-        assert step_profile_counts(E, 2) == raw_distinct_step_walks(E, 2)
+            assert table.get(profile_code(prof, p), 0) == count_step_walks(E, prof)
+        assert step_profile_counts(E, 2) == {
+            profile_code(prof, p): v for prof, v in raw_distinct_step_walks(E, 2).items()}
         null = any(t == 0 for i, row in enumerate(E.dist_table)
                    for j, t in enumerate(row) if i != j)
         assert null == (p == 13 or d == 3)
@@ -195,7 +203,7 @@ def test_cycle_census_tables_match_raw_walks(p, d, size):
     raw = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
     for a, b, c, e in itertools.product(range(size), repeat=4):
         t1, t2, t3, t4 = D[a][b], D[b][c], D[c][e], D[e][a]
-        code = ((t1 * p + t2) * p + t4) * p + t3
+        code = profile_code((t1, t2, t3, t4), p)
         # x: distinct consecutive points, y: any closed walk
         sides = ["y"] + (["x"] if a != b != c != e != a else [])
         for side in sides:
@@ -211,7 +219,7 @@ def test_cycle_census_tables_match_raw_walks(p, d, size):
     for name, table in raw.items():
         assert getattr(census, name) == table, name
     assert census.y == {
-        code: count_step_cycles(E, (code // p**3, code // p**2 % p, code % p, code // p % p))
+        code: count_step_cycles(E, tuple(code // p**i % p for i in range(4)))
         for code in census.y
     }
     # the cases must include null segments outside d = 2 with p = 3 (mod 4)
@@ -379,7 +387,7 @@ def test_every_cached_profile_level_matches_step_walks(p, d):
                 for prof in itertools.product(distances, repeat=level):
                     value = signed_step_walks(E, prof, moving)
                     if value:
-                        expected[prof] = value
+                        expected[profile_code(prof, p)] = value
                 assert table == expected, (len(E), level, moving)
 
 
@@ -407,8 +415,9 @@ def test_packed_lanes_at_their_worst_case():
         expected = n * (n - 1) ** k * n ** (k + 1)
         for method in ("walk_dp", "nu_identity"):
             assert count_scaled_walk_pairs(E, ratio, k, method).value == expected
-        assert walk_profile_counts(E, k) == {(0,) * k: n ** (k + 1)}
-        assert step_profile_counts(E, k) == {(0,) * k: n * (n - 1) ** k}
+        # the one profile (0, .., 0) has the code 0
+        assert walk_profile_counts(E, k) == {0: n ** (k + 1)}
+        assert step_profile_counts(E, k) == {0: n * (n - 1) ** k}
         # the pair graph is complete on n^2 vertices
         assert SimilarityGraph(E, ratio).count_walks(k) == n * n * (n * n - 1) ** k
     assert count_scaled_walk_pairs(E, ratio, 1, "brute").value == n * (n - 1) * n**2
@@ -547,18 +556,67 @@ def literal_histogram(E, edges, kind):
                    for t in SIDES[kind](len(E), size, edges))
 
 
-def column_histogram(E, edges, kind):
-    # the blocks of the column brute, decoded to profiles
-    p = E.prime.p
+def code_histogram(E, edges, kind):
+    # the blocks of the column brute, summed by profile code
     codes = Counter()
     tuples = 0
-    for block, back, size in _profile_blocks(E.dist_table, p, edges, kind):
+    for block, back, size in _profile_blocks(E.dist_table, E.prime.p, edges, kind):
         codes.update(block)
         codes.subtract(back)
         tuples += size
     assert sum(codes.values()) == tuples
+    return {code: count for code, count in codes.items() if count}
+
+
+def column_histogram(E, edges, kind):
+    # the blocks of the column brute, decoded to profiles
+    p = E.prime.p
     return Counter({tuple(code // p**i % p for i in range(len(edges))): count
-                    for code, count in codes.items() if count})
+                    for code, count in code_histogram(E, edges, kind).items()})
+
+
+@pytest.mark.parametrize("p,d", [(5, 2), (13, 2), (3, 3), (7, 3)])
+def test_profile_tables_are_the_brute_histograms(p, d):
+    # one code for every profile table: X_k, Y_k and the census's x and y are
+    # the brute sides' histograms of their patterns, key for key
+    prime = make_prime(p)
+    sets = [random_point_set(prime, d, size, seed)
+            for size, seed in ((1, 0), (2, 1), (6, 2), (7, 3), (8, 4))]
+    assert any(map(has_null_segment, sets))
+    for E in sets:
+        for k in (1, 2, 3):
+            edges = path_edges(k)
+            assert step_profile_counts(E, k) == code_histogram(E, edges, EDGE_DISTINCT)
+            assert walk_profile_counts(E, k) == code_histogram(E, edges, EVERY)
+        census = cycle_census(E)
+        assert census.x == code_histogram(E, CYCLE_EDGES, EDGE_DISTINCT)
+        assert census.y == code_histogram(E, CYCLE_EDGES, EVERY)
+
+
+@pytest.mark.parametrize("p", [3, 59])
+def test_join_scales_every_digit_of_a_code(p):
+    rng = random.Random(p)
+
+    def scaled(code, r, length):
+        # the definition: decode the digits, scale each by r mod p, encode
+        digits = [code // p**i % p for i in range(length)]
+        return profile_code([r * t % p for t in digits], p)
+
+    ratios = range(1, p) if p < 10 else (1, 2, 5, p - 1)
+    for length in range(1, 7):
+        # half the digits zero, the all-zero profile included
+        profiles = [[rng.choice((0, rng.randrange(1, p))) for _ in range(length)]
+                    for _ in range(30)] + [[0] * length]
+        first = Counter(profile_code(prof, p) for prof in profiles)
+        second = {code: rng.randrange(1, 9) for code in (
+            *(profile_code([rng.randrange(p) for _ in range(length)], p) for _ in range(30)),
+            *(scaled(code, r, length) for code in first for r in ratios[::2]))}
+        hits = 0
+        for r in ratios:
+            expected = sum(v * second.get(scaled(code, r, length), 0) for code, v in first.items())
+            assert join(first, second, r, p) == expected, (length, r)
+            hits += expected > 0
+        assert hits >= len(ratios[::2])
 
 
 # the walk (a, b, a) on two vertices, whose profile is (s, s)

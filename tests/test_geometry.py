@@ -8,7 +8,6 @@ import pytest
 from dilatelab.configcount import _distance_classes, _first_scaled_pair, path_edges
 from dilatelab.errors import (
     DimensionMismatchError,
-    NoNonzeroDistanceError,
     OddDimensionError,
     PointFileError,
     SizeExceedsSpaceError,
@@ -147,8 +146,9 @@ def test_quotient_set_examples():
     assert quotient_set(two) == {0, 1}
     plane3 = full_space(make_prime(3), 2)
     assert quotient_set(plane3) == {0, 1, 2}
-    with pytest.raises(NoNonzeroDistanceError):
-        quotient_set(PointSet(seven, 2, [(3, 3)]))
+    # no nonzero distance, so no denominator: one point, or a null segment
+    assert quotient_set(PointSet(seven, 2, [(3, 3)])) == frozenset()
+    assert quotient_set(PointSet(make_prime(5), 2, [(0, 0), (1, 2)])) == frozenset()
 
 
 def test_quotient_set_contains_one():
