@@ -301,8 +301,9 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     ones, are each point's class sizes, so they are packed from the degrees
     too.  A lane holds at most n^(k+1) walks; lanes are that wide, rounded
     up to whole bytes.  Refused, before the classes are laid out, when level
-    k would hold more than PROFILE_GUARD lanes, n rows of it would take more
-    than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
+    k would hold more than PROFILE_GUARD lanes, the n rows of level k - 1
+    and the level-k total would take more than LANE_GUARD bytes, or the k
+    steps more than SWEEP_GUARD.
     """
     n, p = len(E), E.prime.p
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
@@ -312,9 +313,11 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     if _exceeds(m, k, PROFILE_GUARD):
         raise TooLargeError(f"{m}^{k} profiles exceed {PROFILE_GUARD} lanes")
     lanes = m**k
-    width = _lane_width(n, k + 1, k, n * lanes)
-    if n * lanes * width > LANE_GUARD:
-        raise TooLargeError(f"{n} rows of {lanes} lanes of {width} bytes exceed {LANE_GUARD} bytes")
+    held = (n + m) * m ** (k - 1)  # n rows of level k - 1 and the level-k total
+    width = _lane_width(n, k + 1, k, held)
+    if held * width > LANE_GUARD:
+        raise TooLargeError(f"{n} rows of {m ** (k - 1)} lanes and a {lanes}-lane total, "
+                            f"{width} bytes a lane, exceed {LANE_GUARD} bytes")
     classes, members = _distance_classes(E)
     if not stays:
         # the other points at distance 0; class 0 is last.  Tuples of lists: tuples
@@ -861,11 +864,10 @@ def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point)
     return count
 
 
-def walk_pair_reports(E: PointSet, ratio: Ratio, k: int,
-                      checks=(METHOD_BRUTE, METHOD_NU_IDENTITY)) -> list[CountReport]:
-    """walk_dp, cross-checked by each method of checks whose guard admits it."""
+def walk_pair_reports(E: PointSet, ratio: Ratio, k: int) -> list[CountReport]:
+    """walk_dp, cross-checked by nu_identity where its guard admits it."""
     return _cross_checked(E, lambda m: [count_scaled_walk_pairs(E, ratio, k, m)],
-                          METHOD_WALK_DP, checks, ("S_k", ratio.r, k))
+                          METHOD_WALK_DP, [METHOD_NU_IDENTITY], ("S_k", ratio.r, k))
 
 
 def cycle_pair_reports(E: PointSet, ratio: Ratio) -> list[CountReport]:

@@ -282,9 +282,9 @@ def distance_set(E: PointSet) -> frozenset[int]:
 def quotient_set(E: PointSet) -> frozenset[int]:
     """All quotients a/b with a any distance of E and b a nonzero distance, if E has one."""
     deltas = distance_set(E)
-    nonzero = [b for b in deltas if b != 0]
+    inverses = [inverse(b, E.prime) for b in deltas if b != 0]
     p = E.prime.p
-    return frozenset(a * inverse(b, E.prime) % p for a in deltas for b in nonzero)
+    return frozenset(a * inv % p for a in deltas for inv in inverses)
 
 
 def format_point_set(E: PointSet, comment: str | None = None) -> str:

@@ -3,14 +3,16 @@
 Every claim is checked on a concrete instance with exact arithmetic: integer
 counts on one side, rational closed forms on the other.  Irrational size
 thresholds are decided by integer squaring, never by floating point.  A claim
-whose size hypothesis fails on the instance yields a VACUOUS verdict (with
-the conclusion still evaluated when feasible); a verdict that is
-hypothesis-met but conclusion-false would contradict the catalog and is
-treated by callers as the most severe failure.
+whose hypothesis fails on the instance yields a VACUOUS verdict (with the
+conclusion still evaluated); a verdict that is hypothesis-met but
+conclusion-false would contradict the catalog and is treated by callers as
+the most severe failure.
 
-CLAIMS maps each claim, in catalog order, to its checker.  FAMILY_TABLE gives
-each witness family its finder, witness pattern and size hypothesis, shared
-by the existence checkers of T1.5-T1.8 and by the threshold scans.
+CLAIMS maps each claim, in catalog order, to its hypothesis on (|E|, p, d, r)
+and its conclusion on (E, r, k); run_claim builds every Verdict from the two.
+FAMILY_TABLE gives each witness family its finder, witness pattern and
+existence theorem, whose hypothesis the threshold scans bisect over the
+sizes, at every ratio of their policy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from functools import lru_cache
 
 from .configcount import (
     CYCLE_EDGES,
-    METHOD_NU_IDENTITY,
     Ratio,
     cycle_pair_reports,
     make_ratio,
@@ -107,26 +108,18 @@ class Verdict:
         }
 
 
-def _base_params(E: PointSet, ratio: Ratio | None = None, **extra) -> dict:
-    params = {"p": E.prime.p, "d": E.d, "E_size": len(E)}
-    if ratio is not None:
-        params["r"] = ratio.r
-    params.update(extra)
-    return params
-
-
-def dilation_safe(E: PointSet) -> bool:
-    """Whether distinct points of E always have a nonzero squared distance.
+def dilation_safe(p: int, d: int) -> bool:
+    """Whether distinct points of F_p^d always have a nonzero squared distance.
 
     That holds exactly for d = 2 and p = 3 (mod 4), the residue-class
     hypothesis of lemma 2.2, lemma 4.2, T1.5, T1.6 and T1.10.
     """
-    return E.d == 2 and E.prime.p_mod_4 == 3
+    return d == 2 and p % 4 == 3
 
 
 def _walk_pairs(E: PointSet, ratio: Ratio, k: int) -> int:
     """S_k by walk_dp, cross-checked by nu_identity where its guard admits it."""
-    return walk_pair_reports(E, ratio, k, checks=(METHOD_NU_IDENTITY,))[0].value
+    return walk_pair_reports(E, ratio, k)[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +151,20 @@ def meets_quotient_size(n: int, p: int, d: int) -> bool:
 class _Family:
     witness: Callable   # (E, ratio) -> the first witness, or None
     pattern: Callable   # d -> (edges, whether the witness gives its r-scaled side first)
-    size: Callable      # (n, p, d) -> the existence theorem's size hypothesis, monotone in n
+    claim: str          # the family's existence theorem in CLAIMS
 
 
 # Each finder is read from this module's globals per call, never stored, so
 # a rebinding of it (a test double, a timing span) is the one that runs.
 FAMILY_TABLE = {
     FAMILY_PATH_PAIRS: _Family(lambda E, ratio: find_path_pair_witness(E, ratio, 2),
-                               lambda d: (path_edges(2), False),
-                               lambda n, p, d: exceeds_sqrt3_plus_one(n, p)),
+                               lambda d: (path_edges(2), False), "T1.5"),
     FAMILY_FOUR_CYCLE: _Family(lambda E, ratio: find_cycle_pair_witness(E, ratio),
-                               lambda d: (CYCLE_EDGES, False),
-                               lambda n, p, d: exceeds_4_sqrt3_p32(n, p)),
+                               lambda d: (CYCLE_EDGES, False), "T1.6"),
     FAMILY_TRIANGLE: _Family(lambda E, ratio: find_clique_pair_witness(E, ratio, 3),
-                             lambda d: (clique_edges(3), True),
-                             lambda n, p, d: n >= 3 * p),
+                             lambda d: (clique_edges(3), True), "T1.7"),
     FAMILY_SIMPLEX: _Family(lambda E, ratio: find_clique_pair_witness(E, ratio, E.d + 1),
-                            lambda d: (clique_edges(d + 1), True),
-                            meets_simplex_size),
+                            lambda d: (clique_edges(d + 1), True), "T1.8"),
 }
 
 
@@ -190,79 +179,38 @@ def witness_pattern(family: str, d: int) -> tuple[tuple, bool]:
     return FAMILY_TABLE[family].pattern(d)
 
 
-def meets_family_size(family: str, n: int, p: int, d: int) -> bool:
-    """Whether n meets the size hypothesis of the family's existence theorem."""
-    return FAMILY_TABLE[family].size(n, p, d)
-
-
-def smallest_size_meeting(family: str, prime: Prime, d: int) -> int | None:
-    """Least set size satisfying the family's theorem hypothesis, if any fits;
-    the hypothesis is monotone in n, so the sizes are bisected."""
-    sizes = range(1, prime.p**d + 1)
-    i = bisect_left(sizes, True, key=lambda n: meets_family_size(family, n, prime.p, d))
-    return sizes[i] if i < len(sizes) else None
-
-
 # ---------------------------------------------------------------------------
-# claim checkers
+# claim conclusions: each of (E, ratio, k) -> (holds, lhs, rhs, extra params)
 
 
-def check_lemma22(E: PointSet, ratio: Ratio) -> Verdict:
+def _lemma22(E: PointSet, ratio: Ratio, k: int) -> tuple:
     """One-step pair count against its quartic floor (d = 2, p = 3 mod 4)."""
     p = E.prime.p
     n = len(E)
-    hyp = dilation_safe(E)
     s1 = _walk_pairs(E, ratio, 1)
     rhs = (
         (Fraction(1, p) + Fraction(1, p**2) - Fraction(1, p**3)) * n**4
         - Fraction(2 * n**3, p)
         - (p + 1) * n**2
     )
-    return Verdict(
-        claim="lemma2.2",
-        hypothesis_met=hyp,
-        conclusion_holds=Fraction(s1) >= rhs,
-        lhs=s1,
-        rhs=rhs,
-        params=_base_params(E, ratio, k=1),
-    )
+    return Fraction(s1) >= rhs, s1, rhs, {"k": 1}
 
 
-def check_lemma23(E: PointSet, ratio: Ratio) -> Verdict:
+def _lemma23(E: PointSet, ratio: Ratio, k: int) -> tuple:
     """Two-step pair count times |E|^2 is at least the square of one-step."""
-    n = len(E)
     s1 = _walk_pairs(E, ratio, 1)
-    s2 = _walk_pairs(E, ratio, 2)
-    lhs = s2 * n**2
-    rhs = s1**2
-    return Verdict(
-        claim="lemma2.3",
-        hypothesis_met=True,  # the graph-side argument covers every nonzero r
-        conclusion_holds=lhs >= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        params=_base_params(E, ratio),
-    )
+    lhs = _walk_pairs(E, ratio, 2) * len(E) ** 2
+    return lhs >= s1**2, lhs, s1**2, {}
 
 
-def check_lemma24(E: PointSet, ratio: Ratio) -> Verdict:
+def _lemma24(E: PointSet, ratio: Ratio, k: int) -> tuple:
     """Cycle-pair count times |E|^4 is at least the square of two-step pairs."""
-    n = len(E)
     s2 = _walk_pairs(E, ratio, 2)
-    c = cycle_pair_reports(E, ratio)[0].value
-    lhs = c * n**4
-    rhs = s2**2
-    return Verdict(
-        claim="lemma2.4",
-        hypothesis_met=True,
-        conclusion_holds=lhs >= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        params=_base_params(E, ratio),
-    )
+    lhs = cycle_pair_reports(E, ratio)[0].value * len(E) ** 4
+    return lhs >= s2**2, lhs, s2**2, {}
 
 
-def check_lemma26(E: PointSet) -> Verdict:
+def _lemma26(E: PointSet, ratio: None, k: int) -> tuple:
     """Two-step walk counts never exceed |E| times the one-step count.
 
     lhs is the least margin n nu_1(t1) - nu_2(t1, t2) over every profile
@@ -276,115 +224,73 @@ def check_lemma26(E: PointSet) -> Verdict:
     listed = Counter(code % p for code in nu2)
     worst = min([n * nu1[code % p] - count for code, count in nu2.items()]
                 + [n * nu1.get(t1, 0) for t1 in range(p) if listed[t1] < p])
-    return Verdict(
-        claim="lemma2.6",
-        hypothesis_met=True,
-        conclusion_holds=worst >= 0,
-        lhs=worst,
-        rhs=0,
-        params=_base_params(E),
-    )
+    return worst >= 0, worst, 0, {}
 
 
-def check_lemma42(E: PointSet, ratio: Ratio) -> Verdict:
+def _lemma42(E: PointSet, ratio: Ratio, k: int) -> tuple:
     """Each coincidence family sits between |S_2| and (p+1)|S_2|."""
     p = E.prime.p
-    hyp = dilation_safe(E)
     fams = four_cycle_families(E, ratio)
     s2 = _walk_pairs(E, ratio, 2)
     values = (fams.x13, fams.x24, fams.y13, fams.y24)
-    concl = all(s2 <= v <= (p + 1) * s2 for v in values)
-    return Verdict(
-        claim="lemma4.2",
-        hypothesis_met=hyp,
-        conclusion_holds=concl,
-        lhs=min(values),
-        rhs=(p + 1) * s2,
-        params=_base_params(E, ratio, s2=s2, families=values),
-    )
+    holds = all(s2 <= v <= (p + 1) * s2 for v in values)
+    return holds, min(values), (p + 1) * s2, {"s2": s2, "families": values}
 
 
-def _existence_checker(name: str, family: str, hypothesis):
-    """The checker of an existence theorem: a family witness concludes it, and
-    its hypothesis is hypothesis(E, ratio) and the family's size hypothesis.
-
-    The witness search runs whether or not the hypothesis holds.
-    """
-    def check(E: PointSet, ratio: Ratio, k: int) -> Verdict:
-        witness = family_witness(E, ratio, family)
-        found = witness is not None
-        return Verdict(
-            claim=name,
-            hypothesis_met=hypothesis(E, ratio)
-            and meets_family_size(family, len(E), E.prime.p, E.d),
-            conclusion_holds=found,
-            lhs=int(found),
-            rhs=0,
-            params=_base_params(E, ratio, **({"witness": witness} if found else {})),
-        )
-    return check
-
-
-def check_t110(E: PointSet, ratio: Ratio, k: int) -> Verdict:
+def _t110(E: PointSet, ratio: Ratio, k: int) -> tuple:
     """S_k exceeds n^(2k+2) / (3p)^k once n > 2p (d = 2, p = 3 mod 4)."""
-    p = E.prime.p
-    n = len(E)
     lhs = Fraction(_walk_pairs(E, ratio, k))
-    rhs = Fraction(n ** (2 * k + 2), (3 * p) ** k)
-    return Verdict(
-        claim="T1.10",
-        hypothesis_met=dilation_safe(E) and n > 2 * p,
-        conclusion_holds=lhs > rhs,
-        lhs=lhs,
-        rhs=rhs,
-        params=_base_params(E, ratio, k=k),
-    )
+    rhs = Fraction(len(E) ** (2 * k + 2), (3 * E.prime.p) ** k)
+    return lhs > rhs, lhs, rhs, {"k": k}
 
 
-def check_quotient_containment(E: PointSet) -> Verdict:
-    """Quotients of distances fill the field (even d) or its squares (odd d).
-
-    The even-d claim needs |E| >= 9 p^(d/2), the odd-d one |E| >= 6 p^(d/2);
-    both hypotheses are decided by squaring.  The containment itself is
-    always computed.
-    """
+def _quotient(E: PointSet, ratio: None, k: int) -> tuple:
+    """Quotients of distances fill the field (even d) or its squares (odd d)."""
     p = E.prime.p
-    n = len(E)
-    hyp = meets_quotient_size(n, p, E.d)
     quotients = quotient_set(E)
     if E.d % 2 == 0:
-        concl = quotients == frozenset(range(p))
-        target = "field"
-    else:
-        concl = frozenset(squares_set(E.prime)) <= quotients
-        target = "squares"
-    return Verdict(
-        claim="quotient",
-        hypothesis_met=hyp,
-        conclusion_holds=concl,
-        lhs=len(quotients),
-        rhs=p if target == "field" else (p + 1) // 2,
-        params=_base_params(E, target=target),
-    )
+        return quotients == frozenset(range(p)), len(quotients), p, {"target": "field"}
+    holds = frozenset(squares_set(E.prime)) <= quotients
+    return holds, len(quotients), (p + 1) // 2, {"target": "squares"}
 
 
-# The claim catalog in its order: each claim's checker of (E, ratio, k).
-# Size hypotheses are decided by exact integer arithmetic; the conclusion is
+def _found(E: PointSet, ratio: Ratio, family: str) -> tuple:
+    """An existence theorem's conclusion: the family has a witness on E at r."""
+    witness = family_witness(E, ratio, family)
+    found = witness is not None
+    return found, int(found), 0, {"witness": witness} if found else {}
+
+
+@dataclass(frozen=True)
+class _Claim:
+    hypothesis: Callable   # (n, p, d, ratio) -> bool, monotone in n; r read only as is_square
+    conclusion: Callable   # (E, ratio, k) -> (holds, lhs, rhs, extra params)
+
+
+def _always(n: int, p: int, d: int, ratio: Ratio | None) -> bool:
+    return True
+
+
+# The claim catalog in its order.  A ratio-free claim gets ratio None.  Each
+# hypothesis is decided by exact integer arithmetic; the conclusion is
 # computed regardless, by witness search or exact rational comparison.
 CLAIMS = {
-    "lemma2.2": lambda E, ratio, k: check_lemma22(E, ratio),
-    "lemma2.3": lambda E, ratio, k: check_lemma23(E, ratio),
-    "lemma2.4": lambda E, ratio, k: check_lemma24(E, ratio),
-    "lemma2.6": lambda E, ratio, k: check_lemma26(E),
-    "lemma4.2": lambda E, ratio, k: check_lemma42(E, ratio),
-    "T1.5": _existence_checker("T1.5", FAMILY_PATH_PAIRS, lambda E, ratio: dilation_safe(E)),
-    "T1.6": _existence_checker("T1.6", FAMILY_FOUR_CYCLE, lambda E, ratio: dilation_safe(E)),
-    "T1.7": _existence_checker("T1.7", FAMILY_TRIANGLE,
-                               lambda E, ratio: E.d == 2 and ratio.is_square),
-    "T1.8": _existence_checker("T1.8", FAMILY_SIMPLEX,
-                               lambda E, ratio: E.d >= 2 and ratio.is_square),
-    "T1.10": check_t110,
-    "quotient": lambda E, ratio, k: check_quotient_containment(E),
+    "lemma2.2": _Claim(lambda n, p, d, ratio: dilation_safe(p, d), _lemma22),
+    "lemma2.3": _Claim(_always, _lemma23),  # the graph-side argument covers every nonzero r
+    "lemma2.4": _Claim(_always, _lemma24),
+    "lemma2.6": _Claim(_always, _lemma26),
+    "lemma4.2": _Claim(lambda n, p, d, ratio: dilation_safe(p, d), _lemma42),
+    "T1.5": _Claim(lambda n, p, d, ratio: dilation_safe(p, d) and exceeds_sqrt3_plus_one(n, p),
+                   lambda E, ratio, k: _found(E, ratio, FAMILY_PATH_PAIRS)),
+    "T1.6": _Claim(lambda n, p, d, ratio: dilation_safe(p, d) and exceeds_4_sqrt3_p32(n, p),
+                   lambda E, ratio, k: _found(E, ratio, FAMILY_FOUR_CYCLE)),
+    "T1.7": _Claim(lambda n, p, d, ratio: d == 2 and ratio.is_square and n >= 3 * p,
+                   lambda E, ratio, k: _found(E, ratio, FAMILY_TRIANGLE)),
+    "T1.8": _Claim(lambda n, p, d, ratio: d >= 2 and ratio.is_square
+                   and meets_simplex_size(n, p, d),
+                   lambda E, ratio, k: _found(E, ratio, FAMILY_SIMPLEX)),
+    "T1.10": _Claim(lambda n, p, d, ratio: dilation_safe(p, d) and n > 2 * p, _t110),
+    "quotient": _Claim(lambda n, p, d, ratio: meets_quotient_size(n, p, d), _quotient),
 }
 
 CLAIM_NAMES = tuple(CLAIMS)
@@ -394,12 +300,30 @@ RATIO_FREE_CLAIMS = ("lemma2.6", "quotient")
 
 
 def run_claim(name: str, E: PointSet, ratio: Ratio | None = None, k: int = 3) -> Verdict:
-    """Check a claim by its catalog name; a ratio-free claim ignores ratio and k."""
+    """Check a claim by its catalog name; a ratio-free claim ignores ratio and k.
+
+    A claim whose hypothesis fails on the instance is VACUOUS, with its
+    conclusion still evaluated.
+    """
     if name not in CLAIMS:
         raise ValueError(f"unknown claim {name!r}")
-    if ratio is None and name not in RATIO_FREE_CLAIMS:
+    if name in RATIO_FREE_CLAIMS:
+        ratio = None
+    elif ratio is None:
         raise ValueError(f"claim {name!r} needs a ratio")
-    return CLAIMS[name](E, ratio, k)
+    claim = CLAIMS[name]
+    holds, lhs, rhs, extra = claim.conclusion(E, ratio, k)
+    params = {"p": E.prime.p, "d": E.d, "E_size": len(E)}
+    if ratio is not None:
+        params["r"] = ratio.r
+    return Verdict(
+        claim=name,
+        hypothesis_met=claim.hypothesis(len(E), E.prime.p, E.d, ratio),
+        conclusion_holds=holds,
+        lhs=lhs,
+        rhs=rhs,
+        params=params | extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +406,35 @@ def _scan_ratios(p: int, policy: str) -> tuple[Prime, tuple[tuple[Ratio, int | N
     return prime, tuple(pairs)
 
 
+@lru_cache(maxsize=None)
+def _squareness_classes(p: int, policy: str) -> tuple[Ratio, ...]:
+    """One ratio of the policy per squareness class it holds, at most two.
+
+    A hypothesis reads r only through is_square, and r and 1/r are squares
+    or non-squares together, so the searched ratios of _scan_ratios hold
+    every class of the policy.
+    """
+    _, pairs = _scan_ratios(p, policy)
+    return tuple({ratio.is_square: ratio for ratio, _ in pairs}.values())
+
+
+def meets_family_size(family: str, n: int, p: int, d: int, policy: str) -> bool:
+    """Whether n meets the hypothesis of the family's existence theorem at
+    every ratio of the policy."""
+    hypothesis = CLAIMS[FAMILY_TABLE[family].claim].hypothesis
+    return all(hypothesis(n, p, d, ratio) for ratio in _squareness_classes(p, policy))
+
+
+def smallest_size_meeting(family: str, prime: Prime, d: int, policy: str) -> int | None:
+    """Least set size meeting the family's theorem hypothesis at every ratio
+    of the policy, if any fits; the hypothesis is monotone in n, so the
+    sizes are bisected."""
+    sizes = range(1, prime.p**d + 1)
+    i = bisect_left(sizes, True,
+                    key=lambda n: meets_family_size(family, n, prime.p, d, policy))
+    return sizes[i] if i < len(sizes) else None
+
+
 def _has_witnesses(E: PointSet, family: str, ratio: Ratio, inv: int | None) -> bool:
     """Whether E has a family witness at r and, if inv is given, at inv = 1/r.
 
@@ -521,7 +474,8 @@ def scan_threshold(
     A sample counts as positive only if every ratio allowed by the policy has
     a witness; one search decides each pair {r, 1/r} of the policy's ratios
     (_scan_ratios).  Cell seeds are derived from (seed, size, sample index), so
-    results do not depend on the worker count.
+    results do not depend on the worker count.  The theoretical threshold is
+    None where the family's theorem covers no size for (p, d) at some ratio.
     """
     if family not in FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
@@ -568,7 +522,7 @@ def scan_threshold(
         samples=samples,
         seed=seed,
         min_stable_size=min_stable,
-        theoretical_threshold=smallest_size_meeting(family, prime, d),
+        theoretical_threshold=smallest_size_meeting(family, prime, d, r_policy),
     )
 
 

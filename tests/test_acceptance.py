@@ -40,11 +40,7 @@ from dilatelab.geometry import (
 from dilatelab.orthogonal import enumerate_orthogonal, order_formula, so2_elements
 from dilatelab.simgraph import SimilarityGraph, ms_lower_bound
 from dilatelab.configcount import displacement_histogram
-from dilatelab.verify import (
-    check_quotient_containment,
-    exceeds_4_sqrt3_p32,
-    run_claim,
-)
+from dilatelab.verify import exceeds_4_sqrt3_p32, run_claim
 from oracles import (
     all_equal_slice_direct,
     check_incidence_double_counts,
@@ -243,33 +239,25 @@ def test_criterion_05_supplement_3d_slices():
 
 def test_criterion_06_inequalities(family):
     """The catalog inequalities hold on every family instance, all ratios."""
-    from dilatelab.verify import (
-        check_lemma22,
-        check_lemma23,
-        check_lemma24,
-        check_lemma26,
-        check_lemma42,
-    )
-
     seen_nonsquare = 0
     for inst in family:
         E, ratio = inst.E, inst.ratio
         p = E.prime.p
         seen_nonsquare += not ratio.is_square
 
-        v22 = check_lemma22(E, ratio)
+        v22 = run_claim("lemma2.2", E, ratio)
         assert v22.hypothesis_met and v22.conclusion_holds
 
-        v23 = check_lemma23(E, ratio)
+        v23 = run_claim("lemma2.3", E, ratio)
         assert v23.conclusion_holds
 
-        v24 = check_lemma24(E, ratio)
+        v24 = run_claim("lemma2.4", E, ratio)
         assert v24.conclusion_holds
 
-        v26 = check_lemma26(E)
+        v26 = run_claim("lemma2.6", E)
         assert v26.conclusion_holds
 
-        v42 = check_lemma42(E, ratio)
+        v42 = run_claim("lemma4.2", E, ratio)
         assert v42.hypothesis_met and v42.conclusion_holds
         s2 = inst.counts["s2"]["walk_dp"]
         for value in (inst.fams.x13, inst.fams.x24, inst.fams.y13, inst.fams.y24):
@@ -384,7 +372,7 @@ def test_criterion_12_quotient_sets():
         assert quotient_set(plane) == frozenset(range(p))
     space = full_space(THREE, 4)
     assert len(space) == 81  # exactly 9 * 3^(4/2): the hypothesis is met
-    verdict = check_quotient_containment(space)
+    verdict = run_claim("quotient", space)
     assert verdict.hypothesis_met
     assert verdict.conclusion_holds
     assert quotient_set(space) == frozenset(range(3))

@@ -464,7 +464,7 @@ def test_brute_guard(monkeypatch):
     thirteen = make_prime(13)
     ratio = make_ratio(1, thirteen)
     sets = {size: random_point_set(thirteen, 2, size, seed=0) for size in (27, 28, 79, 80)}
-    # the selectors leave a refused brute out; nu_identity stays, null segments or not
+    # walk_dp is cross-checked by nu_identity alone, null segments or not
     assert has_null_segment(sets[80])
     assert [rep.method for rep in walk_pair_reports(sets[80], ratio, 2)] == [
         "walk_dp", "nu_identity"]
@@ -492,8 +492,8 @@ def test_step_profile_guard_refuses_before_building_rows(monkeypatch):
 
     monkeypatch.setattr(configcount, "_class_sums", never)
     eleven = make_prime(11)
-    # 8 distinct nonzero distances: 8 rows of 8^7 lanes of 4 bytes are over
-    # 2^24 bytes, 8 rows of 8^6 lanes of 3 bytes are not
+    # 8 distinct nonzero distances: 8^7 profiles are over PROFILE_GUARD, 8^6
+    # are not
     E = random_point_set(eleven, 2, 8, seed=0)
     assert len(configcount._distance_classes(E)[0]) == 9
     with pytest.raises(TooLargeError):
@@ -501,9 +501,31 @@ def test_step_profile_guard_refuses_before_building_rows(monkeypatch):
     with pytest.raises(AssertionError, match="before building"):
         step_profile_counts(E, 6)
     monkeypatch.undo()
-    # walk_dp stands alone when both cross-checks are refused
+    # walk_dp stands alone when its cross-check is refused
     reports = walk_pair_reports(E, make_ratio(1, eleven), 7)
     assert [rep.method for rep in reports] == ["walk_dp"]
+
+
+def test_lane_guard_sizes_the_rows_the_sweep_holds(monkeypatch):
+    import dilatelab.configcount as configcount
+
+    # the sweep holds n rows of level k - 1 and one level-k total: (n + m) m^(k-1)
+    # lanes, not the n m^k of n rows of level k
+    E = random_point_set(make_prime(31), 2, 40, seed=0)
+    n, m, k = len(E), len(E.norm_pair_counts) - 1, 3
+    assert E.norm_pair_counts[0] == n  # no null segment: the steps are the nonzero distances
+    width = configcount._lane_bytes(n ** (k + 1))
+    held = (n + m) * m ** (k - 1) * width
+    assert held < n * m**k * width
+    expected = step_profile_counts(E, k)
+    for guard, admitted in ((n * m**k * width - 1, True), (held, True), (held - 1, False)):
+        E = random_point_set(make_prime(31), 2, 40, seed=0)  # a fresh set: no memo
+        monkeypatch.setattr(configcount, "LANE_GUARD", guard)
+        if admitted:
+            assert step_profile_counts(E, k) == expected
+        else:
+            with pytest.raises(TooLargeError, match=f"exceed {guard} bytes"):
+                step_profile_counts(E, k)
 
 
 def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
@@ -513,8 +535,10 @@ def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
         raise AssertionError("the guard must refuse before the classes are laid out")
 
     big = make_prime(100003)
-    # about 39,000 distances: one row of 1-step profile lanes is past LANE_GUARD
+    # about 39,000 distances: 39,000^2 2-step profiles are past PROFILE_GUARD,
+    # and the 1-step table, 316 + 39,000 lanes of 3 bytes, past a 100 kB LANE_GUARD
     wide = random_point_set(big, 2, 316, seed=0)
+    monkeypatch.setattr(configcount, "LANE_GUARD", 10**5)
     # 42 points with 42 or more distances: 42^4 census profiles, past CENSUS_GUARD
     census_set = random_point_set(make_prime(101), 2, 42, seed=2)
     monkeypatch.setattr(configcount, "_distance_classes", never)
@@ -773,7 +797,7 @@ def test_report_helpers_cross_check():
     ratio = make_ratio(2, SEVEN)
     reports = walk_pair_reports(E, ratio, 2)
     assert len({rep.value for rep in reports}) == 1
-    assert {rep.method for rep in reports} == {"walk_dp", "brute", "nu_identity"}
+    assert {rep.method for rep in reports} == {"walk_dp", "nu_identity"}
     reports = cycle_pair_reports(E, ratio)
     assert len({rep.value for rep in reports}) == 1
 

@@ -13,7 +13,7 @@ from dilatelab.errors import (
     SizeExceedsSpaceError,
     TooLargeError,
 )
-from dilatelab.field import make_prime
+from dilatelab.field import inverse, make_prime
 from dilatelab.geometry import (
     PointSet,
     dist,
@@ -156,6 +156,25 @@ def test_quotient_set_contains_one():
         E = random_point_set(make_prime(11), 2, 6, seed)
         if distance_set(E) != {0}:
             assert 1 in quotient_set(E)
+
+
+
+def test_quotient_set_inverts_each_nonzero_distance_once(monkeypatch):
+    import dilatelab.geometry as geometry
+
+    calls = []
+
+    def counted_inverse(b, prime):
+        calls.append(b)
+        return inverse(b, prime)
+
+    monkeypatch.setattr(geometry, "inverse", counted_inverse)
+    seven = make_prime(7)
+    E = random_point_set(seven, 2, 12, seed=3)
+    deltas = distance_set(E)
+    quotients = quotient_set(E)
+    assert sorted(calls) == sorted(b for b in deltas if b != 0)
+    assert quotients == {a * pow(b, -1, 7) % 7 for a in deltas for b in deltas if b != 0}
 
 
 from hypothesis import given, settings, strategies as st

@@ -17,12 +17,6 @@ from dilatelab.verify import (
     CLAIM_NAMES,
     _scan_cell,
     _scan_ratios,
-    check_lemma22,
-    check_lemma23,
-    check_lemma24,
-    check_lemma26,
-    check_lemma42,
-    check_quotient_containment,
     exceeds_4_sqrt3_p32,
     exceeds_sqrt3_plus_one,
     family_witness,
@@ -76,20 +70,41 @@ def test_quotient_threshold_examples():
 
 
 def test_smallest_size_meeting():
-    assert smallest_size_meeting("C2path", SEVEN, 2) == 20
-    assert smallest_size_meeting("T_triangle", SEVEN, 2) == 21
-    assert smallest_size_meeting("F4cycle", SEVEN, 2) is None  # beyond the plane
-    assert smallest_size_meeting("P_simplex", make_prime(3), 3) == 21
+    assert smallest_size_meeting("C2path", SEVEN, 2, "all") == 20
+    assert smallest_size_meeting("T_triangle", SEVEN, 2, "squares") == 21
+    assert smallest_size_meeting("T_triangle", SEVEN, 2, "r=3") is None  # 3 is no square
+    assert smallest_size_meeting("F4cycle", SEVEN, 2, "all") is None  # beyond the plane
+    assert smallest_size_meeting("P_simplex", make_prime(3), 3, "squares") == 21
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_smallest_size_meeting_is_the_first_size_of_a_linear_scan(p, d):
-    # the bisection against trying every size in turn
+    # the bisection against trying every size in turn, the hypothesis at
+    # every ratio of the policy
     prime = make_prime(p)
-    for family in FAMILIES:
-        linear = next((n for n in range(1, p**d + 1) if meets_family_size(family, n, p, d)), None)
-        assert smallest_size_meeting(family, prime, d) == linear, (family, p, d)
+    for family, policy in itertools.product(FAMILIES, ("all", "squares", "r=2")):
+        hypothesis = verify.CLAIMS[verify.FAMILY_TABLE[family].claim].hypothesis
+        ratios = ratios_for_policy(policy, prime)
+        linear = next((n for n in range(1, p**d + 1)
+                       if all(hypothesis(n, p, d, ratio) for ratio in ratios)), None)
+        assert smallest_size_meeting(family, prime, d, policy) == linear, (family, p, d, policy)
+        assert meets_family_size(family, p**d, p, d, policy) == (linear is not None)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_claim_hypothesis_is_monotone_in_the_set_size(p, d):
+    # the scans bisect the sizes, so once met a hypothesis stays met
+    prime = make_prime(p)
+    square, nonsquare = make_ratio(1, prime), make_ratio(next(
+        r for r in range(2, p) if not make_ratio(r, prime).is_square), prime)
+    for name, claim in verify.CLAIMS.items():
+        ratios = [None] if name in verify.RATIO_FREE_CLAIMS else [square, nonsquare]
+        for ratio in ratios:
+            met = [claim.hypothesis(n, p, d, ratio) for n in range(1, p**d + 1)]
+            assert met == sorted(met), (name, p, d, ratio)
+            assert all(isinstance(m, bool) for m in met)
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +113,14 @@ def test_smallest_size_meeting_is_the_first_size_of_a_linear_scan(p, d):
 
 def test_lemma22_full_plane():
     plane = full_space(SEVEN, 2)
-    verdict = check_lemma22(plane, make_ratio(1, SEVEN))
+    verdict = run_claim("lemma2.2", plane, make_ratio(1, SEVEN))
     assert verdict.hypothesis_met and verdict.conclusion_holds
     assert verdict.lhs == 6 * (49 * 8) ** 2  # every nonzero step count is 49 * 8
     assert verdict.status == "HOLDS"
 
 
 def test_lemma22_single_point():
-    verdict = check_lemma22(PointSet(SEVEN, 2, [(1, 1)]), make_ratio(2, SEVEN))
+    verdict = run_claim("lemma2.2", PointSet(SEVEN, 2, [(1, 1)]), make_ratio(2, SEVEN))
     assert verdict.conclusion_holds  # 0 >= negative right side
     assert verdict.lhs == 0 and verdict.rhs < 0
 
@@ -116,15 +131,15 @@ def test_lemma22_random(p):
     for seed in range(10):
         E = random_point_set(prime, 2, 5 + seed, seed)
         for r in range(1, p):
-            assert not check_lemma22(E, make_ratio(r, prime)).contradicts_catalog
+            assert not run_claim("lemma2.2", E, make_ratio(r, prime)).contradicts_catalog
 
 
 def test_lemma23_examples():
-    verdict = check_lemma23(TWO_POINT, make_ratio(1, SEVEN))
+    verdict = run_claim("lemma2.3", TWO_POINT, make_ratio(1, SEVEN))
     assert verdict.lhs == verdict.rhs == 16  # equality on the two-point set
     assert verdict.conclusion_holds
     single = PointSet(SEVEN, 2, [(0, 0)])
-    assert check_lemma23(single, make_ratio(1, SEVEN)).conclusion_holds
+    assert run_claim("lemma2.3", single, make_ratio(1, SEVEN)).conclusion_holds
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -133,12 +148,12 @@ def test_lemma23_random_including_nonsquares(p):
     for seed in range(8):
         E = random_point_set(prime, 2, 4 + seed % 6, seed)
         for r in range(1, p):
-            verdict = check_lemma23(E, make_ratio(r, prime))
+            verdict = run_claim("lemma2.3", E, make_ratio(r, prime))
             assert verdict.hypothesis_met and verdict.conclusion_holds
 
 
 def test_lemma24_examples():
-    verdict = check_lemma24(TWO_POINT, make_ratio(1, SEVEN))
+    verdict = run_claim("lemma2.4", TWO_POINT, make_ratio(1, SEVEN))
     assert verdict.lhs == 64 and verdict.rhs == 16
     assert verdict.conclusion_holds
 
@@ -149,14 +164,14 @@ def test_lemma24_random(p):
     for seed in range(5):
         E = random_point_set(prime, 2, 4 + seed, seed)
         for r in (1, 2, p - 1):
-            assert check_lemma24(E, make_ratio(r, prime)).conclusion_holds
+            assert run_claim("lemma2.4", E, make_ratio(r, prime)).conclusion_holds
 
 
 def test_lemma26_random():
     # lhs is the least margin over all p^2 profile pairs, listed or not
     for p, d, seed in itertools.product((5, 7), (1, 2, 3), range(3)):
         E = random_point_set(make_prime(p), d, min(6 + seed, p**d), seed)
-        verdict = check_lemma26(E)
+        verdict = run_claim("lemma2.6", E)
         assert verdict.conclusion_holds
         D = E.dist_table
         one = [sum(row.count(t) for row in D) for t in range(p)]
@@ -170,7 +185,7 @@ def test_lemma42_random():
     for seed in range(4):
         E = random_point_set(SEVEN, 2, 7, seed)
         for r in (1, 3):
-            verdict = check_lemma42(E, make_ratio(r, SEVEN))
+            verdict = run_claim("lemma4.2", E, make_ratio(r, SEVEN))
             assert verdict.hypothesis_met and verdict.conclusion_holds
 
 
@@ -250,7 +265,7 @@ def test_t110_small_set_vacuous():
 def test_quotient_full_planes():
     for p in (3, 7, 11):
         plane = full_space(make_prime(p), 2)
-        verdict = check_quotient_containment(plane)
+        verdict = run_claim("quotient", plane)
         assert verdict.conclusion_holds
         # 9 * p > p^2 for p < 9, so only p = 11+ could ever meet the bound;
         # 121 < 9 * 11 = 99 is false: 121 >= 99, so p = 11 meets it
@@ -260,13 +275,13 @@ def test_quotient_full_planes():
 def test_quotient_f3_dimension_4():
     three = make_prime(3)
     space = full_space(three, 4)
-    verdict = check_quotient_containment(space)
+    verdict = run_claim("quotient", space)
     assert verdict.hypothesis_met  # 81 = 9 * 3^2 exactly
     assert verdict.conclusion_holds
 
 
 def test_quotient_single_point():
-    verdict = check_quotient_containment(PointSet(SEVEN, 2, [(0, 0)]))
+    verdict = run_claim("quotient", PointSet(SEVEN, 2, [(0, 0)]))
     assert not verdict.hypothesis_met
     assert verdict.conclusion_holds is False
     assert verdict.status == "VACUOUS"
@@ -275,7 +290,7 @@ def test_quotient_single_point():
 def test_quotient_odd_dimension_squares():
     three = make_prime(3)
     cube = full_space(three, 3)
-    verdict = check_quotient_containment(cube)
+    verdict = run_claim("quotient", cube)
     assert verdict.hypothesis_met == (27 * 27 >= 36 * 27)
     assert verdict.conclusion_holds  # squares of the field appear
 
@@ -329,7 +344,7 @@ def test_claims_and_scans_call_the_finders_bound_in_verify(monkeypatch):
 
 
 def test_verdict_serialization():
-    verdict = check_lemma23(TWO_POINT, make_ratio(1, SEVEN))
+    verdict = run_claim("lemma2.3", TWO_POINT, make_ratio(1, SEVEN))
     row = verdict.csv_row()
     assert row.startswith("lemma2.3,7,2,2,1,")
     assert "HOLDS" in row
@@ -354,6 +369,19 @@ def test_scan_threshold_small():
     assert result.theoretical_threshold == 20
     rows = result.csv_rows()
     assert len(rows) == 6 and rows[0].startswith("C2path,7,2,r=1,2,4,")
+
+
+@pytest.mark.parametrize("family,p,d,policy,threshold", [
+    ("C2path", 13, 2, "all", None),          # T1.5 needs p = 3 (mod 4)
+    ("T_triangle", 7, 2, "all", None),       # T1.7 covers square ratios only
+    ("T_triangle", 5, 3, "squares", None),   # and d = 2 only
+    ("P_simplex", 5, 1, "squares", None),    # T1.8 needs d >= 2
+    ("C2path", 7, 2, "all", 20),
+    ("T_triangle", 7, 2, "squares", 21),
+])
+def test_scan_threshold_is_null_off_the_theorem_domain(family, p, d, policy, threshold):
+    result = scan_threshold(make_prime(p), d, family, policy, sizes=[3], samples=1, seed=0)
+    assert result.json_dict()["theoretical_threshold"] == threshold
 
 
 def test_scan_full_size_is_always_positive():
@@ -539,7 +567,7 @@ def test_t16_holds_with_its_hypothesis_met():
     # the least size the hypothesis admits at the least prime p = 3 (mod 4)
     # where it fits the plane: 3140^2 > 48 * 59^3, on 3140 of 3481 points
     prime = make_prime(59)
-    assert smallest_size_meeting(FAMILY_FOUR_CYCLE, prime, 2) == 3140
+    assert smallest_size_meeting(FAMILY_FOUR_CYCLE, prime, 2, "all") == 3140
     E = random_point_set(prime, 2, 3140, seed=0)
     for r in (2, 1, 3, 58):
         verdict = run_claim("T1.6", E, make_ratio(r, prime))
