@@ -302,8 +302,9 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     too.  A lane holds at most n^(k+1) walks; lanes are that wide, rounded
     up to whole bytes.  Refused, before the classes are laid out, when level
     k would hold more than PROFILE_GUARD lanes, the n rows of level k - 1
-    and the level-k total would take more than LANE_GUARD bytes, or the k
-    steps more than SWEEP_GUARD.
+    and the level-k total (at k = 1, the n x m distance classes instead)
+    would take more than LANE_GUARD bytes, or the k steps more than
+    SWEEP_GUARD.
     """
     n, p = len(E), E.prime.p
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
@@ -313,11 +314,12 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     if _exceeds(m, k, PROFILE_GUARD):
         raise TooLargeError(f"{m}^{k} profiles exceed {PROFILE_GUARD} lanes")
     lanes = m**k
-    held = (n + m) * m ** (k - 1)  # n rows of level k - 1 and the level-k total
+    # n rows of level k - 1 and the level-k total, or at k = 1 the n x m class layout
+    held = max((n + m) * m ** (k - 1), n * m)
     width = _lane_width(n, k + 1, k, held)
     if held * width > LANE_GUARD:
-        raise TooLargeError(f"{n} rows of {m ** (k - 1)} lanes and a {lanes}-lane total, "
-                            f"{width} bytes a lane, exceed {LANE_GUARD} bytes")
+        raise TooLargeError(f"{held} lanes of {width} bytes for {n} points and {lanes} "
+                            f"profiles exceed {LANE_GUARD} bytes")
     classes, members = _distance_classes(E)
     if not stays:
         # the other points at distance 0; class 0 is last.  Tuples of lists: tuples

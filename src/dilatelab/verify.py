@@ -263,34 +263,35 @@ def _found(E: PointSet, ratio: Ratio, family: str) -> tuple:
 
 @dataclass(frozen=True)
 class _Claim:
-    hypothesis: Callable   # (n, p, d, ratio) -> bool, monotone in n; r read only as is_square
+    hypothesis: Callable   # (n, p, d, square) -> bool, monotone in n; square is r's squareness
     conclusion: Callable   # (E, ratio, k) -> (holds, lhs, rhs, extra params)
 
 
-def _always(n: int, p: int, d: int, ratio: Ratio | None) -> bool:
+def _always(n: int, p: int, d: int, square: bool | None) -> bool:
     return True
 
 
-# The claim catalog in its order.  A ratio-free claim gets ratio None.  Each
+# The claim catalog in its order.  A hypothesis reads r only as square or not,
+# and a ratio-free claim gets no ratio: square None for both halves.  Each
 # hypothesis is decided by exact integer arithmetic; the conclusion is
 # computed regardless, by witness search or exact rational comparison.
 CLAIMS = {
-    "lemma2.2": _Claim(lambda n, p, d, ratio: dilation_safe(p, d), _lemma22),
+    "lemma2.2": _Claim(lambda n, p, d, square: dilation_safe(p, d), _lemma22),
     "lemma2.3": _Claim(_always, _lemma23),  # the graph-side argument covers every nonzero r
     "lemma2.4": _Claim(_always, _lemma24),
     "lemma2.6": _Claim(_always, _lemma26),
-    "lemma4.2": _Claim(lambda n, p, d, ratio: dilation_safe(p, d), _lemma42),
-    "T1.5": _Claim(lambda n, p, d, ratio: dilation_safe(p, d) and exceeds_sqrt3_plus_one(n, p),
+    "lemma4.2": _Claim(lambda n, p, d, square: dilation_safe(p, d), _lemma42),
+    "T1.5": _Claim(lambda n, p, d, square: dilation_safe(p, d) and exceeds_sqrt3_plus_one(n, p),
                    lambda E, ratio, k: _found(E, ratio, FAMILY_PATH_PAIRS)),
-    "T1.6": _Claim(lambda n, p, d, ratio: dilation_safe(p, d) and exceeds_4_sqrt3_p32(n, p),
+    "T1.6": _Claim(lambda n, p, d, square: dilation_safe(p, d) and exceeds_4_sqrt3_p32(n, p),
                    lambda E, ratio, k: _found(E, ratio, FAMILY_FOUR_CYCLE)),
-    "T1.7": _Claim(lambda n, p, d, ratio: d == 2 and ratio.is_square and n >= 3 * p,
+    "T1.7": _Claim(lambda n, p, d, square: d == 2 and square and n >= 3 * p,
                    lambda E, ratio, k: _found(E, ratio, FAMILY_TRIANGLE)),
-    "T1.8": _Claim(lambda n, p, d, ratio: d >= 2 and ratio.is_square
+    "T1.8": _Claim(lambda n, p, d, square: d >= 2 and square
                    and meets_simplex_size(n, p, d),
                    lambda E, ratio, k: _found(E, ratio, FAMILY_SIMPLEX)),
-    "T1.10": _Claim(lambda n, p, d, ratio: dilation_safe(p, d) and n > 2 * p, _t110),
-    "quotient": _Claim(lambda n, p, d, ratio: meets_quotient_size(n, p, d), _quotient),
+    "T1.10": _Claim(lambda n, p, d, square: dilation_safe(p, d) and n > 2 * p, _t110),
+    "quotient": _Claim(lambda n, p, d, square: meets_quotient_size(n, p, d), _quotient),
 }
 
 CLAIM_NAMES = tuple(CLAIMS)
@@ -318,7 +319,8 @@ def run_claim(name: str, E: PointSet, ratio: Ratio | None = None, k: int = 3) ->
         params["r"] = ratio.r
     return Verdict(
         claim=name,
-        hypothesis_met=claim.hypothesis(len(E), E.prime.p, E.d, ratio),
+        hypothesis_met=claim.hypothesis(len(E), E.prime.p, E.d,
+                                        None if ratio is None else ratio.is_square),
         conclusion_holds=holds,
         lhs=lhs,
         rhs=rhs,
@@ -406,32 +408,22 @@ def _scan_ratios(p: int, policy: str) -> tuple[Prime, tuple[tuple[Ratio, int | N
     return prime, tuple(pairs)
 
 
-@lru_cache(maxsize=None)
-def _squareness_classes(p: int, policy: str) -> tuple[Ratio, ...]:
-    """One ratio of the policy per squareness class it holds, at most two.
-
-    A hypothesis reads r only through is_square, and r and 1/r are squares
-    or non-squares together, so the searched ratios of _scan_ratios hold
-    every class of the policy.
-    """
-    _, pairs = _scan_ratios(p, policy)
-    return tuple({ratio.is_square: ratio for ratio, _ in pairs}.values())
-
-
-def meets_family_size(family: str, n: int, p: int, d: int, policy: str) -> bool:
-    """Whether n meets the hypothesis of the family's existence theorem at
-    every ratio of the policy."""
+def meets_family_size(family: str, n: int, p: int, d: int, squares) -> bool:
+    """Whether n meets the hypothesis of the family's existence theorem at a
+    ratio of each squareness in squares (True for a square r)."""
     hypothesis = CLAIMS[FAMILY_TABLE[family].claim].hypothesis
-    return all(hypothesis(n, p, d, ratio) for ratio in _squareness_classes(p, policy))
+    return all(hypothesis(n, p, d, square) for square in squares)
 
 
 def smallest_size_meeting(family: str, prime: Prime, d: int, policy: str) -> int | None:
     """Least set size meeting the family's theorem hypothesis at every ratio
     of the policy, if any fits; the hypothesis is monotone in n, so the
-    sizes are bisected."""
+    sizes are bisected.  r and 1/r are squares or not together, so the
+    searched ratios of _scan_ratios hold every squareness of the policy."""
+    squares = {ratio.is_square for ratio, _ in _scan_ratios(prime.p, policy)[1]}
     sizes = range(1, prime.p**d + 1)
     i = bisect_left(sizes, True,
-                    key=lambda n: meets_family_size(family, n, prime.p, d, policy))
+                    key=lambda n: meets_family_size(family, n, prime.p, d, squares))
     return sizes[i] if i < len(sizes) else None
 
 

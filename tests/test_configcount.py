@@ -535,10 +535,8 @@ def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
         raise AssertionError("the guard must refuse before the classes are laid out")
 
     big = make_prime(100003)
-    # about 39,000 distances: 39,000^2 2-step profiles are past PROFILE_GUARD,
-    # and the 1-step table, 316 + 39,000 lanes of 3 bytes, past a 100 kB LANE_GUARD
+    # about 39,000 distances: one row of 1-step profile lanes is past LANE_GUARD
     wide = random_point_set(big, 2, 316, seed=0)
-    monkeypatch.setattr(configcount, "LANE_GUARD", 10**5)
     # 42 points with 42 or more distances: 42^4 census profiles, past CENSUS_GUARD
     census_set = random_point_set(make_prime(101), 2, 42, seed=2)
     monkeypatch.setattr(configcount, "_distance_classes", never)
