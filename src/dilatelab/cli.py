@@ -29,6 +29,7 @@ from .configcount import (
 )
 from .errors import (
     DilateLabError,
+    DimensionMismatchError,
     MethodMismatchError,
     SizeExceedsSpaceError,
     TooLargeError,
@@ -301,6 +302,8 @@ def _count_rows(E: PointSet, args) -> list:
                 reports.extend(rows("group_sum", exact))
             except TooLargeError as exc:
                 refused_checks(E)[(*key, "group_sum")] = f"guard: {exc}"
+            except DimensionMismatchError as exc:  # no orthogonal group enumerated at this d
+                refused_checks(E)[(*key, "group_sum")] = str(exc)
     return reports
 
 

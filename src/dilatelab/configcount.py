@@ -66,8 +66,9 @@ PROFILE_GUARD = 1 << 18
 # Packed sweeps whose steps could form more bytes of lanes in all are refused.
 SWEEP_GUARD = 1 << 30
 # Cycle censuses whose tables could hold more profiles than this are refused:
-# a table entry takes about 70 bytes, and at p = 101 the census of 40
-# points (2.2M and 2.3M profiles) already holds 300 MiB.
+# a table entry takes about 55 bytes, and at p = 101 the census of 40
+# points (2.1M and 2.3M profiles) already holds 235 MiB, at a peak RSS of
+# 295 MiB.
 CENSUS_GUARD = 3 * 10**6
 
 METHOD_BRUTE = "brute"
@@ -679,85 +680,120 @@ class CycleCensus:
     yb: dict
 
 
-def _add(table: dict, code: int, value: int) -> None:
-    table[code] = table.get(code, 0) + value
-
-
 @per_set
 def cycle_census(E: PointSet) -> CycleCensus:
     """The closed 4-walk tables of E, independent of any ratio.  Memoised.
 
-    Corner split: with H_ac(h) the number of points b whose pair code
-    D[a][b] + D[c][b] p is h, y sums H_ac(h) H_ac(h') over (a, c) at the
-    code h + swap(h') p^2, swap exchanging the two digits of a pair code:
-    the middle point b has the pair (t1, t2) and e has (t4, t3).  x is the
-    same sum over the histograms H' that leave out b = a and b = c.  The
-    a = c terms are products of point degrees: with deg_s(a) the number of
-    points at squared distance s from a (a itself at s = 0),
+    y, every closed walk, by the corner split: with H_ac(h) the number of
+    points b whose pair code D[a][b] + D[c][b] p is h, y sums H_ac(h) H_ac(h')
+    over (a, c) at the code h + swap(h') p^2, swap exchanging the two digits
+    of a pair code: the middle point b has the pair (t1, t2) and e has
+    (t4, t3).  The histograms are built for a != c only; the a = c terms are
+    y13.  Each term is summed once per symmetry class: a pair a < c stands
+    for (c, a) too, whose term is the same count with both pair codes
+    swapped; and of the two products H(h) H(h') and H(h') H(h) only one is
+    formed, the other being the same count at the walk read backwards.  The
+    images are added at the end.
+
+    The a = c and b = e tables are Gram sums of point degrees: with deg_s(a)
+    the number of points at squared distance s from a (a itself at s = 0),
     y13(s, s, u, u) = sum_a deg_s(a) deg_u(a), and y24(s, u, u, s), which
     counts the walks (a, b, c, b), has the same value.  yb(s, s, s, s) =
-    sum_a deg_s(a) counts the walks (a, b, a, b).  The x-side tables use
-    the degrees that leave a out.  As x13 and y13 are the a = c terms of x
-    and y, the histograms are built for a != c only.
+    sum_a deg_s(a) counts the walks (a, b, a, b).  x13, x24 and xb are the
+    same sums with deg_0(a) - 1, a left out of its own class.
 
-    Each term is summed once per symmetry class: a pair a < c stands for
-    (c, a) too, whose term is the same count with both pair codes swapped;
-    and of the two products H(h) H(h') and H(h') H(h) only one is formed,
-    the other being the same count at the walk read backwards.  The images
-    are added at the end.  Cost O(n^2 h^2) for h histogram keys, with
-    h <= min(n, p^2).  Refused when min(n, m)^4, a bound on the profiles of
-    a table for m distances in E, exceeds CENSUS_GUARD.
+    x, the walks with distinct consecutive points, is y by
+    inclusion-exclusion over the four edge coincidences a = b, b = c, c = e
+    and e = a.  One coincidence leaves a closed 3-walk, its profile with a 0
+    digit at the collapsed edge; the 3-walks (a, b, c) with a != c are H_ac
+    by their first two steps, their third D[a][c], and those with a = c are
+    norm_pair_counts at (s, s, 0).  Two leave an ordered pair of points at
+    distance s, norm_pair_counts[s] walks with the digit s at the two other
+    edges, whichever two they are.  Three or four leave one point, n walks
+    at code 0 for each of the four triples and for all four.  So
+    x = y - (the 3-walks at each of the four edges) + (the pairs at each of
+    the six edge pairs) - 3n at code 0.
+
+    Cost O(n^2 h^2) for h histogram keys, with h <= min(n, p^2); x adds
+    O(h) per pair and O(m^3) for the m distances of E.  Refused when
+    min(n, m)^4, a bound on the profiles of a table, exceeds CENSUS_GUARD.
     """
     p = E.prime.p
     pp = p * p
     n = len(E)
     # a profile has four of the m distances of E, and a walk has one profile
-    m = len(E.norm_pair_counts)
+    pairs = E.norm_pair_counts
+    m = len(pairs)
     if min(n, m) ** 4 > CENSUS_GUARD:
         raise TooLargeError(
             f"a cycle census of {n} points with {m} distances may hold "
             f"{min(n, m)}^4 profiles, over {CENSUS_GUARD}"
         )
     D = E.dist_table
-    tables = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
-    for bucket in E.neighbor_buckets.rows():
-        deg = {s: len(js) for s, js in bucket.items()}
-        deg_x = {**deg, 0: deg[0] - 1}          # the point itself
-        for side, degrees in (("y", deg), ("x", deg_x)):
-            t13, t24, tb = tables[side + "13"], tables[side + "24"], tables[side + "b"]
-            items = [(s, c) for s, c in degrees.items() if c]
-            for s, ds in items:
-                _add(tb, s * (p + 1) * (pp + 1), ds)
-                for u, du in items:
-                    _add(t13, (s + u * pp) * (p + 1), ds * du)
-                    _add(t24, s + u * p + (u + s * p) * pp, ds * du)
+    tables = {name: {} for name in ("x13", "y13", "x24", "y24", "xb", "yb")}
+    rows = E.neighbor_buckets.rows()
+    degrees = {s: [len(bucket.get(s, ())) for bucket in rows] for s in pairs}
+    for s, ds in degrees.items():
+        for u, du in degrees.items():
+            walks = sum(map(mul, ds, du))
+            # the sum of (deg_s(a) - [s = 0]) (deg_u(a) - [u = 0]), as sum_a deg_s(a) = pairs[s]
+            distinct = walks - (s == 0) * pairs[u] - (u == 0) * pairs[s] + (s == u == 0) * n
+            for side, v in (("y", walks), ("x", distinct)):
+                if v:
+                    tables[side + "13"][(s + u * pp) * (p + 1)] = v
+                    tables[side + "24"][s + u * p + (u + s * p) * pp] = v
+        for side, v in (("y", pairs[s]), ("x", pairs[s] - (s == 0) * n)):
+            if v:
+                tables[side + "b"][s * (p + 1) * (pp + 1)] = v
     high = [[t * p for t in row] for row in D]
-    swap = {s + t * p: t + s * p for s in E.norm_pair_counts for t in E.norm_pair_counts}
-    for side in ("y", "x"):
-        half: dict[int, int] = {}
-        get = half.get
-        for a in range(n):
-            for c in range(a + 1, n):
-                hist = Counter(map(add, D[a], high[c]))
-                if side == "x":
-                    s = D[a][c]
-                    hist[s * p] -= 1    # b = a
-                    hist[s] -= 1        # b = c
-                items = [(k, v) for k, v in hist.items() if v]
-                for i, (k1, v1) in enumerate(items):
-                    base = k1 * pp
-                    for k2, v2 in items[i:]:
-                        code = base + k2
-                        half[code] = get(code, 0) + v1 * v2
-        full = tables[side]
-        for code, v in half.items():
-            k1, k2 = divmod(code, pp)
-            for u, w in {(k1, k2), (k2, k1)}:
-                _add(full, u + swap[w] * pp, v)
-                _add(full, swap[u] + w * pp, v)
-        for code, v in tables[side + "13"].items():
-            _add(full, code, v)
-    return CycleCensus(**tables)
+    swap = {s + t * p: t + s * p for s in pairs for t in pairs}
+    half: dict[int, int] = {}
+    corners: dict[int, int] = {}  # the 3-walks (a, b, c), a < c, at h + D[a][c] p^2
+    get, get3 = half.get, corners.get
+    for a in range(n):
+        row = D[a]
+        for c in range(a + 1, n):
+            # in key order, so half holds each unordered pair of keys at one code
+            items = sorted(Counter(map(add, row, high[c])).items())
+            third = row[c] * pp
+            for i, (k1, v1) in enumerate(items):
+                code = third + k1
+                corners[code] = get3(code, 0) + v1
+                base = k1 * pp
+                for k2, v2 in items[i:]:
+                    code = base + k2
+                    half[code] = get(code, 0) + v1 * v2
+    y = tables["y13"].copy()  # the walks with a = c
+    get = y.get
+    for code, v in half.items():
+        k1, k2 = divmod(code, pp)
+        s1, s2 = swap[k1], swap[k2]
+        # the walks (a, b, c, e) and (c, b, a, e); unless k1 = k2, e and b exchanged too
+        images = (k1 + s2 * pp, s1 + k2 * pp)
+        if k1 != k2:
+            images += (k2 + s1 * pp, s2 + k1 * pp)
+        for code in images:
+            y[code] = get(code, 0) + v
+    del half  # x is built beside y, not beside half too
+    # the 3-walks (a, b, c) and (c, b, a), and (a, b, a), whose third step is 0
+    walks3 = {s * (p + 1): v for s, v in pairs.items()}
+    for code, v in corners.items():
+        third, h = divmod(code, pp)
+        for w in (code, swap[h] + third * pp):
+            walks3[w] = walks3.get(w, 0) + v
+    # every code below is the code of a walk with a coincidence, so a key of y
+    x = y.copy()
+    for w, v in walks3.items():
+        w1, w12 = w % p, w % pp
+        for code in (w * p, w1 + (w - w1) * p, w12 + (w - w12) * p, w):
+            x[code] -= v
+    for s, v in pairs.items():
+        for i, j in combinations(range(4), 2):
+            x[s * (p**i + p**j)] += v
+    x[0] -= 3 * n
+    for code in [code for code, v in x.items() if not v]:  # in place: x is as large as y
+        del x[code]
+    return CycleCensus(x=x, y=y, **tables)
 
 
 @lru_cache(maxsize=32)
@@ -783,8 +819,12 @@ def join(first: dict, second: dict, r: int, p: int) -> int:
     """J(F, G): the sum over profiles t of F(t) G(r t), F and G keyed by profile code.
 
     Every profile table is keyed by the code sum_i t_i p^i of its profiles
-    (t_0, .., t_{k-1}), and r scales each base-p digit mod p.
+    (t_0, .., t_{k-1}), and r scales each base-p digit mod p.  The smaller
+    table is the one iterated: J(F, G) is also the sum over u of
+    F(r^-1 u) G(u), so a join against a small table reads only its keys.
     """
+    if len(second) < len(first):
+        first, second, r = second, first, pow(r, -1, p)
     scale = _code_scale(r, p)
     return sum(map(mul, first.values(), map(second.get, map(scale, first), repeat(0))))
 

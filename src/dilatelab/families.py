@@ -264,23 +264,29 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     With AD = x - x13 - x24 + xb the walks whose four points are distinct
     and ND = y - y13 - y24 + yb the walks with a != c and b != e,
     fully_distinct = J(AD, AD) and the union of the families is
-    total - J(AD, ND).  A pair outside both has an adjacent y coincidence,
-    which only nonzero null segments allow.  The only size guard is the
-    census's own, on the profiles its tables can hold.
+    total - J(AD, ND).  J is bilinear, so J(AD, ND) is J(AD, y) - J(AD, y13)
+    - J(AD, y24) + J(AD, yb), and J(AD, y) is total - x13 - x24 + J(xb, y):
+    every join but J(x, y) and J(AD, AD) iterates a table of at most m^2
+    keys, m the distances in E.  A pair outside both has an adjacent y
+    coincidence, which only nonzero null segments allow.  The only size
+    guard is the census's own, on the profiles its tables can hold.
     """
     cen = cycle_census(E)
     r, p = ratio.r, E.prime.p
     x, y = cen.x, cen.y
-    x13, x24, xb = cen.x13, cen.x24, cen.xb
-    y13, y24, yb = cen.y13, cen.y24, cen.yb
-    ad = {t: v - x13.get(t, 0) - x24.get(t, 0) + xb.get(t, 0) for t, v in x.items()}
-    nd = {t: v - y13.get(t, 0) - y24.get(t, 0) + yb.get(t, 0) for t, v in y.items()}
+    ad = x.copy()  # a walk of x13, x24 or xb is one of x
+    for table, sign in ((cen.x13, -1), (cen.x24, -1), (cen.xb, 1)):
+        for t, v in table.items():
+            ad[t] += sign * v
     f = join(ad, ad, r, p)
     total = count_scaled_cycle_pairs(E, ratio).value
-    union = total - join(ad, nd, r, p)
+    x13, x24 = join(cen.x13, y, r, p), join(cen.x24, y, r, p)
+    ad_nd = (total - x13 - x24 + join(cen.xb, y, r, p) - join(ad, cen.y13, r, p)
+             - join(ad, cen.y24, r, p) + join(ad, cen.yb, r, p))
+    union = total - ad_nd
     return FourCycleFamilies(
-        fully_distinct=f, x13=join(x13, y, r, p), x24=join(x24, y, r, p),
-        y13=join(x, y13, r, p), y24=join(x, y24, r, p),
+        fully_distinct=f, x13=x13, x24=x24,
+        y13=join(x, cen.y13, r, p), y24=join(x, cen.y24, r, p),
         degenerate_union=union, total=total,
         decomposition_exact=total == f + union,
     )

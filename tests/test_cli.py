@@ -150,6 +150,22 @@ def test_count_triangle_nonsquare_ratio_skips_group_sum(capsys):
     assert len(rows) == 1  # brute row still emitted
 
 
+def test_count_simplex_past_d_3_keeps_its_brute_row(capsys):
+    # no orthogonal group is enumerated at d = 4, so the bound is noted as
+    # skipped, as at a non-square ratio, and the exact row still printed
+    argv = ["count", "--what", "P", "--d", "4", "--p", "3", "--random", "12", "--r", "1"]
+    code, auto, err = run_cli([*argv, "--method", "auto"], capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli([*argv, "--method", "all"], capsys)
+    assert code == 0 and out == auto
+    assert out.splitlines()[-1] == "P_simplex,3,4,12,1,540600,brute"
+    assert err == ("note: group_sum skipped for P_simplex r=1 "
+                   "(orthogonal enumeration is implemented for d in {2, 3})\n")
+    # asked for by name, the bound is still an error
+    code, out, err = run_cli([*argv, "--method", "group_sum"], capsys)
+    assert code == 2 and out == ""
+
+
 def test_count_triangle_square_ratio_bounds(capsys):
     code, out, _ = run_cli(
         ["count", "--what", "T_triangle", "--p", "7", "--random", "7", "--seed", "4",

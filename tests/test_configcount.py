@@ -195,12 +195,14 @@ def test_step_cycle_total_is_fourth_power(seed):
     assert total == len(E) ** 4
 
 
-@pytest.mark.parametrize("p,d,size", [(7, 2, 6), (5, 2, 7), (13, 2, 6), (3, 3, 7)])
-def test_cycle_census_tables_match_raw_walks(p, d, size):
-    E = random_point_set(make_prime(p), d, size, seed=p + d)
-    census = cycle_census(E)
+CENSUS_TABLES = ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")
+
+
+def raw_census(E):
+    # the eight census tables from every closed 4-walk of E
+    p, size = E.prime.p, len(E)
     D = E.dist_table
-    raw = {name: {} for name in ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")}
+    raw = {name: {} for name in CENSUS_TABLES}
     for a, b, c, e in itertools.product(range(size), repeat=4):
         t1, t2, t3, t4 = D[a][b], D[b][c], D[c][e], D[e][a]
         code = profile_code((t1, t2, t3, t4), p)
@@ -216,7 +218,14 @@ def test_cycle_census_tables_match_raw_walks(p, d, size):
                 names.append(side + "b")
             for name in names:
                 raw[name][code] = raw[name].get(code, 0) + 1
-    for name, table in raw.items():
+    return raw
+
+
+@pytest.mark.parametrize("p,d,size", [(7, 2, 6), (5, 2, 7), (13, 2, 6), (3, 3, 7)])
+def test_cycle_census_tables_match_raw_walks(p, d, size):
+    E = random_point_set(make_prime(p), d, size, seed=p + d)
+    census = cycle_census(E)
+    for name, table in raw_census(E).items():
         assert getattr(census, name) == table, name
     assert census.y == {
         code: count_step_cycles(E, tuple(code // p**i % p for i in range(4)))
@@ -226,13 +235,50 @@ def test_cycle_census_tables_match_raw_walks(p, d, size):
     assert (d == 2 and p % 4 == 3) or E.norm_pair_counts.get(0, 0) > size
 
 
+THIRTEEN = make_prime(13)
+# 5^2 = -1 (mod 13): every two points of the line t (1, 5) are at squared distance 0
+ISOTROPIC_LINE = PointSet(THIRTEEN, 2, [(t, 5 * t % 13) for t in range(13)])
+
+
+@pytest.mark.parametrize("E", [
+    PointSet(SEVEN, 2, [(3, 4)]),
+    TWO_POINT,
+    PointSet(THIRTEEN, 2, [(0, 0), (1, 5)]),    # two points at squared distance 0
+    ISOTROPIC_LINE,
+    random_point_set(make_prime(5), 3, 9, seed=3),
+], ids=["one-point", "two-point", "null-pair", "isotropic-line", "d3-p5"])
+def test_derived_census_tables_are_exact(E):
+    # x is y less every walk with an edge coincidence, by inclusion-exclusion;
+    # on one point every walk has one, and on two every term must cancel but
+    # the walks (a, b, a, b)
+    p, size = E.prime.p, len(E)
+    census = cycle_census(E)
+    for name, table in raw_census(E).items():
+        assert getattr(census, name) == table, name
+    assert census.x == code_histogram(E, CYCLE_EDGES, EDGE_DISTINCT)
+    assert census.y == code_histogram(E, CYCLE_EDGES, EVERY)
+    assert sum(census.y.values()) == size**4
+    # the closed 4-walks of K_n with distinct consecutive points: tr (J - I)^4
+    assert sum(census.x.values()) == (size - 1) ** 4 + size - 1
+    if size == 1:
+        assert census.x == {} and census.y == {0: 1}
+    if size == 2:
+        s = E.dist_table[0][1]
+        assert census.x == {s * (1 + p + p**2 + p**3): 2}
+    if E is ISOTROPIC_LINE:
+        assert census.y == {0: 13**4} and census.x == {0: 12**4 + 12}
+    # every case past one point but the plain two-point set has a null segment
+    assert has_null_segment(E) == (size > 1 and E is not TWO_POINT)
+
+
 def test_cycle_census_guard_refuses_before_building(monkeypatch):
     import dilatelab.configcount as configcount
 
     def never(*args):
         raise AssertionError("the guard must refuse before building a table")
 
-    monkeypatch.setattr(configcount, "_add", never)
+    # the census's first arithmetic: the Gram sums of the point degrees
+    monkeypatch.setattr(configcount, "mul", never)
     big = make_prime(101)
     # 42^4 > 3 * 10^6 >= 41^4; these sets have more distances than points
     E = random_point_set(big, 2, 42, seed=0)
@@ -639,6 +685,31 @@ def test_join_scales_every_digit_of_a_code(p):
             assert join(first, second, r, p) == expected, (length, r)
             hits += expected > 0
         assert hits >= len(ratios[::2])
+
+
+@pytest.mark.parametrize("p", [3, 13, 59])
+def test_join_iterates_either_table_alike(p):
+    # J(F, G) = sum_t F(t) G(r t) = sum_u F(r^-1 u) G(u), and join iterates
+    # the smaller table: each order of a small and a large table takes one way
+    rng = random.Random(p)
+
+    def scaled(code, r, length):
+        digits = [code // p**i % p for i in range(length)]
+        return profile_code([r * t % p for t in digits], p)
+
+    for length in (2, 4, 6):
+        small = {profile_code([rng.randrange(p) for _ in range(length)], p): rng.randrange(1, 9)
+                 for _ in range(3)}
+        # every image of small's codes, so each ratio has hits both ways
+        large = {code: rng.randrange(1, 9) for code in (
+            *(profile_code([rng.randrange(p) for _ in range(length)], p) for _ in range(40)),
+            *(scaled(code, r, length) for code in small for r in range(1, p)))}
+        assert len(small) < len(large)
+        for r in range(1, p):
+            for first, second in ((small, large), (large, small)):
+                expected = sum(v * second.get(scaled(code, r, length), 0)
+                               for code, v in first.items())
+                assert expected > 0 and join(first, second, r, p) == expected, (length, r)
 
 
 # the walk (a, b, a) on two vertices, whose profile is (s, s)

@@ -574,8 +574,9 @@ def test_t16_holds_with_its_hypothesis_met():
 
 def test_verify_all_computes_each_join_once_per_set_and_ratio(monkeypatch):
     # per instance: S_1, S_2 and S_3 by nu_identity, C by mu_identity, which
-    # lemma 2.4 reads and lemma 4.2 takes as its total, and the six other
-    # joins of the four-cycle families: 10 joins, not 11
+    # lemma 2.4 reads and lemma 4.2 takes as its total, and the nine other
+    # joins of the four-cycle families, J(AD, ND) split into four small ones:
+    # 13 joins, not 14
     joins, kernels = [], []
     join, mu = configcount.join, configcount._mu_identity_scaled_cycle_pairs
 
@@ -593,7 +594,9 @@ def test_verify_all_computes_each_join_once_per_set_and_ratio(monkeypatch):
     assert cli.main(["verify", "--claim", "all", "--random", "4", "--size", "8:12",
                      "--p", "7", "--r", "3", "--seed", "5", "--out", os.devnull]) == 0
     assert kernels == [3] * 4
-    assert len(joins) == 40
+    assert len(joins) == 52
+    # the recorded arguments keep every table alive, so no two share an id
+    assert len({(id(first), id(second), *rest) for first, second, *rest in joins}) == 52
 
 
 @pytest.mark.parametrize("claim,p,d,n", [
