@@ -14,7 +14,6 @@ from .configcount import (
     count_scaled_walk_pairs,
     count_step_cycles,
     count_step_walks,
-    displacement_count,
     displacement_histogram,
     make_ratio,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "count_step_cycles",
     "count_step_walks",
     "count_triangle_pairs",
-    "displacement_count",
     "displacement_histogram",
     "dist",
     "distance_set",

@@ -50,8 +50,7 @@ from .errors import (
     TooLargeError,
 )
 from .field import Prime, legendre, sqrt_mod
-from .geometry import Point, PointSet, per_set
-from .orthogonal import scaled_apply
+from .geometry import Point, PointSet, _byte_affine, _byte_squares, per_set
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orthogonal import OrthMatrix
@@ -866,44 +865,45 @@ def count_ratio_quadruples(E: PointSet, ratio: Ratio) -> CountReport:
 def displacement_histogram(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> dict[Point, int]:
     """For each z, the number of pairs (u, v) of E with u - sqrt(r)*theta*v = z.
 
-    Built a coordinate at a time, like PointSet.dist_table.  Coordinate i of
-    the images w = sqrt(r) theta v is the column sum over j of
-    (sqrt(r) theta_ij mod p) v_j, reduced mod p.  Over the n^2 ordered pairs,
-    v outer and u inner, the displacement column is then u_i - w_i with the
-    u column tiled and the w column repeated, reduced by one lookup in
-    range(p): a negative index reads p + u_i - w_i.  The histogram counts
-    the rows of the d columns.
+    Built a coordinate at a time, like PointSet.dist_table, and with its cut:
+    bytes columns while d(p - 1) <= 255, int columns past it.  Coordinate i
+    of the images w = sqrt(r) theta v is the column sum over j of
+    (sqrt(r) theta_ij mod p) v_j.  A bytes image column translates each
+    coordinate column by "times a mod p", sums the d parts as one big int,
+    in which no byte lane carries, and reduces the sum mod p by one more
+    translation.  Over the n^2 ordered pairs, v outer and u inner, the
+    displacement column u_i - w_i is then one translation of the u column
+    per image, by c -> (c - w) mod p, joined.  An int displacement column
+    tiles the u column, repeats each image n times and reduces each
+    difference by one lookup in range(p): a negative index reads
+    p + u_i - w_i.  The histogram counts the rows of the d columns; nothing
+    is kept on E.
     """
     if not ratio.is_square or ratio.sqrt_r is None:
         raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
     p = E.prime.p
     n = len(E)
-    cols = tuple(zip(*E.points))
-    residue = tuple(range(p)).__getitem__
+    cols = zip(*E.points)
     s = ratio.sqrt_r
     columns = []
-    for row, col in zip(theta.entries, cols):
-        w = repeat(0, n)
-        for t, c in zip(row, cols):
-            w = map(add, w, map((s * t % p).__mul__, c))
-        repeated = chain.from_iterable(map(repeat, map(p.__rmod__, w), repeat(n)))
-        columns.append(map(residue, map(sub, col * n, repeated)))
+    if E.d * (p - 1) <= 255:
+        _, modp = _byte_squares(p)
+        times, shift = _byte_affine(p)
+        cols = tuple(map(bytes, cols))
+        for row, col in zip(theta.entries, cols):
+            parts = map(bytes.translate, cols, [times[s * t % p] for t in row])
+            w = sum(map(int.from_bytes, parts, repeat("little"))).to_bytes(n, "little")
+            columns.append(b"".join(map(col.translate, map(shift.__getitem__, w.translate(modp)))))
+    else:
+        residue = tuple(range(p)).__getitem__
+        cols = tuple(cols)
+        for row, col in zip(theta.entries, cols):
+            w = repeat(0, n)
+            for t, c in zip(row, cols):
+                w = map(add, w, map((s * t % p).__mul__, c))
+            repeated = chain.from_iterable(map(repeat, map(p.__rmod__, w), repeat(n)))
+            columns.append(map(residue, map(sub, col * n, repeated)))
     return Counter(zip(*columns))
-
-
-def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z: Point) -> int:
-    """The number of pairs (u, v) of E with u - sqrt(r)*theta*v = z."""
-    if not ratio.is_square or ratio.sqrt_r is None:
-        raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
-    p = E.prime.p
-    z = tuple(c % p for c in z)
-    count = 0
-    for v in E.points:
-        w = scaled_apply(theta, ratio.sqrt_r, v, p)
-        u = tuple((a + b) % p for a, b in zip(z, w))
-        if u in E:
-            count += 1
-    return count
 
 
 def walk_pair_reports(E: PointSet, ratio: Ratio, k: int) -> list[CountReport]:

@@ -53,6 +53,19 @@ def _byte_squares(p: int) -> tuple[tuple[bytes, ...], bytes]:
     return sqd, bytes([s % p for s in range(256)])
 
 
+@lru_cache(maxsize=None)
+def _byte_affine(p: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The translation tables of the bytes displacement columns, d(p - 1) <= 255.
+
+    times[a] maps a coordinate c to a c mod p, and shift[w] maps c to
+    (c - w) mod p.
+    """
+    pad = [0] * (256 - p)
+    times = tuple(bytes([a * c % p for c in range(p)] + pad) for a in range(p))
+    shift = tuple(bytes([(c - w) % p for c in range(p)] + pad) for w in range(p))
+    return times, shift
+
+
 def _first_fault(p: int, d: int, pts) -> None:
     """Raise for the first point of pts, in order, of the wrong dimension,
     with a non-canonical coordinate, or repeating an earlier one."""

@@ -160,6 +160,21 @@ def pair_collapse_fibers(E: PointSet, ratio: Ratio) -> dict[tuple, int]:
 # shared-displacement tuple counts (per rotation)
 
 
+def displacement_count(E: PointSet, ratio: Ratio, theta: "OrthMatrix", z) -> int:
+    """The number of pairs (u, v) of E with u - sqrt(r)*theta*v = z, one v at a time."""
+    if not ratio.is_square or ratio.sqrt_r is None:
+        raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
+    p = E.prime.p
+    z = tuple(c % p for c in z)
+    count = 0
+    for v in E.points:
+        w = scaled_apply(theta, ratio.sqrt_r, v, p)
+        u = tuple((a + b) % p for a, b in zip(z, w))
+        if u in E:
+            count += 1
+    return count
+
+
 def shared_displacement_counts(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> tuple[int, int]:
     """(all, distinct-source) counts of (d+1)-tuples of pairs sharing a displacement.
 

@@ -646,7 +646,7 @@ def direct_group_sum(E, ratio, table):
     return sum(shared_displacement_counts_direct(E, ratio, theta)[1] for theta in table)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_simplex_bound_matches_direct_group_sum(p):
     prime = make_prime(p)
     E = random_point_set(prime, 3, 6, seed=p)
