@@ -12,8 +12,6 @@ from .configcount import (
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
-    count_step_cycles,
-    count_step_walks,
     displacement_histogram,
     make_ratio,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "count_scaled_cycle_pairs",
     "count_scaled_walk_pairs",
     "count_simplex_pairs",
-    "count_step_cycles",
-    "count_step_walks",
     "count_triangle_pairs",
     "displacement_histogram",
     "dist",

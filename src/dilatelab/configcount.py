@@ -2,8 +2,6 @@
 
 The central objects are, for a point set E and a nonzero ratio r:
 
-* step-walk counts: how many walks through E have a prescribed sequence of
-  squared step lengths (and the closed 4-walk variant);
 * profile tables, keyed by the code sum_i t_i p^i of a profile, the squared
   distances t_i along a pattern's edges; join(F, G, r, p) = sum F(t) G(r t)
   is the one place a ratio scales a profile;
@@ -37,6 +35,8 @@ not, and refused_checks records each cross-check a guard left out.
 
 from __future__ import annotations
 
+import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,6 +64,13 @@ LANE_GUARD = 1 << 24
 PROFILE_GUARD = 1 << 18
 # Packed sweeps whose steps could form more bytes of lanes in all are refused.
 SWEEP_GUARD = 1 << 30
+# At k = 3 the paired-walk sweep sums class Grams, about n m^3 lane operations
+# for n points and m distances, where m^3 <= GRAM_FACTOR n^2, and otherwise
+# runs its paired-state step, about n^3 + m n^2: the two took the same time
+# at m^3 / n^2 = 8-10 from (p, n) = (7, 8) to (101, 300), and past that the
+# Grams grow as m^3 (60 points at p = 1009 have 835 distances, 2.8 MB of
+# Gram lanes a point).
+GRAM_FACTOR = 8
 # Cycle censuses whose tables could hold more profiles than this are refused:
 # a table entry takes about 55 bytes, and at p = 101 the census of 40
 # points (2.1M and 2.3M profiles) already holds 235 MiB, at a peak RSS of
@@ -136,40 +143,6 @@ def _report(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> 
         name=name, value=value, method=method,
         p=E.prime.p, d=E.d, set_size=len(E), r=r, k=k,
     )
-
-
-def count_step_walks(E: PointSet, steps: Iterable[int]) -> int:
-    """Walks (x_1, .., x_{k+1}) in E whose i-th squared step length is steps[i].
-
-    Computed by a prefix sweep over the set, one vector per step, never by a
-    (k+1)-fold loop.
-    """
-    p = E.prime.p
-    steps = [t % p for t in steps]
-    n = len(E)
-    D = E.dist_table
-    vec = [1] * n
-    for t in steps:
-        vec = [sum(vec[i] for i in range(n) if D[i][j] == t) for j in range(n)]
-    return sum(vec)
-
-
-def count_step_cycles(E: PointSet, steps: Iterable[int]) -> int:
-    """Closed 4-walks (x_1, .., x_4) with the four prescribed squared steps."""
-    p = E.prime.p
-    t1, t2, t3, t4 = (t % p for t in steps)
-    n = len(E)
-    D = E.dist_table
-    total = 0
-    for a in range(n):
-        row_a = D[a]
-        for c in range(n):
-            row_c = D[c]
-            first = sum(1 for x in range(n) if row_a[x] == t1 and D[x][c] == t2)
-            if first:
-                second = sum(1 for x in range(n) if row_c[x] == t3 and D[x][a] == t4)
-                total += first * second
-    return total
 
 
 def _lane_bytes(bound: int) -> int:
@@ -245,11 +218,18 @@ def _pack(values, width: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
+# The native struct formats of the lane widths _lanes reads by one memoryview cast, by item
+# size; none on a big-endian host, where native items are not little-endian.
+_CASTS = {struct.calcsize(f): f for f in "HIQ"} if sys.byteorder == "little" else {}
+
+
 def _lanes(value: int, lanes: int, width: int) -> list[int]:
     """The lanes of a packed int, lowest first."""
     raw = value.to_bytes(lanes * width, "little")
     if width == 1:
         return list(raw)
+    if width in _CASTS:
+        return memoryview(raw).cast(_CASTS[width]).tolist()
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
@@ -548,6 +528,66 @@ def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
     return join(step_profile_counts(E, k), _scaled_walk_table(E, k), r, E.prime.p)
 
 
+def _gram_walk_pairs(members, degrees, scaled, distinct_first: bool) -> int:
+    """S_3 = 1^T T^3 1 of _paired_walk_sweep as sums of class Grams; no paired state.
+
+    With d_c the vector of every point's class-c degree (a point in its own
+    class 0), the Gram G_t[e][f] = d_e^T A_t d_f counts the 3-walks of
+    profile (e, t, f), H[e][f] = d_e^T d_f the 2-walks of profile (e, f),
+    and N_e = sum d_e the 1-walks.  T is symmetric and
+    T 1 = sum_a (A'_a 1) (x) d_{ra}, so S_3 = (T 1)^T T (T 1) is
+    sum_{a, s, b} X_s[a][b] G_{rs}[ra][rb], X_s[a][b] = (A'_a 1)^T A'_s
+    (A'_b 1) the 3-walks of profile (a, s, b) with distinct consecutive
+    points.  X is G by inclusion-exclusion over the coincidences of the
+    walk (x, i, j, y): x = i takes H[s][b] off at a = 0, i = j H[a][b] at
+    s = 0 and j = y H[a][s] at b = 0; two give back N at the third index,
+    and all three take n off at (0, 0, 0).  For the graph T = M - I (x) I,
+    M = sum_s A_s (x) A_{rs}, and S_3 = 1^T M^3 1 - 3 1^T M^2 1 + 3 1^T M 1
+    - n^2, the three M terms the r-scaled joins of G, H and N.
+
+    One class-sum pass packs, per point i, (A_t d_f)[i] for every (t, f)
+    and d_f[i] itself, each point's degrees being one int of m lanes; the
+    rows weighted by d_e and summed give G_t[e][.] and H[e][.] at once.
+    A Gram entry counts 4-tuples of points, so lanes are sized for n^4,
+    rounded up to a width _lanes reads by one cast.
+    """
+    n, m = len(members), len(degrees)
+    width = _lane_bytes(n**4)
+    width = min((w for w in _CASTS if w >= width), default=width)  # one _lanes reads by a cast
+    packed = [_pack(deg, width) for deg in zip(*degrees)]
+    sources = [packed] * m
+    rows = [_pack([*_class_sums(mem, sources), own], m * width)
+            for mem, own in zip(members, packed)]
+    # gram[e][t m + f] = G_t[e][f], and gram[e][m^2 + f] = H[e][f]
+    gram = [_lanes(sum(map(mul, deg, rows)), (m + 1) * m, width) for deg in degrees]
+    mm, z = m * m, m - 1  # class 0 is last
+    valid = [c for c in range(m) if scaled[c] is not None]
+    sizes = [sum(deg) for deg in degrees]
+
+    def scaled_join(x, lanes, scaled_lanes):  # sum_a x[a] . gram[ra], lanes against r-scaled lanes
+        return sum(sum(map(mul, map(x[a].__getitem__, lanes),
+                           map(gram[scaled[a]].__getitem__, scaled_lanes)))
+                   for a in valid)
+
+    # the 3-walk lanes (s, b) and their r-scaled lanes (rs, rb)
+    walks3 = zip(*[(s * m + b, scaled[s] * m + scaled[b]) for s in valid for b in valid])
+    if not distinct_first:
+        paths = scaled_join(gram, *walks3)
+        steps = scaled_join(gram, [mm + b for b in valid], [mm + scaled[b] for b in valid])
+        return paths - 3 * steps + 3 * sum(sizes[a] * sizes[scaled[a]] for a in valid) - n * n
+    x = [row[:mm] for row in gram]
+    for e in range(m):
+        for f, h in enumerate(gram[e][mm:]):
+            x[z][e * m + f] -= h  # x = i: a = 0, (s, b) = (e, f)
+            x[e][z * m + f] -= h  # i = j: s = 0, (a, b) = (e, f)
+            x[e][f * m + z] -= h  # j = y: b = 0, (a, s) = (e, f)
+        x[z][e * m + z] += sizes[e]  # x = i and j = y
+        x[z][z * m + e] += sizes[e]  # x = i = j
+        x[e][z * m + z] += sizes[e]  # i = j = y
+    x[z][z * m + z] -= n
+    return scaled_join(x, *walks3)
+
+
 def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int:
     """Pairs of k-step walks (x_i), (y_i) with ||y_i - y_{i+1}|| = r ||x_i - x_{i+1}||.
 
@@ -574,10 +614,13 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     maps to itself and holds x', so no lane goes negative.  Distance is
     symmetric, so the last step adds sum_s sum_y deg_{rs}(y) (sum_x deg_s(x)
     V[x])[y], less the stationary term summed the same way: sum_y deg_0(y)
-    (sum V)[y], or sum V for the graph.  So k = 2 runs no four-stage step.
-    An entry never exceeds n^(2k): it counts pairs of walks with at most k
-    free steps each.  Lanes are that wide, rounded up to whole bytes, and
-    _lane_width refuses k steps of m n^2 lanes, m classes, past SWEEP_GUARD.
+    (sum V)[y], or sum V for the graph.  So k = 2 runs no four-stage step,
+    and neither does k = 3 where m^3 <= GRAM_FACTOR n^2: there S_3 is a sum
+    of class Grams of the degree vectors (_gram_walk_pairs).  k >= 4 runs
+    k - 2 steps.  An entry never exceeds n^(2k): it counts pairs of walks
+    with at most k free steps each.  Lanes are that wide, rounded up to
+    whole bytes, and _lane_width refuses k steps of m n^2 lanes, m classes,
+    past SWEEP_GUARD, before either form is chosen.
     """
     n = len(E)
     p = E.prime.p
@@ -589,6 +632,8 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     scaled = [slot.get(r * t % p) for t in classes]
     zero = [0] * n
     degrees = [[len(mem[c]) for mem in members] for c in range(m)]
+    if k == 3 and m**3 <= GRAM_FACTOR * n * n:
+        return _gram_walk_pairs(members, degrees, scaled, distinct_first)
     ones = _pack([1] * n, width)
     if k == 1:
         rows = [ones] * n

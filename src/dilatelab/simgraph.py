@@ -67,7 +67,13 @@ class SimilarityGraph:
         return self.degree_sum() // 2
 
     def count_walks(self, k: int) -> int:
-        """Sequences of k+1 vertices with consecutive vertices adjacent."""
+        """Sequences of k+1 vertices with consecutive vertices adjacent.
+
+        1^T (M - I)^k 1 for M = sum_s A_s (x) A_{rs}: at k <= 2 summed by
+        degrees, at k = 3 from class Grams where the set has few distances
+        for its size (m^3 <= configcount.GRAM_FACTOR n^2), so without a paired state,
+        and otherwise by k - 2 paired-state steps.
+        """
         if k < 1:
             raise ValueError("k must be at least 1")
         return _paired_walk_sweep(self.E, self.ratio.r, k, distinct_first=False)

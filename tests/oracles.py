@@ -69,6 +69,39 @@ def first_scaled_pair(E: PointSet, r: int, edges, x_tuples):
     return None
 
 
+def count_step_walks(E: PointSet, steps) -> int:
+    """Walks (x_1, .., x_{k+1}) in E whose i-th squared step length is steps[i].
+
+    A prefix sweep over the set, one vector per step, never a (k+1)-fold loop.
+    """
+    p = E.prime.p
+    steps = [t % p for t in steps]
+    n = len(E)
+    D = E.dist_table
+    vec = [1] * n
+    for t in steps:
+        vec = [sum(vec[i] for i in range(n) if D[i][j] == t) for j in range(n)]
+    return sum(vec)
+
+
+def count_step_cycles(E: PointSet, steps) -> int:
+    """Closed 4-walks (x_1, .., x_4) with the four prescribed squared steps."""
+    p = E.prime.p
+    t1, t2, t3, t4 = (t % p for t in steps)
+    n = len(E)
+    D = E.dist_table
+    total = 0
+    for a in range(n):
+        row_a = D[a]
+        for c in range(n):
+            row_c = D[c]
+            first = sum(1 for x in range(n) if row_a[x] == t1 and D[x][c] == t2)
+            if first:
+                second = sum(1 for x in range(n) if row_c[x] == t3 and D[x][a] == t4)
+                total += first * second
+    return total
+
+
 # ----------------------------------------------------------------------------
 # proof-step checks
 

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from dilatelab import configcount
 from dilatelab.configcount import (
     CYCLE_EDGES,
     DISTINCT,
@@ -22,8 +23,6 @@ from dilatelab.configcount import (
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
-    count_step_cycles,
-    count_step_walks,
     cycle_census,
     cycle_pair_reports,
     displacement_histogram,
@@ -39,7 +38,7 @@ from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
 from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
 from dilatelab.simgraph import SimilarityGraph
-from oracles import displacement_count
+from oracles import count_step_cycles, count_step_walks, displacement_count
 
 SEVEN = make_prime(7)
 TWO_POINT = PointSet(SEVEN, 2, [(0, 0), (1, 0)])
@@ -356,8 +355,8 @@ from hypothesis import given, settings, strategies as st
 def test_walk_dp_equals_raw_oracle_fuzz(p, d, codes, r, k):
     # both residue classes of p and every d: the sweep must match raw tuple
     # enumeration, null segments included; k = 3 is the first k whose sweep
-    # runs a paired-state step, and past 4^8 tuple pairs the dense oracle
-    # stands in for the raw one
+    # is not summed by degrees alone, and past 4^8 tuple pairs the dense
+    # oracle stands in for the raw one
     prime = make_prime(p)
     pts = sorted({tuple(c // p**i % p for i in range(d)) for c in codes})
     E = PointSet(prime, d, pts)
@@ -390,7 +389,9 @@ def test_dense_oracle_matches_raw_enumeration():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_paired_walk_sweep_matches_the_dense_oracle(p, d):
     # both modes, every r, k = 1..4: k = 1 and 2 sum the first and last steps
-    # by degrees, k >= 3 runs k - 2 paired-state steps between them
+    # by degrees; k = 3 sums class Grams where m^3 <= GRAM_FACTOR n^2 and runs
+    # one paired-state step elsewhere, which the sets below reach both ways;
+    # k = 4 runs two steps
     prime = make_prime(p)
     sets = [random_point_set(prime, d, n, seed=n) for n in (1, 2, 3, 6, 10) if n <= p**d]
     if (p, d) == (13, 2):
@@ -401,6 +402,53 @@ def test_paired_walk_sweep_matches_the_dense_oracle(p, d):
                 for k in range(1, 5):
                     assert _paired_walk_sweep(E, r, k, distinct_first) == \
                         dense_paired_walks(E, r, k, distinct_first), (len(E), r, k, distinct_first)
+
+
+def raise_on_transpose(*args):
+    raise AssertionError("a paired-state step ran")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_paired_walk_sweep_at_k_3_forms_no_paired_state(p, d, monkeypatch):
+    # with GRAM_FACTOR admitting every set, k = 3 is the class-Gram sum on
+    # each: it equals the dense oracle in both modes at every r without one
+    # transpose, while k = 4 still steps the paired state
+    monkeypatch.setattr(configcount, "GRAM_FACTOR", 10**9)
+    monkeypatch.setattr(configcount, "_transpose", raise_on_transpose)
+    prime = make_prime(p)
+    sets = [random_point_set(prime, d, n, seed=n) for n in (1, 2, 3, 6, 10) if n <= p**d]
+    if (p, d) == (13, 2):
+        sets.append(ISOTROPIC_LINE)
+    for E in sets:
+        for r in range(1, p):
+            for distinct_first in (True, False):
+                assert _paired_walk_sweep(E, r, 3, distinct_first) == \
+                    dense_paired_walks(E, r, 3, distinct_first), (len(E), r, distinct_first)
+    with pytest.raises(AssertionError, match="a paired-state step ran"):
+        _paired_walk_sweep(sets[-1], 1, 4, True)
+
+
+@pytest.mark.parametrize("p,n", [(11, 80), (13, 94), (7, 8), (5, 10), (61, 20)])
+def test_gram_factor_picks_the_form_and_both_agree(p, n, monkeypatch):
+    # the benchmark's k = 3 sizes take the Gram sum, without a transpose; at
+    # p = 61, where 20 points have more than 2 n^(2/3) distances, the sweep
+    # steps the paired state; each form equals the other, in both modes
+    E = random_point_set(make_prime(p), 2, n, seed=1)
+    m = len(E.norm_pair_counts)
+    gram = m**3 <= configcount.GRAM_FACTOR * n * n
+    assert gram == (p != 61)
+    transpose, transposes = configcount._transpose, []
+    monkeypatch.setattr(configcount, "_transpose",
+                        lambda *args: transposes.append(args) or transpose(*args))
+    for r in (1, 2, p - 1):
+        for distinct_first in (True, False):
+            del transposes[:]
+            value = _paired_walk_sweep(E, r, 3, distinct_first)
+            assert len(transposes) == (0 if gram else 2)
+            with monkeypatch.context() as other:
+                other.setattr(configcount, "GRAM_FACTOR", 0 if gram else 10**9)
+                assert _paired_walk_sweep(E, r, 3, distinct_first) == value, (r, distinct_first)
 
 
 def signed_step_walks(E, prof, moving):
@@ -437,9 +485,10 @@ def test_every_cached_profile_level_matches_step_walks(p, d):
                 assert table == expected, (len(E), level, moving)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8])
 def test_lanes_unpack_every_width_alike(width):
-    # one-byte lanes are read as the bytes themselves; every width agrees with
+    # one-byte lanes are read as the bytes themselves, 2-, 4- and 8-byte lanes
+    # by one memoryview cast and the rest lane by lane; every width agrees with
     # shifting and masking the packed int, the top lane full and zero lanes kept
     full = (1 << 8 * width) - 1
     for values in ([0], [full], [5, 0, full, 1, 0], list(range(1, 40)), [0] * 7):
