@@ -406,7 +406,6 @@ def main(argv=None) -> int:
     except (DilateLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,7 +8,7 @@ The central objects are, for a point set E and a nonzero ratio r:
 * step-profile tables, one per walk length k: X_k counts the walks with
   distinct consecutive points by profile, and Y_k every walk; each is one
   packed sweep that keeps level k alone, and nu_identity joins X_k against
-  Y_k, for every (p, d);
+  Y_k, for every (p, d); walk_dp's S_3 joins Y_3 less its stays against Y_3;
 * scaled walk/cycle pairs: pairs of walks (or closed 4-walks) where the
   second walk's squared step lengths are the first's multiplied by r, the
   first walk having distinct consecutive points; they are counted, never
@@ -64,13 +64,15 @@ LANE_GUARD = 1 << 24
 PROFILE_GUARD = 1 << 18
 # Packed sweeps whose steps could form more bytes of lanes in all are refused.
 SWEEP_GUARD = 1 << 30
-# At k = 3 the paired-walk sweep sums class Grams, about n m^3 lane operations
-# for n points and m distances, where m^3 <= GRAM_FACTOR n^2, and otherwise
-# runs its paired-state step, about n^3 + m n^2: the two took the same time
-# at m^3 / n^2 = 8-10 from (p, n) = (7, 8) to (101, 300), and past that the
-# Grams grow as m^3 (60 points at p = 1009 have 835 distances, 2.8 MB of
-# Gram lanes a point).
-GRAM_FACTOR = 8
+# At k = 3 the paired-walk sweep joins the walk tables Y_3 and Y_2 where
+# m^3 <= GRAM_FACTOR n^2, for n points and m distances: two packed sweeps of
+# about n^2 + m n row operations on rows of m^2 lanes, then m^3 profiles
+# written to a dict and joined, one Python step each.  Otherwise, or where a
+# guard refuses the tables, it runs its paired-state step, about n^3 + m n^2
+# lane operations.  On fresh random planar sets the two took the same time at
+# m^3 / n^2 = 1 at p = 13, 2-3 at p = 31 and 3-4 at p = 61; at m^3 = 8 n^2
+# the tables took 1.7-3.3 times as long as the step.
+GRAM_FACTOR = 2
 # Cycle censuses whose tables could hold more profiles than this are refused:
 # a table entry takes about 55 bytes, and at p = 101 the census of 40
 # points (2.1M and 2.3M profiles) already holds 235 MiB, at a peak RSS of
@@ -528,64 +530,31 @@ def _nu_identity_scaled_walk_pairs(E: PointSet, r: int, k: int) -> int:
     return join(step_profile_counts(E, k), _scaled_walk_table(E, k), r, E.prime.p)
 
 
-def _gram_walk_pairs(members, degrees, scaled, distinct_first: bool) -> int:
-    """S_3 = 1^T T^3 1 of _paired_walk_sweep as sums of class Grams; no paired state.
+def _walk_table_pairs(E: PointSet, r: int, distinct_first: bool) -> int:
+    """S_3 of _paired_walk_sweep from the walk tables Y_3 and Y_2; no paired state.
 
-    With d_c the vector of every point's class-c degree (a point in its own
-    class 0), the Gram G_t[e][f] = d_e^T A_t d_f counts the 3-walks of
-    profile (e, t, f), H[e][f] = d_e^T d_f the 2-walks of profile (e, f),
-    and N_e = sum d_e the 1-walks.  T is symmetric and
-    T 1 = sum_a (A'_a 1) (x) d_{ra}, so S_3 = (T 1)^T T (T 1) is
-    sum_{a, s, b} X_s[a][b] G_{rs}[ra][rb], X_s[a][b] = (A'_a 1)^T A'_s
-    (A'_b 1) the 3-walks of profile (a, s, b) with distinct consecutive
-    points.  X is G by inclusion-exclusion over the coincidences of the
-    walk (x, i, j, y): x = i takes H[s][b] off at a = 0, i = j H[a][b] at
-    s = 0 and j = y H[a][s] at b = 0; two give back N at the third index,
-    and all three take n off at (0, 0, 0).  For the graph T = M - I (x) I,
-    M = sum_s A_s (x) A_{rs}, and S_3 = 1^T M^3 1 - 3 1^T M^2 1 + 3 1^T M 1
-    - n^2, the three M terms the r-scaled joins of G, H and N.
-
-    One class-sum pass packs, per point i, (A_t d_f)[i] for every (t, f)
-    and d_f[i] itself, each point's degrees being one int of m lanes; the
-    rows weighted by d_e and summed give G_t[e][.] and H[e][.] at once.
-    A Gram entry counts 4-tuples of points, so lanes are sized for n^4,
-    rounded up to a width _lanes reads by one cast.
+    With distinct_first, S_3 = J(X_3, Y_3) and X_3 is Y_3 by inclusion-exclusion
+    over the walks (x, i, j, y) that stay put: x = i, i = j and j = y each
+    take the 2-walks Y_2 off with a 0 step placed at that step; two give back
+    the pairs of norm_pair_counts, the one moving step s at s p^2, s p or s;
+    and all three take n off at code 0.  For the graph T = M - I (x) I,
+    M = sum_s A_s (x) A_{rs}, and 1^T M^j 1 = J(Y_j, Y_j), Y_1 the pairs, so
+    S_3 = J(Y_3, Y_3) - 3 J(Y_2, Y_2) + 3 J(Y_1, Y_1) - n^2.  Refused where
+    walk_profile_counts refuses Y_3.
     """
-    n, m = len(members), len(degrees)
-    width = _lane_bytes(n**4)
-    width = min((w for w in _CASTS if w >= width), default=width)  # one _lanes reads by a cast
-    packed = [_pack(deg, width) for deg in zip(*degrees)]
-    sources = [packed] * m
-    rows = [_pack([*_class_sums(mem, sources), own], m * width)
-            for mem, own in zip(members, packed)]
-    # gram[e][t m + f] = G_t[e][f], and gram[e][m^2 + f] = H[e][f]
-    gram = [_lanes(sum(map(mul, deg, rows)), (m + 1) * m, width) for deg in degrees]
-    mm, z = m * m, m - 1  # class 0 is last
-    valid = [c for c in range(m) if scaled[c] is not None]
-    sizes = [sum(deg) for deg in degrees]
-
-    def scaled_join(x, lanes, scaled_lanes):  # sum_a x[a] . gram[ra], lanes against r-scaled lanes
-        return sum(sum(map(mul, map(x[a].__getitem__, lanes),
-                           map(gram[scaled[a]].__getitem__, scaled_lanes)))
-                   for a in valid)
-
-    # the 3-walk lanes (s, b) and their r-scaled lanes (rs, rb)
-    walks3 = zip(*[(s * m + b, scaled[s] * m + scaled[b]) for s in valid for b in valid])
+    n, p = len(E), E.prime.p
+    y3, y2, pairs = walk_profile_counts(E, 3), walk_profile_counts(E, 2), E.norm_pair_counts
     if not distinct_first:
-        paths = scaled_join(gram, *walks3)
-        steps = scaled_join(gram, [mm + b for b in valid], [mm + scaled[b] for b in valid])
-        return paths - 3 * steps + 3 * sum(sizes[a] * sizes[scaled[a]] for a in valid) - n * n
-    x = [row[:mm] for row in gram]
-    for e in range(m):
-        for f, h in enumerate(gram[e][mm:]):
-            x[z][e * m + f] -= h  # x = i: a = 0, (s, b) = (e, f)
-            x[e][z * m + f] -= h  # i = j: s = 0, (a, b) = (e, f)
-            x[e][f * m + z] -= h  # j = y: b = 0, (a, s) = (e, f)
-        x[z][e * m + z] += sizes[e]  # x = i and j = y
-        x[z][z * m + e] += sizes[e]  # x = i = j
-        x[e][z * m + z] += sizes[e]  # i = j = y
-    x[z][z * m + z] -= n
-    return scaled_join(x, *walks3)
+        return join(y3, y3, r, p) - 3 * join(y2, y2, r, p) + 3 * join(pairs, pairs, r, p) - n * n
+    x, pp = y3.copy(), p * p
+    for c, v in y2.items():  # the 2-walk c = s + t p with a 0 step first, second or last
+        for code in (c * p, c % p + c // p * pp, c):
+            x[code] -= v
+    for t, v in pairs.items():
+        for code in (t * pp, t * p, t):
+            x[code] += v
+    x[0] -= n
+    return join(x, y3, r, p)
 
 
 def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int:
@@ -615,25 +584,29 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     symmetric, so the last step adds sum_s sum_y deg_{rs}(y) (sum_x deg_s(x)
     V[x])[y], less the stationary term summed the same way: sum_y deg_0(y)
     (sum V)[y], or sum V for the graph.  So k = 2 runs no four-stage step,
-    and neither does k = 3 where m^3 <= GRAM_FACTOR n^2: there S_3 is a sum
-    of class Grams of the degree vectors (_gram_walk_pairs).  k >= 4 runs
-    k - 2 steps.  An entry never exceeds n^(2k): it counts pairs of walks
-    with at most k free steps each.  Lanes are that wide, rounded up to
-    whole bytes, and _lane_width refuses k steps of m n^2 lanes, m classes,
-    past SWEEP_GUARD, before either form is chosen.
+    and neither does k = 3 where m^3 <= GRAM_FACTOR n^2: there S_3 is joined
+    from the memoised walk tables Y_3 and Y_2 (_walk_table_pairs), unless
+    their guards refuse them.  k >= 4 runs k - 2 steps.  An entry never
+    exceeds n^(2k): it counts pairs of walks with at most k free steps each.
+    Lanes are that wide, rounded up to whole bytes, and _lane_width refuses
+    k steps of m n^2 lanes, m classes, past SWEEP_GUARD, before either form
+    is chosen.
     """
     n = len(E)
     p = E.prime.p
     m = len(E.norm_pair_counts)
     width = _lane_width(n, 2 * k, k, m * n * n)
+    if k == 3 and m**3 <= GRAM_FACTOR * n * n:
+        try:
+            return _walk_table_pairs(E, r, distinct_first)
+        except TooLargeError:  # a refused walk table: the paired-state step counts instead
+            pass
     classes, members = _distance_classes(E)
     row_bytes = n * width
     slot = {t: c for c, t in enumerate(classes)}
     scaled = [slot.get(r * t % p) for t in classes]
     zero = [0] * n
     degrees = [[len(mem[c]) for mem in members] for c in range(m)]
-    if k == 3 and m**3 <= GRAM_FACTOR * n * n:
-        return _gram_walk_pairs(members, degrees, scaled, distinct_first)
     ones = _pack([1] * n, width)
     if k == 1:
         rows = [ones] * n

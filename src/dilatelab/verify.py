@@ -60,7 +60,7 @@ class Verdict:
 
     claim: str
     hypothesis_met: bool
-    conclusion_holds: bool | None
+    conclusion_holds: bool
     lhs: Fraction | int | None
     rhs: Fraction | int | None
     params: dict = field(default_factory=dict)
@@ -71,13 +71,11 @@ class Verdict:
     def status(self) -> str:
         if not self.hypothesis_met:
             return "VACUOUS"
-        if self.conclusion_holds is None:
-            return "UNKNOWN"
         return "HOLDS" if self.conclusion_holds else "FAILED"
 
     @property
     def contradicts_catalog(self) -> bool:
-        return self.hypothesis_met and self.conclusion_holds is False
+        return self.hypothesis_met and not self.conclusion_holds
 
     def csv_row(self) -> str:
         get = self.params.get
@@ -89,7 +87,7 @@ class Verdict:
             get("r", ""),
             get("k", ""),
             self.hypothesis_met,
-            "" if self.conclusion_holds is None else self.conclusion_holds,
+            self.conclusion_holds,
             self.status,
             "" if self.lhs is None else self.lhs,
             "" if self.rhs is None else self.rhs,

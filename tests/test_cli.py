@@ -421,6 +421,28 @@ def test_usage_error_missing_p(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--size", "3"], "gen requires --p"),
+    (["scan", "--family", "C2path", "--sizes", "2:4", "--samples", "1"], "scan requires --p"),
+    (["verify", "--claim", "all", "--random", "2"], "--random requires --p"),
+    (["scan", "--family", "C2path", "--p", "7", "--sizes", "1:2:3:4", "--samples", "1"],
+     "bad size range '1:2:3:4'"),
+    (["count", "--what", "T", "--d", "3", "--p", "5", "--random", "6", "--method", "brute"],
+     "triangle pairs are a planar family"),
+    (["count", "--what", "T", "--d", "3", "--p", "5", "--random", "6", "--method", "group_sum"],
+     "the triangle bound is planar"),
+], ids=["gen", "scan", "verify", "sizes", "T-brute", "T-group_sum"])
+def test_input_checks_exit_2_with_their_message(argv, message, capsys):
+    # a parser error raises SystemExit(2); a ValueError from a count returns 2
+    try:
+        code = main([*argv, "--threads", "1"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "dilatelab.cli", "count", "--what", "distance",

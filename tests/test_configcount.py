@@ -33,7 +33,7 @@ from dilatelab.configcount import (
     walk_pair_reports,
     walk_profile_counts,
 )
-from dilatelab.errors import TooLargeError
+from dilatelab.errors import NotASquareRatioError, TooLargeError
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
 from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
@@ -389,8 +389,8 @@ def test_dense_oracle_matches_raw_enumeration():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_paired_walk_sweep_matches_the_dense_oracle(p, d):
     # both modes, every r, k = 1..4: k = 1 and 2 sum the first and last steps
-    # by degrees; k = 3 sums class Grams where m^3 <= GRAM_FACTOR n^2 and runs
-    # one paired-state step elsewhere, which the sets below reach both ways;
+    # by degrees; k = 3 joins the walk tables where m^3 <= GRAM_FACTOR n^2 and
+    # runs one paired-state step elsewhere, which the sets below reach both ways;
     # k = 4 runs two steps
     prime = make_prime(p)
     sets = [random_point_set(prime, d, n, seed=n) for n in (1, 2, 3, 6, 10) if n <= p**d]
@@ -411,7 +411,7 @@ def raise_on_transpose(*args):
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_paired_walk_sweep_at_k_3_forms_no_paired_state(p, d, monkeypatch):
-    # with GRAM_FACTOR admitting every set, k = 3 is the class-Gram sum on
+    # with GRAM_FACTOR admitting every set, k = 3 joins the walk tables on
     # each: it equals the dense oracle in both modes at every r without one
     # transpose, while k = 4 still steps the paired state
     monkeypatch.setattr(configcount, "GRAM_FACTOR", 10**9)
@@ -429,15 +429,42 @@ def test_paired_walk_sweep_at_k_3_forms_no_paired_state(p, d, monkeypatch):
         _paired_walk_sweep(sets[-1], 1, 4, True)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_paired_walk_sweep_at_k_3_steps_where_the_walk_tables_are_refused(p, d, monkeypatch):
+    # inside GRAM_FACTOR, a set whose walk tables a guard refuses runs the
+    # paired-state step, as past the factor, and it equals the dense oracle in
+    # both modes at every r; fresh sets, so no table is memoised before
+    monkeypatch.setattr(configcount, "GRAM_FACTOR", 10**9)
+    monkeypatch.setattr(configcount, "PROFILE_GUARD", 0)
+    transpose, transposes = configcount._transpose, []
+    monkeypatch.setattr(configcount, "_transpose",
+                        lambda *args: transposes.append(args) or transpose(*args))
+    prime = make_prime(p)
+    sets = [random_point_set(prime, d, n, seed=n) for n in (1, 2, 3, 6, 10) if n <= p**d]
+    if (p, d) == (13, 2):
+        sets.append(PointSet(prime, 2, ISOTROPIC_LINE.points))
+    for E in sets:
+        for r in range(1, p):
+            for distinct_first in (True, False):
+                del transposes[:]
+                assert _paired_walk_sweep(E, r, 3, distinct_first) == \
+                    dense_paired_walks(E, r, 3, distinct_first), (len(E), r, distinct_first)
+                assert len(transposes) == 2
+        with pytest.raises(TooLargeError):
+            walk_profile_counts(E, 3)
+
+
 @pytest.mark.parametrize("p,n", [(11, 80), (13, 94), (7, 8), (5, 10), (61, 20)])
 def test_gram_factor_picks_the_form_and_both_agree(p, n, monkeypatch):
-    # the benchmark's k = 3 sizes take the Gram sum, without a transpose; at
-    # p = 61, where 20 points have more than 2 n^(2/3) distances, the sweep
+    # the walks benchmark's k = 3 sizes, and 10 points at p = 5, join the walk
+    # tables, without a transpose; 8 points at p = 7 (m^3 = 5.4 n^2) and 20 at
+    # p = 61 have more than GRAM_FACTOR^(1/3) n^(2/3) distances, so the sweep
     # steps the paired state; each form equals the other, in both modes
     E = random_point_set(make_prime(p), 2, n, seed=1)
     m = len(E.norm_pair_counts)
-    gram = m**3 <= configcount.GRAM_FACTOR * n * n
-    assert gram == (p != 61)
+    tables = m**3 <= configcount.GRAM_FACTOR * n * n
+    assert tables == (p not in (7, 61))
     transpose, transposes = configcount._transpose, []
     monkeypatch.setattr(configcount, "_transpose",
                         lambda *args: transposes.append(args) or transpose(*args))
@@ -445,9 +472,9 @@ def test_gram_factor_picks_the_form_and_both_agree(p, n, monkeypatch):
         for distinct_first in (True, False):
             del transposes[:]
             value = _paired_walk_sweep(E, r, 3, distinct_first)
-            assert len(transposes) == (0 if gram else 2)
+            assert len(transposes) == (0 if tables else 2)
             with monkeypatch.context() as other:
-                other.setattr(configcount, "GRAM_FACTOR", 0 if gram else 10**9)
+                other.setattr(configcount, "GRAM_FACTOR", 0 if tables else 10**9)
                 assert _paired_walk_sweep(E, r, 3, distinct_first) == value, (r, distinct_first)
 
 
@@ -862,6 +889,13 @@ def test_displacement_full_plane():
         hist = displacement_histogram(plane, ratio, theta)
         assert set(hist.values()) == {9}
         assert len(hist) == 9
+
+
+def test_displacement_histogram_needs_a_square_ratio():
+    E = PointSet(SEVEN, 2, [(2, 5), (1, 3)])
+    theta = so2_elements(SEVEN).elements[1]
+    with pytest.raises(NotASquareRatioError, match="ratio 3 is not a nonzero square"):
+        displacement_histogram(E, make_ratio(3, SEVEN), theta)
 
 
 def test_displacement_single_point():
