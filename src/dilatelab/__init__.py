@@ -16,7 +16,6 @@ from .configcount import (
     make_ratio,
 )
 from .families import (
-    FamilyCount,
     count_path_pairs,
     count_simplex_pairs,
     count_triangle_pairs,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CountReport",
-    "FamilyCount",
     "GroupTable",
     "OrthMatrix",
     "PointSet",

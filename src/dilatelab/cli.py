@@ -40,7 +40,6 @@ from .families import (
     FAMILY_PATH_PAIRS,
     FAMILY_SIMPLEX,
     FAMILY_TRIANGLE,
-    FamilyCount,
     count_path_pairs,
     count_simplex_pairs,
     count_triangle_pairs,
@@ -49,7 +48,6 @@ from .families import (
     simplex_bound_group_sum,
     triangle_bound_group_sum,
     two_path_part_rows,
-    _family,
 )
 from .field import make_prime
 from .geometry import (
@@ -91,8 +89,8 @@ KIND_METHODS = {
     FAMILY_SIMPLEX: ("brute", "group_sum"),
 }
 COUNT_KINDS = tuple(KIND_METHODS)
-# the kinds whose rows, and so whose fixed CSV header, are CountReport's; the
-# others' are FamilyCount's, even when every row is skipped
+# the kinds whose rows, and so whose fixed CSV header, take CountReport's count
+# layout; the others' take its family layout, even when every row is skipped
 REPORT_KINDS = ("S_k", "C", "V", "quotient", "distance")
 WHAT_ALIASES = {"T": FAMILY_TRIANGLE, "P": FAMILY_SIMPLEX, "F": FAMILY_FOUR_CYCLE}
 
@@ -263,7 +261,7 @@ def _method_rows(E: PointSet, args, what: str, ratio, method: str, exact=()) -> 
         named = [(what, fams.fully_distinct)]
         if args.method == "all":  # the coincidence subfamilies
             named += [("A13", fams.x13), ("A24", fams.x24), ("B13", fams.y13), ("B24", fams.y24)]
-        return [_family(E, name, value, method, ratio.r) for name, value in named]
+        return [_report(E, name, value, method, ratio.r) for name, value in named]
     planar = what == FAMILY_TRIANGLE
     if method == "brute":
         return [(count_triangle_pairs if planar else count_simplex_pairs)(E, ratio)]
@@ -272,13 +270,13 @@ def _method_rows(E: PointSet, args, what: str, ratio, method: str, exact=()) -> 
         return []
     if what == "displacement":
         _, lam_total, n_total, slice_total = group_displacement_sums(E, ratio)
-        return [_family(E, name, value, method, ratio.r) for name, value in
+        return [_report(E, name, value, method, ratio.r) for name, value in
                 (("Lambda_theta", lam_total), ("N_theta", n_total), ("A_kl", slice_total))]
     value = (triangle_bound_group_sum if planar else simplex_bound_group_sum)(E, ratio)
     if exact and value > exact[0].value:  # an element counts a pair at most once
         raise MethodMismatchError(f"the group_sum bound {value} exceeds the {what} count "
                                   f"{exact[0].value} at r={ratio.r}; points={list(E.points)}")
-    return [_family(E, what, max(0, int(value)), method, ratio.r)]
+    return [_report(E, what, max(0, int(value)), method, ratio.r)]
 
 
 def _count_rows(E: PointSet, args) -> list:
@@ -311,9 +309,10 @@ def cmd_count(args, parser) -> int:
     E = _resolve_set(args, parser)
     reports = _count_rows(E, args)
     _note_refused_checks(E)
-    row = CountReport if WHAT_ALIASES.get(args.what, args.what) in REPORT_KINDS else FamilyCount
-    _emit("count", row.CSV_HEADER, [rep.csv_row() for rep in reports],
-          [rep.json_dict() for rep in reports], args)
+    family = WHAT_ALIASES.get(args.what, args.what) not in REPORT_KINDS
+    _emit("count", CountReport.FAMILY_CSV_HEADER if family else CountReport.CSV_HEADER,
+          [rep.csv_row(family) for rep in reports], [rep.json_dict(family) for rep in reports],
+          args)
     return 0
 
 

@@ -36,7 +36,6 @@ not, and refused_checks records each cross-check a guard left out.
 from __future__ import annotations
 
 import struct
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,14 +64,14 @@ PROFILE_GUARD = 1 << 18
 # Packed sweeps whose steps could form more bytes of lanes in all are refused.
 SWEEP_GUARD = 1 << 30
 # At k = 3 the paired-walk sweep joins the walk tables Y_3 and Y_2 where
-# m^3 <= GRAM_FACTOR n^2, for n points and m distances: two packed sweeps of
-# about n^2 + m n row operations on rows of m^2 lanes, then m^3 profiles
-# written to a dict and joined, one Python step each.  Otherwise, or where a
-# guard refuses the tables, it runs its paired-state step, about n^3 + m n^2
-# lane operations.  On fresh random planar sets the two took the same time at
-# m^3 / n^2 = 1 at p = 13, 2-3 at p = 31 and 3-4 at p = 61; at m^3 = 8 n^2
-# the tables took 1.7-3.3 times as long as the step.
-GRAM_FACTOR = 2
+# m^3 <= WALK_TABLE_FACTOR n^2, for n points and m distances: two packed
+# sweeps of about n^2 + m n row operations on rows of m^2 lanes, then m^3
+# profiles written to a dict and joined, one Python step each.  Otherwise,
+# or where a guard refuses the tables, it runs its paired-state step, about
+# n^3 + m n^2 lane operations.  On fresh random planar sets the two took the
+# same time at m^3 / n^2 = 1 at p = 13, 2-3 at p = 31 and 3-4 at p = 61; at
+# m^3 = 8 n^2 the tables took 1.7-3.3 times as long as the step.
+WALK_TABLE_FACTOR = 2
 # Cycle censuses whose tables could hold more profiles than this are refused:
 # a table entry takes about 55 bytes, and at p = 101 the census of 40
 # points (2.1M and 2.3M profiles) already holds 235 MiB, at a peak RSS of
@@ -109,7 +108,12 @@ def make_ratio(r: int, prime: Prime) -> Ratio:
 
 @dataclass(frozen=True)
 class CountReport:
-    """A named integer count plus the method and parameters that produced it."""
+    """A named integer count plus the method and parameters that produced it.
+
+    It prints in one of two layouts, chosen per count kind by cli.REPORT_KINDS:
+    a count's, or a family's, which calls the name "family" and leaves k out
+    of its CSV row.
+    """
 
     name: str
     value: int
@@ -121,15 +125,18 @@ class CountReport:
     k: int | None = None
 
     CSV_HEADER = "name,method,p,d,E_size,r,k,value"
+    FAMILY_CSV_HEADER = "family,p,d,E_size,r,value,method"
 
-    def csv_row(self) -> str:
+    def csv_row(self, family: bool = False) -> str:
         r = "" if self.r is None else self.r
+        if family:
+            return f"{self.name},{self.p},{self.d},{self.set_size},{r},{self.value},{self.method}"
         k = "" if self.k is None else self.k
         return f"{self.name},{self.method},{self.p},{self.d},{self.set_size},{r},{k},{self.value}"
 
-    def json_dict(self) -> dict:
+    def json_dict(self, family: bool = False) -> dict:
         return {
-            "name": self.name,
+            "family" if family else "name": self.name,
             "method": self.method,
             "p": self.p,
             "d": self.d,
@@ -215,23 +222,25 @@ def _transpose(matrix: bytes, rows: int, lanes: int, width: int) -> list[int]:
     ]
 
 
+# The little-endian struct item of each lane width that _pack and _lanes move in
+# one call; other widths go value by value.
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _pack(values, width: int) -> int:
-    """One int holding values as width-byte lanes, the first value lowest."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-
-# The native struct formats of the lane widths _lanes reads by one memoryview cast, by item
-# size; none on a big-endian host, where native items are not little-endian.
-_CASTS = {struct.calcsize(f): f for f in "HIQ"} if sys.byteorder == "little" else {}
+    """One int holding the sequence values as width-byte lanes, the first value lowest."""
+    if width in _FORMATS:
+        raw = struct.pack(f"<{len(values)}{_FORMATS[width]}", *values)
+    else:
+        raw = b"".join(v.to_bytes(width, "little") for v in values)
+    return int.from_bytes(raw, "little")
 
 
 def _lanes(value: int, lanes: int, width: int) -> list[int]:
     """The lanes of a packed int, lowest first."""
     raw = value.to_bytes(lanes * width, "little")
-    if width == 1:
-        return list(raw)
-    if width in _CASTS:
-        return memoryview(raw).cast(_CASTS[width]).tolist()
+    if width in _FORMATS:
+        return list(struct.unpack(f"<{lanes}{_FORMATS[width]}", raw))
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
@@ -584,9 +593,9 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     symmetric, so the last step adds sum_s sum_y deg_{rs}(y) (sum_x deg_s(x)
     V[x])[y], less the stationary term summed the same way: sum_y deg_0(y)
     (sum V)[y], or sum V for the graph.  So k = 2 runs no four-stage step,
-    and neither does k = 3 where m^3 <= GRAM_FACTOR n^2: there S_3 is joined
-    from the memoised walk tables Y_3 and Y_2 (_walk_table_pairs), unless
-    their guards refuse them.  k >= 4 runs k - 2 steps.  An entry never
+    and neither does k = 3 where m^3 <= WALK_TABLE_FACTOR n^2: there S_3 is
+    joined from the memoised walk tables Y_3 and Y_2 (_walk_table_pairs),
+    unless their guards refuse them.  k >= 4 runs k - 2 steps.  An entry never
     exceeds n^(2k): it counts pairs of walks with at most k free steps each.
     Lanes are that wide, rounded up to whole bytes, and _lane_width refuses
     k steps of m n^2 lanes, m classes, past SWEEP_GUARD, before either form
@@ -596,7 +605,7 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     p = E.prime.p
     m = len(E.norm_pair_counts)
     width = _lane_width(n, 2 * k, k, m * n * n)
-    if k == 3 and m**3 <= GRAM_FACTOR * n * n:
+    if k == 3 and m**3 <= WALK_TABLE_FACTOR * n * n:
         try:
             return _walk_table_pairs(E, r, distinct_first)
         except TooLargeError:  # a refused walk table: the paired-state step counts instead
@@ -682,17 +691,18 @@ class CycleCensus:
     number of walks: y and x are brute_join's EVERY and EDGE_DISTINCT sides.
 
     y counts every closed walk and x the walks with distinct consecutive
-    points; each has a restriction to a = c (x13, y13), to b = e (x24, y24)
-    and to both (xb, yb).  Every count C and the lemma 4.2 families need is
-    a join of an x-side table against a y-side one.
+    points; each has a restriction to a = c (x13, y13) and to a = c and
+    b = e both (xb, yb).  Rotating a walk, (a, b, c, e) -> (b, c, e, a), maps
+    those with b = e onto those with a = c and rotates the profile's digits,
+    so the b = e restrictions are x13 and y13 rotated and need no table.
+    Every count C and the lemma 4.2 families need is a join of an x-side
+    table against a y-side one.
     """
 
     x: dict
     y: dict
     x13: dict
     y13: dict
-    x24: dict
-    y24: dict
     xb: dict
     yb: dict
 
@@ -712,12 +722,11 @@ def cycle_census(E: PointSet) -> CycleCensus:
     formed, the other being the same count at the walk read backwards.  The
     images are added at the end.
 
-    The a = c and b = e tables are Gram sums of point degrees: with deg_s(a)
-    the number of points at squared distance s from a (a itself at s = 0),
-    y13(s, s, u, u) = sum_a deg_s(a) deg_u(a), and y24(s, u, u, s), which
-    counts the walks (a, b, c, b), has the same value.  yb(s, s, s, s) =
-    sum_a deg_s(a) counts the walks (a, b, a, b).  x13, x24 and xb are the
-    same sums with deg_0(a) - 1, a left out of its own class.
+    The a = c tables are Gram sums of point degrees: with deg_s(a) the
+    number of points at squared distance s from a (a itself at s = 0),
+    y13(s, s, u, u) = sum_a deg_s(a) deg_u(a).  yb(s, s, s, s) =
+    sum_a deg_s(a) counts the walks (a, b, a, b).  x13 and xb are the same
+    sums with deg_0(a) - 1, a left out of its own class.
 
     x, the walks with distinct consecutive points, is y by
     inclusion-exclusion over the four edge coincidences a = b, b = c, c = e
@@ -747,7 +756,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
             f"{min(n, m)}^4 profiles, over {CENSUS_GUARD}"
         )
     D = E.dist_table
-    tables = {name: {} for name in ("x13", "y13", "x24", "y24", "xb", "yb")}
+    tables = {name: {} for name in ("x13", "y13", "xb", "yb")}
     rows = E.neighbor_buckets.rows()
     degrees = {s: [len(bucket.get(s, ())) for bucket in rows] for s in pairs}
     for s, ds in degrees.items():
@@ -758,7 +767,6 @@ def cycle_census(E: PointSet) -> CycleCensus:
             for side, v in (("y", walks), ("x", distinct)):
                 if v:
                     tables[side + "13"][(s + u * pp) * (p + 1)] = v
-                    tables[side + "24"][s + u * p + (u + s * p) * pp] = v
         for side, v in (("y", pairs[s]), ("x", pairs[s] - (s == 0) * n)):
             if v:
                 tables[side + "b"][s * (p + 1) * (pp + 1)] = v

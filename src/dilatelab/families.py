@@ -7,29 +7,29 @@ squared distance instead of only consecutive ones.  The scaled walk/cycle
 pairs of :mod:`dilatelab.configcount` also contain degenerate pairs (repeated
 vertices); this module counts those remainder families.
 
-Each family has one witness finder: find_path_pair_witness,
-find_cycle_pair_witness and find_clique_pair_witness, each the one bucket
-search configcount._first_scaled_pair over the edge list of its pattern
-(path_edges, CYCLE_EDGES, clique_edges), its answer checked by the one
-validator validate_pattern_pair.  The x side of a 4-cycle search takes one
-tuple per rotation/reflection orbit (cycle_orbit_tuples), and that of a
-clique search one increasing tuple per vertex set.  A brute count is
-configcount.brute_join over the family's x and y sides (times m! for
-m-cliques, whose v side is increasing).  The degenerate parts of the 2-path
-pairs are brute_join counts too, a side being the walk (a, b, a) where it
-has x1 = x3 or y1 = y3, checked against their closed forms, joins of the
-step-profile tables; the four-cycle coincidence families are joins of the
-cycle census of :mod:`dilatelab.configcount`.  Both hold for every (p, d).
+FAMILIES holds one row per family of the paper: the pattern its pairs copy
+(path_edges, CYCLE_EDGES, clique_edges), the sides of its brute count, the x
+sides of its witness search, its dimension rule and its existence theorem.
+A brute count is configcount.brute_join over the row's sides, and a witness
+is the one bucket search configcount._first_scaled_pair over the row's x
+tuples, its answer checked by the one validator validate_pattern_pair.  The
+x side of a 4-cycle search takes one tuple per rotation/reflection orbit
+(cycle_orbit_tuples), and that of a clique search one increasing tuple per
+vertex set.  The degenerate parts of the 2-path pairs are brute_join counts
+too, a side being the walk (a, b, a) where it has x1 = x3 or y1 = y3,
+checked against their closed forms, joins of the step-profile tables; the
+four-cycle coincidence families are joins of the cycle census of
+:mod:`dilatelab.configcount`.  Both hold for every (p, d).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, permutations, repeat
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -40,6 +40,7 @@ from .configcount import (
     EVERY,
     INCREASING,
     METHOD_BRUTE,
+    CountReport,
     Ratio,
     brute_join,
     count_scaled_cycle_pairs,
@@ -49,6 +50,7 @@ from .configcount import (
     path_edges,
     step_profile_counts,
     _first_scaled_pair,
+    _report,
     _scaled_walk_table,
     # not called here: perfbench/selftest.py checks that its span rebinds it in this module
     _walk_dp_scaled_pairs,
@@ -62,46 +64,57 @@ FAMILY_FOUR_CYCLE = "F4cycle"
 FAMILY_TRIANGLE = "T_triangle"
 FAMILY_SIMPLEX = "P_simplex"
 
-FAMILIES = (FAMILY_PATH_PAIRS, FAMILY_FOUR_CYCLE, FAMILY_TRIANGLE, FAMILY_SIMPLEX)
-
 
 @dataclass(frozen=True)
-class FamilyCount:
-    """A named family count with the parameters that produced it."""
+class Family:
+    """One family of the paper: its pattern, brute count, witness search and theorem."""
 
-    family: str
-    value: int
-    method: str
-    p: int
-    d: int
-    set_size: int
-    r: int | None = None
-    k: int | None = None
-
-    CSV_HEADER = "family,p,d,E_size,r,value,method"
-
-    def csv_row(self) -> str:
-        r = "" if self.r is None else self.r
-        return f"{self.family},{self.p},{self.d},{self.set_size},{r},{self.value},{self.method}"
-
-    def json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "p": self.p,
-            "d": self.d,
-            "E_size": self.set_size,
-            "r": self.r,
-            "k": self.k,
-            "value": self.value,
-            "method": self.method,
-        }
+    pattern: Callable       # (d, k) -> its edge list in dimension d, k a path's steps
+    sides: tuple[str, str]  # the x and y sides of its brute count
+    x_tuples: Callable      # (indices, m) -> the x sides its witness search tries
+    scaled_first: bool      # whether its witness gives the r-scaled side first
+    claim: str              # its existence theorem in verify.CLAIMS
+    # (E, ratio) -> its first witness, or None.  Each finder is read from this
+    # module's globals per call, never stored, so a rebinding of it (a test
+    # double, a timing span) is the one that runs
+    witness: Callable
+    # d -> why it has no pairs in dimension d, or None where it has
+    dimension: Callable = lambda d: None
 
 
-def _family(E: PointSet, name: str, value: int, method: str, r=None, k=None) -> FamilyCount:
-    return FamilyCount(
-        family=name, value=value, method=method,
-        p=E.prime.p, d=E.d, set_size=len(E), r=r, k=k,
-    )
+# The families in catalog order; the scans and claims search 2-paths.
+FAMILIES = {
+    FAMILY_PATH_PAIRS: Family(
+        pattern=lambda d, k: path_edges(k), sides=(DISTINCT, DISTINCT),
+        x_tuples=permutations, scaled_first=False, claim="T1.5",
+        witness=lambda E, ratio: find_path_pair_witness(E, ratio, 2)),
+    FAMILY_FOUR_CYCLE: Family(
+        pattern=lambda d, k: CYCLE_EDGES, sides=(DISTINCT, DISTINCT),
+        x_tuples=lambda idx, m: cycle_orbit_tuples(len(idx)),
+        scaled_first=False, claim="T1.6",
+        witness=lambda E, ratio: find_cycle_pair_witness(E, ratio)),
+    FAMILY_TRIANGLE: Family(
+        pattern=lambda d, k: clique_edges(3), sides=(INCREASING, DISTINCT),
+        x_tuples=combinations, scaled_first=True, claim="T1.7",
+        witness=lambda E, ratio: find_clique_pair_witness(E, ratio, 3),
+        dimension=lambda d: None if d == 2 else "triangle pairs are a planar family"),
+    FAMILY_SIMPLEX: Family(
+        pattern=lambda d, k: clique_edges(d + 1), sides=(INCREASING, DISTINCT),
+        x_tuples=combinations, scaled_first=True, claim="T1.8",
+        witness=lambda E, ratio: find_clique_pair_witness(E, ratio, E.d + 1),
+        dimension=lambda d: None if d >= 2 else "simplex pairs need dimension at least 2"),
+}
+
+
+def _vertices(edges) -> int:
+    return max(map(itemgetter(1), edges), default=0) + 1
+
+
+def _fits(family: str, d: int) -> None:
+    """Raise DimensionMismatchError where the family has no pairs in dimension d."""
+    reason = FAMILIES[family].dimension(d)
+    if reason is not None:
+        raise DimensionMismatchError(reason)
 
 
 def validate_pattern_pair(E: PointSet, r: int, edges, xs, ys) -> bool:
@@ -113,7 +126,7 @@ def validate_pattern_pair(E: PointSet, r: int, edges, xs, ys) -> bool:
     are computed from the coordinates, never read from E.dist_table.
     """
     p = E.prime.p
-    size = max(map(itemgetter(1), edges), default=0) + 1
+    size = _vertices(edges)
     x_set, y_set = set(xs), set(ys)
     if not len(xs) == len(ys) == len(x_set) == len(y_set) == size:
         return False
@@ -133,32 +146,53 @@ def revalidate(E: PointSet, r: int, edges, xs, ys) -> None:
         raise AssertionError("internal error: witness failed revalidation")
 
 
-def _first_pair(E: PointSet, r: int, edges, x_tuples):
-    """_first_scaled_pair over x_tuples as point tuples, revalidated, or None."""
-    found = _first_scaled_pair(E, r, edges, x_tuples)
+def _brute_pairs(E: PointSet, r: int, family: str, d: int, k: int | None = None) -> int:
+    """The family's pairs on E at ratio r, its pattern that of dimension d, by brute_join.
+
+    An increasing x side runs over vertex sets, m! orders each: the
+    conditions ignore vertex order, so one permutation applied to both sides
+    is a bijection.
+    """
+    _fits(family, d)
+    row = FAMILIES[family]
+    edges = row.pattern(d, k)
+    n, m = len(E), _vertices(edges)
+    x, y = row.sides
+    visits = sum(math.comb(n, m) if side == INCREASING else math.perm(n, m)
+                 for side in row.sides)
+    pairs = brute_join(E, r, edges, x, y, visits=visits)
+    return math.factorial(m) * pairs if x == INCREASING else pairs
+
+
+def _search(E: PointSet, ratio: Ratio, family: str, d: int, k: int | None = None):
+    """The family's first witness on E at ratio r, its pattern that of dimension d, or None.
+
+    _first_scaled_pair over the row's x tuples, as point tuples, revalidated,
+    the r-scaled side first where the row says so.
+    """
+    row = FAMILIES[family]
+    edges = row.pattern(d, k)
+    found = _first_scaled_pair(E, ratio.r, edges, row.x_tuples(range(len(E)), _vertices(edges)))
     if found is None:
         return None
     pts = E.points
     xs, ys = (tuple(pts[i] for i in side) for side in found)
-    revalidate(E, r, edges, xs, ys)
-    return xs, ys
+    revalidate(E, ratio.r, edges, xs, ys)
+    return (ys, xs) if row.scaled_first else (xs, ys)
 
 
 # ----------------------------------------------------------------------------
 # pairs of k-paths (all vertices distinct on each side)
 
 
-def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> FamilyCount:
+def count_path_pairs(E: PointSet, ratio: Ratio, k: int) -> CountReport:
     """Exact number of pairs of k-paths in E with dilation ratio r."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = len(E)
-    total = 0  # with k >= n no path has k + 1 distinct points
-    if k < n:
-        total = brute_join(E, ratio.r, path_edges(k), DISTINCT, DISTINCT,
-                           visits=2 * math.perm(n, k + 1))
-    return _family(E, FAMILY_PATH_PAIRS if k == 2 else f"path_pairs_k{k}", total,
-                   method="brute", r=ratio.r, k=k)
+    # with k >= n no path has k + 1 distinct points, and no edge list is formed
+    value = _brute_pairs(E, ratio.r, FAMILY_PATH_PAIRS, E.d, k) if k < len(E) else 0
+    return _report(E, FAMILY_PATH_PAIRS if k == 2 else f"path_pairs_k{k}", value,
+                   METHOD_BRUTE, r=ratio.r, k=k)
 
 
 def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
@@ -168,8 +202,7 @@ def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
     over every bucket-matched completion, so a None answer means the family
     is empty.
     """
-    xs = itertools.permutations(range(len(E)), k + 1)
-    return _first_pair(E, ratio.r, path_edges(k), xs)
+    return _search(E, ratio, FAMILY_PATH_PAIRS, E.d, k)
 
 
 # ----------------------------------------------------------------------------
@@ -224,7 +257,7 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     return a, b, ab
 
 
-def two_path_part_rows(E: PointSet, ratio: Ratio, method: str) -> list[FamilyCount]:
+def two_path_part_rows(E: PointSet, ratio: Ratio, method: str) -> list[CountReport]:
     """The 2path_parts rows of method: A, B, A∩B and open by brute, or else the
     nu_identity closed forms of A, B and A∩B.  open (x1 != x3, y1 != y3) holds
     pairs with y1 = y2 where null segments exist, so it is not the C2path count."""
@@ -233,7 +266,7 @@ def two_path_part_rows(E: PointSet, ratio: Ratio, method: str) -> list[FamilyCou
         values = (parts.x_coincide, parts.y_coincide, parts.both_coincide, parts.open_pairs)
     else:
         values = two_path_parts_closed_form(E, ratio)
-    return [_family(E, name, value, method, ratio.r)
+    return [_report(E, name, value, method, ratio.r)
             for name, value in zip(("A", "B", "A∩B", "open"), values)]
 
 
@@ -260,12 +293,14 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
 
     Each field is a join J(F, G) = sum_t F(t) G(r t) of two tables of the
     cycle census: total = J(x, y), the memoised mu_identity count C,
-    x13 = J(x13, y), x24 = J(x24, y), y13 = J(x, y13), y24 = J(x, y24).
-    With AD = x - x13 - x24 + xb the walks whose four points are distinct
-    and ND = y - y13 - y24 + yb the walks with a != c and b != e,
-    fully_distinct = J(AD, AD) and the union of the families is
-    total - J(AD, ND).  J is bilinear, so J(AD, ND) is J(AD, y) - J(AD, y13)
-    - J(AD, y24) + J(AD, yb), and J(AD, y) is total - x13 - x24 + J(xb, y):
+    x13 = J(x13, y) and y13 = J(x, y13).  Rotating the walks maps those with
+    b = e onto those with a = c, it keeps x, y and AD below, and scaling
+    commutes with it, so x24 = x13 and y24 = y13.  With
+    AD = x - x13 - x24 + xb the walks whose four points are distinct, x24
+    the rotated x13, and ND = y - y13 - y24 + yb the walks with a != c and
+    b != e, fully_distinct = J(AD, AD) and the union of the families is
+    total - J(AD, ND).  J is bilinear, so J(AD, ND) is J(AD, y)
+    - 2 J(AD, y13) + J(AD, yb), and J(AD, y) is total - 2 x13 + J(xb, y):
     every join but J(x, y) and J(AD, AD) iterates a table of at most m^2
     keys, m the distances in E.  A pair outside both has an adjacent y
     coincidence, which only nonzero null segments allow.  The only size
@@ -273,20 +308,21 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     """
     cen = cycle_census(E)
     r, p = ratio.r, E.prime.p
-    x, y = cen.x, cen.y
-    ad = x.copy()  # a walk of x13, x24 or xb is one of x
-    for table, sign in ((cen.x13, -1), (cen.x24, -1), (cen.xb, 1)):
-        for t, v in table.items():
-            ad[t] += sign * v
+    ppp = p**3
+    ad = cen.x.copy()  # a walk of x13, x24 or xb is one of x
+    for t, v in cen.x13.items():
+        ad[t] -= v
+        ad[t % ppp * p + t // ppp] -= v  # the walk rotated: (t1, .., t4) -> (t4, t1, t2, t3)
+    for t, v in cen.xb.items():
+        ad[t] += v
     f = join(ad, ad, r, p)
     total = count_scaled_cycle_pairs(E, ratio).value
-    x13, x24 = join(cen.x13, y, r, p), join(cen.x24, y, r, p)
-    ad_nd = (total - x13 - x24 + join(cen.xb, y, r, p) - join(ad, cen.y13, r, p)
-             - join(ad, cen.y24, r, p) + join(ad, cen.yb, r, p))
+    x13, y13 = join(cen.x13, cen.y, r, p), join(cen.x, cen.y13, r, p)
+    ad_nd = (total - 2 * x13 + join(cen.xb, cen.y, r, p) - 2 * join(ad, cen.y13, r, p)
+             + join(ad, cen.yb, r, p))
     union = total - ad_nd
     return FourCycleFamilies(
-        fully_distinct=f, x13=x13, x24=x24,
-        y13=join(x, cen.y13, r, p), y24=join(x, cen.y24, r, p),
+        fully_distinct=f, x13=x13, x24=x13, y13=y13, y24=y13,
         degenerate_union=union, total=total,
         decomposition_exact=total == f + union,
     )
@@ -311,7 +347,7 @@ def find_cycle_pair_witness(E: PointSet, ratio: Ratio):
     points, so every pair is one with its x side there, moved in one of 8
     ways, and a None answer means the family is empty.
     """
-    return _first_pair(E, ratio.r, CYCLE_EDGES, cycle_orbit_tuples(len(E)))
+    return _search(E, ratio, FAMILY_FOUR_CYCLE, E.d)
 
 
 # ----------------------------------------------------------------------------
@@ -345,43 +381,27 @@ def clique_edges(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for b in range(m) for a in range(b))
 
 
-def _count_clique_pairs(E: PointSet, r: int, m: int) -> int:
-    """Pairs of m-tuples, distinct entries each, all pairwise norms in ratio r."""
-    n = len(E)
-    # the v side runs over combinations, m! orders each: the conditions ignore
-    # vertex order, so one permutation applied to both sides is a bijection
-    pairs = brute_join(E, r, clique_edges(m), INCREASING, DISTINCT,
-                       visits=math.comb(n, m) + math.perm(n, m))
-    return math.factorial(m) * pairs
-
-
-def count_triangle_pairs(E: PointSet, ratio: Ratio) -> FamilyCount:
+def count_triangle_pairs(E: PointSet, ratio: Ratio) -> CountReport:
     """Exact number of triangle pairs (3 points a side, all norms scaled by r)."""
-    if E.d != 2:
-        raise DimensionMismatchError("triangle pairs are a planar family")
-    value = _count_clique_pairs(E, ratio.r, 3)
-    return _family(E, FAMILY_TRIANGLE, value, method="brute", r=ratio.r)
+    return _report(E, FAMILY_TRIANGLE, _brute_pairs(E, ratio.r, FAMILY_TRIANGLE, E.d),
+                   METHOD_BRUTE, r=ratio.r)
 
 
-def count_simplex_pairs(E: PointSet, ratio: Ratio) -> FamilyCount:
+def count_simplex_pairs(E: PointSet, ratio: Ratio) -> CountReport:
     """Exact number of simplex pairs: d+1 points a side, all norms scaled by r."""
-    if E.d < 2:
-        raise DimensionMismatchError("simplex pairs need dimension at least 2")
-    value = _count_clique_pairs(E, ratio.r, E.d + 1)
-    return _family(E, FAMILY_SIMPLEX, value, method="brute", r=ratio.r)
+    return _report(E, FAMILY_SIMPLEX, _brute_pairs(E, ratio.r, FAMILY_SIMPLEX, E.d),
+                   METHOD_BRUTE, r=ratio.r)
 
 
 def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
-    """First (u-tuple, v-tuple) pair with all pairwise norms in ratio r, or None.
+    """First (u-tuple, v-tuple) pair of m-cliques, all pairwise norms in ratio r, or None.
 
-    The v side ranges over index combinations only; any witness can be
-    simultaneously reordered so its v side is increasing, so the search is
-    still complete.
+    An m-clique is the simplex of dimension m - 1, and m is d + 1 unless
+    given.  The v side ranges over index combinations only; any witness can
+    be simultaneously reordered so its v side is increasing, so the search
+    is still complete.
     """
-    m = E.d + 1 if m is None else m
-    vs = itertools.combinations(range(len(E)), m)
-    found = _first_pair(E, ratio.r, clique_edges(m), vs)
-    return None if found is None else found[::-1]
+    return _search(E, ratio, FAMILY_SIMPLEX, E.d if m is None else m - 1)
 
 
 def group_displacement_sums(E: PointSet, ratio: Ratio) -> tuple[int, int, int, int]:
@@ -426,7 +446,6 @@ def simplex_bound_group_sum(E: PointSet, ratio: Ratio) -> Fraction:
     Averages the distinct-source shared-displacement count over O(d, p);
     every such tuple is a simplex pair, so the average is a true lower bound.
     """
-    if E.d < 2:
-        raise DimensionMismatchError("simplex pairs need dimension at least 2")
+    _fits(FAMILY_SIMPLEX, E.d)
     order, _, distinct, _ = group_displacement_sums(E, ratio)
     return Fraction(distinct, order)

@@ -71,10 +71,10 @@ class SimilarityGraph:
 
         1^T (M - I)^k 1 for M = sum_s A_s (x) A_{rs}: at k <= 2 summed by
         degrees; at k = 3, where the set has few distances for its size
-        (m^3 <= configcount.GRAM_FACTOR n^2), joined from the walk tables as
-        J(Y_3, Y_3) - 3 J(Y_2, Y_2) + 3 J(Y_1, Y_1) - n^2, without a paired
-        state; otherwise, or where a guard refuses the tables, by k - 2
-        paired-state steps.
+        (m^3 <= configcount.WALK_TABLE_FACTOR n^2), joined from the walk
+        tables as J(Y_3, Y_3) - 3 J(Y_2, Y_2) + 3 J(Y_1, Y_1) - n^2, without
+        a paired state; otherwise, or where a guard refuses the tables, by
+        k - 2 paired-state steps.
         """
         if k < 1:
             raise ValueError("k must be at least 1")

@@ -10,9 +10,9 @@ the most severe failure.
 
 CLAIMS maps each claim, in catalog order, to its hypothesis on (|E|, p, d, r)
 and its conclusion on (E, r, k); run_claim builds every Verdict from the two.
-FAMILY_TABLE gives each witness family its finder, witness pattern and
-existence theorem, whose hypothesis the threshold scans bisect over the
-sizes, at every ratio of their policy.
+The threshold scans read each family's witness search, pattern and existence
+theorem from its row in families.FAMILIES, and bisect the sizes over the
+theorem's hypothesis, at every ratio of their policy.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .configcount import (
-    CYCLE_EDGES,
     Ratio,
     cycle_pair_reports,
     make_ratio,
-    path_edges,
     walk_pair_reports,
     walk_profile_counts,
     # not called here: perfbench/selftest.py checks that its spans rebind them in this module
@@ -39,14 +37,11 @@ from .configcount import (
 )
 from .errors import SizeExceedsSpaceError, TooLargeError
 from .families import (
+    FAMILIES,
     FAMILY_FOUR_CYCLE,
     FAMILY_PATH_PAIRS,
     FAMILY_SIMPLEX,
     FAMILY_TRIANGLE,
-    clique_edges,
-    find_clique_pair_witness,
-    find_cycle_pair_witness,
-    find_path_pair_witness,
     four_cycle_families,
     revalidate,
 )
@@ -145,38 +140,6 @@ def meets_quotient_size(n: int, p: int, d: int) -> bool:
     return n * n >= c * c * p**d
 
 
-@dataclass(frozen=True)
-class _Family:
-    witness: Callable   # (E, ratio) -> the first witness, or None
-    pattern: Callable   # d -> (edges, whether the witness gives its r-scaled side first)
-    claim: str          # the family's existence theorem in CLAIMS
-
-
-# Each finder is read from this module's globals per call, never stored, so
-# a rebinding of it (a test double, a timing span) is the one that runs.
-FAMILY_TABLE = {
-    FAMILY_PATH_PAIRS: _Family(lambda E, ratio: find_path_pair_witness(E, ratio, 2),
-                               lambda d: (path_edges(2), False), "T1.5"),
-    FAMILY_FOUR_CYCLE: _Family(lambda E, ratio: find_cycle_pair_witness(E, ratio),
-                               lambda d: (CYCLE_EDGES, False), "T1.6"),
-    FAMILY_TRIANGLE: _Family(lambda E, ratio: find_clique_pair_witness(E, ratio, 3),
-                             lambda d: (clique_edges(3), True), "T1.7"),
-    FAMILY_SIMPLEX: _Family(lambda E, ratio: find_clique_pair_witness(E, ratio, E.d + 1),
-                            lambda d: (clique_edges(d + 1), True), "T1.8"),
-}
-
-
-def family_witness(E: PointSet, ratio: Ratio, family: str):
-    """The family's first witness on E at ratio r, or None."""
-    return FAMILY_TABLE[family].witness(E, ratio)
-
-
-def witness_pattern(family: str, d: int) -> tuple[tuple, bool]:
-    """The edge list of the family's witnesses in dimension d, and whether
-    family_witness gives their r-scaled side first (cliques) or second."""
-    return FAMILY_TABLE[family].pattern(d)
-
-
 # ---------------------------------------------------------------------------
 # claim conclusions: each of (E, ratio, k) -> (holds, lhs, rhs, extra params)
 
@@ -254,7 +217,7 @@ def _quotient(E: PointSet, ratio: None, k: int) -> tuple:
 
 def _found(E: PointSet, ratio: Ratio, family: str) -> tuple:
     """An existence theorem's conclusion: the family has a witness on E at r."""
-    witness = family_witness(E, ratio, family)
+    witness = FAMILIES[family].witness(E, ratio)
     found = witness is not None
     return found, int(found), 0, {"witness": witness} if found else {}
 
@@ -409,7 +372,7 @@ def _scan_ratios(p: int, policy: str) -> tuple[Prime, tuple[tuple[Ratio, int | N
 def meets_family_size(family: str, n: int, p: int, d: int, squares) -> bool:
     """Whether n meets the hypothesis of the family's existence theorem at a
     ratio of each squareness in squares (True for a square r)."""
-    hypothesis = CLAIMS[FAMILY_TABLE[family].claim].hypothesis
+    hypothesis = CLAIMS[FAMILIES[family].claim].hypothesis
     return all(hypothesis(n, p, d, square) for square in squares)
 
 
@@ -432,11 +395,11 @@ def _has_witnesses(E: PointSet, family: str, ratio: Ratio, inv: int | None) -> b
     so swapping them maps the witnesses at r one to one onto those at 1/r:
     one search decides both, and the swapped witness is revalidated at 1/r.
     """
-    witness = family_witness(E, ratio, family)
+    row = FAMILIES[family]
+    witness = row.witness(E, ratio)
     if witness is not None and inv is not None:
-        edges, scaled_first = witness_pattern(family, E.d)
-        scaled, base = witness if scaled_first else witness[::-1]
-        revalidate(E, inv, edges, scaled, base)
+        scaled, base = witness if row.scaled_first else witness[::-1]
+        revalidate(E, inv, row.pattern(E.d, 2), scaled, base)
     return witness is not None
 
 
@@ -467,7 +430,7 @@ def scan_threshold(
     results do not depend on the worker count.  The theoretical threshold is
     None where the family's theorem covers no size for (p, d) at some ratio.
     """
-    if family not in FAMILY_TABLE:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if samples < 1:
         raise ValueError("samples must be at least 1")

@@ -1112,7 +1112,7 @@ def cli_argv(draw):
         hi = lo + draw(st.integers(-1, 4))
         return ["scan", "--p", str(draw(st.sampled_from((3, 5, 7)))),
                 "--d", str(draw(st.integers(-1, 3))), *seed,
-                "--family", draw(st.sampled_from(FAMILIES)),
+                "--family", draw(st.sampled_from(tuple(FAMILIES))),
                 "--r", draw(st.sampled_from(("all", "squares", "2"))),
                 "--sizes", f"{lo}:{hi}", "--samples", str(draw(st.integers(-1, 3)))]
     common = ["--p", str(draw(st.sampled_from((3, 5, 7, 11, 13)))),

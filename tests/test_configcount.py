@@ -20,6 +20,7 @@ from dilatelab.configcount import (
     brute_join,
     _lane_bytes,
     _lanes,
+    _pack,
     count_ratio_quadruples,
     count_scaled_cycle_pairs,
     count_scaled_walk_pairs,
@@ -198,7 +199,8 @@ CENSUS_TABLES = ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")
 
 
 def raw_census(E):
-    # the eight census tables from every closed 4-walk of E
+    # the six census tables from every closed 4-walk of E, and the walks with
+    # b = e, which the census reads as those with a = c rotated
     p, size = E.prime.p, len(E)
     D = E.dist_table
     raw = {name: {} for name in CENSUS_TABLES}
@@ -220,12 +222,23 @@ def raw_census(E):
     return raw
 
 
+def assert_census_matches_raw(E, census):
+    # every table, and the rotated x13 and y13 equal the raw b = e tables: the
+    # walk (a, b, a, e) read from e is (e, a, b, a), its digits (t4, t1, t2, t3)
+    p = E.prime.p
+    for name, table in raw_census(E).items():
+        if name in ("x24", "y24"):
+            a_c = getattr(census, name[0] + "13")
+            assert {t % p**3 * p + t // p**3: v for t, v in a_c.items()} == table, name
+        else:
+            assert getattr(census, name) == table, name
+
+
 @pytest.mark.parametrize("p,d,size", [(7, 2, 6), (5, 2, 7), (13, 2, 6), (3, 3, 7)])
 def test_cycle_census_tables_match_raw_walks(p, d, size):
     E = random_point_set(make_prime(p), d, size, seed=p + d)
     census = cycle_census(E)
-    for name, table in raw_census(E).items():
-        assert getattr(census, name) == table, name
+    assert_census_matches_raw(E, census)
     assert census.y == {
         code: count_step_cycles(E, tuple(code // p**i % p for i in range(4)))
         for code in census.y
@@ -252,8 +265,7 @@ def test_derived_census_tables_are_exact(E):
     # the walks (a, b, a, b)
     p, size = E.prime.p, len(E)
     census = cycle_census(E)
-    for name, table in raw_census(E).items():
-        assert getattr(census, name) == table, name
+    assert_census_matches_raw(E, census)
     assert census.x == code_histogram(E, CYCLE_EDGES, EDGE_DISTINCT)
     assert census.y == code_histogram(E, CYCLE_EDGES, EVERY)
     assert sum(census.y.values()) == size**4
@@ -389,9 +401,9 @@ def test_dense_oracle_matches_raw_enumeration():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_paired_walk_sweep_matches_the_dense_oracle(p, d):
     # both modes, every r, k = 1..4: k = 1 and 2 sum the first and last steps
-    # by degrees; k = 3 joins the walk tables where m^3 <= GRAM_FACTOR n^2 and
-    # runs one paired-state step elsewhere, which the sets below reach both ways;
-    # k = 4 runs two steps
+    # by degrees; k = 3 joins the walk tables where
+    # m^3 <= WALK_TABLE_FACTOR n^2 and runs one paired-state step elsewhere,
+    # which the sets below reach both ways; k = 4 runs two steps
     prime = make_prime(p)
     sets = [random_point_set(prime, d, n, seed=n) for n in (1, 2, 3, 6, 10) if n <= p**d]
     if (p, d) == (13, 2):
@@ -411,10 +423,10 @@ def raise_on_transpose(*args):
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_paired_walk_sweep_at_k_3_forms_no_paired_state(p, d, monkeypatch):
-    # with GRAM_FACTOR admitting every set, k = 3 joins the walk tables on
-    # each: it equals the dense oracle in both modes at every r without one
+    # with WALK_TABLE_FACTOR admitting every set, k = 3 joins the walk tables
+    # on each: it equals the dense oracle in both modes at every r without one
     # transpose, while k = 4 still steps the paired state
-    monkeypatch.setattr(configcount, "GRAM_FACTOR", 10**9)
+    monkeypatch.setattr(configcount, "WALK_TABLE_FACTOR", 10**9)
     monkeypatch.setattr(configcount, "_transpose", raise_on_transpose)
     prime = make_prime(p)
     sets = [random_point_set(prime, d, n, seed=n) for n in (1, 2, 3, 6, 10) if n <= p**d]
@@ -432,10 +444,11 @@ def test_paired_walk_sweep_at_k_3_forms_no_paired_state(p, d, monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_paired_walk_sweep_at_k_3_steps_where_the_walk_tables_are_refused(p, d, monkeypatch):
-    # inside GRAM_FACTOR, a set whose walk tables a guard refuses runs the
-    # paired-state step, as past the factor, and it equals the dense oracle in
-    # both modes at every r; fresh sets, so no table is memoised before
-    monkeypatch.setattr(configcount, "GRAM_FACTOR", 10**9)
+    # inside WALK_TABLE_FACTOR, a set whose walk tables a guard refuses runs
+    # the paired-state step, as past the factor, and it equals the dense
+    # oracle in both modes at every r; fresh sets, so no table is memoised
+    # before
+    monkeypatch.setattr(configcount, "WALK_TABLE_FACTOR", 10**9)
     monkeypatch.setattr(configcount, "PROFILE_GUARD", 0)
     transpose, transposes = configcount._transpose, []
     monkeypatch.setattr(configcount, "_transpose",
@@ -459,11 +472,11 @@ def test_paired_walk_sweep_at_k_3_steps_where_the_walk_tables_are_refused(p, d, 
 def test_gram_factor_picks_the_form_and_both_agree(p, n, monkeypatch):
     # the walks benchmark's k = 3 sizes, and 10 points at p = 5, join the walk
     # tables, without a transpose; 8 points at p = 7 (m^3 = 5.4 n^2) and 20 at
-    # p = 61 have more than GRAM_FACTOR^(1/3) n^(2/3) distances, so the sweep
-    # steps the paired state; each form equals the other, in both modes
+    # p = 61 have more than WALK_TABLE_FACTOR^(1/3) n^(2/3) distances, so the
+    # sweep steps the paired state; each form equals the other, in both modes
     E = random_point_set(make_prime(p), 2, n, seed=1)
     m = len(E.norm_pair_counts)
-    tables = m**3 <= configcount.GRAM_FACTOR * n * n
+    tables = m**3 <= configcount.WALK_TABLE_FACTOR * n * n
     assert tables == (p not in (7, 61))
     transpose, transposes = configcount._transpose, []
     monkeypatch.setattr(configcount, "_transpose",
@@ -474,7 +487,7 @@ def test_gram_factor_picks_the_form_and_both_agree(p, n, monkeypatch):
             value = _paired_walk_sweep(E, r, 3, distinct_first)
             assert len(transposes) == (0 if tables else 2)
             with monkeypatch.context() as other:
-                other.setattr(configcount, "GRAM_FACTOR", 0 if tables else 10**9)
+                other.setattr(configcount, "WALK_TABLE_FACTOR", 0 if tables else 10**9)
                 assert _paired_walk_sweep(E, r, 3, distinct_first) == value, (r, distinct_first)
 
 
@@ -514,13 +527,15 @@ def test_every_cached_profile_level_matches_step_walks(p, d):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8])
 def test_lanes_unpack_every_width_alike(width):
-    # one-byte lanes are read as the bytes themselves, 2-, 4- and 8-byte lanes
-    # by one memoryview cast and the rest lane by lane; every width agrees with
-    # shifting and masking the packed int, the top lane full and zero lanes kept
+    # 1-, 2-, 4- and 8-byte lanes are packed and read by one struct call, the
+    # rest lane by lane; every width agrees with shifting and masking the
+    # packed int, the top lane full and zero lanes kept, both ways
     full = (1 << 8 * width) - 1
     for values in ([0], [full], [5, 0, full, 1, 0], list(range(1, 40)), [0] * 7):
         values = [v & full for v in values]
         packed = sum(v << (8 * width * i) for i, v in enumerate(values))
+        assert _pack(values, width) == packed
+        assert _pack(tuple(values), width) == packed
         lanes = _lanes(packed, len(values), width)
         assert lanes == [(packed >> (8 * width * i)) & full for i in range(len(values))]
         assert lanes == values and all(type(v) is int for v in lanes)

@@ -208,9 +208,8 @@ def test_path_pairs_match_raw(p, size, k):
 def test_witnesses_are_the_first_scaled_pair():
     # each finder gives the brute oracle's first pair: x tuples in the
     # finder's order, y tuples in itertools.permutations order, which is the
-    # search's order; and None exactly when the family's brute count is 0
-    from dilatelab.families import _count_clique_pairs
-
+    # search's order; and None exactly when the family's brute count is 0,
+    # which for 4-cycles is the census's fully distinct count
     found = empty = 0
     for p in (3, 5, 7, 13):
         prime = make_prime(p)
@@ -233,14 +232,18 @@ def test_witnesses_are_the_first_scaled_pair():
                     empty += first is None
                 first = first_scaled_pair(E, r, CYCLE_EDGES, cycle_orbit_tuples(n))
                 assert find_cycle_pair_witness(E, ratio) == points(first), (p, d, n, r)
-                assert (first is None) == (four_cycle_families(E, ratio).fully_distinct == 0)
+                distinct = four_cycle_families(E, ratio).fully_distinct
+                assert families._brute_pairs(E, r, "F4cycle", d) == distinct
+                assert (first is None) == (distinct == 0)
                 # triangles in every dimension, simplices of F_p^3
                 for m in (3, 4) if d == 3 else (3,):
                     first = first_scaled_pair(E, r, clique_edges(m),
                                               itertools.combinations(range(n), m))
                     witness = find_clique_pair_witness(E, ratio, m)
                     assert witness == (None if first is None else points(first)[::-1]), (p, d, r, m)
-                    assert (first is None) == (_count_clique_pairs(E, r, m) == 0)
+                    # an m-clique is the simplex of dimension m - 1
+                    pairs = families._brute_pairs(E, r, "P_simplex", m - 1)
+                    assert (first is None) == (pairs == 0)
     assert found and empty
 
 
@@ -807,10 +810,10 @@ def test_clique_guard_refuses_before_enumerating(monkeypatch):
     # the oracle visits C(n, m) + P(n, m) tuples: C(96, 3) + P(96, 3) > 10^6
     E = random_point_set(eleven, 2, 96, seed=0)
     with pytest.raises(TooLargeError):
-        families._count_clique_pairs(E, 1, 3)
+        families._brute_pairs(E, 1, "T_triangle", 2)
     # 10^6 >= C(95, 3) + P(95, 3); and m = 8 at n = 9, 362889 tuples, is the
     # largest count that the earlier bound C(n, m) n^m <= 10^9 admitted
     for size, m in ((95, 3), (9, 8)):
         E = random_point_set(eleven, 2, size, seed=0)
         with pytest.raises(AssertionError, match="before enumerating"):
-            families._count_clique_pairs(E, 1, m)
+            families._brute_pairs(E, 1, "P_simplex", m - 1)

@@ -19,7 +19,6 @@ from dilatelab.verify import (
     _scan_ratios,
     exceeds_4_sqrt3_p32,
     exceeds_sqrt3_plus_one,
-    family_witness,
     meets_family_size,
     meets_simplex_size,
     meets_quotient_size,
@@ -27,7 +26,6 @@ from dilatelab.verify import (
     run_claim,
     scan_threshold,
     smallest_size_meeting,
-    witness_pattern,
 )
 
 SEVEN = make_prime(7)
@@ -84,7 +82,7 @@ def test_smallest_size_meeting_is_the_first_size_of_a_linear_scan(p, d):
     # every ratio of the policy
     prime = make_prime(p)
     for family, policy in itertools.product(FAMILIES, ("all", "squares", "r=2")):
-        hypothesis = verify.CLAIMS[verify.FAMILY_TABLE[family].claim].hypothesis
+        hypothesis = verify.CLAIMS[FAMILIES[family].claim].hypothesis
         ratios = ratios_for_policy(policy, prime)
         linear = next((n for n in range(1, p**d + 1)
                        if all(hypothesis(n, p, d, ratio.is_square) for ratio in ratios)), None)
@@ -309,12 +307,14 @@ def test_run_claim_dispatch():
 def test_claim_and_family_tables_list_the_catalog():
     assert CLAIM_NAMES == ("lemma2.2", "lemma2.3", "lemma2.4", "lemma2.6", "lemma4.2",
                            "T1.5", "T1.6", "T1.7", "T1.8", "T1.10", "quotient")
-    assert tuple(verify.FAMILY_TABLE) == FAMILIES
+    # each family's existence theorem, in catalog order
+    assert [row.claim for row in FAMILIES.values()] == ["T1.5", "T1.6", "T1.7", "T1.8"]
 
 
-def test_claims_and_scans_call_the_finders_bound_in_verify(monkeypatch):
-    # the family table looks each finder up in verify's globals per call, so
-    # a rebinding there (a test double, a timing span) is the one that runs
+def test_claims_and_scans_call_the_finders_bound_in_families(monkeypatch):
+    # each family row looks its finder up in the globals of families per
+    # call, so a rebinding there (a test double, a timing span) is the one
+    # that runs
     calls = []
 
     def sentinel(name, witness):
@@ -324,8 +324,8 @@ def test_claims_and_scans_call_the_finders_bound_in_verify(monkeypatch):
         return find
 
     found = object()
-    monkeypatch.setattr(verify, "find_path_pair_witness", sentinel("path", found))
-    monkeypatch.setattr(verify, "find_clique_pair_witness", sentinel("clique", found))
+    monkeypatch.setattr(families, "find_path_pair_witness", sentinel("path", found))
+    monkeypatch.setattr(families, "find_clique_pair_witness", sentinel("clique", found))
     E = full_space(SEVEN, 2)
     assert run_claim("T1.5", E, make_ratio(2, SEVEN)).params["witness"] is found
     assert run_claim("T1.7", E, make_ratio(2, SEVEN)).params["witness"] is found
@@ -333,8 +333,8 @@ def test_claims_and_scans_call_the_finders_bound_in_verify(monkeypatch):
     # the whole plane has witnesses of both families, which a scan cell at
     # r = 1 (its own inverse, so not revalidated) misses with finders that find none
     calls.clear()
-    monkeypatch.setattr(verify, "find_path_pair_witness", sentinel("path", None))
-    monkeypatch.setattr(verify, "find_clique_pair_witness", sentinel("clique", None))
+    monkeypatch.setattr(families, "find_path_pair_witness", sentinel("path", None))
+    monkeypatch.setattr(families, "find_clique_pair_witness", sentinel("clique", None))
     assert _scan_cell((7, 2, "C2path", "r=1", 49, 0, 1)) == (49, 0, False)
     assert _scan_cell((7, 2, "T_triangle", "r=1", 49, 0, 1)) == (49, 0, False)
     assert calls == [("path", 1, 2), ("clique", 1, 3)]
@@ -483,19 +483,19 @@ def test_witness_at_r_read_backwards_is_one_at_its_inverse(p, d):
         assert null.norm_pair_counts[0] > len(null)
         sets.append(null)
     found = missing = 0
-    for family in FAMILIES:
+    for family, row in FAMILIES.items():
+        edges = row.pattern(d, 2)
         for E in sets:
-            edges, scaled_first = witness_pattern(family, d)
             for r in range(1, p):
-                witness = family_witness(E, make_ratio(r, prime), family)
+                witness = row.witness(E, make_ratio(r, prime))
                 inv = inverse(r, prime)
-                assert (witness is None) == (family_witness(E, make_ratio(inv, prime), family)
+                assert (witness is None) == (row.witness(E, make_ratio(inv, prime))
                                              is None), (family, E.points, r)
                 if witness is None:
                     missing += 1
                     continue
                 found += 1
-                scaled, base = witness if scaled_first else witness[::-1]
+                scaled, base = witness if row.scaled_first else witness[::-1]
                 assert validate_pattern_pair(E, r, edges, base, scaled)
                 assert validate_pattern_pair(E, inv, edges, scaled, base)
     assert found and missing
@@ -506,7 +506,7 @@ def scan_cell_every_ratio(p, d, family, policy, size, sample_index, seed):
     prime = make_prime(p)
     E = random_point_set(prime, d, size, f"scan:{seed}:{size}:{sample_index}")
     ratios = ratios_for_policy(policy, prime)
-    return size, sample_index, all(family_witness(E, r, family) is not None for r in ratios)
+    return size, sample_index, all(FAMILIES[family].witness(E, r) is not None for r in ratios)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -547,10 +547,10 @@ def test_scan_cell_revalidates_the_reversed_witness(monkeypatch):
     E = full_space(SEVEN, 2)
     good = (((0, 0), (1, 0), (1, 1)), ((0, 0), (3, 0), (3, 3)))   # steps 1, 1 and 2, 2
     bad = (good[0], ((0, 0), (3, 0), (3, 1)))                      # last scaled step 1, not 2
-    edges = witness_pattern("C2path", 2)[0]
+    edges = FAMILIES["C2path"].pattern(2, 2)
     assert validate_pattern_pair(E, 4, edges, good[1], good[0])
     result = {}
-    monkeypatch.setattr(verify, "family_witness", lambda E, ratio, family: result["w"])
+    monkeypatch.setattr(families, "find_path_pair_witness", lambda E, ratio, k: result["w"])
     result["w"] = good
     assert verify._has_witnesses(E, "C2path", make_ratio(2, SEVEN), 4)
     result["w"] = bad
@@ -574,9 +574,10 @@ def test_t16_holds_with_its_hypothesis_met():
 
 def test_verify_all_computes_each_join_once_per_set_and_ratio(monkeypatch):
     # per instance: S_1, S_2 and S_3 by nu_identity, C by mu_identity, which
-    # lemma 2.4 reads and lemma 4.2 takes as its total, and the nine other
-    # joins of the four-cycle families, J(AD, ND) split into four small ones:
-    # 13 joins, not 14
+    # lemma 2.4 reads and lemma 4.2 takes as its total, and the six other
+    # joins of the four-cycle families, J(AD, ND) split into three small ones;
+    # the b = e families are the a = c ones rotated, so they join nothing:
+    # 10 joins
     joins, kernels = [], []
     join, mu = configcount.join, configcount._mu_identity_scaled_cycle_pairs
 
@@ -594,9 +595,9 @@ def test_verify_all_computes_each_join_once_per_set_and_ratio(monkeypatch):
     assert cli.main(["verify", "--claim", "all", "--random", "4", "--size", "8:12",
                      "--p", "7", "--r", "3", "--seed", "5", "--out", os.devnull]) == 0
     assert kernels == [3] * 4
-    assert len(joins) == 52
+    assert len(joins) == 40
     # the recorded arguments keep every table alive, so no two share an id
-    assert len({(id(first), id(second), *rest) for first, second, *rest in joins}) == 52
+    assert len({(id(first), id(second), *rest) for first, second, *rest in joins}) == 40
 
 
 @pytest.mark.parametrize("claim,p,d,n", [
