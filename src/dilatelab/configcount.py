@@ -178,21 +178,22 @@ def _lane_width(n: int, e: int, k: int, lanes: int) -> int:
 
 
 @per_set
-def _distance_classes(E: PointSet) -> tuple[tuple[int, ...], tuple]:
-    """The distinct squared distances of E and, per point, its buckets by position.
+def _class_degrees(E: PointSet) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
+    """The distinct squared distances of E and, per class, every point's count in it.
 
-    A memoised view of PointSet.neighbor_buckets that fixes the lane order of
-    the packed sweeps: classes lists the nonzero distances in increasing
-    order and then 0, so the nonzero classes are a prefix, and members[j][c]
-    is the bucket of point j at classes[c] (empty if it has none).
+    The one table of class sizes, one Counter per distance row, so no bucket
+    row is built.  It fixes the lane order of the packed sweeps: classes
+    lists the nonzero distances in increasing order and then 0, so the
+    nonzero classes are a prefix; degrees[c][i] counts the points at
+    classes[c] from i, i itself in its class of 0.
     """
-    buckets = E.neighbor_buckets.rows()
-    classes = tuple(sorted(set().union(*buckets), key=lambda t: (t == 0, t)))
-    return classes, tuple(tuple([b.get(t, ()) for t in classes]) for b in buckets)
+    classes = tuple(sorted(E.norm_pair_counts, key=lambda t: (t == 0, t)))
+    counts = [Counter(row) for row in E.dist_table]
+    return classes, tuple([count.get(t, 0) for count in counts] for t in classes)
 
 
-def _class_sums(members_j, sources) -> list[int]:
-    """Per class c, the sum of sources[c][i] over the members i of class c.
+def _class_sums(bucket, classes, sources) -> list[int]:
+    """Per class c, the sum of sources[c][i] over the points i at classes[c] of a bucket row.
 
     Classes past the last source are skipped.  This is the one primitive of
     the packed sweeps.  Each source entry is a row of counts packed into a
@@ -200,7 +201,8 @@ def _class_sums(members_j, sources) -> list[int]:
     whole row.  Lanes never carry into each other because every caller sizes
     them for the largest sum they can hold.
     """
-    return [sum(map(src.__getitem__, mem)) for src, mem in zip(sources, members_j)]
+    get = bucket.get
+    return [sum(map(src.__getitem__, get(t, ()))) for t, src in zip(classes, sources)]
 
 
 def _transpose(matrix: bytes, rows: int, lanes: int, width: int) -> list[int]:
@@ -283,19 +285,20 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
 
     Packed distance-class sweep: per endpoint j, one int whose lanes count
     the walks ending at j, one lane per profile of the level so far, the
-    first step least significant.  A step sums the endpoint rows by the
-    distance class of (i, j) and concatenates the class sums, so the new
-    lanes are the old profiles extended by each class.  Rows are built up to
-    level k - 1 only, and level k is summed by degrees: distance is
-    symmetric, so the walks of class c out of the rows add up to
-    sum_i deg_c(i) row[i].  The level-1 rows, the class sums of rows of
-    ones, are each point's class sizes, so they are packed from the degrees
-    too.  A lane holds at most n^(k+1) walks; lanes are that wide, rounded
-    up to whole bytes.  Refused, before the classes are laid out, when level
-    k would hold more than PROFILE_GUARD lanes, the n rows of level k - 1
-    and the level-k total (at k = 1, the n x m distance classes instead)
-    would take more than LANE_GUARD bytes, or the k steps more than
-    SWEEP_GUARD.
+    first step least significant.  A step sums the endpoint rows over each
+    class of j's bucket row and concatenates the class sums, so the new
+    lanes are the old profiles extended by each class; for X the class-0
+    sum leaves out j's own row.  Rows are built up to level k - 1 only, and
+    level k is summed by the degrees of _class_degrees (for X, j left out
+    of its class 0): distance is symmetric, so the walks of class c out of
+    the rows add up to sum_i deg_c(i) row[i].  The level-1 rows, the class
+    sums of rows of ones, are each point's class sizes, so they are packed
+    from the degrees too, and k <= 2 builds no bucket row.  A lane holds
+    at most n^(k+1) walks; lanes are that wide, rounded up to whole bytes.
+    Refused, before the classes are laid out, when level k would hold more
+    than PROFILE_GUARD lanes, the n rows of level k - 1 and the level-k
+    total (at k = 1, the n x m distance classes instead) would take more
+    than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
     n, p = len(E), E.prime.p
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
@@ -311,20 +314,18 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     if held * width > LANE_GUARD:
         raise TooLargeError(f"{held} lanes of {width} bytes for {n} points and {lanes} "
                             f"profiles exceed {LANE_GUARD} bytes")
-    classes, members = _distance_classes(E)
-    if not stays:
-        # the other points at distance 0; class 0 is last.  Tuples of lists: tuples
-        # grown from generators raised the walks benchmark's peak RSS by 2-4%
-        members = [(*mem[:-1], tuple([j for j in mem[-1] if j != i]))
-                   for i, mem in enumerate(members)]
-    steps = classes[:m]
-    degrees = [[len(mem[c]) for mem in members] for c in range(m)]
+    classes, degrees = _class_degrees(E)
+    steps, degrees = classes[:m], list(degrees[:m])
+    own = not stays and m == len(classes)  # X leaves a point out of its class 0, the last step
+    if own:
+        degrees[-1] = [deg - 1 for deg in degrees[-1]]
     rows, row_bytes = [1] * n, width  # level 0
     if k > 1:  # level 1, each point's class sizes
         rows, row_bytes = [_pack(deg, width) for deg in zip(*degrees)], m * width
     for _ in range(k - 2):
-        sources = [rows] * m
-        rows = [_pack(_class_sums(members_j, sources), row_bytes) for members_j in members]
+        sources, last = [rows] * m, 8 * (m - 1) * row_bytes  # last: where class 0's sum starts
+        rows = [_pack(_class_sums(bucket, steps, sources), row_bytes) - (row << last if own else 0)
+                for bucket, row in zip(E.neighbor_buckets.rows(), rows)]
         row_bytes *= m
     total = sum(sum(map(mul, deg, rows)) << (8 * c * row_bytes) for c, deg in enumerate(degrees))
     # lane i is the profile whose steps are the base-m digits of i, lowest first;
@@ -585,8 +586,9 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
          subtract the stationary term.
     The subtracted term is the x = x' summand itself, or for the graph the
     part of it with y = y', which class 0 holds; so no lane goes negative.
-    The first and last steps are summed by degrees instead, with deg_s(x)
-    the number of points in row x of A_s (x itself in class 0).  From V = J
+    The first and last steps are summed by the degrees of _class_degrees
+    instead, and read no bucket row: deg_s(x) is the number of points in
+    row x of A_s (x itself in class 0).  From V = J
     row x' becomes sum_s deg_s(x') Deg_{rs}, Deg_t the packed vector of every
     point's deg_t, less Deg_0 or, for the graph, the row of ones; class 0
     maps to itself and holds x', so no lane goes negative.  Distance is
@@ -601,8 +603,7 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
     k steps of m n^2 lanes, m classes, past SWEEP_GUARD, before either form
     is chosen.
     """
-    n = len(E)
-    p = E.prime.p
+    n, p = len(E), E.prime.p
     m = len(E.norm_pair_counts)
     width = _lane_width(n, 2 * k, k, m * n * n)
     if k == 3 and m**3 <= WALK_TABLE_FACTOR * n * n:
@@ -610,12 +611,11 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
             return _walk_table_pairs(E, r, distinct_first)
         except TooLargeError:  # a refused walk table: the paired-state step counts instead
             pass
-    classes, members = _distance_classes(E)
+    classes, degrees = _class_degrees(E)
     row_bytes = n * width
     slot = {t: c for c, t in enumerate(classes)}
     scaled = [slot.get(r * t % p) for t in classes]
     zero = [0] * n
-    degrees = [[len(mem[c]) for mem in members] for c in range(m)]
     ones = _pack([1] * n, width)
     if k == 1:
         rows = [ones] * n
@@ -625,22 +625,18 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
         stay = packed[-1] if distinct_first else ones  # class 0 is last
         rows = [sum(map(mul, deg, by_scale)) - stay for deg in zip(*degrees)]
     for _ in range(k - 2):
+        buckets = E.neighbor_buckets.rows()
         cols = _transpose(b"".join(v.to_bytes(row_bytes, "little") for v in rows),
                           n, n, width)
         sources = [cols] * m
-        sums = b"".join(
-            s.to_bytes(row_bytes, "little")
-            for members_j in members
-            for s in _class_sums(members_j, sources)
-        )
+        sums = b"".join(s.to_bytes(row_bytes, "little")
+                        for bucket in buckets for s in _class_sums(bucket, classes, sources))
         flat = _transpose(sums, n, m * n, width)
         by_class = [flat[c * n : (c + 1) * n] for c in range(m)]
         sources = [zero if c is None else by_class[c] for c in scaled]
         stay = by_class[-1] if distinct_first else rows  # class 0 is last
-        rows = [
-            sum(_class_sums(members_j, sources)) - stay[xp]
-            for xp, members_j in enumerate(members)
-        ]
+        rows = [sum(_class_sums(bucket, classes, sources)) - stay[xp]
+                for xp, bucket in enumerate(buckets)]
     total = sum(sum(map(mul, degrees[c], _lanes(sum(map(mul, deg, rows)), n, width)))
                 for deg, c in zip(degrees, scaled) if c is not None)
     stay = degrees[-1] if distinct_first else [1] * n
@@ -722,11 +718,11 @@ def cycle_census(E: PointSet) -> CycleCensus:
     formed, the other being the same count at the walk read backwards.  The
     images are added at the end.
 
-    The a = c tables are Gram sums of point degrees: with deg_s(a) the
-    number of points at squared distance s from a (a itself at s = 0),
-    y13(s, s, u, u) = sum_a deg_s(a) deg_u(a).  yb(s, s, s, s) =
-    sum_a deg_s(a) counts the walks (a, b, a, b).  x13 and xb are the same
-    sums with deg_0(a) - 1, a left out of its own class.
+    The a = c tables are Gram sums of the degrees of _class_degrees, read
+    from no bucket row, deg_s(a) the points at squared distance s from a
+    (a itself at s = 0): y13(s, s, u, u) = sum_a deg_s(a) deg_u(a), and
+    yb(s, s, s, s) = sum_a deg_s(a) counts the walks (a, b, a, b).  x13 and
+    xb are the same sums with deg_0(a) - 1, a left out of its own class.
 
     x, the walks with distinct consecutive points, is y by
     inclusion-exclusion over the four edge coincidences a = b, b = c, c = e
@@ -744,9 +740,8 @@ def cycle_census(E: PointSet) -> CycleCensus:
     O(h) per pair and O(m^3) for the m distances of E.  Refused when
     min(n, m)^4, a bound on the profiles of a table, exceeds CENSUS_GUARD.
     """
-    p = E.prime.p
+    n, p = len(E), E.prime.p
     pp = p * p
-    n = len(E)
     # a profile has four of the m distances of E, and a walk has one profile
     pairs = E.norm_pair_counts
     m = len(pairs)
@@ -757,10 +752,9 @@ def cycle_census(E: PointSet) -> CycleCensus:
         )
     D = E.dist_table
     tables = {name: {} for name in ("x13", "y13", "xb", "yb")}
-    rows = E.neighbor_buckets.rows()
-    degrees = {s: [len(bucket.get(s, ())) for bucket in rows] for s in pairs}
-    for s, ds in degrees.items():
-        for u, du in degrees.items():
+    classes, degrees = _class_degrees(E)
+    for s, ds in zip(classes, degrees):
+        for u, du in zip(classes, degrees):
             walks = sum(map(mul, ds, du))
             # the sum of (deg_s(a) - [s = 0]) (deg_u(a) - [u = 0]), as sum_a deg_s(a) = pairs[s]
             distinct = walks - (s == 0) * pairs[u] - (u == 0) * pairs[s] + (s == u == 0) * n

@@ -202,7 +202,10 @@ def find_path_pair_witness(E: PointSet, ratio: Ratio, k: int = 2):
     over every bucket-matched completion, so a None answer means the family
     is empty.
     """
-    return _search(E, ratio, FAMILY_PATH_PAIRS, E.d, k)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    # with k >= n no path has k + 1 distinct points, and no edge list is formed
+    return _search(E, ratio, FAMILY_PATH_PAIRS, E.d, k) if k < len(E) else None
 
 
 # ----------------------------------------------------------------------------
@@ -401,7 +404,11 @@ def find_clique_pair_witness(E: PointSet, ratio: Ratio, m: int | None = None):
     be simultaneously reordered so its v side is increasing, so the search
     is still complete.
     """
-    return _search(E, ratio, FAMILY_SIMPLEX, E.d if m is None else m - 1)
+    m = E.d + 1 if m is None else m
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    # with m > n no clique has m distinct points, and no edge list is formed
+    return _search(E, ratio, FAMILY_SIMPLEX, m - 1) if m <= len(E) else None
 
 
 def group_displacement_sums(E: PointSet, ratio: Ratio) -> tuple[int, int, int, int]:

@@ -117,8 +117,10 @@ class PointSet:
     The order is whatever the constructor received; it fixes iteration and
     serialization, so identical inputs give byte-identical outputs.  The
     distance classes every count rests on are laid out once, here, and cached
-    lazily: dist_table, and per point the neighbor_buckets that every bucket
-    search and packed sweep reads, each row on its first read.
+    lazily: dist_table, whose rows give the class sizes of the packed sweeps
+    and the cycle census, and per point the neighbor_buckets that every
+    bucket search and every class-sum step of a sweep reads, each row on its
+    first read.
     """
 
     def __init__(self, prime: Prime, d: int, points):

@@ -329,7 +329,7 @@ def test_walks_past_the_profile_lane_bound_keep_walk_dp(tmp_path, capsys, monkey
         raise AssertionError("the guard must refuse before the classes are laid out")
 
     with monkeypatch.context() as patch:
-        patch.setattr(configcount, "_distance_classes", never)
+        patch.setattr(configcount, "_class_degrees", never)
         for k in (19, 20):
             with pytest.raises(TooLargeError, match="profiles exceed"):
                 configcount.step_profile_counts(E, k)

@@ -632,7 +632,7 @@ def test_step_profile_guard_refuses_before_building_rows(monkeypatch):
     # 8 distinct nonzero distances: 8^7 profiles are over PROFILE_GUARD, 8^6
     # are not
     E = random_point_set(eleven, 2, 8, seed=0)
-    assert len(configcount._distance_classes(E)[0]) == 9
+    assert len(configcount._class_degrees(E)[0]) == 9
     with pytest.raises(TooLargeError):
         step_profile_counts(E, 7)
     with pytest.raises(AssertionError, match="before building"):
@@ -676,7 +676,7 @@ def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
     wide = random_point_set(big, 2, 316, seed=0)
     # 42 points with 42 or more distances: 42^4 census profiles, past CENSUS_GUARD
     census_set = random_point_set(make_prime(101), 2, 42, seed=2)
-    monkeypatch.setattr(configcount, "_distance_classes", never)
+    monkeypatch.setattr(configcount, "_class_degrees", never)
     for k in (1, 2):
         with pytest.raises(TooLargeError):
             step_profile_counts(wide, k)
@@ -689,6 +689,27 @@ def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
     # the graph's pair-count check is refused, so it is built without the classes
     graph = SimilarityGraph(wide, make_ratio(2, big))
     assert graph.vertex_count == 316**2
+
+
+@pytest.mark.parametrize("p, d, n", [(11, 2, 40), (5, 3, 30)])
+def test_two_step_counts_and_the_census_build_no_bucket_row(p, d, n):
+    # the k <= 2 sweeps and the census read class sizes only, from one table
+    # counted off the distance rows; a class-sum step builds every row
+    prime = make_prime(p)
+    E = random_point_set(prime, d, n, seed=5)
+    assert (E.norm_pair_counts[0] > n) == (p == 5)  # null segments at d = 3 only
+    for r in (1, 2):
+        ratio = make_ratio(r, prime)
+        for k in (1, 2):
+            reports = walk_pair_reports(E, ratio, k)
+            assert [rep.method for rep in reports] == ["walk_dp", "nu_identity"]
+        SimilarityGraph(E, ratio).count_walks(2)
+    step_profile_counts(E, 2)
+    walk_profile_counts(E, 2)
+    cycle_census(E)
+    assert len(E.neighbor_buckets) == 0
+    step_profile_counts(E, 3)
+    assert len(E.neighbor_buckets) == n
 
 
 SIDES = {

@@ -316,6 +316,35 @@ def test_path_pair_witness_none_when_empty():
     assert count_path_pairs(TWO_POINT, ratio, 1).value == 0
 
 
+def test_witness_past_the_set_size_is_none_before_the_pattern(monkeypatch):
+    # a path of k steps needs k + 1 distinct points and an m-clique m: past |E|
+    # the answer is None, given before the pattern's edge list is formed
+    E = random_point_set(SEVEN, 2, 5, seed=1)
+    ratio = make_ratio(1, SEVEN)
+
+    def never(*args):
+        raise AssertionError("no edge list is formed past the set size")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "path_edges", never)
+        patch.setattr(families, "clique_edges", never)
+        for k in (5, 10**9):
+            assert find_path_pair_witness(E, ratio, k) is None
+        for m in (6, 10**6):
+            assert find_clique_pair_witness(E, ratio, m) is None
+    # the largest patterns that fit are still searched, and agree with brute
+    assert (find_path_pair_witness(E, ratio, 4) is None) == \
+        (count_path_pairs(E, ratio, 4).value == 0)
+    assert (find_clique_pair_witness(E, ratio, 5) is None) == \
+        (families._brute_pairs(E, 1, "P_simplex", 4) == 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            find_path_pair_witness(E, ratio, k)
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="m must be at least 2"):
+            find_clique_pair_witness(E, ratio, m)
+
+
 # ---------------------------------------------------------------------------
 # four-cycle families
 

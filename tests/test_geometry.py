@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dilatelab.configcount import _distance_classes, _first_scaled_pair, path_edges
+from dilatelab.configcount import _class_degrees, _first_scaled_pair, path_edges
 from dilatelab.errors import (
     DimensionMismatchError,
     OddDimensionError,
@@ -256,21 +256,23 @@ def test_dist_table_and_buckets_agree():
             assert j in E.neighbor_buckets[i][D[i][j]]
     assert sum(E.norm_pair_counts.values()) == n * n
     # every bucket against a direct per-row construction, and the sweeps'
-    # class members are the buckets, nonzero distances first; bytes rows, and
-    # at p = 131 tuple rows, past the cut d(p - 1) <= 255
+    # class sizes are the bucket sizes, nonzero distances first; bytes rows,
+    # and at p = 131 tuple rows, past the cut d(p - 1) <= 255
     for p, d in [*itertools.product((5, 7, 13), (1, 2, 3)), (131, 2)]:
         E = random_point_set(make_prime(p), d, min(12, p**d), seed=d)
         D = E.dist_table
         assert isinstance(D[0], tuple) == (p == 131)
-        classes, members = _distance_classes(E)
+        classes, degrees = _class_degrees(E)
         distances = {t for row in D for t in row}
         assert classes == tuple(sorted(distances, key=lambda t: (t == 0, t)))
+        assert len(degrees) == len(classes)
         for i, row in enumerate(D):
             buckets = E.neighbor_buckets[i]
             # every class in index order, the point itself in its class of 0
             direct = {t: tuple(j for j, s in enumerate(row) if s == t) for t in set(row)}
             assert buckets == direct, (p, d, i)
-            assert members[i] == tuple(direct.get(t, ()) for t in classes), (p, d, i)
+            assert [deg[i] for deg in degrees] == [len(direct.get(t, ())) for t in classes], \
+                (p, d, i)
 
 
 def eager_buckets(D):
