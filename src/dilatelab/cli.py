@@ -95,6 +95,13 @@ REPORT_KINDS = ("S_k", "C", "V", "quotient", "distance")
 WHAT_ALIASES = {"T": FAMILY_TRIANGLE, "P": FAMILY_SIMPLEX, "F": FAMILY_FOUR_CYCLE}
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on where the platform tells, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every main call."""
@@ -109,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, help="odd prime modulus")
         p.add_argument("--d", type=int, help="dimension (default 2, or the --set file's)")
         p.add_argument("--seed", default="0", help="seed for all randomness")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=int, default=_usable_cores(),
                        help=threads_help)
         p.add_argument("--out", help="output path (default stdout)")
 

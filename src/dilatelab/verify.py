@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -445,11 +444,16 @@ def scan_threshold(
         for size in sizes
         for i in range(samples)
     ]
+    workers = chunksize = 1
     if threads > 1:
         # about four chunks per worker, and no worker without a chunk: a forked
         # pool starts every worker at its first submit
         chunksize = max(1, len(cells) // (4 * threads))
         workers = min(threads, -(-len(cells) // chunksize))
+    if workers > 1:
+        # imported here, so that no other command loads the process-pool stack
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_scan_cell, cells, chunksize=chunksize))
     else:

@@ -991,6 +991,32 @@ def test_threads_below_one_is_a_usage_error(argv, threads, capsys):
     assert "--threads must be at least 1" in err and "Traceback" not in err
 
 
+@pytest.fixture
+def fresh_parser():
+    # the parser reads the default --threads when it is built
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+SCAN_ARGV = ["scan", "--family", "T_triangle", "--p", "7", "--sizes", "3:14:2",
+             "--samples", "5", "--r", "all", "--seed", "3"]
+
+
+def test_threads_default_to_the_usable_cores(monkeypatch, fresh_parser):
+    def default_threads():
+        build_parser.cache_clear()
+        return build_parser().parse_args(SCAN_ARGV).threads
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert default_threads() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_threads() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_threads() == 1
+
+
 def test_set_file_of_dimension_zero_is_a_usage_error(tmp_path, capsys):
     set_path = tmp_path / "flat.txt"
     set_path.write_text("p=7 d=0\n\n")
@@ -998,15 +1024,15 @@ def test_set_file_of_dimension_zero_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and "dimension must be at least 1" in err
 
 
-def test_scan_output_does_not_depend_on_the_worker_count(capsys):
-    argv = ["scan", "--family", "T_triangle", "--p", "7", "--sizes", "3:14:2",
-            "--samples", "5", "--r", "all", "--seed", "3"]
+def test_scan_output_does_not_depend_on_the_worker_count(monkeypatch, fresh_parser, capsys):
+    # the default --threads, the usable cores, is two here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outs = []
-    for threads in ("1", "2"):
-        code, out, _ = run_cli([*argv, "--threads", threads], capsys)
+    for threads in (["--threads", "1"], ["--threads", "2"], []):
+        code, out, _ = run_cli([*SCAN_ARGV, *threads], capsys)
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
     assert {"0", "5"} < {line.split(",")[6] for line in outs[0].splitlines()[2:]}
 
 

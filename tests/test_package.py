@@ -1,6 +1,10 @@
 """The package surface: every import is used, and every top-level name is reached."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dilatelab
@@ -99,3 +103,43 @@ def test_only_the_memo_touches_the_per_set_cache():
     touches = {(module, path) for module, tree in MODULES.items()
                for path in cache_touches(tree)}
     assert touches == {("geometry", "PointSet.__init__"), ("geometry", "per_set.memo")}
+
+
+# Runs commands through cli.main in one fresh interpreter and prints, as JSON,
+# the process-pool modules loaded after each and the scan rows it printed.
+POOL_PROBE = """
+import contextlib, io, json, sys
+from dilatelab import cli
+
+SCAN = ["scan", "--family", "T_triangle", "--p", "7", "--sizes", "3:9", "--samples", "2"]
+COMMANDS = [
+    ["gen", "--p", "7", "--size", "5"],
+    ["count", "--what", "S_k", "--p", "7", "--random", "6", "--r", "2"],
+    ["verify", "--claim", "lemma2.2", "--p", "7", "--random", "2", "--size", "6"],
+    [*SCAN, "--threads", "1"],
+    ["scan", "--family", "C2path", "--p", "7", "--sizes", "5:5", "--samples", "1",
+     "--threads", "2"],
+    [*SCAN, "--threads", "2"],
+]
+seen = []
+for argv in COMMANDS:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    loaded = sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing")))
+    seen.append({"code": code, "out": out.getvalue(), "pool_modules": loaded})
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_pooled_scan_loads_the_process_pool():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    *unpooled, pooled = json.loads(done.stdout)
+    assert [run["code"] for run in (*unpooled, pooled)] == [0] * 6
+    # gen, count, verify, a one-thread scan and a one-cell scan at two threads
+    assert [run["pool_modules"] for run in unpooled] == [[]] * 5
+    assert "concurrent.futures.process" in pooled["pool_modules"]
+    assert pooled["out"] == unpooled[3]["out"]

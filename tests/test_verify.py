@@ -1,5 +1,6 @@
 """Claim verdicts: exact thresholds, conclusions, and scan machinery."""
 
+import concurrent.futures
 import itertools
 import math
 import os
@@ -428,23 +429,25 @@ class RecordingPool:
     (64, [3, 4], 1, 1, 2),          # never more workers than chunks
     (2, range(3, 7), 3, 1, 2),
     (3, range(2, 27), 4, 8, 3),     # 100 cells, about four chunks a worker
+    (4, [5], 1, 1, 1),              # one cell, so one worker
 ])
 def test_scan_sizes_its_pool_from_the_cells(monkeypatch, threads, sizes, samples,
                                              chunksize, workers):
-    # no process is started: the pool maps in this one
+    # no process is started: the pool maps in this one.  scan imports the
+    # executor from concurrent.futures when it makes a pool, so it is patched there
     made = []
 
     def executor(max_workers):
         made.append(RecordingPool(max_workers))
         return made[-1]
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", executor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
     kwargs = dict(sizes=sizes, samples=samples, seed=3)
     pooled = scan_threshold(SEVEN, 2, "T_triangle", "squares", threads=threads, **kwargs)
-    [pool] = made
-    assert (pool.max_workers, pool.chunksize) == (workers, chunksize)
+    pools = [(workers, chunksize)] if workers > 1 else []  # one worker maps in this process
+    assert [(pool.max_workers, pool.chunksize) for pool in made] == pools
     assert pooled == scan_threshold(SEVEN, 2, "T_triangle", "squares", threads=1, **kwargs)
-    assert len(made) == 1  # one thread maps without a pool
+    assert len(made) == len(pools)  # one thread maps without a pool
 
 
 def test_scan_rejects_bad_input():
