@@ -177,21 +177,6 @@ def _lane_width(n: int, e: int, k: int, lanes: int) -> int:
     return _lane_bytes(n**e)
 
 
-@per_set
-def _class_degrees(E: PointSet) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
-    """The distinct squared distances of E and, per class, every point's count in it.
-
-    The one table of class sizes, one Counter per distance row, so no bucket
-    row is built.  It fixes the lane order of the packed sweeps: classes
-    lists the nonzero distances in increasing order and then 0, so the
-    nonzero classes are a prefix; degrees[c][i] counts the points at
-    classes[c] from i, i itself in its class of 0.
-    """
-    classes = tuple(sorted(E.norm_pair_counts, key=lambda t: (t == 0, t)))
-    counts = [Counter(row) for row in E.dist_table]
-    return classes, tuple([count.get(t, 0) for count in counts] for t in classes)
-
-
 def _class_sums(bucket, classes, sources) -> list[int]:
     """Per class c, the sum of sources[c][i] over the points i at classes[c] of a bucket row.
 
@@ -230,11 +215,15 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _pack(values, width: int) -> int:
-    """One int holding the sequence values as width-byte lanes, the first value lowest."""
+    """One int holding the sequence values as width-byte lanes, the first value lowest.
+
+    A width of 1, 2, 4 or 8 bytes is one struct.pack; any other (3-byte
+    lanes, a k = 3 class-sum row of m lanes of a row's width) joins one
+    to_bytes per value, mapped in C."""
     if width in _FORMATS:
         raw = struct.pack(f"<{len(values)}{_FORMATS[width]}", *values)
     else:
-        raw = b"".join(v.to_bytes(width, "little") for v in values)
+        raw = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
     return int.from_bytes(raw, "little")
 
 
@@ -289,16 +278,17 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     class of j's bucket row and concatenates the class sums, so the new
     lanes are the old profiles extended by each class; for X the class-0
     sum leaves out j's own row.  Rows are built up to level k - 1 only, and
-    level k is summed by the degrees of _class_degrees (for X, j left out
+    level k is summed by the degrees of PointSet.class_degrees (for X, j left out
     of its class 0): distance is symmetric, so the walks of class c out of
     the rows add up to sum_i deg_c(i) row[i].  The level-1 rows, the class
     sums of rows of ones, are each point's class sizes, so they are packed
     from the degrees too, and k <= 2 builds no bucket row.  A lane holds
     at most n^(k+1) walks; lanes are that wide, rounded up to whole bytes.
-    Refused, before the classes are laid out, when level k would hold more
-    than PROFILE_GUARD lanes, the n rows of level k - 1 and the level-k
-    total (at k = 1, the n x m distance classes instead) would take more
-    than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
+    Refused, before the classes are laid out where p > n (where p <= n
+    norm_pair_counts lays them out, no larger than the rows), when level k
+    would hold more than PROFILE_GUARD lanes, the n rows of level k - 1 and
+    the level-k total (at k = 1, the n x m distance classes instead) would
+    take more than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
     n, p = len(E), E.prime.p
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
@@ -314,7 +304,7 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     if held * width > LANE_GUARD:
         raise TooLargeError(f"{held} lanes of {width} bytes for {n} points and {lanes} "
                             f"profiles exceed {LANE_GUARD} bytes")
-    classes, degrees = _class_degrees(E)
+    classes, degrees = E.class_degrees
     steps, degrees = classes[:m], list(degrees[:m])
     own = not stays and m == len(classes)  # X leaves a point out of its class 0, the last step
     if own:
@@ -586,7 +576,7 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
          subtract the stationary term.
     The subtracted term is the x = x' summand itself, or for the graph the
     part of it with y = y', which class 0 holds; so no lane goes negative.
-    The first and last steps are summed by the degrees of _class_degrees
+    The first and last steps are summed by the degrees of PointSet.class_degrees
     instead, and read no bucket row: deg_s(x) is the number of points in
     row x of A_s (x itself in class 0).  From V = J
     row x' becomes sum_s deg_s(x') Deg_{rs}, Deg_t the packed vector of every
@@ -611,7 +601,7 @@ def _paired_walk_sweep(E: PointSet, r: int, k: int, distinct_first: bool) -> int
             return _walk_table_pairs(E, r, distinct_first)
         except TooLargeError:  # a refused walk table: the paired-state step counts instead
             pass
-    classes, degrees = _class_degrees(E)
+    classes, degrees = E.class_degrees
     row_bytes = n * width
     slot = {t: c for c, t in enumerate(classes)}
     scaled = [slot.get(r * t % p) for t in classes]
@@ -718,7 +708,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
     formed, the other being the same count at the walk read backwards.  The
     images are added at the end.
 
-    The a = c tables are Gram sums of the degrees of _class_degrees, read
+    The a = c tables are Gram sums of the degrees of PointSet.class_degrees, read
     from no bucket row, deg_s(a) the points at squared distance s from a
     (a itself at s = 0): y13(s, s, u, u) = sum_a deg_s(a) deg_u(a), and
     yb(s, s, s, s) = sum_a deg_s(a) counts the walks (a, b, a, b).  x13 and
@@ -752,7 +742,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
         )
     D = E.dist_table
     tables = {name: {} for name in ("x13", "y13", "xb", "yb")}
-    classes, degrees = _class_degrees(E)
+    classes, degrees = E.class_degrees
     for s, ds in zip(classes, degrees):
         for u, du in zip(classes, degrees):
             walks = sum(map(mul, ds, du))
@@ -815,6 +805,29 @@ def cycle_census(E: PointSet) -> CycleCensus:
     return CycleCensus(x=x, y=y, **tables)
 
 
+# join scales the keys of the table it iterates through an array of every
+# r-scaled code below p^e, e the digits of its largest key, where p^e is at
+# most SCALE_ARRAY_FACTOR times its keys; a sparser table scales each key by
+# _code_scale.  On Y_3 at p = 13 and 94 points (one key per array entry) a
+# join took 0.29 ms through the array, its build included, and 0.55 ms by
+# the closure (2-core Linux machine, Python 3.11, timeit).
+SCALE_ARRAY_FACTOR = 4
+
+
+def _scaled_codes(r: int, p: int, e: int) -> list[int]:
+    """Entry c, for every code c below p^e, is the code of c's profile scaled by r.
+
+    Built a digit at a time: the codes below p^(i+1) are the top digit h
+    times p^i plus each code below p^i, in that order, so a comprehension
+    over the scaled top digits and the scaled codes so far lists them.
+    """
+    digit = [r * t % p for t in range(p)]
+    scaled = digit
+    for i in range(1, e):
+        scaled = [hi + lo for hi in [t * p**i for t in digit] for lo in scaled]
+    return scaled
+
+
 @lru_cache(maxsize=32)
 def _code_scale(r: int, p: int):
     """The map from a profile code to the code of its r-scaled profile, two digits at a
@@ -841,10 +854,20 @@ def join(first: dict, second: dict, r: int, p: int) -> int:
     (t_0, .., t_{k-1}), and r scales each base-p digit mod p.  The smaller
     table is the one iterated: J(F, G) is also the sum over u of
     F(r^-1 u) G(u), so a join against a small table reads only its keys.
+    Those keys are scaled by lookup in _scaled_codes where that array, the
+    p^e codes below p^e for e the digits of the largest key, holds at most
+    SCALE_ARRAY_FACTOR codes per key, and otherwise one by one by
+    _code_scale.
     """
     if len(second) < len(first):
         first, second, r = second, first, pow(r, -1, p)
-    scale = _code_scale(r, p)
+    e, top = 1, max(first, default=0) // p
+    while top:
+        e, top = e + 1, top // p
+    if p**e <= SCALE_ARRAY_FACTOR * len(first):
+        scale = _scaled_codes(r, p, e).__getitem__
+    else:
+        scale = _code_scale(r, p)
     return sum(map(mul, first.values(), map(second.get, map(scale, first), repeat(0))))
 
 

@@ -11,7 +11,7 @@ class DilateLabError(Exception):
 
 
 class NotPrimeError(DilateLabError):
-    """The given modulus is not a prime number."""
+    """The given modulus is not a prime number, or too large to decide whether it is."""
 
 
 class EvenPrimeError(DilateLabError):

@@ -11,17 +11,33 @@ from dataclasses import dataclass
 from .errors import EvenPrimeError, NotASquareError, NotPrimeError
 
 
+# Miller-Rabin to the prime bases 2..41 decides primality for every n below
+# this bound (Sorenson and Webster, 2015); make_prime refuses larger moduli.
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    # Trial division; desk-scale moduli only.
+    """Deterministic Miller-Rabin for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    q, s = n - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    for b in _BASES:
+        x = pow(b, q, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -41,9 +57,11 @@ class Prime:
 
 
 def make_prime(n: int) -> Prime:
-    """Validate that n is an odd prime and cache its residue facts."""
+    """Validate that n is an odd prime below PRIME_BOUND and cache its residue facts."""
     if n == 2:
         raise EvenPrimeError("p = 2 is not supported; an odd prime is required")
+    if n >= PRIME_BOUND:
+        raise NotPrimeError(f"{n} is too large: primality is decided only below {PRIME_BOUND}")
     if not _is_prime(n):
         raise NotPrimeError(f"{n} is not prime")
     return Prime(p=n, p_mod_4=n % 4)

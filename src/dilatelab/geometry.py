@@ -11,7 +11,8 @@ from __future__ import annotations
 import inspect
 import itertools
 import random
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
 from functools import cached_property, lru_cache, wraps
 from operator import add
 
@@ -111,16 +112,35 @@ class BucketRows(dict):
         return list(map(self.__getitem__, range(len(self._table))))
 
 
+def _row_degrees(rows, n: int) -> defaultdict[int, list[int]]:
+    """Per distance t, in order of first appearance in rows, each row's count of t.
+
+    One Counter per row, each dropped once read into the table.
+    """
+    degrees = defaultdict(lambda: [0] * n)
+    for i, count in enumerate(map(Counter, rows)):
+        for t, v in count.items():
+            degrees[t][i] = v
+    return degrees
+
+
+def _degree_table(degrees: dict[int, list[int]]) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
+    """PointSet.class_degrees from the per-distance columns of _row_degrees."""
+    classes = tuple(sorted(degrees, key=lambda t: (t == 0, t)))
+    return classes, tuple(map(degrees.__getitem__, classes))
+
+
 class PointSet:
     """A duplicate-free collection of points of (Z/pZ)^d in a fixed order.
 
     The order is whatever the constructor received; it fixes iteration and
     serialization, so identical inputs give byte-identical outputs.  The
     distance classes every count rests on are laid out once, here, and cached
-    lazily: dist_table, whose rows give the class sizes of the packed sweeps
-    and the cycle census, and per point the neighbor_buckets that every
-    bucket search and every class-sum step of a sweep reads, each row on its
-    first read.
+    lazily: dist_table; norm_pair_counts and class_degrees, the class sizes
+    of the whole set and of each point that the packed sweeps and the cycle
+    census read, counted off the rows together; and per point the
+    neighbor_buckets that every bucket search and every class-sum step of a
+    sweep reads, each row on its first read.
     """
 
     def __init__(self, prime: Prime, d: int, points):
@@ -194,8 +214,32 @@ class PointSet:
         """How many ordered pairs (x, y), including x = y, have each norm.
 
         Keys are in order of first appearance in the rows of dist_table.
+        Where p <= n, E has at most n distances, so class_degrees is no larger
+        than the rows; then both are read off one Counter per row, and each
+        row is counted once.  Otherwise one Counter counts every entry, and
+        class_degrees counts the rows again only if it is read.
         """
-        return dict(Counter(itertools.chain.from_iterable(self.dist_table)))
+        if self.prime.p > len(self):
+            return dict(Counter(itertools.chain.from_iterable(self.dist_table)))
+        degrees = _row_degrees(self.dist_table, len(self))
+        self.class_degrees = _degree_table(degrees)
+        return {t: sum(column) for t, column in degrees.items()}
+
+    @cached_property
+    def class_degrees(self) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
+        """The distinct squared distances of E and, per class, every point's count in it.
+
+        The one table of class sizes, so no bucket row is built for them.  It
+        fixes the lane order of the packed sweeps: classes lists the nonzero
+        distances in increasing order and then 0, so the nonzero classes are
+        a prefix; degrees[c][i] counts the points at classes[c] from i, i
+        itself in its class of 0.  Where p <= n, norm_pair_counts lays it out
+        as it counts the rows; no Counter is kept.
+        """
+        if self.prime.p > len(self):
+            return _degree_table(_row_degrees(self.dist_table, len(self)))
+        self.norm_pair_counts  # counting the rows, it caches this table too
+        return self.__dict__["class_degrees"]
 
     @cached_property
     def neighbor_buckets(self) -> BucketRows:
@@ -249,6 +293,10 @@ def random_point_set(prime: Prime, d: int, size: int, seed) -> PointSet:
 
     Points are decoded from a sample of base-p codes and sorted, so the same
     (p, d, size, seed) always yields the same set, independent of platform.
+    random.sample takes the len() of its range, which holds only up to
+    sys.maxsize codes; past that the codes are drawn as sample draws from
+    any range much larger than the sample, one randrange each and a repeat
+    drawn again.
     """
     space = prime.p**d
     if size > space:
@@ -256,7 +304,13 @@ def random_point_set(prime: Prime, d: int, size: int, seed) -> PointSet:
     if size < 1:
         raise SizeExceedsSpaceError("size must be at least 1")
     rng = random.Random(f"pointset:{prime.p}:{d}:{size}:{seed}")
-    codes = sorted(rng.sample(range(space), size))
+    if space <= sys.maxsize:
+        codes = sorted(rng.sample(range(space), size))
+    else:
+        drawn: set[int] = set()
+        while len(drawn) < size:
+            drawn.add(rng.randrange(space))
+        codes = sorted(drawn)
     # decoded a coordinate column at a time, least significant digit first
     p = prime.p
     cols = []

@@ -17,7 +17,6 @@ theorem's hypothesis, at every ratio of their policy.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -378,13 +377,18 @@ def meets_family_size(family: str, n: int, p: int, d: int, squares) -> bool:
 def smallest_size_meeting(family: str, prime: Prime, d: int, policy: str) -> int | None:
     """Least set size meeting the family's theorem hypothesis at every ratio
     of the policy, if any fits; the hypothesis is monotone in n, so the
-    sizes are bisected.  r and 1/r are squares or not together, so the
-    searched ratios of _scan_ratios hold every squareness of the policy."""
+    sizes 1 .. p^d are bisected, by hand, as p^d may be past sys.maxsize.
+    r and 1/r are squares or not together, so the searched ratios of
+    _scan_ratios hold every squareness of the policy."""
     squares = {ratio.is_square for ratio, _ in _scan_ratios(prime.p, policy)[1]}
-    sizes = range(1, prime.p**d + 1)
-    i = bisect_left(sizes, True,
-                    key=lambda n: meets_family_size(family, n, prime.p, d, squares))
-    return sizes[i] if i < len(sizes) else None
+    lo, hi = 1, prime.p**d + 1  # the least size meeting it is in lo .. hi, hi for none
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if meets_family_size(family, mid, prime.p, d, squares):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo if lo <= prime.p**d else None
 
 
 def _has_witnesses(E: PointSet, family: str, ratio: Ratio, inv: int | None) -> bool:

@@ -329,7 +329,7 @@ def test_walks_past_the_profile_lane_bound_keep_walk_dp(tmp_path, capsys, monkey
         raise AssertionError("the guard must refuse before the classes are laid out")
 
     with monkeypatch.context() as patch:
-        patch.setattr(configcount, "_class_degrees", never)
+        patch.setattr(PointSet, "class_degrees", property(never))
         for k in (19, 20):
             with pytest.raises(TooLargeError, match="profiles exceed"):
                 configcount.step_profile_counts(E, k)
@@ -1238,3 +1238,36 @@ def test_huge_k_is_refused_before_any_power_is_formed(argv, expected, capsys):
         assert out.splitlines()[-1].endswith(",0,brute")
     if argv[2] == "all":
         assert "T1.10 skipped" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", "3", "--d", "40", "--size", "2"],
+    ["verify", "--claim", "lemma2.6", "--p", "3", "--d", "40", "--random", "1", "--size", "3"],
+    ["scan", "--family", "C2path", "--p", "3", "--d", "40", "--sizes", "2:3", "--samples", "1",
+     "--threads", "1"],
+])
+def test_a_space_past_sys_maxsize_draws_its_sets(argv, capsys):
+    # 3^40 codes: random.sample cannot take the len() of their range, and the
+    # scan's threshold bisects sizes up to 3^40
+    assert 3**40 > sys.maxsize
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert "p=3 d=40" in out if argv[0] == "gen" else ",3,40," in out
+
+
+def test_a_large_prime_is_decided_at_once_and_past_the_bound_refused():
+    # 2^61 - 1 is prime: trial division would take hours; PRIME_BOUND itself is
+    # the least strong pseudoprime to the bases 2..41, the first n refused
+    from dilatelab.field import PRIME_BOUND
+
+    for p, code, stderr in ((2**61 - 1, 0, ""),
+                            (PRIME_BOUND, 2, f"error: {PRIME_BOUND} is too large: primality is "
+                                             f"decided only below {PRIME_BOUND}\n"),
+                            (2**89 - 1, 2, "is too large")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dilatelab", "gen", "--p", str(p), "--size", "2"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert proc.returncode == code and stderr in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (proc.stdout.splitlines()[1] == f"p={p} d=2") if code == 0 else proc.stdout == ""

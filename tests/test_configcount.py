@@ -632,7 +632,7 @@ def test_step_profile_guard_refuses_before_building_rows(monkeypatch):
     # 8 distinct nonzero distances: 8^7 profiles are over PROFILE_GUARD, 8^6
     # are not
     E = random_point_set(eleven, 2, 8, seed=0)
-    assert len(configcount._class_degrees(E)[0]) == 9
+    assert len(E.class_degrees[0]) == 9
     with pytest.raises(TooLargeError):
         step_profile_counts(E, 7)
     with pytest.raises(AssertionError, match="before building"):
@@ -666,8 +666,6 @@ def test_lane_guard_sizes_the_rows_the_sweep_holds(monkeypatch):
 
 
 def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
-    import dilatelab.configcount as configcount
-
     def never(E):
         raise AssertionError("the guard must refuse before the classes are laid out")
 
@@ -676,7 +674,7 @@ def test_class_count_guards_refuse_before_laying_out_classes(monkeypatch):
     wide = random_point_set(big, 2, 316, seed=0)
     # 42 points with 42 or more distances: 42^4 census profiles, past CENSUS_GUARD
     census_set = random_point_set(make_prime(101), 2, 42, seed=2)
-    monkeypatch.setattr(configcount, "_class_degrees", never)
+    monkeypatch.setattr(PointSet, "class_degrees", property(never))
     for k in (1, 2):
         with pytest.raises(TooLargeError):
             step_profile_counts(wide, k)
@@ -822,6 +820,55 @@ def test_join_iterates_either_table_alike(p):
                 expected = sum(v * second.get(scaled(code, r, length), 0)
                                for code, v in first.items())
                 assert expected > 0 and join(first, second, r, p) == expected, (length, r)
+
+
+def test_join_scales_by_lookup_and_by_closure_alike(monkeypatch):
+    # join scales the keys of a dense table through the array of every scaled
+    # code, and of a sparse one by the _code_scale closure; forced either way,
+    # both agree with the definition at every r, on the walk tables and cycle
+    # census of sets with null segments (p = 13, d = 3), on sparse tables and
+    # on empty ones
+    p = 13
+    E = random_point_set(make_prime(p), 3, 8, seed=4)
+    assert E.norm_pair_counts[0] > len(E)
+    census = cycle_census(E)
+    dense = [walk_profile_counts(E, 2), walk_profile_counts(E, 3), step_profile_counts(E, 3),
+             E.norm_pair_counts]
+    sparse = [census.y, census.x13, {5 + 7 * p**3: 2, 1: 3}, {p**4 - 1: 4}]
+    tables = [*dense, *sparse, {}, {0: 1}]
+
+    def definition(first, second, r):
+        def scaled(code):
+            digits = []
+            while code:
+                code, t = divmod(code, p)
+                digits.append(r * t % p)
+            return profile_code(digits, p)
+        return sum(v * second.get(scaled(code), 0) for code, v in first.items())
+
+    paths = Counter()
+    monkeypatch.setattr(configcount, "_scaled_codes",
+                        lambda *args, f=configcount._scaled_codes: paths.update(["lookup"]) or f(*args))
+    monkeypatch.setattr(configcount, "_code_scale",
+                        lambda *args, f=configcount._code_scale: paths.update(["closure"]) or f(*args))
+    for table in dense:  # about one code of the array per key, or fewer
+        paths.clear()
+        join(table, table, 2, p)
+        assert paths == {"lookup": 1}
+    for table in sparse:
+        paths.clear()
+        join(table, table, 2, p)
+        assert paths == {"closure": 1}
+    # each table against itself and against the next, both ways round
+    nexts = tables[1:] + tables[:1]
+    for first, second in [*zip(tables, tables), *zip(tables, nexts), *zip(nexts, tables)]:
+        for r in range(1, p):
+            expected = definition(first, second, r)
+            # every array refused; every array taken, none past p^4 codes
+            for factor in (0, p**4):
+                monkeypatch.setattr(configcount, "SCALE_ARRAY_FACTOR", factor)
+                assert join(first, second, r, p) == expected, (factor, r)
+    assert join({}, {}, 3, p) == 0
 
 
 # the walk (a, b, a) on two vertices, whose profile is (s, s)

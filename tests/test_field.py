@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from dilatelab.errors import EvenPrimeError, NotASquareError, NotPrimeError
 from dilatelab.field import (
+    PRIME_BOUND,
+    _is_prime,
     _tonelli_shanks,
     inverse,
     legendre,
@@ -35,6 +37,23 @@ def test_make_prime_rejects_bad_input():
         make_prime(2)
     with pytest.raises(NotPrimeError):
         make_prime(1)
+
+
+def test_miller_rabin_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(-3, 20000))
+    # each the least strong pseudoprime to the first 1, 2, ... prime bases, so
+    # each takes one more base to refuse; the last is PRIME_BOUND itself
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    assert [n for n in (2**31 - 1, 2**61 - 1, 2**61 + 1, 2**64 - 59, 2**67 - 1, 10**24 + 7)
+            if _is_prime(n)] == [2**31 - 1, 2**61 - 1, 2**64 - 59, 10**24 + 7]
+    with pytest.raises(NotPrimeError, match="too large"):
+        make_prime(PRIME_BOUND)
+    assert make_prime(10**24 + 7).p_mod_4 == 3
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

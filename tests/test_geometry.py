@@ -1,11 +1,17 @@
 """Point sets, spheres, distance sets, quotient sets, and the file format."""
 
+import gc
 import itertools
 import random
+import sys
+import types
+import weakref
+from collections import Counter
 
 import pytest
 
-from dilatelab.configcount import _class_degrees, _first_scaled_pair, path_edges
+from dilatelab import geometry
+from dilatelab.configcount import _first_scaled_pair, path_edges
 from dilatelab.errors import (
     DimensionMismatchError,
     OddDimensionError,
@@ -216,6 +222,21 @@ def test_random_point_set_determinism_and_bounds():
         random_point_set(seven, 2, 0, seed=0)
 
 
+def test_random_codes_past_sys_maxsize_are_drawn_as_sample_draws_them(monkeypatch):
+    # past sys.maxsize the codes are drawn one randrange at a time, a repeat
+    # drawn again: the draw random.sample makes from a range much larger than
+    # the sample, so where both run, they pick the same set
+    cases = [(101, 3, size, seed) for size in (1, 6, 40) for seed in range(3)]
+    cases += [(7, 9, 12, 0), (3, 40, 5, 1)]
+    below = [random_point_set(make_prime(p), d, size, seed).points for p, d, size, seed in cases]
+    monkeypatch.setattr(geometry, "sys", types.SimpleNamespace(maxsize=0))
+    past = [random_point_set(make_prime(p), d, size, seed).points for p, d, size, seed in cases]
+    assert below == past
+    E = random_point_set(make_prime(3), 40, 5, seed=1)
+    codes = [sum(c * 3**i for i, c in enumerate(pt)) for pt in E.points]
+    assert len(E) == 5 and codes == sorted(codes) and codes[-1] > sys.maxsize // 100
+
+
 def test_full_space_enumerates_everything():
     assert len(full_space(make_prime(3), 3)) == 27
     assert len(set(full_space(make_prime(5), 2).points)) == 25
@@ -262,7 +283,7 @@ def test_dist_table_and_buckets_agree():
         E = random_point_set(make_prime(p), d, min(12, p**d), seed=d)
         D = E.dist_table
         assert isinstance(D[0], tuple) == (p == 131)
-        classes, degrees = _class_degrees(E)
+        classes, degrees = E.class_degrees
         distances = {t for row in D for t in row}
         assert classes == tuple(sorted(distances, key=lambda t: (t == 0, t)))
         assert len(degrees) == len(classes)
@@ -364,6 +385,38 @@ def test_norm_pair_counts_match_the_row_loop():
         counts = E.norm_pair_counts
         assert type(counts) is dict
         assert list(counts.items()) == list(loop(E).items()), E
+
+
+def test_norm_pair_counts_and_class_degrees_count_each_row_once(monkeypatch):
+    # one Counter per distance row serves both tables, and none outlives the
+    # build; where p > n the distance counts take one more Counter, over every
+    # entry, as class_degrees could be larger than the rows
+    counted, alive = [], []
+
+    class Recorded(Counter):
+        def __init__(self, entries):
+            counted.append(entries if isinstance(entries, (bytes, tuple)) else "every entry")
+            alive.append(weakref.ref(self))
+            super().__init__(entries)
+
+    monkeypatch.setattr(geometry, "Counter", Recorded)
+    for p, d, n, passes in ((7, 2, 20, 1), (13, 3, 40, 1), (13, 2, 13, 1), (31, 2, 12, 2)):
+        for first in ("norm_pair_counts", "class_degrees"):
+            E = random_point_set(make_prime(p), d, n, seed=n)
+            del counted[:], alive[:]
+            getattr(E, first)
+            E.class_degrees, E.norm_pair_counts
+            gc.collect()
+            assert not [ref for ref in alive if ref() is not None], (p, n, first)
+            rows = [entries for entries in counted if entries != "every entry"]
+            assert rows == list(E.dist_table) and len(counted) == n + passes - 1, (p, n, first)
+            # both as the direct count builds them
+            pairs = Counter(itertools.chain.from_iterable(E.dist_table))
+            assert list(E.norm_pair_counts.items()) == list(pairs.items())
+            classes, degrees = E.class_degrees
+            assert classes == tuple(sorted(pairs, key=lambda t: (t == 0, t)))
+            assert [list(col) for col in zip(*degrees)] == [
+                [row.count(t) for t in classes] for row in E.dist_table]
 
 
 def test_per_set_binds_defaults_and_caches_no_refusal():
