@@ -294,9 +294,9 @@ def random_point_set(prime: Prime, d: int, size: int, seed) -> PointSet:
     Points are decoded from a sample of base-p codes and sorted, so the same
     (p, d, size, seed) always yields the same set, independent of platform.
     random.sample takes the len() of its range, which holds only up to
-    sys.maxsize codes; past that the codes are drawn as sample draws from
-    any range much larger than the sample, one randrange each and a repeat
-    drawn again.
+    sys.maxsize codes; past that, the codes are drawn one randrange at a
+    time and a repeat is drawn again, which is how random.sample draws from
+    a range much larger than the sample.
     """
     space = prime.p**d
     if size > space:
