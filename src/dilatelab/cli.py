@@ -335,8 +335,7 @@ def _verify_instances(args, parser):
             sizes = _parse_sizes(args.size)
         except ValueError as exc:
             parser.error(str(exc))
-        ratios = ratios_for_policy(policy, prime)
-        for E, ratio in random_instances(prime, args.d, args.random, sizes, args.seed, ratios):
+        for E, ratio in random_instances(prime, args.d, args.random, sizes, args.seed, policy):
             yield E, [ratio]
     else:
         E = _resolve_set(args, parser)

@@ -39,7 +39,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import chain, combinations, compress, permutations, product, repeat
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -58,8 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover
 BRUTE_GUARD = 10**6
 # Step-profile sweeps whose packed rows would take more bytes are refused.
 LANE_GUARD = 1 << 24
-# Step-profile sweeps whose last level would hold more profiles (lanes) are
-# refused: each nonzero one becomes a dict entry of the cached tables.
+# Step-profile sweeps whose last level could hold more nonzero profiles are
+# refused: each becomes a dict entry of the cached tables.  A level holds at most
+# its m^k lanes and its n^(k+1) walks, so it is refused where both exceed this.
 PROFILE_GUARD = 1 << 18
 # Packed sweeps whose steps could form more bytes of lanes in all are refused.
 SWEEP_GUARD = 1 << 30
@@ -280,22 +281,24 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
     sum leaves out j's own row.  Rows are built up to level k - 1 only, and
     level k is summed by the degrees of PointSet.class_degrees (for X, j left out
     of its class 0): distance is symmetric, so the walks of class c out of
-    the rows add up to sum_i deg_c(i) row[i].  The level-1 rows, the class
-    sums of rows of ones, are each point's class sizes, so they are packed
-    from the degrees too, and k <= 2 builds no bucket row.  A lane holds
-    at most n^(k+1) walks; lanes are that wide, rounded up to whole bytes.
-    Refused, before the classes are laid out where p > n (where p <= n
+    the rows add up to sum_i deg_c(i) row[i], and the m class sums, joined
+    as rows of lanes, are the total.  The level-1 rows, the class sums of
+    rows of ones, are each point's class sizes, so they are packed from the
+    degrees too, and k <= 2 builds no bucket row.  A lane holds at most
+    n^(k+1) walks; lanes are that wide, rounded up to whole bytes.  Refused,
+    before the classes are laid out where p > n (where p <= n
     norm_pair_counts lays them out, no larger than the rows), when level k
-    would hold more than PROFILE_GUARD lanes, the n rows of level k - 1 and
-    the level-k total (at k = 1, the n x m distance classes instead) would
-    take more than LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
+    could hold more than PROFILE_GUARD profiles (both its m^k lanes and its
+    n^(k+1) walks are more), the n rows of level k - 1 and the level-k total
+    (at k = 1, the n x m distance classes instead) would take more than
+    LANE_GUARD bytes, or the k steps more than SWEEP_GUARD.
     """
     n, p = len(E), E.prime.p
     # every distance of E is a step, 0 only where a walk stays or a null segment moves
     m = len(E.norm_pair_counts)
     if not (stays or E.norm_pair_counts[0] > n):
         m -= 1
-    if _exceeds(m, k, PROFILE_GUARD):
+    if _exceeds(m, k, PROFILE_GUARD) and _exceeds(n, k + 1, PROFILE_GUARD):
         raise TooLargeError(f"{m}^{k} profiles exceed {PROFILE_GUARD} lanes")
     lanes = m**k
     # n rows of level k - 1 and the level-k total, or at k = 1 the n x m class layout
@@ -317,11 +320,12 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
         rows = [_pack(_class_sums(bucket, steps, sources), row_bytes) - (row << last if own else 0)
                 for bucket, row in zip(E.neighbor_buckets.rows(), rows)]
         row_bytes *= m
-    total = sum(sum(map(mul, deg, rows)) << (8 * c * row_bytes) for c, deg in enumerate(degrees))
+    total = _pack([sum(map(mul, deg, rows)) for deg in degrees], row_bytes)
     # lane i is the profile whose steps are the base-m digits of i, lowest first;
-    # product varies its last factor fastest, so it lists the codes in lane order
-    codes = map(sum, product(*[[t * p**i for t in steps] for i in reversed(range(k))]))
-    return {code: count for code, count in zip(codes, _lanes(total, lanes, width)) if count}
+    # product varies its last factor fastest, so it lists the profiles in lane order
+    counts = _lanes(total, lanes, width)
+    profiles = product(*[[t * p**i for t in steps] for i in reversed(range(k))])
+    return dict(zip(map(sum, compress(profiles, counts)), filter(None, counts)))
 
 
 def path_edges(k: int) -> tuple[tuple[int, int], ...]:
@@ -430,8 +434,7 @@ def brute_join(E: PointSet, r: int, edges, x_kind: str, y_kind: str, visits: int
     D = E.dist_table
     X = Counter()
     visited = 0
-    scale = [r * t % p for t in range(p)]
-    scaled = [tuple(map(scale.__getitem__, row)) for row in D]
+    scaled = [tuple(map(p.__rmod__, map(r.__mul__, row))) for row in D]
     for codes, back, size in _profile_blocks(scaled, p, edges, x_kind):
         X.update(codes)
         if back:
@@ -708,11 +711,12 @@ def cycle_census(E: PointSet) -> CycleCensus:
     formed, the other being the same count at the walk read backwards.  The
     images are added at the end.
 
-    The a = c tables are Gram sums of the degrees of PointSet.class_degrees, read
-    from no bucket row, deg_s(a) the points at squared distance s from a
-    (a itself at s = 0): y13(s, s, u, u) = sum_a deg_s(a) deg_u(a), and
-    yb(s, s, s, s) = sum_a deg_s(a) counts the walks (a, b, a, b).  x13 and
-    xb are the same sums with deg_0(a) - 1, a left out of its own class.
+    The a = c tables are the 2-step walk tables walked out and back: the
+    walk (a, b, a, e) is the 2-walk (b, a, e), so y13(s, s, u, u) is
+    walk_profile_counts(E, 2) at (s, u) and x13 is step_profile_counts(E, 2),
+    its walks with distinct consecutive points; both read no bucket row.
+    yb(s, s, s, s) = norm_pair_counts[s] counts the walks (a, b, a, b), and
+    xb is yb less the n walks (a, a, a, a) at code 0.
 
     x, the walks with distinct consecutive points, is y by
     inclusion-exclusion over the four edge coincidences a = b, b = c, c = e
@@ -728,7 +732,8 @@ def cycle_census(E: PointSet) -> CycleCensus:
 
     Cost O(n^2 h^2) for h histogram keys, with h <= min(n, p^2); x adds
     O(h) per pair and O(m^3) for the m distances of E.  Refused when
-    min(n, m)^4, a bound on the profiles of a table, exceeds CENSUS_GUARD.
+    min(n, m)^4, a bound on the profiles of a table, exceeds CENSUS_GUARD,
+    or where the guards of _profile_sweep refuse the 2-step tables.
     """
     n, p = len(E), E.prime.p
     pp = p * p
@@ -741,19 +746,12 @@ def cycle_census(E: PointSet) -> CycleCensus:
             f"{min(n, m)}^4 profiles, over {CENSUS_GUARD}"
         )
     D = E.dist_table
-    tables = {name: {} for name in ("x13", "y13", "xb", "yb")}
-    classes, degrees = E.class_degrees
-    for s, ds in zip(classes, degrees):
-        for u, du in zip(classes, degrees):
-            walks = sum(map(mul, ds, du))
-            # the sum of (deg_s(a) - [s = 0]) (deg_u(a) - [u = 0]), as sum_a deg_s(a) = pairs[s]
-            distinct = walks - (s == 0) * pairs[u] - (u == 0) * pairs[s] + (s == u == 0) * n
-            for side, v in (("y", walks), ("x", distinct)):
-                if v:
-                    tables[side + "13"][(s + u * pp) * (p + 1)] = v
-        for side, v in (("y", pairs[s]), ("x", pairs[s] - (s == 0) * n)):
-            if v:
-                tables[side + "b"][s * (p + 1) * (pp + 1)] = v
+    # a walk (a, b, a, e) is the 2-walk (b, a, e) there and back, so s + u p becomes
+    # (s + u p^2)(p + 1); a pair (a, b) at s walked there and back twice is s (p + 1)(p^2 + 1)
+    x13, y13 = ({(c % p + c // p * pp) * (p + 1): v for c, v in table.items()}
+                for table in (step_profile_counts(E, 2), walk_profile_counts(E, 2)))
+    yb = {s * (p + 1) * (pp + 1): v for s, v in pairs.items()}
+    xb = {code: v for code, v in {**yb, 0: yb[0] - n}.items() if v}  # less the n (a, a, a, a)
     high = [[t * p for t in row] for row in D]
     swap = {s + t * p: t + s * p for s in pairs for t in pairs}
     half: dict[int, int] = {}
@@ -772,7 +770,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
                 for k2, v2 in items[i:]:
                     code = base + k2
                     half[code] = get(code, 0) + v1 * v2
-    y = tables["y13"].copy()  # the walks with a = c
+    y = y13.copy()  # the walks with a = c
     get = y.get
     for code, v in half.items():
         k1, k2 = divmod(code, pp)
@@ -802,7 +800,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
     x[0] -= 3 * n
     for code in [code for code, v in x.items() if not v]:  # in place: x is as large as y
         del x[code]
-    return CycleCensus(x=x, y=y, **tables)
+    return CycleCensus(x=x, y=y, x13=x13, y13=y13, xb=xb, yb=yb)
 
 
 # join scales the keys of the table it iterates through an array of every
@@ -918,9 +916,8 @@ def displacement_histogram(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> di
     displacement column u_i - w_i is then one translation of the u column
     per image, by c -> (c - w) mod p, joined.  An int displacement column
     tiles the u column, repeats each image n times and reduces each
-    difference by one lookup in range(p): a negative index reads
-    p + u_i - w_i.  The histogram counts the rows of the d columns; nothing
-    is kept on E.
+    difference mod p, with no table of p entries.  The histogram counts the
+    rows of the d columns; nothing is kept on E.
     """
     if not ratio.is_square or ratio.sqrt_r is None:
         raise NotASquareRatioError(f"ratio {ratio.r} is not a nonzero square")
@@ -938,14 +935,13 @@ def displacement_histogram(E: PointSet, ratio: Ratio, theta: "OrthMatrix") -> di
             w = sum(map(int.from_bytes, parts, repeat("little"))).to_bytes(n, "little")
             columns.append(b"".join(map(col.translate, map(shift.__getitem__, w.translate(modp)))))
     else:
-        residue = tuple(range(p)).__getitem__
         cols = tuple(cols)
         for row, col in zip(theta.entries, cols):
             w = repeat(0, n)
             for t, c in zip(row, cols):
                 w = map(add, w, map((s * t % p).__mul__, c))
             repeated = chain.from_iterable(map(repeat, map(p.__rmod__, w), repeat(n)))
-            columns.append(map(residue, map(sub, col * n, repeated)))
+            columns.append(map(p.__rmod__, map(sub, col * n, repeated)))
     return Counter(zip(*columns))
 
 

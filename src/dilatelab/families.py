@@ -307,7 +307,8 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     every join but J(x, y) and J(AD, AD) iterates a table of at most m^2
     keys, m the distances in E.  A pair outside both has an adjacent y
     coincidence, which only nonzero null segments allow.  The only size
-    guard is the census's own, on the profiles its tables can hold.
+    guards are the census's: its own, on the profiles its tables can hold,
+    and those of the 2-step walk tables it reads.
     """
     cen = cycle_census(E)
     r, p = ratio.r, E.prime.p

@@ -183,9 +183,9 @@ class PointSet:
         else a tuple.  Built a coordinate at a time.  A bytes row translates
         each coordinate column by the squares (c_i - c_j)^2 mod p, sums the d
         parts as one big int, in which no byte lane carries, and reduces the
-        sum mod p by one more translation.  A tuple row adds sq[c_i - c_j]
-        across each column; a negative index reads sq[p + c_i - c_j], the
-        same square mod p, so the row is reduced mod p once, at the end.
+        sum mod p by one more translation.  A tuple row adds the squares
+        (c_i - c_j)^2 across each column, each computed, not looked up in a
+        table of p entries, and is reduced mod p once, at the end.
         """
         p, n = self.prime.p, len(self)
         cols = tuple(zip(*self.points))
@@ -199,12 +199,11 @@ class PointSet:
                     total += int.from_bytes(col.translate(sqd[c]), "little")
                 rows.append(total.to_bytes(n, "little").translate(modp))
             return tuple(rows)
-        sq = [c * c for c in range(p)]
         rows = []
         for pt in self.points:
             acc = None
             for c, col in zip(pt, cols):
-                part = [sq[c - x] for x in col]
+                part = [(e := c - x) * e for x in col]
                 acc = part if acc is None else list(map(add, acc, part))
             rows.append(tuple([t % p for t in acc]))
         return tuple(rows)

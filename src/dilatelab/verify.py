@@ -43,7 +43,7 @@ from .families import (
     four_cycle_families,
     revalidate,
 )
-from .field import Prime, inverse, make_prime, squares_set
+from .field import Prime, inverse, legendre, make_prime, squares_set
 from .geometry import PointSet, quotient_set, random_point_set
 
 
@@ -174,7 +174,8 @@ def _lemma26(E: PointSet, ratio: None, k: int) -> tuple:
 
     lhs is the least margin n nu_1(t1) - nu_2(t1, t2) over every profile
     pair: over the entries of the nu_2 table, whose codes are t1 + t2 p,
-    and n nu_1(t1) for each t1 that some t2 leaves out of it.
+    and n nu_1(t1) for each t1 that some t2 leaves out of it, which is 0
+    for a t1 outside the nu_1 table; so no loop runs over the field.
     """
     p = E.prime.p
     n = len(E)
@@ -182,7 +183,8 @@ def _lemma26(E: PointSet, ratio: None, k: int) -> tuple:
     nu2 = walk_profile_counts(E, 2)
     listed = Counter(code % p for code in nu2)
     worst = min([n * nu1[code % p] - count for code, count in nu2.items()]
-                + [n * nu1.get(t1, 0) for t1 in range(p) if listed[t1] < p])
+                + [n * v for t1, v in nu1.items() if listed[t1] < p]
+                + ([0] if len(nu1) < p else []))
     return worst >= 0, worst, 0, {}
 
 
@@ -204,12 +206,16 @@ def _t110(E: PointSet, ratio: Ratio, k: int) -> tuple:
 
 
 def _quotient(E: PointSet, ratio: None, k: int) -> tuple:
-    """Quotients of distances fill the field (even d) or its squares (odd d)."""
+    """Quotients of distances fill the field (even d) or its squares (odd d).
+
+    Both are decided by counting the quotients, residues mod p, that lie in
+    the target, so no set of the field or of its (p + 1) / 2 squares is built.
+    """
     p = E.prime.p
     quotients = quotient_set(E)
     if E.d % 2 == 0:
-        return quotients == frozenset(range(p)), len(quotients), p, {"target": "field"}
-    holds = frozenset(squares_set(E.prime)) <= quotients
+        return len(quotients) == p, len(quotients), p, {"target": "field"}
+    holds = sum(legendre(q, E.prime) >= 0 for q in quotients) == (p + 1) // 2
     return holds, len(quotients), (p + 1) // 2, {"target": "squares"}
 
 
@@ -487,16 +493,21 @@ def scan_threshold(
     )
 
 
-def random_instances(prime: Prime, d: int, count: int, sizes, seed, ratios: list[Ratio]):
+def random_instances(prime: Prime, d: int, count: int, sizes, seed, policy: str):
     """Deterministic stream of (E, ratio) instances for batch verification.
 
-    Drawn one at a time, so each set and its cached tables can be freed
-    before the next; a size that does not fit the space is refused first.
+    Instance i takes the i-th ratio of the policy, cyclically.  Those of
+    "all" are 1, .., p - 1, so its i-th is formed, 1 + i mod (p - 1), and
+    the policy is not listed.  Drawn one at a time, so each set and its
+    cached tables can be freed before the next; a size that does not fit
+    the space is refused first.
     """
+    ratios = None if policy == "all" else ratios_for_policy(policy, prime)
     space = prime.p**d
     for n in sizes[:count]:
         if n > space:
             raise SizeExceedsSpaceError(f"cannot pick {n} distinct points from {space}")
     for i in range(count):
-        yield (random_point_set(prime, d, sizes[i % len(sizes)], f"{seed}:{i}"),
-               ratios[i % len(ratios)])
+        E = random_point_set(prime, d, sizes[i % len(sizes)], f"{seed}:{i}")
+        yield E, (make_ratio(1 + i % (prime.p - 1), prime) if ratios is None
+                  else ratios[i % len(ratios)])

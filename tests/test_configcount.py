@@ -37,7 +37,7 @@ from dilatelab.configcount import (
 from dilatelab.errors import NotASquareRatioError, TooLargeError
 from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
-from dilatelab.orthogonal import enumerate_orthogonal, so2_elements
+from dilatelab.orthogonal import enumerate_orthogonal, identity_matrix, make_orth, so2_elements
 from dilatelab.simgraph import SimilarityGraph
 from oracles import count_step_cycles, count_step_walks, displacement_count
 
@@ -288,7 +288,7 @@ def test_cycle_census_guard_refuses_before_building(monkeypatch):
     def never(*args):
         raise AssertionError("the guard must refuse before building a table")
 
-    # the census's first arithmetic: the Gram sums of the point degrees
+    # the census's first arithmetic: the level-2 total of its 2-step walk tables
     monkeypatch.setattr(configcount, "mul", never)
     big = make_prime(101)
     # 42^4 > 3 * 10^6 >= 41^4; these sets have more distances than points
@@ -300,6 +300,49 @@ def test_cycle_census_guard_refuses_before_building(monkeypatch):
         E = random_point_set(prime, 2, size, seed=0)
         with pytest.raises(AssertionError, match="before building"):
             count_scaled_cycle_pairs(E, make_ratio(2, prime), "mu_identity")
+
+
+def test_two_step_tables_past_the_lane_count_are_admitted_by_their_walks():
+    # 528 nonzero distances: 528^2 lanes are past PROFILE_GUARD, but 33^3
+    # walks are not, so the level holds no more entries than that and
+    # nu_identity cross-checks walk_dp; the census reads the same tables
+    prime = make_prime(100003)
+    E = random_point_set(prime, 2, 33, 0)
+    m = len(E.norm_pair_counts)
+    assert m == 529 and 33**3 <= configcount.PROFILE_GUARD < (m - 1) ** 2
+    reports = walk_pair_reports(E, make_ratio(2, prime), 2)
+    assert [(rep.method, rep.value) for rep in reports] == [("walk_dp", 4), ("nu_identity", 4)]
+    # every closed walk, and those (a, b, a, e) and (a, b, a, b), with and
+    # without distinct consecutive points
+    census = cycle_census(E)
+    totals = [sum(table.values()) for table in
+              (census.y, census.x, census.y13, census.x13, census.yb, census.xb)]
+    assert totals == [33**4, 32**4 + 32, 33**3, 33 * 32**2, 33**2, 33 * 32]
+
+
+def test_tables_of_a_large_field_hold_no_entry_per_residue():
+    # the int distance rows, brute's scaled rows and the int displacement
+    # columns are computed entry by entry: none lists the p residues
+    import tracemalloc
+
+    prime = make_prime(1000003)
+    ratio = make_ratio(4, prime)
+    theta = make_orth(identity_matrix(2), prime)
+    E = random_point_set(prime, 2, 3, seed=0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in (lambda: E.dist_table,
+                     lambda: count_scaled_walk_pairs(E, ratio, 2, "brute"),
+                     lambda: displacement_histogram(E, ratio, theta)):
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 1 << 20, peaks
+    assert count_scaled_walk_pairs(E, ratio, 2, "walk_dp").value == \
+        count_scaled_walk_pairs(E, ratio, 2, "brute").value
 
 
 def test_scaled_walk_pairs_two_point():

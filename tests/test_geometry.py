@@ -391,11 +391,11 @@ def test_norm_pair_counts_and_class_degrees_count_each_row_once(monkeypatch):
     # one Counter per distance row serves both tables, and none outlives the
     # build; where p > n the distance counts take one more Counter, over every
     # entry, as class_degrees could be larger than the rows
-    counted, alive = [], []
+    counted, alive, every_entry = [], [], object()  # not a str: rows may be bytes
 
     class Recorded(Counter):
         def __init__(self, entries):
-            counted.append(entries if isinstance(entries, (bytes, tuple)) else "every entry")
+            counted.append(entries if isinstance(entries, (bytes, tuple)) else every_entry)
             alive.append(weakref.ref(self))
             super().__init__(entries)
 
@@ -408,7 +408,7 @@ def test_norm_pair_counts_and_class_degrees_count_each_row_once(monkeypatch):
             E.class_degrees, E.norm_pair_counts
             gc.collect()
             assert not [ref for ref in alive if ref() is not None], (p, n, first)
-            rows = [entries for entries in counted if entries != "every entry"]
+            rows = [entries for entries in counted if entries is not every_entry]
             assert rows == list(E.dist_table) and len(counted) == n + passes - 1, (p, n, first)
             # both as the direct count builds them
             pairs = Counter(itertools.chain.from_iterable(E.dist_table))

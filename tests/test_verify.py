@@ -164,9 +164,14 @@ def test_lemma24_random(p):
 
 
 def test_lemma26_random():
-    # lhs is the least margin over all p^2 profile pairs, listed or not
-    for p, d, seed in itertools.product((5, 7), (1, 2, 3), range(3)):
-        E = random_point_set(make_prime(p), d, min(6 + seed, p**d), seed)
+    # lhs is the least margin over all p^2 profile pairs, listed or not; the
+    # full spaces have every residue as a distance
+    sets = [random_point_set(make_prime(p), d, min(6 + seed, p**d), seed)
+            for p, d, seed in itertools.product((5, 7), (1, 2, 3), range(3))]
+    sets += [full_space(make_prime(3), 2), full_space(make_prime(3), 3),
+             full_space(make_prime(5), 2)]
+    for E in sets:
+        p, d = E.prime.p, E.d
         verdict = run_claim("lemma2.6", E)
         assert verdict.conclusion_holds
         D = E.dist_table
@@ -174,7 +179,45 @@ def test_lemma26_random():
         two = {(s, t): sum(D[a][b] == s and D[b][c] == t
                            for a, b, c in itertools.product(range(len(E)), repeat=3))
                for s in range(p) for t in range(p)}
-        assert verdict.lhs == min(len(E) * one[s] - two[s, t] for s, t in two), (p, d, seed)
+        assert verdict.lhs == min(len(E) * one[s] - two[s, t] for s, t in two), (p, d, len(E))
+
+
+def test_claims_of_a_large_field_hold_no_entry_per_residue():
+    # lemma2.6 and the odd-d quotient claim on three points at p = 1000003
+    # neither loop over the field nor build a set of its squares
+    import tracemalloc
+
+    E = random_point_set(make_prime(1000003), 3, 3, seed=0)
+    E.dist_table
+    tracemalloc.start()
+    try:
+        verdicts = []
+        for claim in ("lemma2.6", "quotient"):
+            tracemalloc.reset_peak()
+            verdicts.append(run_claim(claim, E))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20, claim
+    finally:
+        tracemalloc.stop()
+    assert [v.conclusion_holds for v in verdicts] == [True, False]
+    assert verdicts[1].rhs == (1000003 + 1) // 2
+
+
+def test_random_instances_take_the_policy_ratios_in_turn():
+    # instance i takes ratio i of the policy, cyclically; "all" is not listed
+    import tracemalloc
+
+    for policy in ("all", "squares", "r=5"):
+        ratios = ratios_for_policy(policy, SEVEN)
+        drawn = [ratio for _, ratio in verify.random_instances(SEVEN, 2, 8, [3], 0, policy)]
+        assert drawn == [ratios[i % len(ratios)] for i in range(8)], policy
+    prime = make_prime(100003)
+    tracemalloc.start()
+    try:
+        drawn = [ratio.r for _, ratio in verify.random_instances(prime, 2, 3, [3], 0, "all")]
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert drawn == [1, 2, 3]
 
 
 def test_lemma42_random():
