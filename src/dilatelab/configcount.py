@@ -36,6 +36,8 @@ not, and refused_checks records each cross-check a guard left out.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -210,8 +212,8 @@ def _transpose(matrix: bytes, rows: int, lanes: int, width: int) -> list[int]:
     ]
 
 
-# The little-endian struct item of each lane width that _pack and _lanes move in
-# one call; other widths go value by value.
+# The little-endian struct item of each lane width that _pack moves in one call,
+# and the array item that _lanes reads a lane of at most that width into.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -228,12 +230,24 @@ def _pack(values, width: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-def _lanes(value: int, lanes: int, width: int) -> list[int]:
-    """The lanes of a packed int, lowest first."""
+def _lanes(value: int, lanes: int, width: int):
+    """The lanes of a packed int, lowest first: for up to 8 bytes one array of the next
+    item width up, zero-extended a byte plane at a time, so a level of millions of
+    lanes is read in C with no int object per lane; wider lanes, past 2^64, a list."""
     raw = value.to_bytes(lanes * width, "little")
-    if width in _FORMATS:
-        return list(struct.unpack(f"<{lanes}{_FORMATS[width]}", raw))
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    del value  # a caller's packed temporary is freed before the lanes are laid out
+    if width > 8:
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    size = next(s for s in _FORMATS if s >= width)
+    if size == width:
+        out = array(_FORMATS[size], raw)
+    else:
+        out = array(_FORMATS[size], [0]) * lanes
+        for b in range(width):
+            memoryview(out).cast("B")[b::size] = raw[b::width]
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 def step_profile_counts(E: PointSet, k: int) -> dict:
@@ -320,10 +334,9 @@ def _profile_sweep(E: PointSet, k: int, stays: bool) -> dict:
         rows = [_pack(_class_sums(bucket, steps, sources), row_bytes) - (row << last if own else 0)
                 for bucket, row in zip(E.neighbor_buckets.rows(), rows)]
         row_bytes *= m
-    total = _pack([sum(map(mul, deg, rows)) for deg in degrees], row_bytes)
     # lane i is the profile whose steps are the base-m digits of i, lowest first;
     # product varies its last factor fastest, so it lists the profiles in lane order
-    counts = _lanes(total, lanes, width)
+    counts = _lanes(_pack([sum(map(mul, deg, rows)) for deg in degrees], row_bytes), lanes, width)
     profiles = product(*[[t * p**i for t in steps] for i in reversed(range(k))])
     return dict(zip(map(sum, compress(profiles, counts)), filter(None, counts)))
 

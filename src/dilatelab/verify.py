@@ -339,16 +339,19 @@ class ScanResult:
         }
 
 
-def ratios_for_policy(policy: str, prime: Prime) -> list[Ratio]:
+def _policy_values(policy: str, prime: Prime):
+    """The ratios of a policy, in order, as ints: a range for "all", so it is not listed."""
     if policy == "all":
-        values = range(1, prime.p)
-    elif policy == "squares":
-        values = sorted(s for s in squares_set(prime) if s != 0)
-    elif policy.startswith("r="):
-        values = [int(policy[2:])]
-    else:
-        raise ValueError(f"unknown ratio policy {policy!r}")
-    return [make_ratio(v, prime) for v in values]
+        return range(1, prime.p)
+    if policy == "squares":
+        return sorted(s for s in squares_set(prime) if s != 0)
+    if policy.startswith("r="):
+        return [int(policy[2:])]
+    raise ValueError(f"unknown ratio policy {policy!r}")
+
+
+def ratios_for_policy(policy: str, prime: Prime) -> list[Ratio]:
+    return [make_ratio(v, prime) for v in _policy_values(policy, prime)]
 
 
 @lru_cache(maxsize=None)
@@ -496,18 +499,17 @@ def scan_threshold(
 def random_instances(prime: Prime, d: int, count: int, sizes, seed, policy: str):
     """Deterministic stream of (E, ratio) instances for batch verification.
 
-    Instance i takes the i-th ratio of the policy, cyclically.  Those of
-    "all" are 1, .., p - 1, so its i-th is formed, 1 + i mod (p - 1), and
-    the policy is not listed.  Drawn one at a time, so each set and its
-    cached tables can be freed before the next; a size that does not fit
-    the space is refused first.
+    Instance i takes the i-th ratio of the policy, cyclically, so only its
+    first `count` ratios are formed and "all" is never listed whole.  Drawn
+    one at a time, so each set and its cached tables can be freed before
+    the next; a ratio, then a size that does not fit the space, is refused
+    first.
     """
-    ratios = None if policy == "all" else ratios_for_policy(policy, prime)
+    ratios = [make_ratio(v, prime) for v in _policy_values(policy, prime)[:count]]
     space = prime.p**d
     for n in sizes[:count]:
         if n > space:
             raise SizeExceedsSpaceError(f"cannot pick {n} distinct points from {space}")
     for i in range(count):
-        E = random_point_set(prime, d, sizes[i % len(sizes)], f"{seed}:{i}")
-        yield E, (make_ratio(1 + i % (prime.p - 1), prime) if ratios is None
-                  else ratios[i % len(ratios)])
+        yield (random_point_set(prime, d, sizes[i % len(sizes)], f"{seed}:{i}"),
+               ratios[i % len(ratios)])

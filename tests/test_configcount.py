@@ -568,18 +568,20 @@ def test_every_cached_profile_level_matches_step_walks(p, d):
                 assert table == expected, (len(E), level, moving)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_lanes_unpack_every_width_alike(width):
-    # 1-, 2-, 4- and 8-byte lanes are packed and read by one struct call, the
-    # rest lane by lane; every width agrees with shifting and masking the
-    # packed int, the top lane full and zero lanes kept, both ways
+    # 1-, 2-, 4- and 8-byte lanes are packed by one struct call, the rest value
+    # by value; lanes of at most 8 bytes are read into one array, zero-extended
+    # where needed, and wider ones one by one; every width agrees with
+    # shifting and masking the packed int, the top lane full and zero lanes
+    # kept, both ways
     full = (1 << 8 * width) - 1
     for values in ([0], [full], [5, 0, full, 1, 0], list(range(1, 40)), [0] * 7):
         values = [v & full for v in values]
         packed = sum(v << (8 * width * i) for i, v in enumerate(values))
         assert _pack(values, width) == packed
         assert _pack(tuple(values), width) == packed
-        lanes = _lanes(packed, len(values), width)
+        lanes = list(_lanes(packed, len(values), width))
         assert lanes == [(packed >> (8 * width * i)) & full for i in range(len(values))]
         assert lanes == values and all(type(v) is int for v in lanes)
 
