@@ -13,9 +13,9 @@ The central objects are, for a point set E and a nonzero ratio r:
   second walk's squared step lengths are the first's multiplied by r, the
   first walk having distinct consecutive points; they are counted, never
   enumerated;
-* the cycle census: per-profile tables of E's closed 4-walks, built once
-  per set for every ratio, whose joins give the cycle pair count C and the
-  four-cycle coincidence families;
+* the cycle census: the tables x and y of E's closed 4-walks, built once
+  per set for every ratio; C is their join, and the four-cycle
+  coincidence families join them and the step tables walked out and back;
 * the brute oracle, brute_join: any pair count as the join of the profile
   histograms of its x and y tuples, each side of its own pattern, behind
   the one brute guard;
@@ -684,29 +684,30 @@ def _brute_scaled_cycle_pairs(E: PointSet, r: int) -> int:
                       visits=(n - 1) ** 4 + n - 1 + n**4)
 
 
+def _doubled(table: dict, p: int) -> dict:
+    """A 1- or 2-step table with each step walked out and back: (s) -> (s, s),
+    (s, u) -> (s, s, u, u), code c -> (c mod p + (c div p) p^2)(p + 1).  So the
+    2-walk (b, a, e) becomes the closed walk (a, b, a, e), and a pair doubled
+    twice the closed walk (a, b, a, b)."""
+    pp = p * p
+    return {(c % p + c // p * pp) * (p + 1): v for c, v in table.items()}
+
+
 @dataclass(frozen=True)
 class CycleCensus:
     """Per-profile counts of the closed 4-walks (a, b, c, e) of a point set.
 
     A table maps the code t1 + t2 p + t3 p^2 + t4 p^3 of a profile along
     CYCLE_EDGES, (D[a][b], D[b][c], D[c][e], D[a][e]), to its nonzero
-    number of walks: y and x are brute_join's EVERY and EDGE_DISTINCT sides.
-
-    y counts every closed walk and x the walks with distinct consecutive
-    points; each has a restriction to a = c (x13, y13) and to a = c and
-    b = e both (xb, yb).  Rotating a walk, (a, b, c, e) -> (b, c, e, a), maps
-    those with b = e onto those with a = c and rotates the profile's digits,
-    so the b = e restrictions are x13 and y13 rotated and need no table.
-    Every count C and the lemma 4.2 families need is a join of an x-side
-    table against a y-side one.
+    number of walks: y and x are brute_join's EVERY and EDGE_DISTINCT sides,
+    y counting every closed walk and x the walks with distinct consecutive
+    points.  C = J(x, y).  Their restrictions to a = c, and to a = c and
+    b = e both, are the step tables doubled (_doubled), so the census keeps
+    no table of them.
     """
 
     x: dict
     y: dict
-    x13: dict
-    y13: dict
-    xb: dict
-    yb: dict
 
 
 @per_set
@@ -718,35 +719,29 @@ def cycle_census(E: PointSet) -> CycleCensus:
     over (a, c) at the code h + swap(h') p^2, swap exchanging the two digits
     of a pair code: the middle point b has the pair (t1, t2) and e has
     (t4, t3).  The histograms are built for a != c only; the a = c terms are
-    y13.  Each term is summed once per symmetry class: a pair a < c stands
-    for (c, a) too, whose term is the same count with both pair codes
-    swapped; and of the two products H(h) H(h') and H(h') H(h) only one is
-    formed, the other being the same count at the walk read backwards.  The
-    images are added at the end.
-
-    The a = c tables are the 2-step walk tables walked out and back: the
-    walk (a, b, a, e) is the 2-walk (b, a, e), so y13(s, s, u, u) is
-    walk_profile_counts(E, 2) at (s, u) and x13 is step_profile_counts(E, 2),
-    its walks with distinct consecutive points; both read no bucket row.
-    yb(s, s, s, s) = norm_pair_counts[s] counts the walks (a, b, a, b), and
-    xb is yb less the n walks (a, a, a, a) at code 0.
+    the 2-walks (b, a, e) walked out and back, walk_profile_counts(E, 2)
+    doubled, which reads no bucket row.  Each term is summed once per
+    symmetry class: a pair a < c stands for (c, a) too, whose term is the
+    same count with both pair codes swapped; and of the two products
+    H(h) H(h') and H(h') H(h) only one is formed, the other being the same
+    count at the walk read backwards.  The images are added at the end.
 
     x, the walks with distinct consecutive points, is y by
     inclusion-exclusion over the four edge coincidences a = b, b = c, c = e
     and e = a.  One coincidence leaves a closed 3-walk, its profile with a 0
     digit at the collapsed edge; the 3-walks (a, b, c) with a != c are H_ac
     by their first two steps, their third D[a][c], and those with a = c are
-    norm_pair_counts at (s, s, 0).  Two leave an ordered pair of points at
-    distance s, norm_pair_counts[s] walks with the digit s at the two other
-    edges, whichever two they are.  Three or four leave one point, n walks
-    at code 0 for each of the four triples and for all four.  So
+    norm_pair_counts doubled, at (s, s, 0).  Two leave an ordered pair of
+    points at distance s, norm_pair_counts[s] walks with the digit s at the
+    two other edges, whichever two they are.  Three or four leave one point,
+    n walks at code 0 for each of the four triples and for all four.  So
     x = y - (the 3-walks at each of the four edges) + (the pairs at each of
     the six edge pairs) - 3n at code 0.
 
     Cost O(n^2 h^2) for h histogram keys, with h <= min(n, p^2); x adds
     O(h) per pair and O(m^3) for the m distances of E.  Refused when
     min(n, m)^4, a bound on the profiles of a table, exceeds CENSUS_GUARD,
-    or where the guards of _profile_sweep refuse the 2-step tables.
+    or where the guards of _profile_sweep refuse the 2-step walk table.
     """
     n, p = len(E), E.prime.p
     pp = p * p
@@ -758,13 +753,8 @@ def cycle_census(E: PointSet) -> CycleCensus:
             f"a cycle census of {n} points with {m} distances may hold "
             f"{min(n, m)}^4 profiles, over {CENSUS_GUARD}"
         )
+    y = _doubled(walk_profile_counts(E, 2), p)  # the walks with a = c
     D = E.dist_table
-    # a walk (a, b, a, e) is the 2-walk (b, a, e) there and back, so s + u p becomes
-    # (s + u p^2)(p + 1); a pair (a, b) at s walked there and back twice is s (p + 1)(p^2 + 1)
-    x13, y13 = ({(c % p + c // p * pp) * (p + 1): v for c, v in table.items()}
-                for table in (step_profile_counts(E, 2), walk_profile_counts(E, 2)))
-    yb = {s * (p + 1) * (pp + 1): v for s, v in pairs.items()}
-    xb = {code: v for code, v in {**yb, 0: yb[0] - n}.items() if v}  # less the n (a, a, a, a)
     high = [[t * p for t in row] for row in D]
     swap = {s + t * p: t + s * p for s in pairs for t in pairs}
     half: dict[int, int] = {}
@@ -783,7 +773,6 @@ def cycle_census(E: PointSet) -> CycleCensus:
                 for k2, v2 in items[i:]:
                     code = base + k2
                     half[code] = get(code, 0) + v1 * v2
-    y = y13.copy()  # the walks with a = c
     get = y.get
     for code, v in half.items():
         k1, k2 = divmod(code, pp)
@@ -796,7 +785,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
             y[code] = get(code, 0) + v
     del half  # x is built beside y, not beside half too
     # the 3-walks (a, b, c) and (c, b, a), and (a, b, a), whose third step is 0
-    walks3 = {s * (p + 1): v for s, v in pairs.items()}
+    walks3 = _doubled(pairs, p)
     for code, v in corners.items():
         third, h = divmod(code, pp)
         for w in (code, swap[h] + third * pp):
@@ -813,7 +802,7 @@ def cycle_census(E: PointSet) -> CycleCensus:
     x[0] -= 3 * n
     for code in [code for code, v in x.items() if not v]:  # in place: x is as large as y
         del x[code]
-    return CycleCensus(x=x, y=y, x13=x13, y13=y13, xb=xb, yb=yb)
+    return CycleCensus(x=x, y=y)
 
 
 # join scales the keys of the table it iterates through an array of every

@@ -18,8 +18,9 @@ x side of a 4-cycle search takes one tuple per rotation/reflection orbit
 vertex set.  The degenerate parts of the 2-path pairs are brute_join counts
 too, a side being the walk (a, b, a) where it has x1 = x3 or y1 = y3,
 checked against their closed forms, joins of the step-profile tables; the
-four-cycle coincidence families are joins of the cycle census of
-:mod:`dilatelab.configcount`.  Both hold for every (p, d).
+four-cycle coincidence families are joins of the cycle census x and y of
+:mod:`dilatelab.configcount` and of the step tables walked out and back
+(configcount._doubled).  Both hold for every (p, d).
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .configcount import (
     join,
     path_edges,
     step_profile_counts,
+    walk_profile_counts,
+    _doubled,
     _first_scaled_pair,
     _report,
     _scaled_walk_table,
@@ -254,7 +257,7 @@ def two_path_parts_closed_form(E: PointSet, ratio: Ratio) -> tuple[int, int, int
     r, p = ratio.r, E.prime.p
     x2, y2 = step_profile_counts(E, 2), _scaled_walk_table(E, 2)
     x1, y1 = step_profile_counts(E, 1), _scaled_walk_table(E, 1)
-    a = join({s * (p + 1): c for s, c in x1.items()}, y2, r, p)
+    a = join(_doubled(x1, p), y2, r, p)
     b = join({code % p: c for code, c in x2.items() if code % p == code // p}, y1, r, p)
     ab = join(x1, y1, r, p)
     return a, b, ab
@@ -294,11 +297,14 @@ class FourCycleFamilies:
 def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     """The coincidence families of the scaled closed-4-walk pairs, by joins.
 
-    Each field is a join J(F, G) = sum_t F(t) G(r t) of two tables of the
-    cycle census: total = J(x, y), the memoised mu_identity count C,
-    x13 = J(x13, y) and y13 = J(x, y13).  Rotating the walks maps those with
-    b = e onto those with a = c, it keeps x, y and AD below, and scaling
-    commutes with it, so x24 = x13 and y24 = y13.  With
+    Each field is a join J(F, G) = sum_t F(t) G(r t) of the cycle census's
+    x and y and their restrictions, built per call from the memoised step
+    tables: to a = c, x13 and y13, X_2 and Y_2 walked out and back
+    (configcount._doubled), and to a = c and b = e, xb and yb, the pairs
+    X_1 and Y_1 doubled twice.  total = J(x, y), the memoised mu_identity
+    count C, x13 = J(x13, y) and y13 = J(x, y13).  Rotating the walks maps
+    those with b = e onto those with a = c, it keeps x, y and AD below, and
+    scaling commutes with it, so x24 = x13 and y24 = y13.  With
     AD = x - x13 - x24 + xb the walks whose four points are distinct, x24
     the rotated x13, and ND = y - y13 - y24 + yb the walks with a != c and
     b != e, fully_distinct = J(AD, AD) and the union of the families is
@@ -308,25 +314,28 @@ def four_cycle_families(E: PointSet, ratio: Ratio) -> FourCycleFamilies:
     keys, m the distances in E.  A pair outside both has an adjacent y
     coincidence, which only nonzero null segments allow.  The only size
     guards are the census's: its own, on the profiles its tables can hold,
-    and those of the 2-step walk tables it reads.
+    and that of Y_2, which admits X_2, X_1 and Y_1 too.
     """
     cen = cycle_census(E)
     r, p = ratio.r, E.prime.p
     ppp = p**3
+    x13, y13 = _doubled(step_profile_counts(E, 2), p), _doubled(walk_profile_counts(E, 2), p)
+    xb, yb = (_doubled(_doubled(pairs, p), p)
+              for pairs in (step_profile_counts(E, 1), E.norm_pair_counts))
     ad = cen.x.copy()  # a walk of x13, x24 or xb is one of x
-    for t, v in cen.x13.items():
+    for t, v in x13.items():
         ad[t] -= v
         ad[t % ppp * p + t // ppp] -= v  # the walk rotated: (t1, .., t4) -> (t4, t1, t2, t3)
-    for t, v in cen.xb.items():
+    for t, v in xb.items():
         ad[t] += v
     f = join(ad, ad, r, p)
     total = count_scaled_cycle_pairs(E, ratio).value
-    x13, y13 = join(cen.x13, cen.y, r, p), join(cen.x, cen.y13, r, p)
-    ad_nd = (total - 2 * x13 + join(cen.xb, cen.y, r, p) - 2 * join(ad, cen.y13, r, p)
-             + join(ad, cen.yb, r, p))
+    a13, b13 = join(x13, cen.y, r, p), join(cen.x, y13, r, p)
+    ad_nd = (total - 2 * a13 + join(xb, cen.y, r, p) - 2 * join(ad, y13, r, p)
+             + join(ad, yb, r, p))
     union = total - ad_nd
     return FourCycleFamilies(
-        fully_distinct=f, x13=x13, x24=x13, y13=y13, y24=y13,
+        fully_distinct=f, x13=a13, x24=a13, y13=b13, y24=b13,
         degenerate_union=union, total=total,
         decomposition_exact=total == f + union,
     )

@@ -102,6 +102,35 @@ def count_step_cycles(E: PointSet, steps) -> int:
     return total
 
 
+def full_space_cycle_tables(p: int, d: int) -> tuple[dict, dict]:
+    """The cycle census tables (x, y) of all of (Z/pZ)^d, by translation.
+
+    Translating a closed 4-walk (a, b, c, e) by -a keeps its profile, so
+    every walk is p^d times one with a = 0 and c = v, for one of the p^d
+    vectors v.  Its middle points are then any b with ||b|| = t1 and
+    ||v - b|| = t2 and any e with ||e|| = t4 and ||v - e|| = t3, so
+    y(t) = p^d sum_v P_v(t1, t2) P_v(t4, t3), P_v(u, w) the number of b with
+    ||b|| = u and ||v - b|| = w.  x, the walks with distinct consecutive
+    points, is the same sum over b and e outside {0, v}.  Keyed like the
+    census, by t1 + t2 p + t3 p^2 + t4 p^3, nonzero counts only.
+    """
+    space = list(itertools.product(range(p), repeat=d))
+    zero = space[0]
+    x, y = Counter(), Counter()
+    for v in space:
+        every, moving = Counter(), Counter()
+        for b in space:
+            pair = (sum(t * t for t in b) % p, sum((s - t) ** 2 for s, t in zip(v, b)) % p)
+            every[pair] += 1
+            if b not in (zero, v):
+                moving[pair] += 1
+        for table, P in ((y, every), (x, moving)):
+            for (t1, t2), m1 in P.items():
+                for (t4, t3), m2 in P.items():
+                    table[t1 + t2 * p + t3 * p**2 + t4 * p**3] += p**d * m1 * m2
+    return dict(x), dict(y)
+
+
 # ----------------------------------------------------------------------------
 # proof-step checks
 

@@ -374,14 +374,14 @@ def test_verify_notes_each_refused_cross_check_once(monkeypatch, capsys):
     code, out, err = run_cli(["verify", "--claim", "all", "--p", "7", "--random", "1",
                               "--size", "8", "--r", "2", "--seed", "1"], capsys)
     assert code == 0 and len(out.splitlines()) == 10
-    # lemmas 2.4 and 4.2, whose cycle census reads the refused 2-step tables,
-    # and lemma2.6 are refused as a whole and noted from the same record, in
-    # claim order
+    # lemmas 2.4 and 4.2, whose cycle census reads the refused 2-step walk
+    # table Y_2 (7 steps, 0 included), and lemma2.6 are refused as a whole
+    # and noted from the same record, in claim order
     refused = [f"nu_identity skipped for S_k r=2 (guard: 6^{k} profiles exceed 1 lanes)"
                for k in (1, 2, 3)]
-    refused[2:2] = ["lemma2.4 skipped for claim r=2 (guard: 6^2 profiles exceed 1 lanes)",
+    refused[2:2] = ["lemma2.4 skipped for claim r=2 (guard: 7^2 profiles exceed 1 lanes)",
                     "lemma2.6 skipped for claim (guard: 7^1 profiles exceed 1 lanes)",
-                    "lemma4.2 skipped for claim r=2 (guard: 6^2 profiles exceed 1 lanes)"]
+                    "lemma4.2 skipped for claim r=2 (guard: 7^2 profiles exceed 1 lanes)"]
     assert err == "".join(f"note: {line}\n" for line in refused)
 
 

@@ -15,6 +15,7 @@ from dilatelab.configcount import (
     EVERY,
     INCREASING,
     CountReport,
+    _doubled,
     _paired_walk_sweep,
     _profile_blocks,
     brute_join,
@@ -39,7 +40,12 @@ from dilatelab.field import make_prime
 from dilatelab.geometry import PointSet, dist, full_space, random_point_set
 from dilatelab.orthogonal import enumerate_orthogonal, identity_matrix, make_orth, so2_elements
 from dilatelab.simgraph import SimilarityGraph
-from oracles import count_step_cycles, count_step_walks, displacement_count
+from oracles import (
+    count_step_cycles,
+    count_step_walks,
+    displacement_count,
+    full_space_cycle_tables,
+)
 
 SEVEN = make_prime(7)
 TWO_POINT = PointSet(SEVEN, 2, [(0, 0), (1, 0)])
@@ -199,8 +205,9 @@ CENSUS_TABLES = ("x", "y", "x13", "y13", "x24", "y24", "xb", "yb")
 
 
 def raw_census(E):
-    # the six census tables from every closed 4-walk of E, and the walks with
-    # b = e, which the census reads as those with a = c rotated
+    # the census tables x and y from every closed 4-walk of E, and their
+    # restrictions to a = c, to b = e and to both: the step tables doubled,
+    # those with b = e rotated
     p, size = E.prime.p, len(E)
     D = E.dist_table
     raw = {name: {} for name in CENSUS_TABLES}
@@ -222,16 +229,27 @@ def raw_census(E):
     return raw
 
 
+def doubled_census(E):
+    # the a = c tables are X_2 and Y_2 walked out and back, and the a = c,
+    # b = e ones the pairs X_1 and Y_1 doubled twice
+    p = E.prime.p
+    x1, y1 = step_profile_counts(E, 1), walk_profile_counts(E, 1)
+    return {"x13": _doubled(step_profile_counts(E, 2), p),
+            "y13": _doubled(walk_profile_counts(E, 2), p),
+            "xb": _doubled(_doubled(x1, p), p), "yb": _doubled(_doubled(y1, p), p)}
+
+
 def assert_census_matches_raw(E, census):
     # every table, and the rotated x13 and y13 equal the raw b = e tables: the
     # walk (a, b, a, e) read from e is (e, a, b, a), its digits (t4, t1, t2, t3)
     p = E.prime.p
+    tables = {"x": census.x, "y": census.y, **doubled_census(E)}
     for name, table in raw_census(E).items():
         if name in ("x24", "y24"):
-            a_c = getattr(census, name[0] + "13")
+            a_c = tables[name[0] + "13"]
             assert {t % p**3 * p + t // p**3: v for t, v in a_c.items()} == table, name
         else:
-            assert getattr(census, name) == table, name
+            assert tables[name] == table, name
 
 
 @pytest.mark.parametrize("p,d,size", [(7, 2, 6), (5, 2, 7), (13, 2, 6), (3, 3, 7)])
@@ -245,6 +263,36 @@ def test_cycle_census_tables_match_raw_walks(p, d, size):
     }
     # the cases must include null segments outside d = 2 with p = 3 (mod 4)
     assert (d == 2 and p % 4 == 3) or E.norm_pair_counts.get(0, 0) > size
+
+
+@pytest.mark.parametrize("p,d", [(5, 2), (7, 2), (3, 3), (5, 3)])
+def test_cycle_census_of_the_full_space_matches_its_translation_oracle(p, d):
+    # null segments at p = 1 (mod 4) and at d = 3; the oracle enumerates no walk
+    prime = make_prime(p)
+    E = full_space(prime, d)
+    assert has_null_segment(E) == (p % 4 == 1 or d == 3)
+    x, y = full_space_cycle_tables(p, d)
+    census = cycle_census(E)
+    assert census.x == x and census.y == y
+    assert sum(y.values()) == p ** (4 * d)
+    if (p, d) == (7, 2):
+        assert count_scaled_cycle_pairs(E, make_ratio(3, prime)).value == join(x, y, 3, p)
+
+
+def test_cycle_pair_count_reads_no_step_table(monkeypatch):
+    # C is the join of the census's x and y, and the census reads the 2-step
+    # walk table Y_2 and the pair counts alone: no X table is built for it
+    def never(*args):
+        raise AssertionError("C's census read an X table")
+
+    monkeypatch.setattr(configcount, "step_profile_counts", never)
+    prime = make_prime(13)
+    E = random_point_set(prime, 3, 9, seed=1)
+    assert has_null_segment(E)
+    for r in (1, 2):
+        ratio = make_ratio(r, prime)
+        assert (count_scaled_cycle_pairs(E, ratio, "mu_identity").value
+                == count_scaled_cycle_pairs(E, ratio, "brute").value)
 
 
 THIRTEEN = make_prime(13)
@@ -314,9 +362,9 @@ def test_two_step_tables_past_the_lane_count_are_admitted_by_their_walks():
     assert [(rep.method, rep.value) for rep in reports] == [("walk_dp", 4), ("nu_identity", 4)]
     # every closed walk, and those (a, b, a, e) and (a, b, a, b), with and
     # without distinct consecutive points
-    census = cycle_census(E)
+    census, doubled = cycle_census(E), doubled_census(E)
     totals = [sum(table.values()) for table in
-              (census.y, census.x, census.y13, census.x13, census.yb, census.xb)]
+              (census.y, census.x, *map(doubled.get, ("y13", "x13", "yb", "xb")))]
     assert totals == [33**4, 32**4 + 32, 33**3, 33 * 32**2, 33**2, 33 * 32]
 
 
@@ -879,7 +927,8 @@ def test_join_scales_by_lookup_and_by_closure_alike(monkeypatch):
     census = cycle_census(E)
     dense = [walk_profile_counts(E, 2), walk_profile_counts(E, 3), step_profile_counts(E, 3),
              E.norm_pair_counts]
-    sparse = [census.y, census.x13, {5 + 7 * p**3: 2, 1: 3}, {p**4 - 1: 4}]
+    sparse = [census.y, _doubled(step_profile_counts(E, 2), p), {5 + 7 * p**3: 2, 1: 3},
+              {p**4 - 1: 4}]
     tables = [*dense, *sparse, {}, {0: 1}]
 
     def definition(first, second, r):
